@@ -32,7 +32,6 @@ def main() -> int:
     ap.add_argument("--M", type=int, default=32, help="Hill truncation")
     ap.add_argument("--mu-count", type=int, default=400)
     ap.add_argument("--refine-factor", type=int, default=150)
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--out", default="fifth_order_spectrum.csv")
     args = ap.parse_args()
 
@@ -54,8 +53,7 @@ def main() -> int:
     windows = tuple(sorted({e.mu for e in mirror_events(model, events)}))
     grid = hill.MuGridSpec(count=args.mu_count, windows=windows,
                            refine_factor=args.refine_factor)
-    spectrum = hill.full_spectrum(model, wave, grid, args.M,
-                                  threads=args.threads)
+    spectrum = hill.full_spectrum(model, wave, grid, args.M)
     bubbles = hill.detect_bubbles(spectrum, predictions=events)
 
     with open(args.out, "w") as fh:

@@ -51,7 +51,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-max", dest="n_max", type=int,
                    help="mode index bound for the collision search")
     p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--threads", type=int, help="parallelism bound")
     p.add_argument("--config", help="JSON config file")
 
 
@@ -181,8 +180,7 @@ def cmd_spectrum(args) -> int:
                if not e.at_origin}
         windows = tuple(sorted(mus))
     grid = hill.MuGridSpec(count=cfg.hill_mu_count, windows=windows)
-    spectrum = hill.full_spectrum(model, wave, grid, cfg.hill_M,
-                                  threads=cfg.threads)
+    spectrum = hill.full_spectrum(model, wave, grid, cfg.hill_M)
     bubbles = hill.detect_bubbles(spectrum, predictions=predictions)
 
     bubble_report = {
@@ -192,7 +190,7 @@ def cmd_spectrum(args) -> int:
         "max_re_lambda": spectrum.max_real_part(),
         "bubbles": [b.to_dict() for b in bubbles],
     }
-    if wave.amplitude == 0.0:
+    if wave.is_zero:
         bubble_report["zero_amplitude_deviation"] = hill.zero_amplitude_check(
             model, wave.c, np.linspace(-0.45, 0.45, 7), min(cfg.hill_M, 32))
 

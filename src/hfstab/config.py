@@ -13,7 +13,7 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "apply_flags",
            "build_model"]
 
 _TOP_KEYS = {"model", "params", "g", "h", "alpha", "beta", "sigma",
-             "N", "n_max", "collision", "wave", "hill", "output", "threads"}
+             "N", "n_max", "collision", "wave", "hill", "output"}
 _COLLISION_KEYS = {"grid_points", "residual_tol", "lambda_tol"}
 _WAVE_KEYS = {"amplitude", "modes", "steps", "mean"}
 _HILL_KEYS = {"mu_count", "M", "refine"}
@@ -41,7 +41,6 @@ class RunConfig:
     hill_M: int = 64
     hill_refine: bool = True
     output: str | None = None
-    threads: int = 1
 
 
 def _check_keys(section: Mapping, allowed: set, where: str) -> None:
@@ -131,8 +130,6 @@ def load_config(path: str | None) -> RunConfig:
         if not isinstance(data["output"], str):
             raise ConfigError("'output' must be a path string")
         cfg.output = data["output"]
-    if "threads" in data:
-        cfg.threads = _coerce(data["threads"], int, "threads")
     return cfg
 
 
@@ -150,8 +147,6 @@ def apply_flags(cfg: RunConfig, args) -> RunConfig:
         cfg.n_max = args.n_max
     if getattr(args, "out", None) is not None:
         cfg.output = args.out
-    if getattr(args, "threads", None) is not None:
-        cfg.threads = args.threads
     if getattr(args, "amplitude", None) is not None:
         cfg.wave_amplitude = args.amplitude
     if getattr(args, "modes", None) is not None:
@@ -170,8 +165,6 @@ def apply_flags(cfg: RunConfig, args) -> RunConfig:
         raise ConfigError(f"N must be >= 1, got {cfg.N}")
     if cfg.n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {cfg.n_max}")
-    if cfg.threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {cfg.threads}")
     return cfg
 
 

@@ -1,11 +1,13 @@
 """Fourier-Floquet-Hill spectra of the linearization about a traveling wave.
 
-For each Floquet exponent mu in (-1/2, 1/2] the bi-infinite Fourier
-eigenproblem is truncated to |n| <= M and solved densely.  At zero
-amplitude the matrix is diagonal (scalar) or 2x2-block (two-component),
-so the spectrum reproduces the closed-form eigenvalues -i*Omega_l(n+mu)
-exactly; finite amplitude adds Toeplitz convolution blocks built from the
-wave's Fourier coefficients.
+The linearized problem is u_t = L u with L = J·(S + W): the Poisson symbol
+J and Hessian symbol S of ``models.Linearization``, plus the Toeplitz
+multiplication matrix W of the wave.  For each Floquet exponent mu in
+(-1/2, 1/2] the bi-infinite Fourier matrix of L on the modes n + mu is
+truncated to |n| <= M and solved densely.  At zero amplitude the matrix is
+diagonal (scalar) or 2x2-block (two-component), so the spectrum reproduces
+the closed-form eigenvalues -i*Omega_l(n+mu) exactly.  W does not depend
+on mu, so a spectrum builds it once per wave.
 
 Bubbles (connected arcs of eigenvalues off the imaginary axis) are
 detected by thresholding Re(lambda) and clustering in Im(lambda).
@@ -14,14 +16,12 @@ detected by thresholding Re(lambda) and clustering in Im(lambda).
 from __future__ import annotations
 
 import math
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import (ModelSpec, TravelingWave, SCALAR, CANONICAL,
-                     NONCANONICAL_BW, ModelError, eval_Omega, spectrum_slice)
+from .models import (ModelSpec, TravelingWave, Linearization,
+                     TruncationWarning, spectrum_slice)
 from .collisions import CollisionEvent
 
 __all__ = [
@@ -33,10 +33,6 @@ __all__ = [
 
 BUBBLE_THRESHOLD = 1e-7
 IM_CLUSTER_GAP = 1e-2
-
-
-class TruncationWarning(UserWarning):
-    pass
 
 
 class EigensolverError(Exception):
@@ -127,137 +123,45 @@ def build_mu_grid(spec: MuGridSpec) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Assembly
+# Assembly and spectra
 
-def _exp_coeffs(wave: TravelingWave, length: int) -> np.ndarray:
-    """Exponential Fourier coefficients u_hat(-length..length) of the wave."""
-    out = np.zeros(2 * length + 1)
-    a = np.asarray(wave.coefficients, dtype=float)
-    out[length] = a[0]
-    top = min(length, a.size - 1)
-    out[length + 1:length + 1 + top] = a[1:top + 1] / 2.0
-    out[length - top:length] = a[top:0:-1] / 2.0
-    return out
-
-
-def _check_truncation(wave: TravelingWave, M: int) -> None:
-    a = np.asarray(wave.coefficients, dtype=float)
-    tail = a[min(a.size - 1, 2 * M):]
-    if tail.size and np.max(np.abs(tail)) > 1e-12:
-        warnings.warn(
-            f"wave coefficients do not decay below 1e-12 within the "
-            f"truncation (M={M}); spectra may be under-resolved",
-            TruncationWarning, stacklevel=3)
-
-
-def _toeplitz(col_row: np.ndarray, M: int) -> np.ndarray:
-    """T[n, m] = col_row[center + (n - m)] for n, m = -M..M."""
-    center = (col_row.size - 1) // 2
-    idx = np.arange(2 * M + 1)
-    return col_row[center + idx[:, None] - idx[None, :]]
+def _wavenumbers(mu: float, M: int) -> np.ndarray:
+    return np.arange(-M, M + 1) + mu
 
 
 def assemble(model: ModelSpec, wave: TravelingWave, mu: float,
              M: int) -> np.ndarray:
-    """Truncated Hill matrix for one Floquet exponent.
+    """Truncated Hill matrix of L = J·(S + W) for one Floquet exponent.
 
     Scalar models give a (2M+1)-dimensional matrix; two-component models
     give 2(2M+1), ordered as the two component blocks.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    _check_truncation(wave, M)
-    c = wave.c
-    ks = np.arange(-M, M + 1) + mu
-    if model.kind == SCALAR:
-        diag = np.array([-1j * eval_Omega(model, 1, float(k), c) for k in ks])
-        A = np.diag(diag)
-        if wave.amplitude != 0.0 or abs(wave.mean) > 0.0:
-            # linearized nonlinearity sigma d/dx (U^p u)
-            w_coeffs = _nonlinear_coeffs_scalar(model, wave, M)
-            A = A + (-1j * ks)[:, None] * _toeplitz(w_coeffs, M)
-        return A
-    if model.kind == CANONICAL:
-        if wave.amplitude != 0.0:
-            raise ModelError(
-                f"finite-amplitude spectra are not supported for canonical "
-                f"model {model.name!r}")
-        n = 2 * M + 1
-        A = np.zeros((2 * n, 2 * n), dtype=complex)
-        from .krein import hessian_symbol
-        S = hessian_symbol(model, c)
-        J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        for i, k in enumerate(ks):
-            blk = J @ S(float(k))
-            A[i, i] = blk[0, 0]
-            A[i, n + i] = blk[0, 1]
-            A[n + i, i] = blk[1, 0]
-            A[n + i, n + i] = blk[1, 1]
-        return A
-    # noncanonical-bw: first-order system (q, r) with q_t = c q_x + r_x,
-    # r_t = c r_x + d/dx (c^2 * q + 2 alpha Q q)
-    n = 2 * M + 1
-    c2 = model.c2_symbol
-    ik = 1j * ks
-    A = np.zeros((2 * n, 2 * n), dtype=complex)
-    A[:n, :n] = np.diag(ik * c)
-    A[:n, n:] = np.diag(ik)
-    lower = np.diag(np.array([c2(float(k)) for k in ks], dtype=complex))
-    if wave.amplitude != 0.0 or abs(wave.mean) > 0.0:
-        q_coeffs = _exp_coeffs(wave, 2 * M)
-        lower = lower + 2.0 * model.alpha * _toeplitz(q_coeffs, M)
-    A[n:, :n] = ik[:, None] * lower
-    A[n:, n:] = np.diag(ik * c)
-    return A
+    op = Linearization(model, wave.c)
+    return op.matrix(_wavenumbers(mu, M), op.wave_part(wave, M))
 
 
-def _nonlinear_coeffs_scalar(model: ModelSpec, wave: TravelingWave,
-                             M: int) -> np.ndarray:
-    """Exponential coefficients of W = sigma U^p over shifts -2M..2M."""
-    if model.power == 1:
-        return model.sigma * _exp_coeffs(wave, 2 * M)
-    ngrid = max(8 * M, 4 * (len(wave.coefficients) - 1), 64)
-    x = 2.0 * math.pi * np.arange(ngrid) / ngrid
-    w = model.sigma * wave.profile(x) ** model.power
-    spec = np.fft.rfft(w) / ngrid
-    out = np.zeros(4 * M + 1, dtype=float)
-    top = min(2 * M, spec.size - 1)
-    out[2 * M] = spec[0].real
-    out[2 * M + 1:2 * M + 1 + top] = spec[1:top + 1].real
-    out[2 * M - top:2 * M] = spec[top:0:-1].real
-    return out
-
-
-# --------------------------------------------------------------------------
-# Spectra
-
-def spectrum_at(model: ModelSpec, wave: TravelingWave, mu: float,
-                M: int) -> np.ndarray:
-    """All eigenvalues of the truncated Hill matrix, sorted by (Im, Re)."""
-    A = assemble(model, wave, mu, M)
+def _eigvals(A: np.ndarray, mu: float) -> np.ndarray:
     try:
         vals = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver failed at mu = {mu!r}") from exc
-    order = np.lexsort((vals.real, vals.imag))
-    return vals[order]
+    return vals[np.lexsort((vals.real, vals.imag))]
+
+
+def spectrum_at(model: ModelSpec, wave: TravelingWave, mu: float,
+                M: int) -> np.ndarray:
+    """All eigenvalues of the truncated Hill matrix, sorted by (Im, Re)."""
+    return _eigvals(assemble(model, wave, mu, M), mu)
 
 
 def full_spectrum(model: ModelSpec, wave: TravelingWave,
-                  grid: MuGridSpec | np.ndarray, M: int,
-                  threads: int = 1) -> SpectrumSet:
-    """Point spectra over a mu grid; slices are independent eigenproblems.
-
-    Aggregation sorts by mu, so output is identical for any thread count.
-    """
+                  grid: MuGridSpec | np.ndarray, M: int) -> SpectrumSet:
+    """Point spectra over a mu grid, in increasing mu."""
     mus = build_mu_grid(grid) if isinstance(grid, MuGridSpec) else np.asarray(grid)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda mu: spectrum_at(model, wave, float(mu), M), mus))
-    else:
-        results = [spectrum_at(model, wave, float(mu), M) for mu in mus]
-    slices = sorted(zip((float(m) for m in mus), results), key=lambda s: s[0])
+    op = Linearization(model, wave.c)
+    W = op.wave_part(wave, M)
+    slices = [(mu, _eigvals(op.matrix(_wavenumbers(mu, M), W), mu))
+              for mu in sorted(float(m) for m in mus)]
     return SpectrumSet(model=model.name, M=M, amplitude=wave.amplitude,
                        slices=slices)
 

@@ -1,36 +1,31 @@
 """Krein signatures of colliding eigenvalues, and the analysis pipeline.
 
-The signature of an imaginary eigenvalue is the sign of the linearized
-Hamiltonian evaluated on its eigenspace.  Opposite signatures at a
-collision are necessary for the pair to leave the imaginary axis, so the
-pipeline verdict deliberately says only ``HF-instability-possible`` or
+The linearized problem is u_t = L u with L = J·S (``models.Linearization``).
+At zero amplitude each Fourier mode k carries the d x d block J(k)S(k); the
+eigenvector v of that block for lambda = -i*Omega_l(k) gives the mode's
+Krein signature, the sign of v†S(k)v.  Opposite signatures at a collision
+are necessary for the pair to leave the imaginary axis, so the pipeline
+verdict deliberately says only ``HF-instability-possible`` or
 ``HF-instability-excluded``: the condition is necessary, not sufficient.
 
-Eigenvectors of two-component systems are computed in closed form from
-the 2x2 Hessian symbol; no numerical eigensolver enters this path.
+Eigenvectors are null vectors of the 2x2 block J(k)S(k) - lambda (v = [1]
+for scalar models); no numerical eigensolver enters this path.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .models import (ModelSpec, ModeIndex, SCALAR, CANONICAL, NONCANONICAL_BW,
-                     eval_omega, eval_Omega, bifurcation_speed,
-                     validate_dispersive, spectrum_slice)
+from .models import (ModelSpec, ModeIndex, Linearization, eval_Omega,
+                     bifurcation_speed, validate_dispersive, spectrum_slice)
 from .collisions import (CollisionEvent, CollisionOptions, find_collisions,
                          VERDICT_NONE, VERDICT_POTENTIAL, VERDICT_INDETERMINATE)
 
 __all__ = [
     "SignatureError", "EigenvectorNotFoundError", "EigenMode", "AnalysisReport",
-    "hessian_symbol", "eigenmode",
-    "scalar_signature", "scalar_opposite",
-    "canonical_signature", "canonical_opposite",
-    "cankrein1_product", "cankrein2_product", "sym_product",
-    "bw_signature", "signature_product", "run_pipeline",
+    "eigenmode", "signature", "signature_product", "run_pipeline",
     "OVERALL_POSSIBLE", "OVERALL_EXCLUDED",
 ]
 
@@ -51,10 +46,10 @@ class EigenvectorNotFoundError(SignatureError):
 
 @dataclass(frozen=True)
 class EigenMode:
-    """Eigenvalue plus (for two-component systems) its (Q, P) eigenvector."""
+    """Eigenvalue and unit eigenvector of one mode's block of J·S."""
     mode: ModeIndex
     lam: complex
-    components: np.ndarray | None = None
+    components: np.ndarray
 
 
 @dataclass
@@ -83,53 +78,16 @@ class AnalysisReport:
 
 
 # --------------------------------------------------------------------------
-# Hessian symbols and eigenvectors
-
-def hessian_symbol(model: ModelSpec, c: float) -> Callable[[float], np.ndarray]:
-    """Symbol of the linearized-Hamiltonian Hessian as a function of k.
-
-    Hermitian for real k, so signatures are real-valued.
-    """
-    if model.kind == CANONICAL:
-        A, B, C = model.a_symbol, model.b_symbol, model.c_symbol
-
-        def symbol(k: float) -> np.ndarray:
-            a = complex(A(k))
-            return np.array([[C(k), -1j * c * k + np.conj(a)],
-                             [1j * c * k + a, B(k)]], dtype=complex)
-
-        return symbol
-    if model.kind == NONCANONICAL_BW:
-        c2 = model.c2_symbol
-
-        def symbol(k: float) -> np.ndarray:
-            return np.array([[c2(k), c], [c, 1.0]], dtype=complex)
-
-        return symbol
-    raise SignatureError(f"no 2x2 Hessian symbol for kind {model.kind!r}")
-
-
-_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
+# Eigenvectors and signatures
 
 def eigenmode(model: ModelSpec, idx: ModeIndex, c: float,
               tol: float = 1e-10) -> EigenMode:
-    """Closed-form eigenvector of the mode's 2x2 spectral block.
-
-    For canonical systems the block is J*S(k); for the Boussinesq-Whitham
-    structure it is ik*J_bw*L(k), giving the eigenvector (ik, lam - ik*V).
-    """
-    k = idx.k
-    lam = -1j * eval_Omega(model, idx.l, k, c)
-    if model.kind == NONCANONICAL_BW:
-        v = np.array([1j * k, lam - 1j * k * c], dtype=complex)
-        if np.linalg.norm(v) == 0.0:
-            raise EigenvectorNotFoundError(f"zero eigenvector at {idx}")
-        return EigenMode(idx, lam, v / np.linalg.norm(v))
-    if model.kind != CANONICAL:
-        raise SignatureError("eigenmode applies to two-component systems")
-    S = hessian_symbol(model, c)(k)
-    T = _J @ S - lam * np.eye(2)
+    """Unit eigenvector of the mode's block J(k)S(k) for -i*Omega_l(k)."""
+    op = Linearization(model, c)
+    lam = -1j * eval_Omega(model, idx.l, idx.k, c)
+    if op.size == 1:
+        return EigenMode(idx, lam, np.ones(1, dtype=complex))
+    T = op.matrix(np.array([idx.k])) - lam * np.eye(2)
     # null space of a singular 2x2: read it off whichever row is larger
     v0 = np.array([T[0, 1], -T[0, 0]])
     v1 = np.array([T[1, 1], -T[1, 0]])
@@ -145,41 +103,11 @@ def eigenmode(model: ModelSpec, idx: ModeIndex, c: float,
     return EigenMode(idx, lam, v)
 
 
-# --------------------------------------------------------------------------
-# Scalar signatures
-
-def scalar_signature(model: ModelSpec, idx: ModeIndex, c: float) -> int:
-    """Sign of -Omega(n+mu)/(n+mu); zero exactly when the eigenvalue is zero."""
-    if model.kind != SCALAR:
-        raise SignatureError("scalar_signature requires a scalar model")
-    k = idx.k
-    if k == 0.0:
-        raise ZeroDivisionError("Krein signature undefined at n + mu = 0")
-    v = -eval_Omega(model, 1, k, c) / k
-    return (v > 0) - (v < 0)
-
-
-def scalar_opposite(model: ModelSpec, event: CollisionEvent) -> bool:
-    """Opposite-signature test (n1+mu)(n2+mu) < 0 for scalar collisions."""
-    if event.at_origin:
-        raise SignatureError("origin collisions carry zero signature")
-    return (event.n1 + event.mu) * (event.n2 + event.mu) < 0
-
-
-def _scalar_product(model: ModelSpec, event: CollisionEvent, c: float) -> float:
-    k1, k2 = event.n1 + event.mu, event.n2 + event.mu
-    return (-eval_Omega(model, 1, k1, c) / k1) * (-eval_Omega(model, 1, k2, c) / k2)
-
-
-# --------------------------------------------------------------------------
-# Canonical signatures
-
-def canonical_signature(model: ModelSpec, em: EigenMode, c: float,
-                        tol: float = 1e-10) -> float:
-    """v† S(k) v for the unit eigenvector v; its sign is the Krein signature."""
-    if model.kind != CANONICAL:
-        raise SignatureError("canonical_signature requires a canonical model")
-    S = hessian_symbol(model, c)(em.mode.k)
+def signature(model: ModelSpec, em: EigenMode, c: float,
+              tol: float = 1e-10) -> float:
+    """v†S(k)v for the mode's unit eigenvector v; its sign is the Krein
+    signature.  Raises ZeroDivisionError for a scalar mode at k = 0."""
+    S = Linearization(model, c).hessian(em.mode.k)
     v = em.components
     q = complex(np.conj(v) @ (S @ v))
     if abs(q.imag) > tol * max(1.0, np.linalg.norm(S)):
@@ -187,86 +115,10 @@ def canonical_signature(model: ModelSpec, em: EigenMode, c: float,
     return q.real
 
 
-def _a_odd(model: ModelSpec, k: float) -> float:
-    # odd-coefficient part of the advection symbol A(k) = sum a_n (ik)^n
-    return complex(model.a_symbol(k)).imag
-
-
-def cankrein1_product(model: ModelSpec, event: CollisionEvent) -> float:
-    """First-row signature product: C(k1)C(k2)(w1 + Ao(k1))(w2 + Ao(k2))."""
-    k1, k2 = event.n1 + event.mu, event.n2 + event.mu
-    C = model.c_symbol
-    return (C(k1) * C(k2)
-            * (eval_omega(model, event.l1, k1) + _a_odd(model, k1))
-            * (eval_omega(model, event.l2, k2) + _a_odd(model, k2)))
-
-
-def cankrein2_product(model: ModelSpec, event: CollisionEvent) -> float:
-    """Second-row signature product: B(k1)B(k2)(w1 - Ao(k1))(w2 - Ao(k2))."""
-    k1, k2 = event.n1 + event.mu, event.n2 + event.mu
-    B = model.b_symbol
-    return (B(k1) * B(k2)
-            * (eval_omega(model, event.l1, k1) - _a_odd(model, k1))
-            * (eval_omega(model, event.l2, k2) - _a_odd(model, k2)))
-
-
-def sym_product(model: ModelSpec, event: CollisionEvent, which: int = 2) -> float:
-    """Even-system shortcuts: w1*w2 times the C-product (which=1) or B-product."""
-    if not model.even_system:
-        raise SignatureError("sym shortcuts require an even system")
-    k1, k2 = event.n1 + event.mu, event.n2 + event.mu
-    w = eval_omega(model, event.l1, k1) * eval_omega(model, event.l2, k2)
-    sym = model.c_symbol if which == 1 else model.b_symbol
-    return w * sym(k1) * sym(k2)
-
-
-def canonical_opposite(model: ModelSpec, event: CollisionEvent, c: float,
-                       method: str = "direct") -> bool:
-    """True iff the two colliding modes carry opposite signatures.
-
-    ``method`` selects the direct Hessian form or one of the equivalent
-    row/shortcut formulas ('cankrein1', 'cankrein2', 'sym1', 'sym2').
-    """
-    if event.at_origin:
-        raise SignatureError("origin collisions carry zero signature")
-    if method == "direct":
-        s1 = canonical_signature(model, eigenmode(model, event.idx1, c), c)
-        s2 = canonical_signature(model, eigenmode(model, event.idx2, c), c)
-        return s1 * s2 < 0
-    if method == "cankrein1":
-        return cankrein1_product(model, event) < 0
-    if method == "cankrein2":
-        return cankrein2_product(model, event) < 0
-    if method == "sym1":
-        return sym_product(model, event, 1) < 0
-    if method == "sym2":
-        return sym_product(model, event, 2) < 0
-    raise ValueError(f"unknown method {method!r}")
-
-
-# --------------------------------------------------------------------------
-# Noncanonical Boussinesq-Whitham signatures
-
-def bw_signature(model: ModelSpec, idx: ModeIndex, V: float) -> float:
-    """Signature 2*w(w - (n+mu)V) of a Boussinesq-Whitham mode."""
-    if model.kind != NONCANONICAL_BW:
-        raise SignatureError("bw_signature requires the BW structure")
-    w = eval_omega(model, idx.l, idx.k)
-    return 2.0 * w * (w - idx.k * V)
-
-
-# --------------------------------------------------------------------------
-# Dispatch and pipeline
-
 def signature_product(model: ModelSpec, event: CollisionEvent, c: float) -> float:
-    """Product of the two modes' signature values, by Poisson-structure kind."""
-    if model.kind == SCALAR:
-        return _scalar_product(model, event, c)
-    if model.kind == CANONICAL:
-        s1 = canonical_signature(model, eigenmode(model, event.idx1, c), c)
-        s2 = canonical_signature(model, eigenmode(model, event.idx2, c), c)
-        return s1 * s2
-    return bw_signature(model, event.idx1, c) * bw_signature(model, event.idx2, c)
+    """Product of the signatures of the two colliding modes."""
+    return (signature(model, eigenmode(model, event.idx1, c), c)
+            * signature(model, eigenmode(model, event.idx2, c), c))
 
 
 def run_pipeline(model: ModelSpec, N: int = 1, n_max: int = 10,

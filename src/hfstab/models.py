@@ -1,8 +1,11 @@
-"""Model catalog, dispersion relations, and zero-amplitude spectra.
+"""Model catalog, dispersion relations, zero-amplitude spectra, and the
+linearised operator L = J·S.
 
 A model is a Hamiltonian PDE reduced to the data needed by the instability
 analysis: its Poisson-structure kind, dispersion branches, and the symbol
-functions of the quadratic Hamiltonian that enter the Krein signature.
+functions of the quadratic Hamiltonian.  ``Linearization`` turns these into
+the Poisson symbol J, the Hessian S, and the Fourier matrices of L = J·S
+that both the Krein signatures and the Hill spectra are computed from.
 
 Built-in model identifiers: ``gkdv``, ``kdv``, ``mkdv-focusing``,
 ``mkdv-defocusing``, ``whitham``, ``sine-gordon``, ``water-waves``,
@@ -12,8 +15,11 @@ Built-in model identifiers: ``gkdv``, ``kdv``, ``mkdv-focusing``,
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from . import dsl
 
@@ -23,7 +29,7 @@ __all__ = [
     "BUILTIN_MODELS", "make_model", "model_from_config",
     "eval_omega", "eval_Omega", "bifurcation_speed",
     "zero_amp_eigenvalue", "spectrum_slice", "validate_dispersive",
-    "normalize_mode",
+    "normalize_mode", "Linearization", "TruncationWarning",
 ]
 
 SCALAR = "scalar"
@@ -42,6 +48,10 @@ class ModelNotDispersiveError(ModelError):
 
 
 class UnknownModelError(ModelError):
+    pass
+
+
+class TruncationWarning(UserWarning):
     pass
 
 
@@ -154,9 +164,13 @@ class TravelingWave:
     def mean(self) -> float:
         return float(self.coefficients[0])
 
+    @property
+    def is_zero(self) -> bool:
+        """True when every cosine coefficient vanishes (the trivial wave)."""
+        return not any(self.coefficients)
+
     def profile(self, x) -> object:
         """Evaluate the wave at x (scalar or numpy array)."""
-        import numpy as np
         x = np.asarray(x, dtype=float)
         u = np.full_like(x, float(self.coefficients[0]))
         for m in range(1, len(self.coefficients)):
@@ -246,6 +260,136 @@ def validate_dispersive(model: ModelSpec, grid: Sequence[float] | None = None,
             if v > tol:
                 raise ModelNotDispersiveError(
                     f"model {model.name!r}: even_system violated at k = {k:g}")
+
+
+# --------------------------------------------------------------------------
+# The linearised operator L = J·S
+
+_J_CANONICAL = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+@dataclass(frozen=True)
+class Linearization:
+    """The problem linearised about a wave of speed c: u_t = L u, L = J·S.
+
+    J is the Poisson symbol and S the Hessian symbol of the Hamiltonian in
+    the frame moving at speed c, both d x d for a d-component model:
+
+    ===============  ===================  ===================================
+    kind             J(k)                 S(k)
+    ===============  ===================  ===================================
+    scalar           ik                   -Omega(k)/k
+    canonical        [[0, 1], [-1, 0]]    [[C, -ick + conj(A)], [ick + A, B]]
+    noncanonical-bw  ik [[0, 1], [1, 0]]  [[c^2(k), c], [c, 1]]
+    ===============  ===================  ===================================
+
+    The eigenvalues of J(k)S(k) are the zero-amplitude eigenvalues
+    -i*Omega_l(k), and the sign of v†S(k)v on an eigenvector v is the
+    mode's Krein signature.  A finite-amplitude wave adds a multiplication
+    operator W to the (0, 0) entry of S (see ``wave_part``).
+    """
+    model: ModelSpec
+    c: float
+
+    @property
+    def size(self) -> int:
+        """Number of components d."""
+        return 1 if self.model.kind == SCALAR else 2
+
+    def hessian(self, k: float) -> np.ndarray:
+        """S(k); Hermitian for real k, so v†S(k)v is real."""
+        m, c = self.model, self.c
+        if m.kind == SCALAR:
+            return np.array([[-eval_Omega(m, 1, k, c) / k]])
+        if m.kind == CANONICAL:
+            a = complex(m.a_symbol(k))
+            return np.array([[m.c_symbol(k), -1j * c * k + np.conj(a)],
+                             [1j * c * k + a, m.b_symbol(k)]], dtype=complex)
+        return np.array([[m.c2_symbol(k), c], [c, 1.0]], dtype=complex)
+
+    def wave_part(self, wave: TravelingWave, M: int) -> np.ndarray | None:
+        """Fourier matrix of the wave's term in S[0, 0] on the modes |n| <= M.
+
+        The term is multiplication by f = -sigma*U^p (scalar) or 2*alpha*Q
+        (Boussinesq-Whitham); its matrix W[n, m] = f_hat(n - m) does not
+        depend on the Floquet exponent.  None for the zero wave.
+        """
+        if M < 1:
+            raise ValueError("M must be >= 1")
+        tail = np.asarray(wave.coefficients, dtype=float)[2 * M + 1:]
+        if tail.size and np.max(np.abs(tail)) > 1e-12:
+            warnings.warn(
+                f"wave coefficients do not decay below 1e-12 within the "
+                f"truncation (M={M}); spectra may be under-resolved",
+                TruncationWarning, stacklevel=3)
+        if wave.is_zero:
+            return None
+        m = self.model
+        if m.kind == SCALAR:
+            return -_toeplitz(_scalar_nonlinearity(m, wave, M), M)
+        if m.kind == NONCANONICAL_BW:
+            return 2.0 * m.alpha * _toeplitz(_exp_coeffs(wave, 2 * M), M)
+        raise ModelError(
+            f"finite-amplitude spectra are not supported for canonical "
+            f"model {m.name!r}")
+
+    def matrix(self, ks: np.ndarray, W: np.ndarray | None = None) -> np.ndarray:
+        """J·(S + W) on the Fourier modes with wavenumbers ks.
+
+        A (d*n) x (d*n) matrix for n wavenumbers, ordered component by
+        component.  Each kind applies its J in closed form.
+        """
+        m, c = self.model, self.c
+        if m.kind == SCALAR:
+            # ik*(-Omega/k) = -i*Omega: the k cancels exactly, also at k = 0
+            Om = np.array([eval_Omega(m, 1, float(k), c) for k in ks])
+            L = np.diag(-1j * Om)
+            return L if W is None else L + (1j * ks)[:, None] * W
+        if m.kind == CANONICAL:
+            L = np.array([_J_CANONICAL @ self.hessian(float(k)) for k in ks])
+            return np.block([[np.diag(L[:, i, j]) for j in range(2)]
+                             for i in range(2)])
+        # J = ik [[0, 1], [1, 0]] swaps the rows of S
+        ik = 1j * ks
+        c2 = np.array([m.c2_symbol(float(k)) for k in ks], dtype=complex)
+        S00 = np.diag(c2) if W is None else np.diag(c2) + W
+        return np.block([[np.diag(ik * c), np.diag(ik)],
+                         [ik[:, None] * S00, np.diag(ik * c)]])
+
+
+def _exp_coeffs(wave: TravelingWave, length: int) -> np.ndarray:
+    """Exponential Fourier coefficients u_hat(-length..length) of the wave."""
+    out = np.zeros(2 * length + 1)
+    a = np.asarray(wave.coefficients, dtype=float)
+    out[length] = a[0]
+    top = min(length, a.size - 1)
+    out[length + 1:length + 1 + top] = a[1:top + 1] / 2.0
+    out[length - top:length] = a[top:0:-1] / 2.0
+    return out
+
+
+def _toeplitz(col_row: np.ndarray, M: int) -> np.ndarray:
+    """T[n, m] = col_row[center + (n - m)] for n, m = -M..M."""
+    center = (col_row.size - 1) // 2
+    idx = np.arange(2 * M + 1)
+    return col_row[center + idx[:, None] - idx[None, :]]
+
+
+def _scalar_nonlinearity(model: ModelSpec, wave: TravelingWave,
+                         M: int) -> np.ndarray:
+    """Exponential coefficients of sigma*U^p over shifts -2M..2M."""
+    if model.power == 1:
+        return model.sigma * _exp_coeffs(wave, 2 * M)
+    ngrid = max(8 * M, 4 * (len(wave.coefficients) - 1), 64)
+    x = 2.0 * math.pi * np.arange(ngrid) / ngrid
+    w = model.sigma * wave.profile(x) ** model.power
+    spec = np.fft.rfft(w) / ngrid
+    out = np.zeros(4 * M + 1, dtype=float)
+    top = min(2 * M, spec.size - 1)
+    out[2 * M] = spec[0].real
+    out[2 * M + 1:2 * M + 1 + top] = spec[1:top + 1].real
+    out[2 * M - top:2 * M] = spec[top:0:-1].real
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -12,12 +12,13 @@ from hfstab.collisions import find_collisions
 from hfstab.dsl import parse, to_source
 from hfstab.elliptic import (elliptic_K, jacobi_cn, jacobi_dn, jacobi_sn,
                              kdv_cnoidal, mkdv_cn_wave, mkdv_sn_wave)
-from hfstab.krein import canonical_opposite, signature_product
+from hfstab.krein import eigenmode, signature, signature_product
 from hfstab.models import (BUILTIN_MODELS, bifurcation_speed, eval_Omega,
                            eval_omega, make_model)
 from hfstab.waves import (bw_flat_state_analysis, solve_wave_collocation,
                           wave_residual)
 
+from signature_oracles import bw_signature, canonical_products, scalar_opposite
 from test_dsl import random_tree
 
 
@@ -108,10 +109,20 @@ def test_06_signature_formula_equivalence(capsys):
     for name in ("sine-gordon", "water-waves", "water-waves-deep"):
         model, c, events = non_origin(name, 5)
         for e in events:
-            direct = canonical_opposite(model, e, c, "direct")
-            for method in ("cankrein1", "cankrein2", "sym1", "sym2"):
-                ok = ok and canonical_opposite(model, e, c, method) == direct
+            direct = signature_product(model, e, c) < 0
+            for product in canonical_products(model, e):
+                ok = ok and (product < 0) == direct
                 checked += 1
+    model, c, events = non_origin("fifth-order-scalar", 5)
+    for e in events:
+        ok = ok and scalar_opposite(model, e) == (signature_product(model, e, c) < 0)
+        checked += 1
+    model, c, events = non_origin("boussinesq-whitham", 5)
+    for e in events:
+        for idx in (e.idx1, e.idx2):
+            s = signature(model, eigenmode(model, idx, c), c)
+            ok = ok and (s > 0) == (bw_signature(model, idx, c) > 0)
+            checked += 1
     report(capsys, 6, ok and checked > 0,
            "all Krein-signature formulations agree on every solver event",
            f"{checked} comparisons")
@@ -164,7 +175,7 @@ def test_10_whitham_wave_no_high_frequency_growth(capsys):
     model = make_model("whitham")
     wave = solve_wave_collocation(model, 1e-2, M=64, steps=5)
     spectrum = hill.full_spectrum(model, wave,
-                                  hill.MuGridSpec(count=500), 64, threads=4)
+                                  hill.MuGridSpec(count=500), 64)
     _, lams = spectrum.all_points()
     away = lams[np.abs(lams.imag) >= 0.1]
     worst = float(np.max(away.real))
@@ -180,7 +191,7 @@ def test_11_fifth_order_bubble_confirms_prediction(capsys):
     from hfstab.collisions import mirror_events
     windows = tuple(sorted({e.mu for e in mirror_events(model, events)}))
     grid = hill.MuGridSpec(count=400, windows=windows, refine_factor=150)
-    spectrum = hill.full_spectrum(model, wave, grid, 32, threads=4)
+    spectrum = hill.full_spectrum(model, wave, grid, 32)
     bubbles = hill.detect_bubbles(spectrum, predictions=events)
     matched = [b for b in bubbles if any(
         abs(abs(b.center.imag) - e.lam.imag) < 5e-2 for e in opposite)]

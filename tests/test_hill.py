@@ -12,7 +12,14 @@ from hfstab.elliptic import kdv_cnoidal
 from hfstab.models import (BUILTIN_MODELS, ModelError, TravelingWave,
                            bifurcation_speed, eval_Omega, make_model,
                            model_from_config)
-from hfstab.waves import solve_wave_collocation
+from hfstab.waves import solve_wave_collocation, stokes_wave
+
+from signature_oracles import J_CANONICAL, canonical_hessian
+
+
+def quadrature_coeff(values, x, j):
+    """Exponential Fourier coefficient j of samples on a uniform 2*pi grid."""
+    return np.mean(values * np.exp(-1j * j * x))
 
 
 class TestMuGrid:
@@ -64,12 +71,67 @@ class TestAssembly:
         u = cn.profile(x)
         for n in (-M, -2, 0, 3, M):
             for m in (-M, -1, 0, 2, M):
-                j = n - m
-                w_j = np.mean(model.sigma * u * np.exp(-1j * j * x))
+                w_j = quadrature_coeff(model.sigma * u, x, n - m)
                 entry = -1j * (n + mu) * w_j
                 if n == m:
                     entry += -1j * eval_Omega(model, 1, n + mu, cn.c)
                 assert abs(A[n + M, m + M] - entry) < 1e-10
+
+    def test_higher_harmonic_only_wave_is_kept(self):
+        # a wave with zero amplitude and mean but a cos(2x) term is not the
+        # zero wave: its entries at n - m = +-2 are -i(n+mu)*sigma*0.3/2
+        model = make_model("kdv")
+        wave = TravelingWave(model="kdv", c=-1.0, coefficients=[0.0, 0.0, 0.3])
+        M, mu = 5, 0.21
+        A = hill.assemble(model, wave, mu, M)
+        for n in range(-M, M + 1):
+            for m in range(-M, M + 1):
+                entry = -1j * (n + mu) * model.sigma * 0.15 * (abs(n - m) == 2)
+                if n == m:
+                    entry = -1j * eval_Omega(model, 1, n + mu, wave.c)
+                assert abs(A[n + M, m + M] - entry) < 1e-14
+
+    def test_bw_entries_match_quadrature(self):
+        # oracle: L = ik [[c, 1], [c^2(k) + 2 alpha Q, c]] with the Fourier
+        # coefficients of Q from trapezoidal quadrature of the profile
+        model = make_model("boussinesq-whitham")
+        wave = solve_wave_collocation(model, 1e-2, M=24, steps=3)
+        M, mu = 6, 0.17
+        n = 2 * M + 1
+        A = hill.assemble(model, wave, mu, M)
+        ngrid = 4096
+        x = 2.0 * math.pi * np.arange(ngrid) / ngrid
+        q = wave.profile(x)
+        ks = np.arange(-M, M + 1) + mu
+        for i, k in enumerate(ks):
+            ik = 1j * k
+            for j in range(n):
+                diag = float(i == j)
+                q_hat = quadrature_coeff(q, x, i - j)
+                lower = ik * (model.c2_symbol(k) * diag
+                              + 2.0 * model.alpha * q_hat)
+                assert abs(A[i, j] - ik * wave.c * diag) < 1e-12
+                assert abs(A[i, n + j] - ik * diag) < 1e-12
+                assert abs(A[n + i, j] - lower) < 1e-10
+                assert abs(A[n + i, n + j] - ik * wave.c * diag) < 1e-12
+
+    @pytest.mark.parametrize("name", ["sine-gordon", "water-waves",
+                                      "water-waves-deep"])
+    def test_canonical_zero_amplitude_blocks(self, name):
+        # each Fourier mode k carries the 2x2 block J S(k) of its own
+        # components and nothing else
+        model = make_model(name)
+        c = bifurcation_speed(model, 1, 1)
+        M, mu = 5, -0.31
+        n = 2 * M + 1
+        A = hill.assemble(model, hill.zero_wave(model, c), mu, M)
+        rest = A.copy()
+        for i, k in enumerate(np.arange(-M, M + 1) + mu):
+            rows = np.array([i, n + i])
+            block = J_CANONICAL @ canonical_hessian(model, c, k)
+            assert np.max(np.abs(A[np.ix_(rows, rows)] - block)) < 1e-12
+            rest[np.ix_(rows, rows)] = 0.0
+        assert np.count_nonzero(rest) == 0
 
     def test_trace_equals_eigenvalue_sum(self):
         model = make_model("boussinesq-whitham")
@@ -96,6 +158,19 @@ class TestAssembly:
                              coefficients=[0.0] + [0.1] * 9)
         with pytest.warns(hill.TruncationWarning):
             hill.assemble(model, wave, 0.1, 2)
+
+    def test_no_truncation_warning_when_the_matrix_holds_the_wave(self):
+        # harmonics up to 2M fit in the Toeplitz part; so does a wave
+        # shorter than 2M + 1 coefficients
+        model = make_model("kdv")
+        short = TravelingWave(model="kdv", c=-1.0, coefficients=[0.0, 0.1])
+        stokes = stokes_wave(model, 0.05, 3)
+        full = TravelingWave(model="kdv", c=-1.0, coefficients=[0.1] * 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", hill.TruncationWarning)
+            hill.assemble(model, short, 0.1, 4)
+            hill.assemble(model, stokes, 0.1, 16)
+            hill.assemble(model, full, 0.1, 4)
 
     def test_bad_m(self):
         model = make_model("kdv")
@@ -124,16 +199,6 @@ class TestSpectra:
                              coefficients=cn.coefficients)
         vals = hill.spectrum_at(model, wave, 0.25, 32)
         assert np.max(np.abs(vals.real)) < 1e-6
-
-    def test_threads_deterministic(self):
-        model = make_model("kdv")
-        cn = kdv_cnoidal(0.3)
-        wave = TravelingWave(model="kdv", c=cn.c,
-                             coefficients=cn.coefficients)
-        grid = hill.MuGridSpec(count=24)
-        s1 = hill.full_spectrum(model, wave, grid, 12, threads=1)
-        s4 = hill.full_spectrum(model, wave, grid, 12, threads=4)
-        assert hill.spectrum_to_csv_rows(s1) == hill.spectrum_to_csv_rows(s4)
 
     def test_explicit_mu_array_accepted(self):
         model = make_model("kdv")

@@ -1,4 +1,4 @@
-"""Krein-signature formulas and pipeline verdicts."""
+"""Krein signatures and pipeline verdicts."""
 
 import math
 
@@ -7,14 +7,16 @@ import pytest
 
 from hfstab.collisions import find_collisions
 from hfstab.krein import (OVERALL_EXCLUDED, OVERALL_POSSIBLE, SignatureError,
-                          bw_signature, canonical_opposite,
-                          canonical_signature, cankrein1_product,
-                          cankrein2_product, eigenmode, hessian_symbol,
-                          run_pipeline, scalar_opposite, scalar_signature,
-                          signature_product, sym_product)
-from hfstab.models import (ModeIndex, bifurcation_speed, eval_omega,
-                           make_model, model_from_config)
+                          eigenmode, run_pipeline, signature,
+                          signature_product)
+from hfstab.models import (ModeIndex, bifurcation_speed, eval_Omega,
+                           eval_omega, make_model, model_from_config)
 from hfstab.collisions import VERDICT_NONE, VERDICT_POTENTIAL
+
+from signature_oracles import (J_CANONICAL, bw_signature, canonical_hessian,
+                               canonical_products, cankrein1_product,
+                               cankrein2_product, scalar_opposite,
+                               sym_product)
 
 
 def non_origin_events(name, n_max, params=None):
@@ -28,11 +30,9 @@ class TestEigenvectors:
     def test_block_eigenvector_residual(self):
         model = make_model("water-waves")
         c = bifurcation_speed(model, 1, 1)
-        J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        S = hessian_symbol(model, c)
         for n, mu, l in [(2, 0.3, 1), (-1, 0.1, 2), (0, 0.5, 1)]:
             em = eigenmode(model, ModeIndex(n, mu, l), c)
-            block = J @ S(em.mode.k)
+            block = J_CANONICAL @ canonical_hessian(model, c, em.mode.k)
             assert np.linalg.norm(block @ em.components
                                   - em.lam * em.components) < 1e-10
 
@@ -56,10 +56,13 @@ class TestScalarSignatures:
         for n, mu in [(1, 0.3), (-2, 0.25), (2, -0.4)]:
             idx = ModeIndex(n, mu)
             k = idx.k
-            from hfstab.models import eval_Omega
             expected = -eval_Omega(model, 1, k, c) / k
-            s = scalar_signature(model, idx, c)
-            assert s == (expected > 0) - (expected < 0)
+            assert signature(model, eigenmode(model, idx, c), c) == expected
+
+    def test_zero_wavenumber_has_no_signature(self):
+        model = make_model("kdv")
+        with pytest.raises(ZeroDivisionError):
+            signature(model, eigenmode(model, ModeIndex(0, 0.0), -1.0), -1.0)
 
     def test_opposite_iff_wavenumbers_straddle_zero(self):
         model, c, events = non_origin_events("fifth-order-scalar", 3)
@@ -84,9 +87,9 @@ class TestCanonicalSignatures:
             model, c, events = non_origin_events(name, 5)
             assert events
             for e in events:
-                direct = canonical_opposite(model, e, c, "direct")
-                for method in ("cankrein1", "cankrein2", "sym1", "sym2"):
-                    assert canonical_opposite(model, e, c, method) == direct
+                direct = signature_product(model, e, c) < 0
+                for product in canonical_products(model, e):
+                    assert (product < 0) == direct
 
     def test_product_sign_consistency(self):
         model, c, events = non_origin_events("water-waves", 5)
@@ -101,8 +104,8 @@ class TestCanonicalSignatures:
         # only the sign is contractual, so compare signs against sym2
         model, c, events = non_origin_events("sine-gordon", 4)
         for e in events:
-            s1 = canonical_signature(model, eigenmode(model, e.idx1, c), c)
-            s2 = canonical_signature(model, eigenmode(model, e.idx2, c), c)
+            s1 = signature(model, eigenmode(model, e.idx1, c), c)
+            s2 = signature(model, eigenmode(model, e.idx2, c), c)
             assert (s1 * s2 < 0) == (sym_product(model, e, 2) < 0)
 
     def test_sym_requires_even_system(self):
@@ -124,18 +127,22 @@ class TestCanonicalSignatures:
         c = bifurcation_speed(model, 1, 1)
         events = [e for e in find_collisions(model, c, 3) if not e.at_origin]
         same = [e for e in events
-                if not canonical_opposite(model, e, c, "direct")]
+                if not signature_product(model, e, c) < 0]
         assert same, "expected at least one equal-signature collision"
 
 
 class TestBWSignatures:
     def test_signature_formula(self):
+        # the unit eigenvector is (ik, -i*w)/sqrt(k^2 + w^2), on which
+        # v†Sv is the closed form 2w(w - kV) over k^2 + w^2
         model = make_model("boussinesq-whitham")
         c = bifurcation_speed(model, 1, 1)
-        idx = ModeIndex(2, 0.3, 1)
-        w = eval_omega(model, 1, idx.k)
-        assert bw_signature(model, idx, c) == pytest.approx(
-            2.0 * w * (w - idx.k * c))
+        for n, mu, l in [(2, 0.3, 1), (-3, 0.45, 2), (7, -0.2, 1)]:
+            idx = ModeIndex(n, mu, l)
+            w = eval_omega(model, l, idx.k)
+            s = signature(model, eigenmode(model, idx, c), c)
+            assert s == pytest.approx(bw_signature(model, idx, c)
+                                      / (idx.k ** 2 + w ** 2))
 
     def test_all_non_origin_opposite(self):
         model, c, events = non_origin_events("boussinesq-whitham", 8)
