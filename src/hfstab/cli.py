@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -97,11 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(text: str, path: str | None) -> None:
+def _write(text: str, path: str | None, suffix: str = "") -> None:
+    """Write ``text`` to ``path + suffix``, or to stdout if path is None."""
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with open(path + suffix, "w") as fh:
             fh.write(text)
 
 
@@ -151,8 +153,6 @@ def cmd_wave(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    import json as _json
-
     cfg, model = _load(args)
     if model.kind == CANONICAL:
         raise ConfigError(
@@ -162,8 +162,8 @@ def cmd_spectrum(args) -> int:
     if args.wave_file is not None:
         try:
             with open(args.wave_file) as fh:
-                wave = TravelingWave.from_dict(_json.load(fh))
-        except (OSError, _json.JSONDecodeError, KeyError) as exc:
+                wave = TravelingWave.from_dict(json.load(fh))
+        except (OSError, json.JSONDecodeError, KeyError) as exc:
             raise ConfigError(f"cannot read wave file: {exc}") from exc
         if wave.model != model.name:
             raise ConfigError(
@@ -196,12 +196,8 @@ def cmd_spectrum(args) -> int:
 
     csv_text = csv_lines(["mu", "re_lambda", "im_lambda"],
                          hill.spectrum_to_csv_rows(spectrum))
-    if cfg.output is None:
-        sys.stdout.write(csv_text)
-        sys.stdout.write(json_dumps(bubble_report))
-    else:
-        _write(csv_text, cfg.output)
-        _write(json_dumps(bubble_report), cfg.output + ".bubbles.json")
+    _write(csv_text, cfg.output)
+    _write(json_dumps(bubble_report), cfg.output, ".bubbles.json")
     return EXIT_OK
 
 
@@ -210,20 +206,14 @@ def cmd_curves(args) -> int:
     c = bifurcation_speed(model, 1, cfg.N)
     k_grid = np.linspace(-0.5, 0.5, 201)
     rows = secant_curve_data(model, c, range(-3, 4), k_grid)
-    csv_text = csv_lines(["l", "n", "k", "Omega"], rows)
+    texts = {"": csv_lines(["l", "n", "k", "Omega"], rows)}
     if model.name == "water-waves":
         h_grid = np.logspace(np.log10(0.5), 2.0, 25)
         trace = trace_first_collision_vs_depth(
             model.params["g"], h_grid, n_max=max(cfg.n_max, 3))
-        trace_text = csv_lines(["h", "im_lambda"], trace)
-        if cfg.output is None:
-            sys.stdout.write(csv_text)
-            sys.stdout.write(trace_text)
-        else:
-            _write(csv_text, cfg.output)
-            _write(trace_text, cfg.output + ".depth.csv")
-        return EXIT_OK
-    _write(csv_text, cfg.output)
+        texts[".depth.csv"] = csv_lines(["h", "im_lambda"], trace)
+    for suffix, text in texts.items():
+        _write(text, cfg.output, suffix)
     return EXIT_OK
 
 

@@ -7,19 +7,24 @@ uniform mu grid, and refines roots by bisection.  Roots are bracketed
 rather than found by derivative methods because dispersion relations may
 be supplied through the expression DSL, which has no derivatives.
 
+The scan works on arrays: each branch is evaluated on the (n, mu) grid a
+block of rows at a time, sign changes are found one n1 row at a time, and
+all brackets are bisected together.
+
 Tangential (even-multiplicity) roots without a sign change are missed by
 bracketing; the grid-refinement stability test mitigates this.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .models import (ModelSpec, ModeIndex, SCALAR, eval_Omega, eval_omega,
+from .models import (ModelSpec, ModeIndex, eval_Omega, eval_omega,
                      bifurcation_speed, make_model)
 
 __all__ = [
@@ -33,6 +38,10 @@ VERDICT_NONE = "no-instability-possible"
 VERDICT_POTENTIAL = "potential-instability"
 VERDICT_INDETERMINATE = "indeterminate-origin"
 
+# Grid elements per block of the scan: bounds the size of every temporary
+# array (the grid of Omega values itself is kept whole).
+_BLOCK = 8192
+
 
 class NoCollisionFoundError(Exception):
     pass
@@ -44,6 +53,12 @@ class CollisionOptions:
     residual_tol: float = 1e-9
     lambda_tol: float = 1e-8     # |lambda| below this counts as an origin collision
     bisect_tol: float = 1e-13    # mu interval width at which bisection stops
+
+    def __post_init__(self):
+        tols = (self.residual_tol, self.lambda_tol, self.bisect_tol)
+        if not (self.grid_points >= 1 and all(0 < t < math.inf for t in tols)):
+            raise ValueError("collision options need grid_points >= 1 and "
+                             f"finite tolerances > 0, got {self}")
 
 
 @dataclass
@@ -77,38 +92,22 @@ class CollisionEvent:
         }
 
 
-def collision_residual(model: ModelSpec, n1: int, l1: int, n2: int, l2: int,
-                       mu: float, c: float) -> float:
-    """Omega_{l1}(n1 + mu) - Omega_{l2}(n2 + mu); a root in mu is a collision."""
-    if (n1, l1) == (n2, l2):
+def collision_residual(model: ModelSpec, n1, l1, n2, l2, mu, c: float):
+    """Omega_{l1}(n1 + mu) - Omega_{l2}(n2 + mu); a root in mu is a collision.
+    Modes and mu may also be arrays of one shape, one tuple per element."""
+    if np.any((np.asarray(n1) == n2) & (np.asarray(l1) == l2)):
         raise ValueError("collision requires two distinct modes")
-    return eval_Omega(model, l1, n1 + mu, c) - eval_Omega(model, l2, n2 + mu, c)
+    return _Omega(model, c, l1, n1 + mu) - _Omega(model, c, l2, n2 + mu)
 
 
-def _mode_tuples(model: ModelSpec, n_max: int):
-    ns = range(-n_max, n_max + 1)
-    branches = [b.index for b in model.branches]
-    for n1 in ns:
-        for n2 in ns:
-            if n1 > n2:
-                for l1 in branches:
-                    for l2 in branches:
-                        yield n1, l1, n2, l2
-            elif n1 == n2 and len(branches) == 2:
-                yield n1, branches[0], n2, branches[1]
-
-
-def _bisect_root(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if (fa < 0.0) != (fm < 0.0):
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
+def _Omega(model: ModelSpec, c: float, l, k):
+    """Omega_l(k) for a branch l per element: one array call per branch."""
+    if np.ndim(l) == 0:
+        return eval_Omega(model, int(l), k, c)
+    out = np.empty(np.shape(k))
+    for b in model.branches:
+        out[l == b.index] = eval_Omega(model, b.index, k[l == b.index], c)
+    return out
 
 
 def find_collisions(model: ModelSpec, c: float, n_max: int,
@@ -126,48 +125,74 @@ def find_collisions(model: ModelSpec, c: float, n_max: int,
     # grid over [-1/2, 1/2]; the -1/2 endpoint is equivalent to +1/2 and
     # roots found exactly there are renormalized below
     mus = -0.5 + np.arange(G + 1) / G
+    ls = np.array([b.index for b in model.branches])
+    ns = np.arange(-n_max, n_max + 1)
+    rows = max(1, _BLOCK // (G + 1))
+    Om = np.empty((ls.size, ns.size, G + 1))   # Omega_l(n + mu) per branch
+    for p, lo in itertools.product(range(ls.size), range(0, ns.size, rows)):
+        ks = ns[lo:lo + rows, None] + mus
+        Om[p, lo:lo + rows] = eval_Omega(model, int(ls[p]), ks, c)
 
-    omega_grid: dict[tuple[int, int], np.ndarray] = {}
-    for b in model.branches:
-        for n in range(-n_max, n_max + 1):
-            ks = n + mus
-            vals = np.array([eval_omega(model, b.index, float(k)) for k in ks])
-            omega_grid[(n, b.index)] = vals - c * ks
-
-    found: dict[tuple, CollisionEvent] = {}
-    for n1, l1, n2, l2 in _mode_tuples(model, n_max):
-        f_grid = omega_grid[(n1, l1)] - omega_grid[(n2, l2)]
-        roots = []
-        zero = np.flatnonzero(f_grid == 0.0)
-        roots.extend(float(mus[i]) for i in zero)
-        sign_change = np.flatnonzero((f_grid[:-1] * f_grid[1:]) < 0.0)
-        if sign_change.size:
-            f = lambda mu: collision_residual(model, n1, l1, n2, l2, mu, c)
-            for i in sign_change:
-                roots.append(_bisect_root(f, float(mus[i]), float(mus[i + 1]),
-                                          float(f_grid[i]), float(f_grid[i + 1]),
-                                          opts.bisect_tol))
-        for mu in roots:
-            _record(found, model, c, n1, l1, n2, l2, mu, opts)
-
-    events = sorted(found.values(), key=lambda e: (e.lam.imag, e.mu, e.n1))
-    return events
+    # Mode tuples (n1, l1, n2, l2): n1 > n2 for every branch pair, n1 == n2
+    # for the pair (1st, 2nd).  A grid zero (kind 0) or sign change (kind 1)
+    # is kept as (n1, n2, p1, p2, kind, grid index), p the branch position.
+    hits = []
+    for i1, p1, p2 in itertools.product(range(ns.size), range(ls.size),
+                                        range(ls.size)):
+        top = i1 + (p1 < p2)
+        for lo in range(0, top, rows):
+            f = Om[p1, i1] - Om[p2, lo:min(lo + rows, top)]
+            for kind, mask in enumerate((f == 0.0, f[:, :-1] * f[:, 1:] < 0.0)):
+                w = mask.shape[1]
+                hits += [(i1, lo + j // w, p1, p2, kind, j % w)
+                         for j in np.flatnonzero(mask).tolist()]
+    # scan order: by tuple, exact zeros first, then by grid index; an exact
+    # zero is a bracket of width 0
+    hits.sort()
+    i1, i2, p1, p2, kind, i = np.array(hits, dtype=int).reshape(-1, 6).T
+    n1, n2, l1, l2 = ns[i1], ns[i2], ls[p1], ls[p2]
+    roots = _bisect(model, c, n1, l1, n2, l2, mus[i], mus[i + kind],
+                    Om[p1, i1, i] - Om[p2, i2, i], opts.bisect_tol)
+    events = _events(model, c, n1, l1, n2, l2, roots, opts)
+    return sorted(events, key=lambda e: (e.lam.imag, e.mu, e.n1))
 
 
-def _record(found, model, c, n1, l1, n2, l2, mu, opts):
-    if mu <= -0.5 + 1e-15:  # -1/2 is excluded; shift to the +1/2 representative
-        mu, n1, n2 = mu + 1.0, n1 - 1, n2 - 1
+def _bisect(model, c, n1, l1, n2, l2, a, b, fa, tol):
+    """Bisect every bracket [a, b] of the residual together, updating a, b
+    and fa = f(a) in place; a bracket stops when its width is <= tol or
+    its midpoint is an exact root."""
+    while True:
+        live = np.flatnonzero(b - a > tol)
+        if not live.size:
+            return 0.5 * (a + b)
+        m = 0.5 * (a[live] + b[live])
+        fm = collision_residual(model, n1[live], l1[live], n2[live], l2[live],
+                                m, c)
+        left = (fa[live] < 0.0) != (fm < 0.0)
+        root = fm == 0.0                           # a = b = m: 0.5*(a+b) = m
+        a[live] = np.where(left & ~root, a[live], m)
+        b[live] = np.where(left | root, m, b[live])
+        fa[live] = np.where(left, fa[live], fm)
+
+
+def _events(model, c, n1, l1, n2, l2, mu, opts) -> list[CollisionEvent]:
+    """The roots that are collisions, one per (lambda, mu) class: the first
+    root of a class in scan order is kept."""
+    shift = mu <= -0.5 + 1e-15  # -1/2 is excluded; use the +1/2 representative
+    mu = np.where(shift, mu + 1.0, mu)
+    n1, n2 = n1 - shift, n2 - shift
     r = collision_residual(model, n1, l1, n2, l2, mu, c)
-    if abs(r) > opts.residual_tol:
-        return
-    lam = -1j * eval_Omega(model, l1, n1 + mu, c)
-    at_origin = abs(lam) < opts.lambda_tol
-    if lam.imag < -opts.lambda_tol:
-        return  # the Im >= 0 mirror is found from the mirrored tuple
-    key = (round(lam.real, 9), round(abs(lam.imag), 9), round(mu, 9))
-    if key not in found:
-        found[key] = CollisionEvent(n1=n1, l1=l1, n2=n2, l2=l2, mu=float(mu),
-                                    lam=complex(lam), at_origin=at_origin)
+    lams = -1j * _Omega(model, c, l1, n1 + mu)
+    # an Im < 0 root is skipped: its mirror is found from the mirrored tuple
+    keep = (np.abs(r) <= opts.residual_tol) & (lams.imag >= -opts.lambda_tol)
+    found: dict[tuple, CollisionEvent] = {}
+    for j in np.flatnonzero(keep):
+        lam, m = complex(lams[j]), float(mu[j])
+        key = (round(lam.real, 9), round(abs(lam.imag), 9), round(m, 9))
+        found.setdefault(key, CollisionEvent(
+            n1=int(n1[j]), l1=int(l1[j]), n2=int(n2[j]), l2=int(l2[j]),
+            mu=m, lam=lam, at_origin=abs(lam) < opts.lambda_tol))
+    return list(found.values())
 
 
 def _mirror_branch_map(model: ModelSpec) -> dict[int, int]:
@@ -177,18 +202,12 @@ def _mirror_branch_map(model: ModelSpec) -> dict[int, int]:
     even two-branch pair (omega_2 = -omega_1 with omega_1 even in k) the
     mirror swaps the branches.
     """
-    samples = (0.37, 1.13, 2.71)
-    branches = [b.index for b in model.branches]
-    mapping: dict[int, int] = {}
-    for l in branches:
-        best, best_err = l, math.inf
-        for lp in branches:
-            err = max(abs(eval_omega(model, lp, -k) + eval_omega(model, l, k))
-                      for k in samples)
-            if err < best_err:
-                best, best_err = lp, err
-        mapping[l] = best
-    return mapping
+    ks = np.array([0.37, 1.13, 2.71])
+    w = {b.index: eval_omega(model, b.index, np.stack([ks, -ks]))
+         for b in model.branches}
+    # the first branch with the smallest mismatch wins
+    return {l: min(w, key=lambda lp: np.max(np.abs(w[lp][1] + w[l][0])))
+            for l in w}
 
 
 def mirror_events(model: ModelSpec,
@@ -213,12 +232,14 @@ def secant_curve_data(model: ModelSpec, c: float, n_values: Sequence[int],
 
     Returns rows (l, n, k, Omega_l(k + n)), CSV-ready.
     """
+    ns = np.asarray(n_values, dtype=int)
+    ks = np.asarray(k_grid, dtype=float)
+    n_col = np.repeat(ns, ks.size).tolist()
+    k_col = np.tile(ks, ns.size).tolist()
     rows = []
     for b in model.branches:
-        for n in n_values:
-            for k in k_grid:
-                rows.append((b.index, int(n), float(k),
-                             eval_Omega(model, b.index, k + n, c)))
+        Om = eval_Omega(model, b.index, ks[None, :] + ns[:, None], c)
+        rows += zip(itertools.repeat(b.index), n_col, k_col, Om.ravel().tolist())
     return rows
 
 

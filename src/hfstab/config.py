@@ -14,12 +14,25 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "apply_flags",
 
 _TOP_KEYS = {"model", "params", "g", "h", "alpha", "beta", "sigma",
              "N", "n_max", "collision", "wave", "hill", "output"}
-_COLLISION_KEYS = {"grid_points", "residual_tol", "lambda_tol"}
-_WAVE_KEYS = {"amplitude", "modes", "steps", "mean"}
-_HILL_KEYS = {"mu_count", "M", "refine"}
+_COLLISION_KEYS = {"grid_points": int, "residual_tol": float,
+                   "lambda_tol": float}
+# section -> {key: (RunConfig field, type)}
+_SECTIONS = {
+    "wave": {"amplitude": ("wave_amplitude", float),
+             "modes": ("wave_modes", int), "steps": ("wave_steps", int),
+             "mean": ("wave_mean", float)},
+    "hill": {"mu_count": ("hill_mu_count", int), "M": ("hill_M", int),
+             "refine": ("hill_refine", bool)},
+}
 
 # model parameters that may be set by a top-level config key or a CLI flag
 _FLAG_PARAMS = ("g", "h", "alpha", "beta", "sigma")
+# CLI flag -> RunConfig field
+_FLAG_FIELDS = {"model": "model", "N": "N", "n_max": "n_max", "out": "output",
+                "amplitude": "wave_amplitude", "modes": "wave_modes",
+                "steps": "wave_steps", "mean": "wave_mean",
+                "mu_count": "hill_mu_count", "M": "hill_M",
+                "refine": "hill_refine"}
 
 
 class ConfigError(Exception):
@@ -47,6 +60,20 @@ def _check_keys(section: Mapping, allowed: set, where: str) -> None:
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {sorted(unknown)}")
+
+
+def _object(sec, where: str, allowed: set | None = None) -> dict:
+    """``sec``, which must be an object, with only ``allowed`` keys if given."""
+    if not isinstance(sec, dict):
+        raise ConfigError(f"{where!r} must be an object")
+    if allowed is not None:
+        _check_keys(sec, allowed, where)
+    return sec
+
+
+def _floats(sec, where: str) -> dict:
+    return {k: _coerce(v, float, f"{where}.{k}")
+            for k, v in _object(sec, where).items()}
 
 
 def _coerce(value, kind, where: str):
@@ -88,12 +115,15 @@ def load_config(path: str | None) -> RunConfig:
         m = data["model"]
         if not isinstance(m, (str, dict)):
             raise ConfigError("'model' must be a model id or an inline object")
+        if isinstance(m, dict):  # keys and expressions are checked by models
+            m = dict(m)
+            if "params" in m:
+                m["params"] = _floats(m["params"], "model.params")
+            if m.get("at_zero") is not None:
+                m["at_zero"] = _coerce(m["at_zero"], float, "model.at_zero")
         cfg.model = m
     if "params" in data:
-        if not isinstance(data["params"], dict):
-            raise ConfigError("'params' must be an object")
-        cfg.params.update({k: _coerce(v, float, f"params.{k}")
-                           for k, v in data["params"].items()})
+        cfg.params.update(_floats(data["params"], "params"))
     for name in _FLAG_PARAMS:
         if name in data:
             cfg.params[name] = _coerce(data[name], float, name)
@@ -102,30 +132,15 @@ def load_config(path: str | None) -> RunConfig:
     if "n_max" in data:
         cfg.n_max = _coerce(data["n_max"], int, "n_max")
     if "collision" in data:
-        sec = data["collision"]
-        _check_keys(sec, _COLLISION_KEYS, "collision")
-        cfg.collision = CollisionOptions(
-            grid_points=_coerce(sec.get("grid_points", 1024), int,
-                                "collision.grid_points"),
-            residual_tol=_coerce(sec.get("residual_tol", 1e-9), float,
-                                 "collision.residual_tol"),
-            lambda_tol=_coerce(sec.get("lambda_tol", 1e-8), float,
-                               "collision.lambda_tol"))
-    if "wave" in data:
-        sec = data["wave"]
-        _check_keys(sec, _WAVE_KEYS, "wave")
-        cfg.wave_amplitude = _coerce(sec.get("amplitude", 0.0), float,
-                                     "wave.amplitude")
-        cfg.wave_modes = _coerce(sec.get("modes", 64), int, "wave.modes")
-        cfg.wave_steps = _coerce(sec.get("steps", 10), int, "wave.steps")
-        cfg.wave_mean = _coerce(sec.get("mean", 0.0), float, "wave.mean")
-    if "hill" in data:
-        sec = data["hill"]
-        _check_keys(sec, _HILL_KEYS, "hill")
-        cfg.hill_mu_count = _coerce(sec.get("mu_count", 200), int,
-                                    "hill.mu_count")
-        cfg.hill_M = _coerce(sec.get("M", 64), int, "hill.M")
-        cfg.hill_refine = _coerce(sec.get("refine", True), bool, "hill.refine")
+        sec = _object(data["collision"], "collision", set(_COLLISION_KEYS))
+        cfg.collision = CollisionOptions(**{
+            key: _coerce(v, _COLLISION_KEYS[key], f"collision.{key}")
+            for key, v in sec.items()})
+    for name, fields in _SECTIONS.items():
+        if name in data:
+            for key, v in _object(data[name], name, set(fields)).items():
+                attr, kind = fields[key]
+                setattr(cfg, attr, _coerce(v, kind, f"{name}.{key}"))
     if "output" in data:
         if not isinstance(data["output"], str):
             raise ConfigError("'output' must be a path string")
@@ -135,32 +150,14 @@ def load_config(path: str | None) -> RunConfig:
 
 def apply_flags(cfg: RunConfig, args) -> RunConfig:
     """CLI flags take precedence over config-file values."""
-    if getattr(args, "model", None) is not None:
-        cfg.model = args.model
+    for flag, attr in _FLAG_FIELDS.items():
+        v = getattr(args, flag, None)
+        if v is not None:
+            setattr(cfg, attr, v)
     for name in _FLAG_PARAMS:
         v = getattr(args, name, None)
         if v is not None:
             cfg.params[name] = v
-    if getattr(args, "N", None) is not None:
-        cfg.N = args.N
-    if getattr(args, "n_max", None) is not None:
-        cfg.n_max = args.n_max
-    if getattr(args, "out", None) is not None:
-        cfg.output = args.out
-    if getattr(args, "amplitude", None) is not None:
-        cfg.wave_amplitude = args.amplitude
-    if getattr(args, "modes", None) is not None:
-        cfg.wave_modes = args.modes
-    if getattr(args, "steps", None) is not None:
-        cfg.wave_steps = args.steps
-    if getattr(args, "mean", None) is not None:
-        cfg.wave_mean = args.mean
-    if getattr(args, "mu_count", None) is not None:
-        cfg.hill_mu_count = args.mu_count
-    if getattr(args, "M", None) is not None:
-        cfg.hill_M = args.M
-    if getattr(args, "refine", None) is not None:
-        cfg.hill_refine = args.refine
     if cfg.N < 1:
         raise ConfigError(f"N must be >= 1, got {cfg.N}")
     if cfg.n_max < 1:

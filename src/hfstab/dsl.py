@@ -13,14 +13,19 @@ tightest and associating to the right::
 
 Numbers are decimal with an optional exponent.  There is no implicit
 multiplication: write ``g*k``, not ``g k``.  ``pi`` is a built-in constant.
-Evaluation is real-valued IEEE double arithmetic; ``sign(0) = 0``.
+Evaluation is real-valued IEEE double arithmetic with numpy, on a float or
+an ndarray of wavenumbers at once; ``sign(0) = 0``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 __all__ = [
     "Lit", "Var", "Neg", "Bin", "Call", "Expr",
@@ -258,48 +263,44 @@ def parse(text: str) -> Expr:
 # --------------------------------------------------------------------------
 # Evaluation
 
-def _sign(x: float) -> float:
-    if x > 0.0:
-        return 1.0
-    if x < 0.0:
-        return -1.0
-    return 0.0
-
-
-def _sqrt(x: float) -> float:
-    if x < 0.0:
-        raise DomainError(f"sqrt of negative value {x!r}")
-    return math.sqrt(x)
-
-
-_FUNCTIONS: dict[str, Callable[[float], float]] = {
-    "sqrt": _sqrt,
-    "tanh": math.tanh,
-    "sign": _sign,
-    "abs": abs,
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-}
-
-
-def evaluate(ast: Expr, k: float, params: Mapping[str, float] | None = None) -> float:
-    """Evaluate ``ast`` at wavenumber ``k`` with the given parameter bindings.
+def evaluate(ast: Expr, k: ArrayLike,
+             params: Mapping[str, float] | None = None) -> ArrayLike:
+    """Evaluate ``ast`` at wavenumber(s) ``k`` with the given parameter
+    bindings: a float or an ndarray in, the same shape out (a float for a
+    float).  The tree is walked once, on arrays.
 
     Raises UnboundVariableError, DomainError (sqrt of a negative, division
-    by zero, fractional power of a negative) or NonFiniteError.
+    by zero, a power that is not a finite real) or NonFiniteError (overflow
+    of a function, or a non-finite result) if any element fails; the
+    message names the first failing wavenumber.
     """
-    env = {"pi": math.pi}
-    if params:
-        env.update(params)
-    env["k"] = k
-    result = _eval(ast, env)
-    if not math.isfinite(result):
-        raise NonFiniteError(f"expression evaluated to {result!r} at k={k!r}")
-    return result
+    k = np.asarray(k, dtype=float)
+    ks = np.atleast_1d(k)
+    env = {"pi": math.pi, **{n: float(v) for n, v in (params or {}).items()},
+           "k": ks}
+    with np.errstate(all="ignore"):
+        out = np.asarray(_walk(ast, env), dtype=float)
+        _check(~np.isfinite(out), env, NonFiniteError,
+               "expression is not finite")
+    if out.shape != ks.shape or out is ks:  # a constant, or k itself
+        out = np.full(ks.shape, out)
+    return out.item() if k.ndim == 0 else out
 
 
-def _eval(node: Expr, env: Mapping[str, float]) -> float:
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": np.power}
+
+
+def _check(bad, env: Mapping, error: type, what: str) -> None:
+    """Raise ``error`` if the mask ``bad`` holds anywhere, naming the first
+    such wavenumber."""
+    ks = env["k"]
+    bad = np.broadcast_to(bad, ks.shape)
+    if bad.any():
+        raise error(f"{what} at k={float(ks[bad][0])!r}")
+
+
+def _walk(node: Expr, env: Mapping):
     if isinstance(node, Lit):
         return node.value
     if isinstance(node, Var):
@@ -308,35 +309,26 @@ def _eval(node: Expr, env: Mapping[str, float]) -> float:
         except KeyError:
             raise UnboundVariableError(f"unbound variable {node.name!r}") from None
     if isinstance(node, Neg):
-        return -_eval(node.arg, env)
+        return -_walk(node.arg, env)
     if isinstance(node, Call):
-        try:
-            return _FUNCTIONS[node.fn](_eval(node.arg, env))
-        except OverflowError as exc:
-            raise NonFiniteError(f"{node.fn} overflowed") from exc
-        except ValueError as exc:
-            raise DomainError(f"{node.fn} domain error") from exc
+        x = _walk(node.arg, env)
+        if node.fn == "sqrt":
+            _check(x < 0.0, env, DomainError, "sqrt of a negative value")
+        r = getattr(np, node.fn)(x)
+        _check(np.isinf(x) & np.isnan(r), env, DomainError,
+               f"{node.fn} domain error")
+        _check(np.isfinite(x) & ~np.isfinite(r), env, NonFiniteError,
+               f"{node.fn} overflowed")
+        return r
     if isinstance(node, Bin):
-        a = _eval(node.left, env)
-        b = _eval(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
+        a, b = _walk(node.left, env), _walk(node.right, env)
         if node.op == "/":
-            if b == 0.0:
-                raise DomainError("division by zero")
-            return a / b
+            _check(b == 0.0, env, DomainError, "division by zero")
+        r = _BINARY[node.op](a, b)
         if node.op == "^":
-            try:
-                r = math.pow(a, b)
-            except (ValueError, OverflowError) as exc:
-                raise DomainError(f"invalid power {a!r}^{b!r}") from exc
-            if isinstance(r, complex):  # pragma: no cover - math.pow is real
-                raise DomainError(f"complex power {a!r}^{b!r}")
-            return r
+            _check(np.isfinite(a) & np.isfinite(b) & ~np.isfinite(r), env,
+                   DomainError, "invalid power")
+        return r
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -400,29 +392,32 @@ class OddnessReport:
 def validate_oddness(ast: Expr, params: Mapping[str, float] | None,
                      grid: Sequence[float], tol: float = 1e-10) -> OddnessReport:
     """Check |omega(k) + omega(-k)| <= tol pointwise over a symmetric grid."""
-    if len(grid) == 0:
+    ks = np.asarray(grid, dtype=float)
+    if ks.size == 0:
         raise ValueError("grid must be nonempty")
-    worst = 0.0
-    for k in grid:
-        v = abs(evaluate(ast, k, params) + evaluate(ast, -k, params))
-        worst = max(worst, v)
+    plus, minus = evaluate(ast, np.stack([ks, -ks]), params)
+    worst = float(np.max(np.abs(plus + minus)))
     return OddnessReport(is_odd=worst <= tol, max_violation=worst)
 
 
 def compile_symbol(text: str, params: Mapping[str, float] | None = None,
-                   at_zero: float | None = None) -> Callable[[float], float]:
-    """Parse ``text`` once and return a callable k -> value.
+                   at_zero: float | None = None) -> Callable[[ArrayLike], ArrayLike]:
+    """Parse ``text`` once and return a symbol: a float or an ndarray of
+    wavenumbers in, the same shape out (a float for a float).
 
-    ``at_zero``, when given, is returned at k == 0 without evaluating the
-    expression there; this is how symbols with a removable singularity at
-    the origin (e.g. tanh(k*h)/k) are configured.
+    ``at_zero``, when given, is the value at the k == 0 elements, where the
+    expression is never evaluated; this is how symbols with a removable
+    singularity at the origin (e.g. tanh(k*h)/k) are configured.
     """
     ast = parse(text)
     frozen = dict(params or {})
+    if at_zero is None:
+        return lambda k: evaluate(ast, k, frozen)
 
-    def symbol(k: float) -> float:
-        if k == 0.0 and at_zero is not None:
-            return at_zero
-        return evaluate(ast, k, frozen)
+    def symbol(k):
+        k = np.asarray(k, dtype=float)
+        out = np.full(k.shape, float(at_zero))
+        out[k != 0.0] = evaluate(ast, k[k != 0.0], frozen)
+        return out.item() if k.ndim == 0 else out
 
     return symbol

@@ -54,13 +54,10 @@ class SpectrumSet:
 
     def all_points(self) -> tuple[np.ndarray, np.ndarray]:
         """Flattened (mu, lambda) arrays over all slices."""
-        mus, lams = [], []
-        for mu, vals in self.slices:
-            mus.append(np.full(vals.size, mu))
-            lams.append(vals)
-        if not mus:
-            return np.empty(0), np.empty(0, dtype=complex)
-        return np.concatenate(mus), np.concatenate(lams)
+        mus = [np.full(vals.size, mu) for mu, vals in self.slices]
+        lams = [vals for _, vals in self.slices]
+        return (np.concatenate([np.empty(0)] + mus),
+                np.concatenate([np.empty(0, dtype=complex)] + lams))
 
     def max_real_part(self) -> float:
         _, lams = self.all_points()
@@ -168,11 +165,8 @@ def full_spectrum(model: ModelSpec, wave: TravelingWave,
 
 def spectrum_to_csv_rows(spectrum: SpectrumSet) -> list[tuple[float, float, float]]:
     """Rows (mu, re_lambda, im_lambda) in deterministic order."""
-    rows = []
-    for mu, vals in spectrum.slices:
-        for lam in vals:
-            rows.append((mu, float(lam.real), float(lam.imag)))
-    return rows
+    return [(mu, lam.real, lam.imag) for mu, vals in spectrum.slices
+            for lam in vals.tolist()]
 
 
 # --------------------------------------------------------------------------

@@ -14,12 +14,14 @@ Built-in model identifiers: ``gkdv``, ``kdv``, ``mkdv-focusing``,
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from . import dsl
 
@@ -55,15 +57,6 @@ class TruncationWarning(UserWarning):
     pass
 
 
-def _sign(x: float) -> float:
-    # sign(0) = 0 removes the k = 0 singularity of sign(k)*sqrt(...) branches
-    if x > 0.0:
-        return 1.0
-    if x < 0.0:
-        return -1.0
-    return 0.0
-
-
 # --------------------------------------------------------------------------
 # Domain types
 
@@ -91,11 +84,26 @@ def normalize_mode(n: int, mu: float, l: int = 1) -> ModeIndex:
     return ModeIndex(n + shift, mu - shift, l)
 
 
+Symbol = Callable[[ArrayLike], ArrayLike]
+
+
+def _symbol(f: Callable[[np.ndarray], np.ndarray]) -> Symbol:
+    """Lift ``f``, numpy code for an array of wavenumbers, to the symbol
+    contract: a float or an ndarray in, the same shape out, a float for a
+    float.  A float runs the same array code, so both give the same bits."""
+    def symbol(k):
+        k = np.asarray(k, dtype=float)
+        out = f(np.atleast_1d(k))
+        return out.item() if k.ndim == 0 else out
+    return symbol
+
+
 @dataclass(frozen=True)
 class DispersionBranch:
-    """One real branch omega_l(k) of the dispersion relation."""
+    """One real branch omega_l(k) of the dispersion relation; ``evaluator``
+    is a symbol (see ``ModelSpec``)."""
     index: int
-    evaluator: Callable[[float], float]
+    evaluator: Symbol
     parity: str = "odd"  # 'odd' or 'general'
 
 
@@ -109,17 +117,22 @@ class ModelSpec:
     speed c^2(k) of the noncanonical structure.  Symbols are closed-form
     functions of k, never truncated coefficient lists, so models with
     infinitely many Hamiltonian coefficients stay exact.
+
+    Every symbol, the branch evaluators included, is an array function: it
+    takes a float or an ndarray of wavenumbers and returns the same shape,
+    a float for a float.  Removable singularities at k = 0 take their limit
+    there by a masked divide.
     """
     name: str
     kind: str
     branches: tuple[DispersionBranch, ...]
     params: dict = field(default_factory=dict)
     even_system: bool = False
-    kernel_symbol: Callable[[float], float] | None = None
-    a_symbol: Callable[[float], complex] | None = None
-    b_symbol: Callable[[float], float] | None = None
-    c_symbol: Callable[[float], float] | None = None
-    c2_symbol: Callable[[float], float] | None = None
+    kernel_symbol: Symbol | None = None
+    a_symbol: Symbol | None = None
+    b_symbol: Symbol | None = None
+    c_symbol: Symbol | None = None
+    c2_symbol: Symbol | None = None
     sigma: float = 0.0   # scalar nonlinearity sigma * u^power * u_x
     power: int = 1
     alpha: float = 0.0   # BW quadratic term alpha * q^2
@@ -153,12 +166,10 @@ class TravelingWave:
     c: float
     coefficients: Sequence[float]
     constant: float = 0.0
-    period: float = 2.0 * math.pi
 
     @property
     def amplitude(self) -> float:
-        coeffs = self.coefficients
-        return float(coeffs[1]) if len(coeffs) > 1 else 0.0
+        return float(self.coefficients[1]) if len(self.coefficients) > 1 else 0.0
 
     @property
     def mean(self) -> float:
@@ -197,16 +208,18 @@ class TravelingWave:
 # --------------------------------------------------------------------------
 # Operations
 
-def eval_omega(model: ModelSpec, l: int, k: float) -> float:
-    """Evaluate the branch-l dispersion relation at wavenumber k."""
+def eval_omega(model: ModelSpec, l: int, k: ArrayLike) -> ArrayLike:
+    """Evaluate the branch-l dispersion relation at wavenumber(s) k."""
     w = model.branch(l).evaluator(k)
-    if not math.isfinite(w):
+    bad = ~np.isfinite(w)
+    if bad.any():
+        k_bad = float(np.broadcast_to(k, np.shape(w))[bad][0])
         raise ModelNotDispersiveError(
-            f"model {model.name!r}: omega_{l}({k!r}) is not finite")
+            f"model {model.name!r}: omega_{l}({k_bad!r}) is not finite")
     return w
 
 
-def eval_Omega(model: ModelSpec, l: int, k: float, c: float) -> float:
+def eval_Omega(model: ModelSpec, l: int, k: ArrayLike, c: float) -> ArrayLike:
     """Dispersion relation in the frame traveling at speed c."""
     return eval_omega(model, l, k) - c * k
 
@@ -226,11 +239,12 @@ def zero_amp_eigenvalue(model: ModelSpec, idx: ModeIndex, c: float) -> complex:
 def spectrum_slice(model: ModelSpec, c: float, mu: float,
                    n_range: Sequence[int]) -> list[tuple[ModeIndex, complex]]:
     """Closed-form point spectrum for one Floquet exponent, sorted by Im."""
+    ns = np.asarray(n_range, dtype=int)
     out = []
-    for n in n_range:
-        for b in model.branches:
-            idx = ModeIndex(int(n), mu, b.index)
-            out.append((idx, zero_amp_eigenvalue(model, idx, c)))
+    for b in model.branches:
+        lams = -1j * eval_Omega(model, b.index, ns + mu, c)
+        out += [(ModeIndex(n, mu, b.index), lam)
+                for n, lam in zip(ns.tolist(), lams.tolist())]
     out.sort(key=lambda pair: (pair[1].imag, pair[0].l, pair[0].n))
     return out
 
@@ -244,22 +258,22 @@ def validate_dispersive(model: ModelSpec, grid: Sequence[float] | None = None,
     """
     if grid is None:
         grid = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.5, 5.0, 10.0, 25.0]
+    ks = np.asarray(grid, dtype=float)
+    w = {b.index: eval_omega(model, b.index, np.stack([ks, -ks]))
+         for b in model.branches}
     for b in model.branches:
-        for k in grid:
-            eval_omega(model, b.index, k)
-            eval_omega(model, b.index, -k)
-            if b.parity == "odd":
-                v = abs(b.evaluator(k) + b.evaluator(-k))
-                if v > tol:
-                    raise ModelNotDispersiveError(
-                        f"model {model.name!r}: branch {b.index} declared odd "
-                        f"but |omega(k)+omega(-k)| = {v:g} at k = {k:g}")
+        v = np.abs(w[b.index][0] + w[b.index][1])
+        if b.parity == "odd" and (v > tol).any():
+            i = np.argmax(v > tol)
+            raise ModelNotDispersiveError(
+                f"model {model.name!r}: branch {b.index} declared odd "
+                f"but |omega(k)+omega(-k)| = {v[i]:g} at k = {ks[i]:g}")
     if model.even_system:
-        for k in grid:
-            v = abs(eval_omega(model, 1, k) + eval_omega(model, 2, k))
-            if v > tol:
-                raise ModelNotDispersiveError(
-                    f"model {model.name!r}: even_system violated at k = {k:g}")
+        bad = np.abs(w[1][0] + w[2][0]) > tol
+        if bad.any():
+            raise ModelNotDispersiveError(
+                f"model {model.name!r}: even_system violated at "
+                f"k = {ks[np.argmax(bad)]:g}")
 
 
 # --------------------------------------------------------------------------
@@ -296,16 +310,25 @@ class Linearization:
         """Number of components d."""
         return 1 if self.model.kind == SCALAR else 2
 
-    def hessian(self, k: float) -> np.ndarray:
-        """S(k); Hermitian for real k, so v†S(k)v is real."""
+    def hessian(self, k: ArrayLike) -> np.ndarray:
+        """S(k) with shape (..., d, d) for wavenumbers k of shape (...);
+        Hermitian for real k, so v†S(k)v is real.  A scalar model's
+        S = -Omega/k has no value at k = 0 (ZeroDivisionError)."""
         m, c = self.model, self.c
+        k = np.asarray(k, dtype=float)
         if m.kind == SCALAR:
-            return np.array([[-eval_Omega(m, 1, k, c) / k]])
+            if (k == 0.0).any():
+                raise ZeroDivisionError("S(k) = -Omega(k)/k at k = 0")
+            return (-eval_Omega(m, 1, k, c) / k)[..., None, None]
+        S = np.empty(k.shape + (2, 2), dtype=complex)
         if m.kind == CANONICAL:
-            a = complex(m.a_symbol(k))
-            return np.array([[m.c_symbol(k), -1j * c * k + np.conj(a)],
-                             [1j * c * k + a, m.b_symbol(k)]], dtype=complex)
-        return np.array([[m.c2_symbol(k), c], [c, 1.0]], dtype=complex)
+            a = m.a_symbol(k)
+            S[..., 0, 0], S[..., 1, 1] = m.c_symbol(k), m.b_symbol(k)
+            S[..., 0, 1], S[..., 1, 0] = -1j * c * k + np.conj(a), 1j * c * k + a
+        else:
+            S[..., 0, 0], S[..., 1, 1] = m.c2_symbol(k), 1.0
+            S[..., 0, 1] = S[..., 1, 0] = c
+        return S
 
     def wave_part(self, wave: TravelingWave, M: int) -> np.ndarray | None:
         """Fourier matrix of the wave's term in S[0, 0] on the modes |n| <= M.
@@ -337,22 +360,22 @@ class Linearization:
         """J·(S + W) on the Fourier modes with wavenumbers ks.
 
         A (d*n) x (d*n) matrix for n wavenumbers, ordered component by
-        component.  Each kind applies its J in closed form.
+        component.  Scalar and Boussinesq-Whitham models apply their J in
+        closed form; canonical models take the broadcast product J @ S(ks).
         """
         m, c = self.model, self.c
         if m.kind == SCALAR:
             # ik*(-Omega/k) = -i*Omega: the k cancels exactly, also at k = 0
-            Om = np.array([eval_Omega(m, 1, float(k), c) for k in ks])
-            L = np.diag(-1j * Om)
+            L = np.diag(-1j * eval_Omega(m, 1, ks, c))
             return L if W is None else L + (1j * ks)[:, None] * W
         if m.kind == CANONICAL:
-            L = np.array([_J_CANONICAL @ self.hessian(float(k)) for k in ks])
+            L = _J_CANONICAL @ self.hessian(ks)
             return np.block([[np.diag(L[:, i, j]) for j in range(2)]
                              for i in range(2)])
         # J = ik [[0, 1], [1, 0]] swaps the rows of S
         ik = 1j * ks
-        c2 = np.array([m.c2_symbol(float(k)) for k in ks], dtype=complex)
-        S00 = np.diag(c2) if W is None else np.diag(c2) + W
+        c2 = np.diag(m.c2_symbol(ks).astype(complex))
+        S00 = c2 if W is None else c2 + W
         return np.block([[np.diag(ik * c), np.diag(ik)],
                          [ik[:, None] * S00, np.diag(ik * c)]])
 
@@ -424,27 +447,20 @@ def _scalar_model(name, params, omega, kernel, sigma, power=1):
 
 def _make_gkdv(params=None, *, name="gkdv", sigma_default=1.0, power=1):
     p = _merged({"sigma": sigma_default}, params)
-    omega = lambda k: -k ** 3
-    kernel = lambda k: -k ** 2
+    omega = _symbol(lambda k: -k ** 3)
+    kernel = _symbol(lambda k: -k ** 2)
     return _scalar_model(name, p, omega, kernel, p["sigma"], power)
 
 
-def _make_kdv(params=None):
-    return _make_gkdv(params, name="kdv")
+def _ww_omega1(g: float, h: float) -> Symbol:
+    # sign(0) = 0 removes the k = 0 singularity of sign(k)*sqrt(...)
+    return _symbol(lambda k: np.sign(k) * np.sqrt(g * k * np.tanh(k * h)))
 
 
-def _make_mkdv_focusing(params=None):
-    return _make_gkdv(params, name="mkdv-focusing", sigma_default=3.0, power=2)
-
-
-def _make_mkdv_defocusing(params=None):
-    return _make_gkdv(params, name="mkdv-defocusing", sigma_default=-3.0, power=2)
-
-
-def _ww_omega1(g: float, h: float) -> Callable[[float], float]:
-    def omega(k: float) -> float:
-        return _sign(k) * math.sqrt(g * k * math.tanh(k * h))
-    return omega
+def _ww_c2(g: float, h: float) -> Symbol:
+    """c^2(k) = g tanh(kh)/k, with its limit g*h at k = 0 (masked divide)."""
+    return _symbol(lambda k: np.divide(g * np.tanh(k * h), k, where=k != 0.0,
+                                       out=np.full(k.shape, g * h)))
 
 
 def _make_whitham(params=None):
@@ -455,22 +471,21 @@ def _make_whitham(params=None):
     # default matches the shallow-water quadratic term scaling
     p["sigma"] = 1.5 * math.sqrt(p["g"] / p["h"]) if sigma is None else float(sigma)
     g, h = p["g"], p["h"]
-    omega = _ww_omega1(g, h)
-
-    def kernel(k: float) -> float:
-        if k == 0.0:
-            return math.sqrt(g * h)  # continuity limit of sqrt(g tanh(kh)/k)
-        return math.sqrt(g * math.tanh(k * h) / k)
-
-    return _scalar_model("whitham", p, omega, kernel, p["sigma"])
+    c2 = _ww_c2(g, h)
+    kernel = _symbol(lambda k: np.sqrt(c2(k)))
+    return _scalar_model("whitham", p, _ww_omega1(g, h), kernel, p["sigma"])
 
 
 def _make_fifth_order(params=None):
     p = _merged({"alpha": 1.0, "beta": 0.25, "sigma": 1.0}, params)
     a, b = p["alpha"], p["beta"]
-    omega = lambda k: a * k ** 3 - b * k ** 5
-    kernel = lambda k: a * k ** 2 - b * k ** 4
+    omega = _symbol(lambda k: a * k ** 3 - b * k ** 5)
+    kernel = _symbol(lambda k: a * k ** 2 - b * k ** 4)
     return _scalar_model("fifth-order-scalar", p, omega, kernel, p["sigma"])
+
+
+def _constant(value: float) -> Symbol:
+    return _symbol(lambda k: np.full(k.shape, value))
 
 
 def _canonical_even(name, params, omega1, b_symbol, c_symbol, parity="odd"):
@@ -480,16 +495,16 @@ def _canonical_even(name, params, omega1, b_symbol, c_symbol, parity="odd"):
         branches=(DispersionBranch(1, omega1, parity),
                   DispersionBranch(2, omega2, parity)),
         params=params, even_system=True,
-        a_symbol=lambda k: 0.0 + 0.0j,
+        a_symbol=_constant(0j),
         b_symbol=b_symbol, c_symbol=c_symbol)
 
 
 def _make_sine_gordon(params=None):
     p = _merged({}, params)
-    omega1 = lambda k: math.sqrt(1.0 + k * k)
+    omega1 = _symbol(lambda k: np.sqrt(1.0 + k * k))
     return _canonical_even("sine-gordon", p, omega1,
-                           b_symbol=lambda k: 1.0,
-                           c_symbol=lambda k: 1.0 + k * k,
+                           b_symbol=_constant(1.0),
+                           c_symbol=_symbol(lambda k: 1.0 + k * k),
                            parity="general")
 
 
@@ -498,18 +513,18 @@ def _make_water_waves(params=None):
     _require_positive(p, "g", "h")
     g, h = p["g"], p["h"]
     return _canonical_even("water-waves", p, _ww_omega1(g, h),
-                           b_symbol=lambda k: k * math.tanh(k * h),
-                           c_symbol=lambda k: g)
+                           b_symbol=_symbol(lambda k: k * np.tanh(k * h)),
+                           c_symbol=_constant(g))
 
 
 def _make_water_waves_deep(params=None):
     p = _merged({"g": 1.0}, params)
     _require_positive(p, "g")
     g = p["g"]
-    omega1 = lambda k: _sign(k) * math.sqrt(g * abs(k))
+    omega1 = _symbol(lambda k: np.sign(k) * np.sqrt(g * np.abs(k)))
     return _canonical_even("water-waves-deep", p, omega1,
-                           b_symbol=lambda k: abs(k),
-                           c_symbol=lambda k: g)
+                           b_symbol=_symbol(np.abs),
+                           c_symbol=_constant(g))
 
 
 def _make_boussinesq_whitham(params=None):
@@ -517,24 +532,20 @@ def _make_boussinesq_whitham(params=None):
     _require_positive(p, "g", "h")
     g, h = p["g"], p["h"]
     omega1 = _ww_omega1(g, h)
-
-    def c2(k: float) -> float:
-        if k == 0.0:
-            return g * h
-        return g * math.tanh(k * h) / k
-
     return ModelSpec(
         name="boussinesq-whitham", kind=NONCANONICAL_BW,
         branches=(DispersionBranch(1, omega1, "odd"),
                   DispersionBranch(2, lambda k: -omega1(k), "odd")),
-        params=p, even_system=True, c2_symbol=c2, alpha=p["alpha"])
+        params=p, even_system=True, c2_symbol=_ww_c2(g, h), alpha=p["alpha"])
 
 
 BUILTIN_MODELS: dict[str, Callable] = {
     "gkdv": _make_gkdv,
-    "kdv": _make_kdv,
-    "mkdv-focusing": _make_mkdv_focusing,
-    "mkdv-defocusing": _make_mkdv_defocusing,
+    "kdv": functools.partial(_make_gkdv, name="kdv"),
+    "mkdv-focusing": functools.partial(
+        _make_gkdv, name="mkdv-focusing", sigma_default=3.0, power=2),
+    "mkdv-defocusing": functools.partial(
+        _make_gkdv, name="mkdv-defocusing", sigma_default=-3.0, power=2),
     "whitham": _make_whitham,
     "sine-gordon": _make_sine_gordon,
     "water-waves": _make_water_waves,
@@ -564,10 +575,11 @@ def model_from_config(spec: Mapping) -> ModelSpec:
     """Build a ModelSpec from an inline custom model description.
 
     Keys: ``kind`` (scalar | canonical | noncanonical-bw), ``omega1``,
-    optional ``omega2`` (canonical; defaults to -omega1), optional
+    optional ``omega2`` (canonical; must equal -omega1), optional
     ``c_squared`` (BW), ``params`` mapping, and ``at_zero`` for symbols
-    singular at k = 0.  Canonical models built this way default to the
-    even-system Hamiltonian normalization B(k) = 1, C(k) = omega1(k)^2.
+    singular at k = 0.  Canonical models built this way have the
+    even-system Hamiltonian B(k) = 1, C(k) = omega1(k)^2, whose only
+    branches are +-omega1.
     """
     unknown = set(spec) - _CUSTOM_KEYS
     if unknown:
@@ -582,10 +594,9 @@ def model_from_config(spec: Mapping) -> ModelSpec:
     omega1 = dsl.compile_symbol(spec["omega1"], params)
 
     if kind == SCALAR:
-        def kernel(k: float, _w=omega1, _z=at_zero) -> float:
-            if k == 0.0:
-                return 0.0 if _z is None else float(_z)
-            return _w(k) / k
+        # kernel omega1(k)/k, never evaluated at k = 0
+        kernel = dsl.compile_symbol(f"({spec['omega1']})/k", params,
+                                    at_zero=0.0 if at_zero is None else at_zero)
         return ModelSpec(
             name="custom-scalar", kind=SCALAR,
             branches=(DispersionBranch(1, omega1, "odd"),),
@@ -593,29 +604,29 @@ def model_from_config(spec: Mapping) -> ModelSpec:
             sigma=params.get("sigma", 1.0))
 
     if kind == CANONICAL:
+        omega2 = lambda k: -omega1(k)
         if "omega2" in spec:
             omega2 = dsl.compile_symbol(spec["omega2"], params)
-        else:
-            omega2 = lambda k: -omega1(k)
-        even = all(abs(omega1(k) + omega2(k)) <= 1e-10
-                   for k in (0.3, 1.0, 2.7, 5.0))
+            ks = np.array([0.3, 1.0, 2.7, 5.0])
+            gap = np.abs(omega1(ks) + omega2(ks))
+            if (gap > 1e-10).any():
+                raise ModelError(
+                    "custom canonical models have B(k) = 1 and C(k) = "
+                    "omega1(k)^2, whose branches are +-omega1: 'omega2' must "
+                    f"equal -omega1 (|omega1 + omega2| = {gap.max():g})")
         return ModelSpec(
             name="custom-canonical", kind=CANONICAL,
             branches=(DispersionBranch(1, omega1, "general"),
                       DispersionBranch(2, omega2, "general")),
-            params=params, even_system=even,
-            a_symbol=lambda k: 0.0 + 0.0j,
-            b_symbol=lambda k: 1.0,
-            c_symbol=lambda k: omega1(k) ** 2)
+            params=params, even_system=True,
+            a_symbol=_constant(0j), b_symbol=_constant(1.0),
+            c_symbol=_symbol(lambda k: omega1(k) ** 2))
 
     # noncanonical-bw
     if "c_squared" not in spec:
         raise ModelError("noncanonical-bw custom model requires 'c_squared'")
     c2 = dsl.compile_symbol(spec["c_squared"], params, at_zero=at_zero)
-
-    def omega_bw(k: float) -> float:
-        return k * math.sqrt(c2(k))
-
+    omega_bw = _symbol(lambda k: k * np.sqrt(c2(k)))
     return ModelSpec(
         name="custom-bw", kind=NONCANONICAL_BW,
         branches=(DispersionBranch(1, omega_bw, "odd"),

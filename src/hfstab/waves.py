@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import (ModelSpec, TravelingWave, SCALAR, NONCANONICAL_BW,
-                     ModelError, bifurcation_speed, eval_omega)
+                     ModelError, bifurcation_speed, make_model)
 
 __all__ = [
     "ResonanceError", "WaveConvergenceError", "ModesInsufficientError",
@@ -49,17 +49,13 @@ class ModesInsufficientError(ModelError):
 
 def _kernel(model: ModelSpec):
     """Symbol of the nonlocal term in the integrated traveling equation."""
-    if model.kind == SCALAR:
-        if model.kernel_symbol is None:
-            raise ModelError(f"model {model.name!r} has no kernel symbol")
-        return model.kernel_symbol
-    if model.kind == NONCANONICAL_BW:
-        if model.c2_symbol is None:
-            raise ModelError(f"model {model.name!r} has no c^2 symbol")
-        return model.c2_symbol
-    raise ModelError(
-        f"traveling-wave construction needs a scalar or noncanonical-bw "
-        f"model, got kind {model.kind!r}")
+    kernel = {SCALAR: model.kernel_symbol,
+              NONCANONICAL_BW: model.c2_symbol}.get(model.kind)
+    if kernel is None:
+        raise ModelError(
+            f"traveling-wave construction needs the kernel symbol of a scalar "
+            f"or noncanonical-bw model; {model.name!r} ({model.kind}) has none")
+    return kernel
 
 
 def _quadratic_coeff(model: ModelSpec) -> float:
@@ -139,11 +135,6 @@ def _cosine_coeffs(values: np.ndarray, M: int) -> np.ndarray:
     return out
 
 
-def _grid_profile(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    m = np.arange(a.size)
-    return np.cos(np.outer(x, m)) @ a
-
-
 def solve_wave_collocation(model: ModelSpec, target_amplitude: float,
                            M: int = 64, steps: int = 10,
                            mean: float = 0.0,
@@ -172,7 +163,7 @@ def solve_wave_collocation(model: ModelSpec, target_amplitude: float,
         return TravelingWave(model=model.name, c=c0,
                              coefficients=[mean] + [0.0] * M)
 
-    sym = np.array([kernel(float(m)) for m in range(M + 1)])
+    sym = kernel(np.arange(M + 1.0))
     ngrid = 4 * M
     x = 2.0 * math.pi * np.arange(ngrid) / ngrid
     cosj = np.cos(np.outer(np.arange(M + 1), x))  # (M+1, ngrid) basis rows
@@ -260,7 +251,7 @@ def wave_residual(model: ModelSpec, wave: TravelingWave) -> float:
     x = 2.0 * math.pi * np.arange(ngrid) / ngrid
     cosj = np.cos(np.outer(np.arange(M + 1), x))
     u = cosj.T @ a
-    sym = np.array([kernel(float(m)) for m in range(M + 1)])
+    sym = kernel(np.arange(M + 1.0))
     conv = cosj.T @ (sym * a)
     if model.kind == NONCANONICAL_BW:
         r = model.alpha * u * u + conv + wave.constant - wave.c ** 2 * u
@@ -293,10 +284,8 @@ def bw_flat_state_analysis(a: float, g: float = 1.0,
         raise ValueError("g and h must be positive")
     if a >= 0.0:
         return FlatStateReport(wellposed=True, cutoff_k=None)
-
-    def symbol(k: float) -> float:
-        c2 = g * h if k == 0.0 else g * math.tanh(k * h) / k
-        return 2.0 * a + c2
+    c2 = make_model("boussinesq-whitham", {"g": g, "h": h}).c2_symbol
+    symbol = lambda k: 2.0 * a + c2(k)
 
     if symbol(0.0) <= 0.0:
         return FlatStateReport(wellposed=False, cutoff_k=0.0)

@@ -112,6 +112,46 @@ class TestConfigErrors:
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 
+    @pytest.mark.parametrize("config, message", [
+        ({"model": "water-waves", "n_max": 10,
+          "collision": {"grid_points": -4}}, "grid_points"),
+        ({"model": "water-waves", "n_max": 10,
+          "collision": {"grid_points": 0}}, "grid_points"),
+        ({"model": "water-waves", "collision": {"residual_tol": 0}},
+         "residual_tol"),
+        ({"model": "water-waves", "collision": 5}, "'collision' must be"),
+        ({"model": "kdv", "wave": [1, 2]}, "'wave' must be"),
+        ({"model": {"kind": "scalar", "omega1": "a*k^3", "params": 5}},
+         "'model.params' must be"),
+        ({"model": {"kind": "scalar", "omega1": "a*k^3",
+                    "params": {"a": "x"}}}, "model.params.a"),
+        ({"model": {"kind": "noncanonical-bw", "omega1": "k",
+                    "c_squared": "tanh(k)/k", "at_zero": "zz"}},
+         "model.at_zero"),
+        # a custom canonical Hamiltonian (B = 1, C = omega1^2) has only the
+        # branches +-omega1
+        ({"model": {"kind": "canonical", "omega1": "sqrt(1+k^2)",
+                    "omega2": "-sqrt(4+k^2)"}, "n_max": 10},
+         "'omega2' must equal -omega1"),
+    ])
+    def test_malformed_config_is_a_configuration_error(self, capsys, tmp_path,
+                                                       config, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run(capsys, "analyze", "--config", str(cfg))
+        assert code == 2
+        assert "configuration error" in err and message in err
+
+    def test_explicit_omega2_equal_to_minus_omega1_runs(self, capsys,
+                                                        tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "model": {"kind": "canonical", "omega1": "sqrt(1+k^2)",
+                      "omega2": "-sqrt(1+k^2)"}, "n_max": 5}))
+        code, out, _ = run(capsys, "analyze", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["overall"] == "HF-instability-possible"
+
 
 class TestWave:
     def test_wave_artifact(self, capsys, tmp_path):

@@ -10,7 +10,8 @@ from hfstab.collisions import (CollisionOptions, NoCollisionFoundError,
                                collision_residual, find_collisions,
                                mirror_events, secant_curve_data,
                                trace_first_collision_vs_depth)
-from hfstab.models import bifurcation_speed, eval_Omega, make_model
+from hfstab.models import (bifurcation_speed, eval_Omega, make_model,
+                           model_from_config)
 
 
 def non_origin(events):
@@ -136,6 +137,71 @@ class TestMechanics:
         r1 = collision_residual(model, n1, 1, n2, 1, mu, -1.0)
         r2 = collision_residual(model, n2, 1, n1, 1, mu, -1.0)
         assert r1 == pytest.approx(-r2, abs=1e-12)
+
+
+def per_tuple_scan(model, c, n_max, opts):
+    """Oracle: the scan one mode tuple and one bracket at a time, each root
+    bisected with scalar residuals; the first root of a (lambda, mu) class
+    in tuple order is kept."""
+    G = opts.grid_points
+    mus = -0.5 + np.arange(G + 1) / G
+    ls = [b.index for b in model.branches]
+    ns = range(-n_max, n_max + 1)
+    tuples = [(n1, l1, n2, l2) for n1 in ns for n2 in ns for l1 in ls
+              for l2 in ls if n1 > n2 or (n1 == n2 and (l1, l2) == (1, 2))]
+    found = {}
+    for n1, l1, n2, l2 in tuples:
+        f = lambda mu: collision_residual(model, n1, l1, n2, l2, mu, c)
+        grid = [f(float(mu)) for mu in mus]
+        roots = [float(mus[i]) for i in range(G + 1) if grid[i] == 0.0]
+        for i in range(G):
+            if grid[i] * grid[i + 1] < 0.0:
+                a, b, fa = float(mus[i]), float(mus[i + 1]), grid[i]
+                while b - a > opts.bisect_tol:
+                    m = 0.5 * (a + b)
+                    fm = f(m)
+                    if fm == 0.0:
+                        a = b = m
+                    elif (fa < 0.0) != (fm < 0.0):
+                        b = m
+                    else:
+                        a, fa = m, fm
+                roots.append(0.5 * (a + b))
+        for mu in roots:
+            m1, m2 = (n1, n2) if mu > -0.5 + 1e-15 else (n1 - 1, n2 - 1)
+            mu = mu if mu > -0.5 + 1e-15 else mu + 1.0
+            r = collision_residual(model, m1, l1, m2, l2, mu, c)
+            if abs(r) > opts.residual_tol:
+                continue
+            lam = -1j * eval_Omega(model, l1, m1 + mu, c)
+            key = (round(lam.real, 9), round(abs(lam.imag), 9), round(mu, 9))
+            if lam.imag >= -opts.lambda_tol and key not in found:
+                found[key] = (m1, l1, m2, l2, mu, lam)
+    return sorted(found.values(), key=lambda e: (e[5].imag, e[4], e[0]))
+
+
+@pytest.mark.parametrize("spec, n_max, grid_points", [
+    ("water-waves", 4, 128), ("sine-gordon", 4, 64),
+    ("fifth-order-scalar", 3, 256), ("boussinesq-whitham", 4, 7),
+    ({"kind": "canonical", "omega1": "k^3-0.25*k^5"}, 3, 1),
+])
+def test_array_scan_matches_per_tuple_scan(spec, n_max, grid_points):
+    # the same events in the same order, with the same values
+    model = (make_model(spec) if isinstance(spec, str)
+             else model_from_config(spec))
+    c = bifurcation_speed(model, 1, 1)
+    opts = CollisionOptions(grid_points=grid_points)
+    got = [(e.n1, e.l1, e.n2, e.l2, e.mu, e.lam)
+           for e in find_collisions(model, c, n_max, opts)]
+    assert got and got == per_tuple_scan(model, c, n_max, opts)
+
+
+def test_bad_collision_options_rejected():
+    for bad in ({"grid_points": 0}, {"grid_points": -4},
+                {"residual_tol": 0.0}, {"lambda_tol": math.nan},
+                {"bisect_tol": -1e-13}):
+        with pytest.raises(ValueError):
+            CollisionOptions(**bad)
 
 
 class TestCurves:

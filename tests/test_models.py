@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hfstab import dsl
 from hfstab.models import (BUILTIN_MODELS, ModeIndex, ModelError,
                            ModelNotDispersiveError, UnknownModelError,
                            bifurcation_speed, eval_Omega, eval_omega,
@@ -157,3 +159,61 @@ class TestTravelingWaveSerialization:
         w = TravelingWave(model="kdv", c=-0.9, coefficients=[0.1, 0.2, 0.05])
         x = np.linspace(0.1, 3.0, 7)
         assert np.allclose(w.profile(x), w.profile(-x))
+
+
+# --------------------------------------------------------------------------
+# The symbol contract: a float or an ndarray in, the same shape out
+
+# the expression-language twins of three built-ins (the benchmark's
+# screen-dsl models)
+DSL_TWINS = {
+    "dsl-water-waves": {
+        "kind": "canonical", "omega1": "sign(k)*sqrt(g*k*tanh(k*h))",
+        "params": {"g": 1.0, "h": 0.97}},
+    "dsl-fifth-order-scalar": {
+        "kind": "scalar", "omega1": "alpha*k^3 - beta*k^5",
+        "params": {"alpha": 1.0, "beta": 0.25}},
+    "dsl-boussinesq-whitham": {
+        "kind": "noncanonical-bw", "omega1": "sign(k)*sqrt(g*k*tanh(k*h))",
+        "c_squared": "g*tanh(k*h)/k", "params": {"g": 1.0, "h": 1.03},
+        "at_zero": 1.03},
+}
+SYMBOLS = ("kernel_symbol", "a_symbol", "b_symbol", "c_symbol", "c2_symbol")
+
+
+def build(name):
+    if name in DSL_TWINS:
+        return model_from_config(DSL_TWINS[name])
+    return make_model(name)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_MODELS) + sorted(DSL_TWINS))
+def test_array_symbols_match_scalar_calls_bit_for_bit(name):
+    model = build(name)
+    ks = np.concatenate([[0.0, -0.0], np.linspace(-7.3, 7.3, 147),
+                         np.arange(-30, 31) + 0.25])
+    symbols = [b.evaluator for b in model.branches]
+    symbols += [getattr(model, f) for f in SYMBOLS
+                if getattr(model, f) is not None]
+    for symbol in symbols:
+        arr = symbol(ks)
+        assert arr.shape == ks.shape
+        assert symbol(ks.reshape(3, -1)).shape == (3, ks.size // 3)
+        ones = [symbol(float(k)) for k in ks]
+        assert all(type(v) in (float, complex) for v in ones)
+        assert np.array(ones, dtype=arr.dtype).tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("text, bad, error", [
+    ("sqrt(k)", -1.0, dsl.DomainError),
+    ("1/k", 0.0, dsl.DomainError),
+    ("k^0.5", -2.0, dsl.DomainError),
+    ("exp(k)", 1000.0, dsl.NonFiniteError),
+])
+def test_one_bad_point_fails_an_array_like_the_scalar_call(text, bad, error):
+    ast = dsl.parse(text)
+    with pytest.raises(error):
+        dsl.evaluate(ast, bad)
+    with pytest.raises(error, match=f"k={bad!r}"):
+        dsl.evaluate(ast, np.array([0.5, 1.5, bad, 2.0]))
+    assert dsl.evaluate(ast, np.array([0.5, 2.0])).shape == (2,)
