@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -158,6 +159,9 @@ def apply_flags(cfg: RunConfig, args) -> RunConfig:
         v = getattr(args, name, None)
         if v is not None:
             cfg.params[name] = v
+    for key in ("amplitude", "mean"):
+        if not math.isfinite(v := getattr(cfg, "wave_" + key)):
+            raise ConfigError(f"wave.{key} must be finite, got {v!r}")
     if cfg.N < 1:
         raise ConfigError(f"N must be >= 1, got {cfg.N}")
     if cfg.n_max < 1:

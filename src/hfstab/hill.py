@@ -9,6 +9,10 @@ diagonal (scalar) or 2x2-block (two-component), so the spectrum reproduces
 the closed-form eigenvalues -i*Omega_l(n+mu) exactly.  W does not depend
 on mu, so a spectrum builds it once per wave.
 
+Spectra are solved in real arithmetic: each Hill matrix is i*R up to a
+diagonal similarity, R real (``Linearization.real_matrix``), so lambda =
+i*rho for the eigenvalues rho of R, and axis eigenvalues have Re exactly 0.
+
 Bubbles (connected arcs of eigenvalues off the imaginary axis) are
 detected by thresholding Re(lambda) and clustering in Im(lambda).
 """
@@ -137,18 +141,20 @@ def assemble(model: ModelSpec, wave: TravelingWave, mu: float,
     return op.matrix(_wavenumbers(mu, M), op.wave_part(wave, M))
 
 
-def _eigvals(A: np.ndarray, mu: float) -> np.ndarray:
+def _eigvals(R: np.ndarray, mu: float) -> np.ndarray:
+    """Eigenvalues i*rho, for those rho of the real form R, by (Im, Re)."""
     try:
-        vals = np.linalg.eigvals(A)
+        rho = np.linalg.eigvals(R)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver failed at mu = {mu!r}") from exc
+    vals = (-rho.imag + 0.0) + 1j * rho.real   # + 0.0 turns -0 into +0
     return vals[np.lexsort((vals.real, vals.imag))]
 
 
 def spectrum_at(model: ModelSpec, wave: TravelingWave, mu: float,
                 M: int) -> np.ndarray:
     """All eigenvalues of the truncated Hill matrix, sorted by (Im, Re)."""
-    return _eigvals(assemble(model, wave, mu, M), mu)
+    return full_spectrum(model, wave, [mu], M).slices[0][1]
 
 
 def full_spectrum(model: ModelSpec, wave: TravelingWave,
@@ -157,7 +163,7 @@ def full_spectrum(model: ModelSpec, wave: TravelingWave,
     mus = build_mu_grid(grid) if isinstance(grid, MuGridSpec) else np.asarray(grid)
     op = Linearization(model, wave.c)
     W = op.wave_part(wave, M)
-    slices = [(mu, _eigvals(op.matrix(_wavenumbers(mu, M), W), mu))
+    slices = [(mu, _eigvals(op.real_matrix(_wavenumbers(mu, M), W), mu))
               for mu in sorted(float(m) for m in mus)]
     return SpectrumSet(model=model.name, M=M, amplitude=wave.amplitude,
                        slices=slices)

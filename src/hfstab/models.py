@@ -199,10 +199,15 @@ class TravelingWave:
 
     @staticmethod
     def from_dict(data: Mapping) -> "TravelingWave":
-        return TravelingWave(
+        wave = TravelingWave(
             model=data["model"], c=float(data["c"]),
             coefficients=[float(a) for a in data["coefficients"]],
             constant=float(data.get("constant", 0.0)))
+        for name, v in [("c", wave.c), ("constant", wave.constant),
+                        *(("coefficients", a) for a in wave.coefficients)]:
+            if not math.isfinite(v):
+                raise ModelError(f"wave {name} must be finite, got {v!r}")
+        return wave
 
 
 # --------------------------------------------------------------------------
@@ -279,9 +284,6 @@ def validate_dispersive(model: ModelSpec, grid: Sequence[float] | None = None,
 # --------------------------------------------------------------------------
 # The linearised operator L = J·S
 
-_J_CANONICAL = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
 @dataclass(frozen=True)
 class Linearization:
     """The problem linearised about a wave of speed c: u_t = L u, L = J·S.
@@ -356,28 +358,37 @@ class Linearization:
             f"finite-amplitude spectra are not supported for canonical "
             f"model {m.name!r}")
 
-    def matrix(self, ks: np.ndarray, W: np.ndarray | None = None) -> np.ndarray:
-        """J·(S + W) on the Fourier modes with wavenumbers ks.
-
-        A (d*n) x (d*n) matrix for n wavenumbers, ordered component by
-        component.  Scalar and Boussinesq-Whitham models apply their J in
-        closed form; canonical models take the broadcast product J @ S(ks).
-        """
+    def real_matrix(self, ks: np.ndarray,
+                    W: np.ndarray | None = None) -> np.ndarray:
+        """The real R with J·(S + W) = i·P R P^-1 on the modes ks, whose
+        eigenvalues rho give L's as i*rho: P = 1 for scalar and BW models,
+        diag(1, i) per mode for canonical ones (which need A = 0).  Ordered
+        component by component, like ``matrix``."""
         m, c = self.model, self.c
         if m.kind == SCALAR:
-            # ik*(-Omega/k) = -i*Omega: the k cancels exactly, also at k = 0
-            L = np.diag(-1j * eval_Omega(m, 1, ks, c))
-            return L if W is None else L + (1j * ks)[:, None] * W
+            # ik*(-Omega/k) = i*(-Omega): the k cancels exactly, also at k = 0
+            R = np.diag(-eval_Omega(m, 1, ks, c))
+            return R if W is None else R + ks[:, None] * W
         if m.kind == CANONICAL:
-            L = _J_CANONICAL @ self.hessian(ks)
-            return np.block([[np.diag(L[:, i, j]) for j in range(2)]
-                             for i in range(2)])
-        # J = ik [[0, 1], [1, 0]] swaps the rows of S
-        ik = 1j * ks
-        c2 = np.diag(m.c2_symbol(ks).astype(complex))
-        S00 = c2 if W is None else c2 + W
-        return np.block([[np.diag(ik * c), np.diag(ik)],
-                         [ik[:, None] * S00, np.diag(ik * c)]])
+            if np.any(m.a_symbol(ks)):
+                raise ModelError(f"model {m.name!r}: Hill matrices need A(k) = 0")
+            # J·S = [[ick, B], [-C, ick]]
+            upper, lower = np.diag(m.b_symbol(ks)), np.diag(m.c_symbol(ks))
+        else:
+            # J = ik [[0, 1], [1, 0]] swaps the rows of S
+            c2 = np.diag(m.c2_symbol(ks))
+            upper, lower = np.diag(ks), ks[:, None] * (c2 if W is None else c2 + W)
+        ck = np.diag(c * ks)
+        return np.block([[ck, upper], [lower, ck]])
+
+    def matrix(self, ks: np.ndarray, W: np.ndarray | None = None) -> np.ndarray:
+        """J·(S + W) = i·P R P^-1 on the modes ks (see ``real_matrix``)."""
+        R = self.real_matrix(ks, W)
+        L = 1j * R
+        if self.model.kind == CANONICAL:
+            n = len(ks)
+            L[:n, n:], L[n:, :n] = R[:n, n:], -R[n:, :n]
+        return L
 
 
 def _exp_coeffs(wave: TravelingWave, length: int) -> np.ndarray:
@@ -584,6 +595,10 @@ def model_from_config(spec: Mapping) -> ModelSpec:
     unknown = set(spec) - _CUSTOM_KEYS
     if unknown:
         raise ModelError(f"unknown custom-model key(s): {sorted(unknown)}")
+    for key in ("omega1", "omega2", "c_squared"):
+        if not isinstance(spec.get(key, ""), str):
+            raise ModelError(f"custom model {key!r} must be an expression "
+                             f"string, got {spec[key]!r}")
     kind = spec.get("kind")
     if kind not in _KINDS:
         raise ModelError(f"custom model kind must be one of {_KINDS}, got {kind!r}")

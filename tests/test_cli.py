@@ -133,12 +133,33 @@ class TestConfigErrors:
         ({"model": {"kind": "canonical", "omega1": "sqrt(1+k^2)",
                     "omega2": "-sqrt(4+k^2)"}, "n_max": 10},
          "'omega2' must equal -omega1"),
+        # expressions must be strings
+        ({"model": {"kind": "scalar", "omega1": 5}},
+         "'omega1' must be an expression string"),
+        ({"model": {"kind": "canonical", "omega1": "sqrt(1+k^2)",
+                    "omega2": -1.0}}, "'omega2' must be an expression string"),
+        ({"model": {"kind": "noncanonical-bw", "omega1": "k",
+                    "c_squared": 1}}, "'c_squared' must be an expression string"),
+        ({"model": "kdv", "wave": {"amplitude": math.nan}}, "wave.amplitude"),
     ])
     def test_malformed_config_is_a_configuration_error(self, capsys, tmp_path,
                                                        config, message):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(config))
         code, _, err = run(capsys, "analyze", "--config", str(cfg))
+        assert code == 2
+        assert "configuration error" in err and message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--model", "kdv", "--amplitude", "nan"], "wave.amplitude"),
+        (["wave", "--model", "kdv", "--amplitude", "nan"], "wave.amplitude"),
+        (["wave", "--model", "kdv", "--amplitude", "inf"], "wave.amplitude"),
+        (["wave", "--model", "kdv", "--amplitude", "0.01", "--mean=-inf"],
+         "wave.mean"),
+    ])
+    def test_non_finite_flag_is_a_configuration_error(self, capsys, argv,
+                                                      message):
+        code, _, err = run(capsys, *argv)
         assert code == 2
         assert "configuration error" in err and message in err
 
@@ -225,6 +246,51 @@ class TestSpectrum:
         assert code == 0
         report = json.loads((tmp_path / "spec.csv.bubbles.json").read_text())
         assert "zero_amplitude_deviation" not in report
+
+    @pytest.mark.parametrize("key, value", [
+        ("c", math.nan), ("constant", math.inf),
+        ("coefficients", [0.0, math.nan])])
+    def test_non_finite_wave_file_is_a_configuration_error(self, capsys,
+                                                           tmp_path, key,
+                                                           value):
+        data = {"model": "kdv", "c": -1.0, "coefficients": [0.0, 0.01]}
+        data[key] = value
+        wave_path = tmp_path / "wave.json"
+        wave_path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "spectrum", "--model", "kdv",
+                           "--wave", str(wave_path), "--n-max", "3",
+                           "--mu-count", "2", "--M", "4", "--no-refine")
+        assert code == 2
+        assert "configuration error" in err and f"wave {key}" in err
+
+    def test_fifth_order_defaults_report_only_the_genuine_bubbles(
+            self, capsys, tmp_path):
+        # CLI defaults (M = 64, 200 mu plus refinement windows): eigensolver
+        # roundoff opens no bubble, only the opposite-signature pair does
+        out_path = tmp_path / "spec.csv"
+        code, _, _ = run(capsys, "spectrum", "--model", "fifth-order-scalar",
+                         "--amplitude", "0.02", "--out", str(out_path))
+        assert code == 0
+        report = json.loads((tmp_path / "spec.csv.bubbles.json").read_text())
+        bubbles = report["bubbles"]
+        assert len(bubbles) == 2
+        assert sorted(b["center_im"] for b in bubbles) == [
+            pytest.approx(-0.2277, abs=5e-3), pytest.approx(0.2277, abs=5e-3)]
+        for b in bubbles:
+            assert b["max_growth"] == pytest.approx(1.5465e-4, rel=1e-2)
+        assert report["max_re_lambda"] == max(b["max_growth"] for b in bubbles)
+
+    def test_zero_amplitude_real_parts_are_exact_zeros(self, capsys, tmp_path):
+        # two-component spectra at zero amplitude: every re_lambda cell is
+        # written as 0, none as -0 or roundoff
+        out_path = tmp_path / "spec.csv"
+        code, _, _ = run(capsys, "spectrum", "--model", "boussinesq-whitham",
+                         "--amplitude", "0", "--M", "8", "--mu-count", "6",
+                         "--out", str(out_path))
+        assert code == 0
+        rows = out_path.read_text().splitlines()[1:]
+        assert len(rows) % 34 == 0 and rows
+        assert {row.split(",")[1] for row in rows} == {"0"}
 
     def test_wave_model_mismatch(self, capsys, tmp_path):
         wave_path = tmp_path / "wave.json"

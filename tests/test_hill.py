@@ -1,5 +1,6 @@
 """Hill-matrix assembly, spectra, bubbles, and zero-amplitude consistency."""
 
+import dataclasses
 import math
 import warnings
 
@@ -152,6 +153,13 @@ class TestAssembly:
             with pytest.raises(ModelError):
                 hill.assemble(model, wave, 0.1, 4)
 
+    def test_canonical_nonzero_a_rejected(self):
+        # the real form diag(1, i)^-1 L diag(1, i) = i R needs A(k) = 0
+        model = dataclasses.replace(make_model("sine-gordon"),
+                                    a_symbol=lambda k: np.full(np.shape(k), 0.5j))
+        with pytest.raises(ModelError):
+            hill.spectrum_at(model, hill.zero_wave(model, 1.0), 0.1, 4)
+
     def test_truncation_warning(self):
         model = make_model("kdv")
         wave = TravelingWave(model="kdv", c=-1.0,
@@ -192,6 +200,27 @@ class TestSpectra:
             d = np.abs(np.conj(plus)[:, None] - minus[None, :])
             assert max(d.min(axis=0).max(), d.min(axis=1).max()) < 1e-10
 
+    @pytest.mark.parametrize("name, mu", [("kdv", 0.37),
+                                          ("fifth-order-scalar", 0.3675),
+                                          ("boussinesq-whitham", 0.2608)])
+    def test_hamiltonian_symmetry_is_exact(self, name, mu):
+        # eigenvalues i*rho of a real R: a real rho sits on the axis with
+        # Re = +0.0, the others come in exact pairs lambda, -conj(lambda).
+        # The fifth-order and BW mu lie inside bubbles.
+        model = make_model(name)
+        if name == "kdv":
+            cn = kdv_cnoidal(0.3)
+            wave = TravelingWave(model="kdv", c=cn.c,
+                                 coefficients=cn.coefficients)
+        else:
+            wave = solve_wave_collocation(model, 0.01, M=32, steps=4)
+        s = hill.full_spectrum(model, wave, [-0.4, 0.1, mu], 16)
+        for _, vals in s.slices:
+            image = -np.conj(vals) + 0.0   # + 0.0 maps -0.0 back to +0.0
+            image = image[np.lexsort((image.real, image.imag))]
+            assert image.tobytes() == vals.tobytes()
+        assert (s.max_real_part() > 1e-6) == (name != "kdv")
+
     def test_kdv_cnoidal_spectrally_stable_slice(self):
         cn = kdv_cnoidal(0.3)
         model = make_model("kdv")
@@ -216,6 +245,15 @@ class TestZeroAmplitudeConsistency:
         model = make_model(name)
         c = bifurcation_speed(model, 1, 1)
         assert hill.zero_amplitude_check(model, c, self.MUS, 16) <= 1e-8
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+    def test_axis_eigenvalues_have_exactly_zero_real_part(self, name):
+        model = make_model(name)
+        c = bifurcation_speed(model, 1, 1)
+        for mu in self.MUS:
+            vals = hill.spectrum_at(model, hill.zero_wave(model, c), mu, 16)
+            assert np.all(vals.real == 0.0)
+            assert not np.any(np.signbit(vals.real))
 
     def test_fault_injection_detected(self):
         model = model_from_config(
