@@ -24,8 +24,7 @@ from .collisions import find_collisions, mirror_events, secant_curve_data, \
     trace_first_collision_vs_depth, NoCollisionFoundError
 from .config import ConfigError, RunConfig, apply_flags, build_model, \
     load_config
-from .models import (CANONICAL, ModelError, TravelingWave,
-                     bifurcation_speed)
+from .models import ModelError, TravelingWave, bifurcation_speed
 from .report import csv_lines, json_dumps
 
 EXIT_OK = 0
@@ -154,11 +153,6 @@ def cmd_wave(args) -> int:
 
 def cmd_spectrum(args) -> int:
     cfg, model = _load(args)
-    if model.kind == CANONICAL:
-        raise ConfigError(
-            f"model {model.name!r} has no finite-amplitude spectrum path; "
-            "the spectrum command supports scalar and boussinesq-whitham "
-            "models")
     if args.wave_file is not None:
         try:
             with open(args.wave_file) as fh:

@@ -9,9 +9,9 @@ diagonal (scalar) or 2x2-block (two-component), so the spectrum reproduces
 the closed-form eigenvalues -i*Omega_l(n+mu) exactly.  W does not depend
 on mu, so a spectrum builds it once per wave.
 
-Spectra are solved in real arithmetic: each Hill matrix is i*R up to a
-diagonal similarity, R real (``Linearization.real_matrix``), so lambda =
-i*rho for the eigenvalues rho of R, and axis eigenvalues have Re exactly 0.
+Hill matrices are built and solved in real arithmetic: L = i·P R P^-1 with
+R real (``Linearization.real_matrix``), so lambda = i*rho for the
+eigenvalues rho of R, and axis eigenvalues have Re exactly 0.
 
 Bubbles (connected arcs of eigenvalues off the imaginary axis) are
 detected by thresholding Re(lambda) and clustering in Im(lambda).
@@ -132,13 +132,14 @@ def _wavenumbers(mu: float, M: int) -> np.ndarray:
 
 def assemble(model: ModelSpec, wave: TravelingWave, mu: float,
              M: int) -> np.ndarray:
-    """Truncated Hill matrix of L = J·(S + W) for one Floquet exponent.
+    """Real Hill matrix R for one Floquet exponent: the truncated Fourier
+    matrix of L = J·(S + W) is L = i·P R P^-1 (``Linearization.real_matrix``).
 
     Scalar models give a (2M+1)-dimensional matrix; two-component models
     give 2(2M+1), ordered as the two component blocks.
     """
     op = Linearization(model, wave.c)
-    return op.matrix(_wavenumbers(mu, M), op.wave_part(wave, M))
+    return op.real_matrix(_wavenumbers(mu, M), op.wave_part(wave, M))
 
 
 def _eigvals(R: np.ndarray, mu: float) -> np.ndarray:

@@ -1,14 +1,15 @@
 """Krein signatures of colliding eigenvalues, and the analysis pipeline.
 
 The linearized problem is u_t = L u with L = J·S (``models.Linearization``).
-At zero amplitude each Fourier mode k carries the d x d block J(k)S(k); the
-eigenvector v of that block for lambda = -i*Omega_l(k) gives the mode's
-Krein signature, the sign of v†S(k)v.  Opposite signatures at a collision
-are necessary for the pair to leave the imaginary axis, so the pipeline
-verdict deliberately says only ``HF-instability-possible`` or
-``HF-instability-excluded``: the condition is necessary, not sufficient.
+At zero amplitude each Fourier mode k carries the real d x d block R(k);
+its eigenvector w for rho = -Omega_l(k) gives the mode's Krein signature,
+the sign of wᵀS_R(k)w (J(k)S(k) has the eigenvector P·w for lambda = i*rho).
+Opposite signatures at a collision are necessary for the pair to leave the
+imaginary axis, so the pipeline verdict deliberately says only
+``HF-instability-possible`` or ``HF-instability-excluded``: the condition
+is necessary, not sufficient.
 
-Eigenvectors are null vectors of the 2x2 block J(k)S(k) - lambda (v = [1]
+Eigenvectors are null vectors of the real 2x2 block R(k) - rho (w = [1]
 for scalar models); no numerical eigensolver enters this path.
 """
 
@@ -46,7 +47,7 @@ class EigenvectorNotFoundError(SignatureError):
 
 @dataclass(frozen=True)
 class EigenMode:
-    """Eigenvalue and unit eigenvector of one mode's block of J·S."""
+    """lambda of one mode's block of J·S and real unit eigenvector w of R."""
     mode: ModeIndex
     lam: complex
     components: np.ndarray
@@ -82,37 +83,33 @@ class AnalysisReport:
 
 def eigenmode(model: ModelSpec, idx: ModeIndex, c: float,
               tol: float = 1e-10) -> EigenMode:
-    """Unit eigenvector of the mode's block J(k)S(k) for -i*Omega_l(k)."""
+    """Real unit eigenvector of the mode's block R(k) for rho = -Omega_l(k)."""
     op = Linearization(model, c)
-    lam = -1j * eval_Omega(model, idx.l, idx.k, c)
+    Omega = eval_Omega(model, idx.l, idx.k, c)
+    lam = -1j * Omega
     if op.size == 1:
-        return EigenMode(idx, lam, np.ones(1, dtype=complex))
-    T = op.matrix(np.array([idx.k])) - lam * np.eye(2)
+        return EigenMode(idx, lam, np.ones(1))
+    T = op.real_matrix(np.array([idx.k])) + Omega * np.eye(2)
     # null space of a singular 2x2: read it off whichever row is larger
-    v0 = np.array([T[0, 1], -T[0, 0]])
-    v1 = np.array([T[1, 1], -T[1, 0]])
-    v = v0 if np.linalg.norm(v0) >= np.linalg.norm(v1) else v1
+    w0 = np.array([T[0, 1], -T[0, 0]])
+    w1 = np.array([T[1, 1], -T[1, 0]])
+    w = w0 if np.linalg.norm(w0) >= np.linalg.norm(w1) else w1
     scale = max(np.linalg.norm(T), 1.0)
-    if np.linalg.norm(v) <= tol * scale:
+    if np.linalg.norm(w) <= tol * scale:
         raise EigenvectorNotFoundError(
             f"no eigenvector within tolerance at {idx} (block is {tol:g}-degenerate)")
-    v = v / np.linalg.norm(v)
-    if np.linalg.norm(T @ v) > tol * scale:
+    w = w / np.linalg.norm(w)
+    if np.linalg.norm(T @ w) > tol * scale:
         raise EigenvectorNotFoundError(
             f"lambda = {lam!r} is not an eigenvalue of the block at {idx}")
-    return EigenMode(idx, lam, v)
+    return EigenMode(idx, lam, w)
 
 
-def signature(model: ModelSpec, em: EigenMode, c: float,
-              tol: float = 1e-10) -> float:
-    """v†S(k)v for the mode's unit eigenvector v; its sign is the Krein
-    signature.  Raises ZeroDivisionError for a scalar mode at k = 0."""
-    S = Linearization(model, c).hessian(em.mode.k)
-    v = em.components
-    q = complex(np.conj(v) @ (S @ v))
-    if abs(q.imag) > tol * max(1.0, np.linalg.norm(S)):
-        raise SignatureError(f"signature has non-real residue {q.imag:g}")
-    return q.real
+def signature(model: ModelSpec, em: EigenMode, c: float) -> float:
+    """wᵀS_R(k)w for the mode's real unit eigenvector w; its sign is the
+    Krein signature.  Raises ZeroDivisionError for a scalar mode at k = 0."""
+    w = em.components
+    return float(w @ Linearization(model, c).hessian(em.mode.k) @ w)
 
 
 def signature_product(model: ModelSpec, event: CollisionEvent, c: float) -> float:

@@ -4,8 +4,9 @@ linearised operator L = J·S.
 A model is a Hamiltonian PDE reduced to the data needed by the instability
 analysis: its Poisson-structure kind, dispersion branches, and the symbol
 functions of the quadratic Hamiltonian.  ``Linearization`` turns these into
-the Poisson symbol J, the Hessian S, and the Fourier matrices of L = J·S
-that both the Krein signatures and the Hill spectra are computed from.
+one real form of L = J·S: the real symmetric Hessian S_R and a scalar
+Poisson factor j(k) per model kind, from which both the Krein signatures
+(wᵀS_R w) and the real Hill matrices R, with L = i·P R P^-1, are computed.
 
 Built-in model identifiers: ``gkdv``, ``kdv``, ``mkdv-focusing``,
 ``mkdv-defocusing``, ``whitham``, ``sine-gordon``, ``water-waves``,
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -112,11 +114,12 @@ class ModelSpec:
     """A model prepared for the six-step analysis.
 
     ``kernel_symbol`` is the scalar nonlocal kernel c(k) = omega(k)/k.
-    ``a_symbol``, ``b_symbol``, ``c_symbol`` are the canonical Hamiltonian
-    symbols A(k) (complex), B(k), C(k); ``c2_symbol`` is the squared phase
-    speed c^2(k) of the noncanonical structure.  Symbols are closed-form
-    functions of k, never truncated coefficient lists, so models with
-    infinitely many Hamiltonian coefficients stay exact.
+    ``b_symbol`` and ``c_symbol`` are the canonical Hamiltonian symbols B(k)
+    and C(k); canonical models have no advection term, A(k) = 0.
+    ``c2_symbol`` is the squared phase speed c^2(k) of the noncanonical
+    structure.  Symbols are closed-form functions of k, never truncated
+    coefficient lists, so models with infinitely many Hamiltonian
+    coefficients stay exact.
 
     Every symbol, the branch evaluators included, is an array function: it
     takes a float or an ndarray of wavenumbers and returns the same shape,
@@ -129,7 +132,6 @@ class ModelSpec:
     params: dict = field(default_factory=dict)
     even_system: bool = False
     kernel_symbol: Symbol | None = None
-    a_symbol: Symbol | None = None
     b_symbol: Symbol | None = None
     c_symbol: Symbol | None = None
     c2_symbol: Symbol | None = None
@@ -199,15 +201,25 @@ class TravelingWave:
 
     @staticmethod
     def from_dict(data: Mapping) -> "TravelingWave":
-        wave = TravelingWave(
-            model=data["model"], c=float(data["c"]),
-            coefficients=[float(a) for a in data["coefficients"]],
-            constant=float(data.get("constant", 0.0)))
-        for name, v in [("c", wave.c), ("constant", wave.constant),
-                        *(("coefficients", a) for a in wave.coefficients)]:
-            if not math.isfinite(v):
-                raise ModelError(f"wave {name} must be finite, got {v!r}")
-        return wave
+        if not isinstance(data, Mapping):
+            raise ModelError(f"a wave must be an object, got {data!r}")
+        coefficients = data["coefficients"]
+        if not isinstance(coefficients, (list, tuple, np.ndarray)):
+            raise ModelError(f"wave coefficients must be a list of numbers, "
+                             f"got {coefficients!r}")
+        return TravelingWave(
+            model=data["model"], c=_finite("c", data["c"]),
+            coefficients=[_finite("coefficients", a) for a in coefficients],
+            constant=_finite("constant", data.get("constant", 0.0)))
+
+
+def _finite(name: str, v) -> float:
+    """``v`` as a float, or a ModelError naming the wave field ``name``."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ModelError(f"wave {name} must be a number, got {v!r}")
+    if not math.isfinite(v):
+        raise ModelError(f"wave {name} must be finite, got {v!r}")
+    return float(v)
 
 
 # --------------------------------------------------------------------------
@@ -289,20 +301,22 @@ class Linearization:
     """The problem linearised about a wave of speed c: u_t = L u, L = J·S.
 
     J is the Poisson symbol and S the Hessian symbol of the Hamiltonian in
-    the frame moving at speed c, both d x d for a d-component model:
+    the frame moving at speed c, d x d for a d-component model, held in one
+    real form: S_R = P†SP is real symmetric and J·S = i·P R P^-1 with the
+    real R = j(k)·S_R (rows swapped for d = 2), for the diagonal similarity
+    P = diag(1, i) (canonical) or 1 and a scalar Poisson factor j(k):
 
-    ===============  ===================  ===================================
-    kind             J(k)                 S(k)
-    ===============  ===================  ===================================
-    scalar           ik                   -Omega(k)/k
-    canonical        [[0, 1], [-1, 0]]    [[C, -ick + conj(A)], [ick + A, B]]
-    noncanonical-bw  ik [[0, 1], [1, 0]]  [[c^2(k), c], [c, 1]]
-    ===============  ===================  ===================================
+    ===============  ===================  =====  =====================
+    kind             J(k)                 j(k)   S_R(k)
+    ===============  ===================  =====  =====================
+    scalar           ik                   k      -Omega(k)/k
+    canonical        [[0, 1], [-1, 0]]    1      [[C, ck], [ck, B]]
+    noncanonical-bw  ik [[0, 1], [1, 0]]  k      [[c^2(k), c], [c, 1]]
+    ===============  ===================  =====  =====================
 
-    The eigenvalues of J(k)S(k) are the zero-amplitude eigenvalues
-    -i*Omega_l(k), and the sign of v†S(k)v on an eigenvector v is the
-    mode's Krein signature.  A finite-amplitude wave adds a multiplication
-    operator W to the (0, 0) entry of S (see ``wave_part``).
+    R(k) has the eigenvalues rho = -Omega_l(k), and the sign of wᵀS_R(k)w on
+    a real eigenvector w is the mode's Krein signature.  A finite-amplitude
+    wave adds a multiplication operator W to S_R[0, 0] (see ``wave_part``).
     """
     model: ModelSpec
     c: float
@@ -313,20 +327,19 @@ class Linearization:
         return 1 if self.model.kind == SCALAR else 2
 
     def hessian(self, k: ArrayLike) -> np.ndarray:
-        """S(k) with shape (..., d, d) for wavenumbers k of shape (...);
-        Hermitian for real k, so v†S(k)v is real.  A scalar model's
-        S = -Omega/k has no value at k = 0 (ZeroDivisionError)."""
+        """The real symmetric S_R(k) with shape (..., d, d) for wavenumbers
+        k of shape (...).  A scalar model's S_R = -Omega/k has no value at
+        k = 0 (ZeroDivisionError)."""
         m, c = self.model, self.c
         k = np.asarray(k, dtype=float)
         if m.kind == SCALAR:
             if (k == 0.0).any():
                 raise ZeroDivisionError("S(k) = -Omega(k)/k at k = 0")
             return (-eval_Omega(m, 1, k, c) / k)[..., None, None]
-        S = np.empty(k.shape + (2, 2), dtype=complex)
+        S = np.empty(k.shape + (2, 2))
         if m.kind == CANONICAL:
-            a = m.a_symbol(k)
             S[..., 0, 0], S[..., 1, 1] = m.c_symbol(k), m.b_symbol(k)
-            S[..., 0, 1], S[..., 1, 0] = -1j * c * k + np.conj(a), 1j * c * k + a
+            S[..., 0, 1] = S[..., 1, 0] = c * k
         else:
             S[..., 0, 0], S[..., 1, 1] = m.c2_symbol(k), 1.0
             S[..., 0, 1] = S[..., 1, 0] = c
@@ -360,35 +373,21 @@ class Linearization:
 
     def real_matrix(self, ks: np.ndarray,
                     W: np.ndarray | None = None) -> np.ndarray:
-        """The real R with J·(S + W) = i·P R P^-1 on the modes ks, whose
-        eigenvalues rho give L's as i*rho: P = 1 for scalar and BW models,
-        diag(1, i) per mode for canonical ones (which need A = 0).  Ordered
-        component by component, like ``matrix``."""
-        m, c = self.model, self.c
+        """The real R with J·(S + W) = i·P R P^-1 on the modes ks, ordered
+        component by component; L's eigenvalues are i*rho for R's rho."""
+        m = self.model
         if m.kind == SCALAR:
-            # ik*(-Omega/k) = i*(-Omega): the k cancels exactly, also at k = 0
-            R = np.diag(-eval_Omega(m, 1, ks, c))
+            # k*(-Omega/k) = -Omega: the k cancels exactly, also at k = 0
+            R = np.diag(-eval_Omega(m, 1, ks, self.c))
             return R if W is None else R + ks[:, None] * W
-        if m.kind == CANONICAL:
-            if np.any(m.a_symbol(ks)):
-                raise ModelError(f"model {m.name!r}: Hill matrices need A(k) = 0")
-            # J·S = [[ick, B], [-C, ick]]
-            upper, lower = np.diag(m.b_symbol(ks)), np.diag(m.c_symbol(ks))
-        else:
-            # J = ik [[0, 1], [1, 0]] swaps the rows of S
-            c2 = np.diag(m.c2_symbol(ks))
-            upper, lower = np.diag(ks), ks[:, None] * (c2 if W is None else c2 + W)
-        ck = np.diag(c * ks)
-        return np.block([[ck, upper], [lower, ck]])
-
-    def matrix(self, ks: np.ndarray, W: np.ndarray | None = None) -> np.ndarray:
-        """J·(S + W) = i·P R P^-1 on the modes ks (see ``real_matrix``)."""
-        R = self.real_matrix(ks, W)
-        L = 1j * R
-        if self.model.kind == CANONICAL:
-            n = len(ks)
-            L[:n, n:], L[n:, :n] = R[:n, n:], -R[n:, :n]
-        return L
+        S = self.hessian(ks)
+        j = ks if m.kind == NONCANONICAL_BW else np.ones_like(ks)
+        # R = j·swap_rows(S_R + W e00), j applied to the diagonals and the
+        # dense block only: off-diagonal zeros stay +0, as eigvals needs
+        lower = np.diag(S[:, 0, 0]) if W is None else np.diag(S[:, 0, 0]) + W
+        diag = lambda a, b: np.diag(j * S[:, a, b])
+        return np.block([[diag(1, 0), diag(1, 1)],
+                         [j[:, None] * lower, diag(0, 1)]])
 
 
 def _exp_coeffs(wave: TravelingWave, length: int) -> np.ndarray:
@@ -505,9 +504,7 @@ def _canonical_even(name, params, omega1, b_symbol, c_symbol, parity="odd"):
         name=name, kind=CANONICAL,
         branches=(DispersionBranch(1, omega1, parity),
                   DispersionBranch(2, omega2, parity)),
-        params=params, even_system=True,
-        a_symbol=_constant(0j),
-        b_symbol=b_symbol, c_symbol=c_symbol)
+        params=params, even_system=True, b_symbol=b_symbol, c_symbol=c_symbol)
 
 
 def _make_sine_gordon(params=None):
@@ -582,15 +579,23 @@ def make_model(name: str, params: Mapping[str, float] | None = None) -> ModelSpe
 _CUSTOM_KEYS = {"kind", "omega1", "omega2", "c_squared", "params", "at_zero"}
 
 
+def _require_match(f: Symbol, g: Symbol, requirement: str) -> None:
+    """ModelError naming ``requirement`` unless f = g to 1e-10 at probes."""
+    ks = np.array([0.3, 1.0, 2.7, 5.0])
+    gap = np.abs(f(ks) - g(ks))
+    if not (gap <= 1e-10).all():
+        raise ModelError(f"{requirement} (largest gap {gap.max():g})")
+
+
 def model_from_config(spec: Mapping) -> ModelSpec:
     """Build a ModelSpec from an inline custom model description.
 
     Keys: ``kind`` (scalar | canonical | noncanonical-bw), ``omega1``,
-    optional ``omega2`` (canonical; must equal -omega1), optional
-    ``c_squared`` (BW), ``params`` mapping, and ``at_zero`` for symbols
-    singular at k = 0.  Canonical models built this way have the
-    even-system Hamiltonian B(k) = 1, C(k) = omega1(k)^2, whose only
-    branches are +-omega1.
+    optional ``omega2`` (canonical; must equal -omega1), ``c_squared`` (BW;
+    omega1 must equal k*sqrt(c_squared)), ``params`` mapping, and
+    ``at_zero`` for symbols singular at k = 0.  Canonical models built this
+    way have the even-system Hamiltonian B(k) = 1, C(k) = omega1(k)^2, whose
+    only branches are +-omega1.
     """
     unknown = set(spec) - _CUSTOM_KEYS
     if unknown:
@@ -622,19 +627,15 @@ def model_from_config(spec: Mapping) -> ModelSpec:
         omega2 = lambda k: -omega1(k)
         if "omega2" in spec:
             omega2 = dsl.compile_symbol(spec["omega2"], params)
-            ks = np.array([0.3, 1.0, 2.7, 5.0])
-            gap = np.abs(omega1(ks) + omega2(ks))
-            if (gap > 1e-10).any():
-                raise ModelError(
-                    "custom canonical models have B(k) = 1 and C(k) = "
-                    "omega1(k)^2, whose branches are +-omega1: 'omega2' must "
-                    f"equal -omega1 (|omega1 + omega2| = {gap.max():g})")
+            _require_match(omega2, lambda k: -omega1(k),
+                           "custom canonical models have B(k) = 1 and C(k) = "
+                           "omega1(k)^2, whose branches are +-omega1: "
+                           "'omega2' must equal -omega1")
         return ModelSpec(
             name="custom-canonical", kind=CANONICAL,
             branches=(DispersionBranch(1, omega1, "general"),
                       DispersionBranch(2, omega2, "general")),
-            params=params, even_system=True,
-            a_symbol=_constant(0j), b_symbol=_constant(1.0),
+            params=params, even_system=True, b_symbol=_constant(1.0),
             c_symbol=_symbol(lambda k: omega1(k) ** 2))
 
     # noncanonical-bw
@@ -642,6 +643,10 @@ def model_from_config(spec: Mapping) -> ModelSpec:
         raise ModelError("noncanonical-bw custom model requires 'c_squared'")
     c2 = dsl.compile_symbol(spec["c_squared"], params, at_zero=at_zero)
     omega_bw = _symbol(lambda k: k * np.sqrt(c2(k)))
+    _require_match(omega1, omega_bw,
+                   "custom noncanonical-bw models have the branches "
+                   "+-k*sqrt(c_squared(k)): 'omega1' must equal "
+                   "k*sqrt(c_squared)")
     return ModelSpec(
         name="custom-bw", kind=NONCANONICAL_BW,
         branches=(DispersionBranch(1, omega_bw, "odd"),

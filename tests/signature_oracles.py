@@ -1,5 +1,5 @@
 """Closed-form Krein-signature formulas, kept as oracles for the one
-signature v†S(k)v of ``hfstab.krein``.
+signature wᵀS_R(k)w = v†S(k)v (v = P·w) of ``hfstab.krein``.
 
 Each formula follows from the Hessian and Poisson symbols of one model kind
 by hand, so agreement on every solver event checks the library's eigenvectors,
@@ -11,15 +11,16 @@ import numpy as np
 from hfstab.krein import SignatureError
 from hfstab.models import eval_omega
 
-# canonical Poisson matrix
+# canonical Poisson matrix, and the similarity P = diag(1, i) that takes
+# the real eigenvector w of a mode's real form R to the eigenvector P·w of J·S
 J_CANONICAL = np.array([[0.0, 1.0], [-1.0, 0.0]])
+P_CANONICAL = np.diag([1.0, 1j])
 
 
 def canonical_hessian(model, c, k):
-    """S(k) = [[C, -ick + conj(A)], [ick + A, B]] of a canonical model."""
-    a = complex(model.a_symbol(k))
-    return np.array([[model.c_symbol(k), -1j * c * k + np.conj(a)],
-                     [1j * c * k + a, model.b_symbol(k)]], dtype=complex)
+    """S(k) = [[C, -ick], [ick, B]] of a canonical model (A = 0)."""
+    return np.array([[model.c_symbol(k), -1j * c * k],
+                     [1j * c * k, model.b_symbol(k)]], dtype=complex)
 
 
 def scalar_opposite(model, event):
@@ -29,27 +30,20 @@ def scalar_opposite(model, event):
     return (event.n1 + event.mu) * (event.n2 + event.mu) < 0
 
 
-def _a_odd(model, k):
-    # odd-coefficient part of the advection symbol A(k) = sum a_n (ik)^n
-    return complex(model.a_symbol(k)).imag
-
-
 def cankrein1_product(model, event):
-    """First-row signature product: C(k1)C(k2)(w1 + Ao(k1))(w2 + Ao(k2))."""
+    """First-row signature product: C(k1)C(k2)w1w2."""
     k1, k2 = event.n1 + event.mu, event.n2 + event.mu
     C = model.c_symbol
-    return (C(k1) * C(k2)
-            * (eval_omega(model, event.l1, k1) + _a_odd(model, k1))
-            * (eval_omega(model, event.l2, k2) + _a_odd(model, k2)))
+    return (C(k1) * C(k2) * eval_omega(model, event.l1, k1)
+            * eval_omega(model, event.l2, k2))
 
 
 def cankrein2_product(model, event):
-    """Second-row signature product: B(k1)B(k2)(w1 - Ao(k1))(w2 - Ao(k2))."""
+    """Second-row signature product: B(k1)B(k2)w1w2."""
     k1, k2 = event.n1 + event.mu, event.n2 + event.mu
     B = model.b_symbol
-    return (B(k1) * B(k2)
-            * (eval_omega(model, event.l1, k1) - _a_odd(model, k1))
-            * (eval_omega(model, event.l2, k2) - _a_odd(model, k2)))
+    return (B(k1) * B(k2) * eval_omega(model, event.l1, k1)
+            * eval_omega(model, event.l2, k2))
 
 
 def sym_product(model, event, which=2):

@@ -249,7 +249,7 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("key, value", [
         ("c", math.nan), ("constant", math.inf),
-        ("coefficients", [0.0, math.nan])])
+        ("coefficients", [0.0, math.nan]), ("c", None), ("coefficients", 5)])
     def test_non_finite_wave_file_is_a_configuration_error(self, capsys,
                                                            tmp_path, key,
                                                            value):
@@ -262,6 +262,15 @@ class TestSpectrum:
                            "--mu-count", "2", "--M", "4", "--no-refine")
         assert code == 2
         assert "configuration error" in err and f"wave {key}" in err
+
+    def test_wave_file_that_is_not_an_object_is_a_configuration_error(
+            self, capsys, tmp_path):
+        wave_path = tmp_path / "wave.json"
+        wave_path.write_text(json.dumps([1, 2]))
+        code, _, err = run(capsys, "spectrum", "--model", "kdv",
+                           "--wave", str(wave_path))
+        assert code == 2
+        assert "configuration error: a wave must be an object" in err
 
     def test_fifth_order_defaults_report_only_the_genuine_bubbles(
             self, capsys, tmp_path):
@@ -302,9 +311,22 @@ class TestSpectrum:
         assert "whitham" in err
 
     def test_canonical_model_refused(self, capsys):
-        code, _, err = run(capsys, "spectrum", "--model", "sine-gordon")
+        # no finite-amplitude canonical wave: the wave solve refuses it
+        code, _, err = run(capsys, "spectrum", "--model", "sine-gordon",
+                           "--amplitude", "0.01")
         assert code == 2
-        assert "spectrum" in err
+        assert "canonical" in err
+
+    def test_canonical_zero_amplitude_spectrum_runs(self, capsys, tmp_path):
+        out_path = tmp_path / "spec.csv"
+        code, _, _ = run(capsys, "spectrum", "--model", "sine-gordon",
+                         "--M", "8", "--mu-count", "6", "--out", str(out_path))
+        assert code == 0
+        rows = out_path.read_text().splitlines()[1:]
+        assert rows and {row.split(",")[1] for row in rows} == {"0"}
+        report = json.loads((tmp_path / "spec.csv.bubbles.json").read_text())
+        assert report["bubbles"] == []
+        assert report["zero_amplitude_deviation"] <= 1e-8
 
     def test_rerun_is_byte_identical(self, capsys, tmp_path):
         paths = []

@@ -1,6 +1,5 @@
 """Hill-matrix assembly, spectra, bubbles, and zero-amplitude consistency."""
 
-import dataclasses
 import math
 import warnings
 
@@ -21,6 +20,16 @@ from signature_oracles import J_CANONICAL, canonical_hessian
 def quadrature_coeff(values, x, j):
     """Exponential Fourier coefficient j of samples on a uniform 2*pi grid."""
     return np.mean(values * np.exp(-1j * j * x))
+
+
+def real_form(L, canonical=False):
+    """-i·P^-1·L·P with P = diag(1, i) per mode for a canonical model, else
+    P = 1: the real Hill matrix R of the complex L = J·(S + W)."""
+    if canonical:
+        n = L.shape[0] // 2
+        p = np.concatenate([np.ones(n), np.full(n, 1j)])
+        L = L * p[None, :] / p[:, None]
+    return -1j * L
 
 
 class TestMuGrid:
@@ -50,21 +59,21 @@ class TestAssembly:
         c = bifurcation_speed(model, 1, 1)
         wave = hill.zero_wave(model, c)
         M, mu = 8, 0.3
-        A = hill.assemble(model, wave, mu, M)
+        R = hill.assemble(model, wave, mu, M)
         ns = np.arange(-M, M + 1)
         expected = np.array([-1j * eval_Omega(model, 1, n + mu, c)
                              for n in ns])
-        assert np.array_equal(np.diag(A), expected)
-        assert np.count_nonzero(A - np.diag(np.diag(A))) == 0
+        assert np.array_equal(np.diag(R), real_form(expected))
+        assert np.count_nonzero(R - np.diag(np.diag(R))) == 0
 
     def test_scalar_entries_match_quadrature(self):
-        # oracle: off-diagonal entries are -i(n+mu) times the exponential
-        # Fourier coefficients of sigma*U, computed here by direct
-        # trapezoidal quadrature of the closed-form profile
+        # oracle: off-diagonal entries of L are -i(n+mu) times the
+        # exponential Fourier coefficients of sigma*U, computed here by
+        # direct trapezoidal quadrature of the closed-form profile
         cn = kdv_cnoidal(0.4)
         model = make_model("kdv")
         M, mu = 6, 0.17
-        A = hill.assemble(model, TravelingWave(
+        R = hill.assemble(model, TravelingWave(
             model="kdv", c=cn.c, coefficients=cn.coefficients,
             constant=cn.constant), mu, M)
         ngrid = 4096
@@ -76,21 +85,21 @@ class TestAssembly:
                 entry = -1j * (n + mu) * w_j
                 if n == m:
                     entry += -1j * eval_Omega(model, 1, n + mu, cn.c)
-                assert abs(A[n + M, m + M] - entry) < 1e-10
+                assert abs(R[n + M, m + M] - real_form(entry)) < 1e-10
 
     def test_higher_harmonic_only_wave_is_kept(self):
         # a wave with zero amplitude and mean but a cos(2x) term is not the
-        # zero wave: its entries at n - m = +-2 are -i(n+mu)*sigma*0.3/2
+        # zero wave: the entries of L at n - m = +-2 are -i(n+mu)*sigma*0.3/2
         model = make_model("kdv")
         wave = TravelingWave(model="kdv", c=-1.0, coefficients=[0.0, 0.0, 0.3])
         M, mu = 5, 0.21
-        A = hill.assemble(model, wave, mu, M)
+        R = hill.assemble(model, wave, mu, M)
         for n in range(-M, M + 1):
             for m in range(-M, M + 1):
                 entry = -1j * (n + mu) * model.sigma * 0.15 * (abs(n - m) == 2)
                 if n == m:
                     entry = -1j * eval_Omega(model, 1, n + mu, wave.c)
-                assert abs(A[n + M, m + M] - entry) < 1e-14
+                assert abs(R[n + M, m + M] - real_form(entry)) < 1e-14
 
     def test_bw_entries_match_quadrature(self):
         # oracle: L = ik [[c, 1], [c^2(k) + 2 alpha Q, c]] with the Fourier
@@ -99,7 +108,7 @@ class TestAssembly:
         wave = solve_wave_collocation(model, 1e-2, M=24, steps=3)
         M, mu = 6, 0.17
         n = 2 * M + 1
-        A = hill.assemble(model, wave, mu, M)
+        R = hill.assemble(model, wave, mu, M)
         ngrid = 4096
         x = 2.0 * math.pi * np.arange(ngrid) / ngrid
         q = wave.profile(x)
@@ -111,26 +120,29 @@ class TestAssembly:
                 q_hat = quadrature_coeff(q, x, i - j)
                 lower = ik * (model.c2_symbol(k) * diag
                               + 2.0 * model.alpha * q_hat)
-                assert abs(A[i, j] - ik * wave.c * diag) < 1e-12
-                assert abs(A[i, n + j] - ik * diag) < 1e-12
-                assert abs(A[n + i, j] - lower) < 1e-10
-                assert abs(A[n + i, n + j] - ik * wave.c * diag) < 1e-12
+                assert abs(R[i, j] - real_form(ik * wave.c * diag)) < 1e-12
+                assert abs(R[i, n + j] - real_form(ik * diag)) < 1e-12
+                assert abs(R[n + i, j] - real_form(lower)) < 1e-10
+                assert abs(R[n + i, n + j]
+                           - real_form(ik * wave.c * diag)) < 1e-12
 
     @pytest.mark.parametrize("name", ["sine-gordon", "water-waves",
                                       "water-waves-deep"])
     def test_canonical_zero_amplitude_blocks(self, name):
-        # each Fourier mode k carries the 2x2 block J S(k) of its own
-        # components and nothing else
+        # each Fourier mode k carries the real form of the 2x2 block
+        # J S(k) of its own components and nothing else
         model = make_model(name)
         c = bifurcation_speed(model, 1, 1)
         M, mu = 5, -0.31
         n = 2 * M + 1
-        A = hill.assemble(model, hill.zero_wave(model, c), mu, M)
-        rest = A.copy()
+        R = hill.assemble(model, hill.zero_wave(model, c), mu, M)
+        assert R.dtype == float
+        rest = R.copy()
         for i, k in enumerate(np.arange(-M, M + 1) + mu):
             rows = np.array([i, n + i])
-            block = J_CANONICAL @ canonical_hessian(model, c, k)
-            assert np.max(np.abs(A[np.ix_(rows, rows)] - block)) < 1e-12
+            block = real_form(J_CANONICAL @ canonical_hessian(model, c, k),
+                              canonical=True)
+            assert np.max(np.abs(R[np.ix_(rows, rows)] - block)) < 1e-12
             rest[np.ix_(rows, rows)] = 0.0
         assert np.count_nonzero(rest) == 0
 
@@ -139,9 +151,9 @@ class TestAssembly:
         c = bifurcation_speed(model, 1, 1)
         wave = solve_wave_collocation(model, 1e-2, M=24, steps=3)
         M, mu = 12, 0.22
-        A = hill.assemble(model, wave, mu, M)
+        R = hill.assemble(model, wave, mu, M)
         vals = hill.spectrum_at(model, wave, mu, M)
-        assert abs(np.trace(A) - np.sum(vals)) < 1e-8
+        assert abs(1j * np.trace(R) - np.sum(vals)) < 1e-8
 
     def test_canonical_finite_amplitude_rejected(self):
         model = make_model("sine-gordon")
@@ -152,13 +164,6 @@ class TestAssembly:
             warnings.simplefilter("ignore", hill.TruncationWarning)
             with pytest.raises(ModelError):
                 hill.assemble(model, wave, 0.1, 4)
-
-    def test_canonical_nonzero_a_rejected(self):
-        # the real form diag(1, i)^-1 L diag(1, i) = i R needs A(k) = 0
-        model = dataclasses.replace(make_model("sine-gordon"),
-                                    a_symbol=lambda k: np.full(np.shape(k), 0.5j))
-        with pytest.raises(ModelError):
-            hill.spectrum_at(model, hill.zero_wave(model, 1.0), 0.1, 4)
 
     def test_truncation_warning(self):
         model = make_model("kdv")

@@ -10,14 +10,15 @@ from hfstab.collisions import find_collisions
 from hfstab.krein import (OVERALL_EXCLUDED, OVERALL_POSSIBLE, SignatureError,
                           eigenmode, run_pipeline, signature,
                           signature_product)
-from hfstab.models import (ModeIndex, bifurcation_speed, eval_Omega,
-                           eval_omega, make_model, model_from_config)
+from hfstab.models import (Linearization, ModeIndex, bifurcation_speed,
+                           eval_Omega, eval_omega, make_model,
+                           model_from_config)
 from hfstab.collisions import VERDICT_NONE, VERDICT_POTENTIAL
 
-from signature_oracles import (J_CANONICAL, bw_signature, canonical_hessian,
-                               canonical_products, cankrein1_product,
-                               cankrein2_product, scalar_opposite,
-                               sym_product)
+from signature_oracles import (J_CANONICAL, P_CANONICAL, bw_signature,
+                               canonical_hessian, canonical_products,
+                               cankrein1_product, cankrein2_product,
+                               scalar_opposite, sym_product)
 
 
 def non_origin_events(name, n_max, params=None):
@@ -29,25 +30,37 @@ def non_origin_events(name, n_max, params=None):
 
 class TestEigenvectors:
     def test_block_eigenvector_residual(self):
+        # R(k)w = rho*w for the real w, and J·S(k)(P w) = lambda·(P w)
         model = make_model("water-waves")
         c = bifurcation_speed(model, 1, 1)
+        op = Linearization(model, c)
         for n, mu, l in [(2, 0.3, 1), (-1, 0.1, 2), (0, 0.5, 1)]:
             em = eigenmode(model, ModeIndex(n, mu, l), c)
-            block = J_CANONICAL @ canonical_hessian(model, c, em.mode.k)
-            assert np.linalg.norm(block @ em.components
-                                  - em.lam * em.components) < 1e-10
+            k, w = em.mode.k, em.components
+            assert w.dtype == float
+            rho = -eval_Omega(model, l, k, c)
+            R = op.real_matrix(np.array([k]))
+            assert np.linalg.norm(R @ w - rho * w) < 1e-10
+            v = P_CANONICAL @ w
+            block = J_CANONICAL @ canonical_hessian(model, c, k)
+            assert np.linalg.norm(block @ v - em.lam * v) < 1e-10
 
     def test_bw_eigenvector_solves_block(self):
+        # P = 1 for Boussinesq-Whitham: w itself is the eigenvector of J·S
         model = make_model("boussinesq-whitham")
         c = bifurcation_speed(model, 1, 1)
+        op = Linearization(model, c)
         c2 = model.c2_symbol
         for n, mu, l in [(2, 0.25, 1), (-1, 0.4, 2)]:
             em = eigenmode(model, ModeIndex(n, mu, l), c)
-            k = em.mode.k
+            k, w = em.mode.k, em.components
+            assert w.dtype == float
+            rho = -eval_Omega(model, l, k, c)
+            R = op.real_matrix(np.array([k]))
+            assert np.linalg.norm(R @ w - rho * w) < 1e-10
             block = np.array([[1j * k * c, 1j * k],
                               [1j * k * c2(k), 1j * k * c]])
-            assert np.linalg.norm(block @ em.components
-                                  - em.lam * em.components) < 1e-10
+            assert np.linalg.norm(block @ w - em.lam * w) < 1e-10
 
 
 class TestScalarSignatures:

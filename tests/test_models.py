@@ -132,11 +132,20 @@ class TestCustomModels:
 
     def test_custom_bw(self):
         model = model_from_config(
-            {"kind": "noncanonical-bw", "omega1": "k",
+            {"kind": "noncanonical-bw", "omega1": "sign(k)*sqrt(k*tanh(k))",
              "c_squared": "tanh(k)/k", "at_zero": 1.0})
         assert model.c2_symbol(0.0) == 1.0
         assert eval_omega(model, 1, 2.0) == pytest.approx(
             2.0 * math.sqrt(math.tanh(2.0) / 2.0))
+
+    @pytest.mark.parametrize("omega1", ["k", "5*k"])
+    def test_custom_bw_omega1_must_match_c_squared(self, omega1):
+        # the branches are +-k*sqrt(c_squared); an omega1 that disagrees
+        # would be silently ignored
+        with pytest.raises(ModelError, match="'omega1' must equal"):
+            model_from_config(
+                {"kind": "noncanonical-bw", "omega1": omega1,
+                 "c_squared": "tanh(k)/k", "at_zero": 1.0})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ModelError):
@@ -178,7 +187,7 @@ DSL_TWINS = {
         "c_squared": "g*tanh(k*h)/k", "params": {"g": 1.0, "h": 1.03},
         "at_zero": 1.03},
 }
-SYMBOLS = ("kernel_symbol", "a_symbol", "b_symbol", "c_symbol", "c2_symbol")
+SYMBOLS = ("kernel_symbol", "b_symbol", "c_symbol", "c2_symbol")
 
 
 def build(name):
@@ -200,7 +209,7 @@ def test_array_symbols_match_scalar_calls_bit_for_bit(name):
         assert arr.shape == ks.shape
         assert symbol(ks.reshape(3, -1)).shape == (3, ks.size // 3)
         ones = [symbol(float(k)) for k in ks]
-        assert all(type(v) in (float, complex) for v in ones)
+        assert all(type(v) is float for v in ones)
         assert np.array(ones, dtype=arr.dtype).tobytes() == arr.tobytes()
 
 
