@@ -16,7 +16,7 @@ import sys
 
 from hfstab import hill
 from hfstab.collisions import find_collisions, mirror_events
-from hfstab.krein import signature_product
+from hfstab.krein import classify
 from hfstab.models import bifurcation_speed, make_model
 from hfstab.report import csv_lines, json_dumps
 from hfstab.waves import solve_wave_collocation
@@ -39,10 +39,10 @@ def main() -> int:
                        {"alpha": args.alpha, "beta": args.beta})
     c0 = bifurcation_speed(model, 1, 1)
     events = [e for e in find_collisions(model, c0, 3) if not e.at_origin]
+    classify(model, events, c0)
     print(f"speed c0 = {c0:.6f}; {len(events)} non-origin collisions:")
     for e in events:
-        prod = signature_product(model, e, c0)
-        tag = "opposite" if prod < 0 else "same"
+        tag = "opposite" if e.signature_product < 0 else "same"
         print(f"  modes ({e.n1},{e.n2})  mu = {e.mu:+.7f}  "
               f"Im lambda = {e.lam.imag:.7f}  signatures: {tag}")
 

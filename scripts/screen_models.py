@@ -25,10 +25,7 @@ def main() -> int:
     for name in sorted(BUILTIN_MODELS):
         report = run_pipeline(make_model(name), N=args.N, n_max=args.n_max)
         non_origin = report.counts["non_origin"]
-        opposite = sum(1 for e in report.events
-                       if not e.at_origin
-                       and e.signature_product is not None
-                       and e.signature_product < 0)
+        opposite = sum(e.signature_product < 0 for e in report.events)
         print(f"{name:24s} {non_origin:10d} {opposite:8d}  {report.overall}")
     return 0
 

@@ -9,18 +9,16 @@ the predictions on numerically constructed small-amplitude waves.
 from .models import (ModelSpec, ModeIndex, DispersionBranch, TravelingWave,
                      BUILTIN_MODELS, make_model, model_from_config,
                      eval_omega, eval_Omega, bifurcation_speed,
-                     zero_amp_eigenvalue, spectrum_slice, normalize_mode,
-                     Linearization, ModelError, UnknownModelError,
-                     ModelNotDispersiveError, SCALAR, CANONICAL,
-                     NONCANONICAL_BW)
+                     spectrum_slice, normalize_mode, Linearization,
+                     ModelError, UnknownModelError, ModelNotDispersiveError,
+                     SCALAR, CANONICAL, NONCANONICAL_BW)
 from .collisions import (CollisionOptions, CollisionEvent, find_collisions,
                          collision_residual, mirror_events,
                          secant_curve_data, trace_first_collision_vs_depth,
                          NoCollisionFoundError)
-from .krein import (run_pipeline, AnalysisReport, signature_product,
-                    signature, eigenmode, OVERALL_POSSIBLE, OVERALL_EXCLUDED)
-from .elliptic import (elliptic_K, jacobi_sn, jacobi_cn, jacobi_dn,
-                       kdv_cnoidal, mkdv_cn_wave, mkdv_sn_wave)
+from .krein import (run_pipeline, classify, AnalysisReport,
+                    signature_product, signature, eigenmode,
+                    OVERALL_POSSIBLE, OVERALL_EXCLUDED)
 from .waves import (stokes_wave, solve_wave_collocation, wave_residual,
                     bw_flat_state_analysis, FlatStateReport, ResonanceError,
                     WaveConvergenceError)

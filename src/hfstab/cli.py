@@ -5,7 +5,8 @@ Commands
 analyze   run the full necessary-condition pipeline, emit a JSON report
 collide   locate zero-amplitude eigenvalue collisions, emit JSON
 wave      construct a traveling wave by Newton continuation, emit JSON
-spectrum  Hill spectrum over a Floquet grid, emit CSV plus a bubble report
+spectrum  Hill spectrum over a Floquet grid refined around every predicted
+          collision, emit CSV plus a bubble report
 curves    secant-curve data tables (and a depth trace for water waves)
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
@@ -86,11 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-count", dest="mu_count", type=int,
                    help="Floquet grid size")
     p.add_argument("--M", type=int, help="Hill truncation")
-    refine = p.add_mutually_exclusive_group()
-    refine.add_argument("--refine", dest="refine", action="store_true",
-                        default=None, help="refine near predicted collisions")
-    refine.add_argument("--no-refine", dest="refine", action="store_false",
-                        default=None)
 
     p = sub.add_parser("curves", help="secant-curve data tables")
     _common_flags(p)
@@ -126,6 +122,7 @@ def cmd_collide(args) -> int:
     cfg, model = _load(args)
     c = bifurcation_speed(model, 1, cfg.N)
     events = find_collisions(model, c, cfg.n_max, cfg.collision)
+    krein.classify(model, events, c)
     out = {
         "model": model.name,
         "N": cfg.N,
@@ -168,12 +165,10 @@ def cmd_spectrum(args) -> int:
         wave = _solve_wave(cfg, model, force=False)
 
     predictions = find_collisions(model, wave.c, cfg.n_max, cfg.collision)
-    windows: tuple[float, ...] = ()
-    if cfg.hill_refine:
-        mus = {e.mu for e in mirror_events(model, predictions)
-               if not e.at_origin}
-        windows = tuple(sorted(mus))
-    grid = hill.MuGridSpec(count=cfg.hill_mu_count, windows=windows)
+    krein.classify(model, predictions, wave.c)
+    windows = sorted({e.mu for e in mirror_events(model, predictions)
+                      if not e.at_origin})
+    grid = hill.MuGridSpec(count=cfg.hill_mu_count, windows=tuple(windows))
     spectrum = hill.full_spectrum(model, wave, grid, cfg.hill_M)
     bubbles = hill.detect_bubbles(spectrum, predictions=predictions)
 

@@ -63,7 +63,8 @@ class CollisionOptions:
 
 @dataclass
 class CollisionEvent:
-    """One solved collision: modes, Floquet exponent, shared eigenvalue."""
+    """One solved collision: modes, Floquet exponent, shared eigenvalue.
+    ``signature_product`` and ``verdict`` are set by ``krein.classify``."""
     n1: int
     l1: int
     n2: int
@@ -85,7 +86,8 @@ class CollisionEvent:
     def to_dict(self) -> dict:
         return {
             "n1": self.n1, "l1": self.l1, "n2": self.n2, "l2": self.l2,
-            "mu": self.mu, "lambda_im": self.lam.imag,
+            "mu": self.mu,
+            "lambda_im": self.lam.imag + 0.0,   # + 0.0 turns -0 into +0
             "at_origin": self.at_origin,
             "signature_product": self.signature_product,
             "verdict": self.verdict,

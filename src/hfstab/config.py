@@ -22,8 +22,7 @@ _SECTIONS = {
     "wave": {"amplitude": ("wave_amplitude", float),
              "modes": ("wave_modes", int), "steps": ("wave_steps", int),
              "mean": ("wave_mean", float)},
-    "hill": {"mu_count": ("hill_mu_count", int), "M": ("hill_M", int),
-             "refine": ("hill_refine", bool)},
+    "hill": {"mu_count": ("hill_mu_count", int), "M": ("hill_M", int)},
 }
 
 # model parameters that may be set by a top-level config key or a CLI flag
@@ -32,8 +31,7 @@ _FLAG_PARAMS = ("g", "h", "alpha", "beta", "sigma")
 _FLAG_FIELDS = {"model": "model", "N": "N", "n_max": "n_max", "out": "output",
                 "amplitude": "wave_amplitude", "modes": "wave_modes",
                 "steps": "wave_steps", "mean": "wave_mean",
-                "mu_count": "hill_mu_count", "M": "hill_M",
-                "refine": "hill_refine"}
+                "mu_count": "hill_mu_count", "M": "hill_M"}
 
 
 class ConfigError(Exception):
@@ -53,7 +51,6 @@ class RunConfig:
     wave_mean: float = 0.0
     hill_mu_count: int = 200
     hill_M: int = 64
-    hill_refine: bool = True
     output: str | None = None
 
 
@@ -85,10 +82,6 @@ def _coerce(value, kind, where: str):
             return int(value)
         if kind is float:
             return float(value)
-        if kind is bool:
-            if not isinstance(value, bool):
-                raise ValueError
-            return value
     except (TypeError, ValueError):
         pass
     raise ConfigError(f"{where} must be {kind.__name__}, got {value!r}")

@@ -13,8 +13,11 @@ Hill matrices are built and solved in real arithmetic: L = i·P R P^-1 with
 R real (``Linearization.real_matrix``), so lambda = i*rho for the
 eigenvalues rho of R, and axis eigenvalues have Re exactly 0.
 
-Bubbles (connected arcs of eigenvalues off the imaginary axis) are
-detected by thresholding Re(lambda) and clustering in Im(lambda).
+The mu grid is uniform plus a fixed-width window around each predicted
+collision mu (``MuGridSpec.windows``), sampled ``refine_factor`` times
+more densely.  Bubbles (connected arcs of eigenvalues off the imaginary
+axis) are detected by thresholding Re(lambda) and clustering in
+Im(lambda), and each is linked to the prediction nearest its center.
 """
 
 from __future__ import annotations
@@ -30,13 +33,14 @@ from .collisions import CollisionEvent
 
 __all__ = [
     "TruncationWarning", "EigensolverError", "SpectrumSet", "Bubble",
-    "MuGridSpec", "build_mu_grid", "zero_wave", "assemble", "spectrum_at",
-    "full_spectrum", "detect_bubbles", "zero_amplitude_check",
+    "MuGridSpec", "WINDOW_WIDTH", "build_mu_grid", "zero_wave", "assemble",
+    "spectrum_at", "full_spectrum", "detect_bubbles", "zero_amplitude_check",
     "spectrum_to_csv_rows",
 ]
 
 BUBBLE_THRESHOLD = 1e-7
 IM_CLUSTER_GAP = 1e-2
+WINDOW_WIDTH = 5e-3   # half-width of a refinement window in mu
 
 
 class EigensolverError(Exception):
@@ -98,12 +102,12 @@ class Bubble:
 class MuGridSpec:
     """Uniform midpoint-avoiding grid plus optional refinement windows.
 
-    ``windows`` lists mu centers; each gets ``window_width``-wide extra
-    sampling at ``refine_factor`` times the base density.
+    ``windows`` lists mu centers; each gets extra sampling on
+    [center - WINDOW_WIDTH, center + WINDOW_WIDTH] at ``refine_factor``
+    times the base density.
     """
     count: int = 200
     windows: tuple[float, ...] = ()
-    window_width: float = 5e-3
     refine_factor: int = 10
 
 
@@ -114,10 +118,10 @@ def build_mu_grid(spec: MuGridSpec) -> np.ndarray:
     base = -0.5 + (np.arange(spec.count) + 0.5) / spec.count
     parts = [base]
     for center in spec.windows:
-        n_local = max(3, int(round(2 * spec.window_width
+        n_local = max(3, int(round(2 * WINDOW_WIDTH
                                    * spec.refine_factor * spec.count)))
-        local = np.linspace(center - spec.window_width,
-                            center + spec.window_width, n_local)
+        local = np.linspace(center - WINDOW_WIDTH, center + WINDOW_WIDTH,
+                            n_local)
         parts.append(local[(local > -0.5) & (local < 0.5)])
     grid = np.unique(np.concatenate(parts))
     return grid
@@ -228,20 +232,15 @@ def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-def zero_amplitude_check(model: ModelSpec, c: float, mu_samples, M: int,
-                         reference_model: ModelSpec | None = None) -> float:
+def zero_amplitude_check(model: ModelSpec, c: float, mu_samples,
+                         M: int) -> float:
     """Max Hausdorff distance, over mu samples, between the Hill spectrum of
-    the zero wave and the closed-form eigenvalue set.
-
-    ``reference_model`` defaults to ``model``; passing a different model
-    measures the effect of a perturbed assembly (fault injection).
-    """
-    ref = reference_model or model
+    the zero wave and the closed-form eigenvalue set."""
     wave = zero_wave(model, c)
     worst = 0.0
     for mu in mu_samples:
         computed = spectrum_at(model, wave, float(mu), M)
         exact = np.array([lam for _, lam in
-                          spectrum_slice(ref, c, float(mu), range(-M, M + 1))])
+                          spectrum_slice(model, c, float(mu), range(-M, M + 1))])
         worst = max(worst, _hausdorff(computed, exact))
     return worst

@@ -26,7 +26,7 @@ from .collisions import (CollisionEvent, CollisionOptions, find_collisions,
 
 __all__ = [
     "SignatureError", "EigenvectorNotFoundError", "EigenMode", "AnalysisReport",
-    "eigenmode", "signature", "signature_product", "run_pipeline",
+    "eigenmode", "signature", "signature_product", "classify", "run_pipeline",
     "OVERALL_POSSIBLE", "OVERALL_EXCLUDED",
 ]
 
@@ -118,18 +118,9 @@ def signature_product(model: ModelSpec, event: CollisionEvent, c: float) -> floa
             * signature(model, eigenmode(model, event.idx2, c), c))
 
 
-def run_pipeline(model: ModelSpec, N: int = 1, n_max: int = 10,
-                 opts: CollisionOptions | None = None,
-                 branch: int = 1) -> AnalysisReport:
-    """Run the six-step necessary-condition test and return the report.
-
-    Speed comes from the branch-`branch` bifurcation at harmonic N; every
-    non-origin collision gets a signature verdict; the overall verdict is
-    'HF-instability-possible' iff at least one event is 'potential-instability'.
-    """
-    validate_dispersive(model)
-    c = bifurcation_speed(model, branch, N)
-    events = find_collisions(model, c, n_max, opts)
+def classify(model: ModelSpec, events: list[CollisionEvent], c: float) -> None:
+    """Set each event's signature product and verdict, in place; an origin
+    event gets product 0 and draws no conclusion."""
     for e in events:
         if e.at_origin:
             e.signature_product = 0.0
@@ -143,6 +134,21 @@ def run_pipeline(model: ModelSpec, N: int = 1, n_max: int = 10,
             e.verdict = VERDICT_INDETERMINATE
         else:
             e.verdict = VERDICT_NONE
+
+
+def run_pipeline(model: ModelSpec, N: int = 1, n_max: int = 10,
+                 opts: CollisionOptions | None = None,
+                 branch: int = 1) -> AnalysisReport:
+    """Run the six-step necessary-condition test and return the report.
+
+    Speed comes from the branch-`branch` bifurcation at harmonic N; every
+    non-origin collision gets a signature verdict; the overall verdict is
+    'HF-instability-possible' iff at least one event is 'potential-instability'.
+    """
+    validate_dispersive(model)
+    c = bifurcation_speed(model, branch, N)
+    events = find_collisions(model, c, n_max, opts)
+    classify(model, events, c)
 
     n_potential = sum(e.verdict == VERDICT_POTENTIAL for e in events)
     counts = {

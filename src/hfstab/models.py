@@ -31,9 +31,9 @@ __all__ = [
     "ModelError", "ModelNotDispersiveError", "UnknownModelError",
     "ModeIndex", "DispersionBranch", "ModelSpec", "TravelingWave",
     "BUILTIN_MODELS", "make_model", "model_from_config",
-    "eval_omega", "eval_Omega", "bifurcation_speed",
-    "zero_amp_eigenvalue", "spectrum_slice", "validate_dispersive",
-    "normalize_mode", "Linearization", "TruncationWarning",
+    "eval_omega", "eval_Omega", "bifurcation_speed", "spectrum_slice",
+    "validate_dispersive", "normalize_mode", "Linearization",
+    "TruncationWarning",
 ]
 
 SCALAR = "scalar"
@@ -246,11 +246,6 @@ def bifurcation_speed(model: ModelSpec, l: int, N: int) -> float:
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N!r}")
     return eval_omega(model, l, N) / N
-
-
-def zero_amp_eigenvalue(model: ModelSpec, idx: ModeIndex, c: float) -> complex:
-    """Zero-amplitude stability eigenvalue -i*Omega_l(n + mu)."""
-    return -1j * eval_Omega(model, idx.l, idx.k, c)
 
 
 def spectrum_slice(model: ModelSpec, c: float, mu: float,

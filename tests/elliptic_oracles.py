@@ -1,9 +1,13 @@
 """Complete elliptic integrals, Jacobi elliptic functions, and the exact
-cnoidal/snoidal traveling waves of the KdV and mKdV equations.
+cnoidal/snoidal traveling waves of the KdV and mKdV equations, kept as
+test oracles for the Newton waves of ``hfstab.waves`` and the Hill spectra
+of ``hfstab.hill``.
 
 K(kappa) uses the arithmetic-geometric mean; sn/cn/dn use the descending
 Landen transformation seeded by the same AGM sequence, which is uniformly
-accurate without external dependencies.
+accurate without external dependencies.  The waves are sampled and cut to
+cosine coefficients here, not by ``hfstab.waves``, so the oracle stays
+independent of the code it checks.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import math
 
 import numpy as np
 
-from .models import TravelingWave
+from hfstab.models import TravelingWave
 
 __all__ = [
     "elliptic_K", "jacobi_sn", "jacobi_cn", "jacobi_dn",

@@ -10,14 +10,14 @@ import pytest
 from hfstab import dsl, hill
 from hfstab.collisions import find_collisions
 from hfstab.dsl import parse, to_source
-from hfstab.elliptic import (elliptic_K, jacobi_cn, jacobi_dn, jacobi_sn,
-                             kdv_cnoidal, mkdv_cn_wave, mkdv_sn_wave)
 from hfstab.krein import eigenmode, signature, signature_product
 from hfstab.models import (BUILTIN_MODELS, bifurcation_speed, eval_Omega,
                            eval_omega, make_model)
 from hfstab.waves import (bw_flat_state_analysis, solve_wave_collocation,
                           wave_residual)
 
+from elliptic_oracles import (elliptic_K, jacobi_cn, jacobi_dn, jacobi_sn,
+                              kdv_cnoidal, mkdv_cn_wave, mkdv_sn_wave)
 from signature_oracles import bw_signature, canonical_products, scalar_opposite
 from test_dsl import random_tree
 

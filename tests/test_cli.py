@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -78,6 +79,25 @@ class TestCollide:
         assert json.loads(out)["model"] == "custom-scalar"
 
 
+    @pytest.mark.parametrize("model", ["water-waves", "water-waves-deep",
+                                       "sine-gordon", "boussinesq-whitham",
+                                       "fifth-order-scalar"])
+    def test_events_match_analyze(self, capsys, model):
+        # collide signs its events as analyze does, and neither report
+        # writes the origin event's lambda_im as -0
+        reports = {}
+        for command in ("analyze", "collide"):
+            code, out, _ = run(capsys, command, "--model", model,
+                               "--n-max", "5")
+            assert code == 0
+            assert not re.search(r"-0(?![.\de])", out)
+            reports[command] = json.loads(out)
+        events = reports["collide"]["events"]
+        assert events == reports["analyze"]["events"]
+        assert all(e["signature_product"] is not None for e in events)
+        assert any(not e["at_origin"] for e in events)
+
+
 class TestConfigErrors:
     def test_unknown_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -112,6 +132,11 @@ class TestConfigErrors:
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 
+    @pytest.mark.parametrize("flag", ["--refine", "--no-refine"])
+    def test_refine_flags_are_gone(self, capsys, flag):
+        # refinement around predicted collisions is always on
+        assert run(capsys, "spectrum", "--model", "kdv", flag)[0] == 2
+
     @pytest.mark.parametrize("config, message", [
         ({"model": "water-waves", "n_max": 10,
           "collision": {"grid_points": -4}}, "grid_points"),
@@ -141,6 +166,8 @@ class TestConfigErrors:
         ({"model": {"kind": "noncanonical-bw", "omega1": "k",
                     "c_squared": 1}}, "'c_squared' must be an expression string"),
         ({"model": "kdv", "wave": {"amplitude": math.nan}}, "wave.amplitude"),
+        # refinement around predicted collisions is always on
+        ({"model": "kdv", "hill": {"refine": False}}, "'refine'"),
     ])
     def test_malformed_config_is_a_configuration_error(self, capsys, tmp_path,
                                                        config, message):
@@ -211,7 +238,7 @@ class TestSpectrum:
         out_path = tmp_path / "spec.csv"
         code, _, _ = run(capsys, "spectrum", "--model", "kdv",
                          "--n-max", "3", "--mu-count", "16", "--M", "8",
-                         "--no-refine", "--out", str(out_path))
+                         "--out", str(out_path))
         assert code == 0
         lines = out_path.read_text().splitlines()
         assert lines[0] == "mu,re_lambda,im_lambda"
@@ -227,7 +254,7 @@ class TestSpectrum:
         out_path = tmp_path / "spec.csv"
         code, _, _ = run(capsys, "spectrum", "--model", "whitham",
                          "--wave", str(wave_path), "--n-max", "3",
-                         "--mu-count", "12", "--M", "16", "--no-refine",
+                         "--mu-count", "12", "--M", "16",
                          "--out", str(out_path))
         assert code == 0
         report = json.loads((tmp_path / "spec.csv.bubbles.json").read_text())
@@ -241,7 +268,7 @@ class TestSpectrum:
         out_path = tmp_path / "spec.csv"
         code, _, _ = run(capsys, "spectrum", "--model", "kdv",
                          "--wave", str(wave_path), "--n-max", "3",
-                         "--mu-count", "4", "--M", "8", "--no-refine",
+                         "--mu-count", "4", "--M", "8",
                          "--out", str(out_path))
         assert code == 0
         report = json.loads((tmp_path / "spec.csv.bubbles.json").read_text())
@@ -259,7 +286,7 @@ class TestSpectrum:
         wave_path.write_text(json.dumps(data))
         code, _, err = run(capsys, "spectrum", "--model", "kdv",
                            "--wave", str(wave_path), "--n-max", "3",
-                           "--mu-count", "2", "--M", "4", "--no-refine")
+                           "--mu-count", "2", "--M", "4")
         assert code == 2
         assert "configuration error" in err and f"wave {key}" in err
 
@@ -334,7 +361,7 @@ class TestSpectrum:
             out_path = tmp_path / f"spec_{tag}.csv"
             code, _, _ = run(capsys, "spectrum", "--model", "kdv",
                              "--n-max", "3", "--mu-count", "12", "--M", "8",
-                             "--no-refine", "--out", str(out_path))
+                             "--out", str(out_path))
             assert code == 0
             paths.append(out_path)
         assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -6,10 +6,11 @@ import random
 import numpy as np
 import pytest
 
-from hfstab.elliptic import (elliptic_K, jacobi_cn, jacobi_dn, jacobi_sn,
-                             kdv_cnoidal, mkdv_cn_wave, mkdv_sn_wave)
 from hfstab.models import make_model
 from hfstab.waves import wave_residual
+
+from elliptic_oracles import (elliptic_K, jacobi_cn, jacobi_dn, jacobi_sn,
+                              kdv_cnoidal, mkdv_cn_wave, mkdv_sn_wave)
 
 
 def quad_K(kappa: float) -> float:

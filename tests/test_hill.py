@@ -8,12 +8,12 @@ import pytest
 
 from hfstab import hill
 from hfstab.collisions import find_collisions
-from hfstab.elliptic import kdv_cnoidal
 from hfstab.models import (BUILTIN_MODELS, ModelError, TravelingWave,
                            bifurcation_speed, eval_Omega, make_model,
-                           model_from_config)
+                           model_from_config, spectrum_slice)
 from hfstab.waves import solve_wave_collocation, stokes_wave
 
+from elliptic_oracles import kdv_cnoidal
 from signature_oracles import J_CANONICAL, canonical_hessian
 
 
@@ -44,7 +44,7 @@ class TestMuGrid:
         refined = hill.build_mu_grid(
             hill.MuGridSpec(count=64, windows=(0.21,), refine_factor=100))
         assert refined.size > base.size
-        width = hill.MuGridSpec().window_width
+        width = hill.WINDOW_WIDTH
         inside = refined[(refined > 0.21 - width) & (refined < 0.21 + width)]
         assert inside.size >= 3
 
@@ -268,8 +268,16 @@ class TestZeroAmplitudeConsistency:
             {"kind": "scalar", "omega1": f"k^3+{delta}*k",
              "params": {"sigma": 1.0}})
         clean = hill.zero_amplitude_check(model, -1.0, self.MUS, 12)
-        faulty = hill.zero_amplitude_check(model, -1.0, self.MUS, 12,
-                                           reference_model=perturbed)
+        # the same distance, measured against a perturbed closed form
+        wave = hill.zero_wave(model, -1.0)
+        faulty = 0.0
+        for mu in self.MUS:
+            computed = hill.spectrum_at(model, wave, mu, 12)
+            exact = np.array([lam for _, lam in
+                              spectrum_slice(perturbed, -1.0, mu,
+                                             range(-12, 13))])
+            d = np.abs(computed[:, None] - exact[None, :])
+            faulty = max(faulty, d.min(axis=1).max(), d.min(axis=0).max())
         assert clean <= 1e-12
         assert faulty >= delta / 2.0
 

@@ -11,8 +11,7 @@ from hfstab.models import (BUILTIN_MODELS, ModeIndex, ModelError,
                            ModelNotDispersiveError, UnknownModelError,
                            bifurcation_speed, eval_Omega, eval_omega,
                            make_model, model_from_config, normalize_mode,
-                           spectrum_slice, validate_dispersive,
-                           zero_amp_eigenvalue)
+                           spectrum_slice, validate_dispersive)
 
 
 class TestCatalog:
@@ -79,7 +78,7 @@ class TestDispersion:
     def test_zero_amp_eigenvalue_is_imaginary(self):
         model = make_model("kdv")
         c = bifurcation_speed(model, 1, 1)
-        lam = zero_amp_eigenvalue(model, ModeIndex(2, 0.25), c)
+        lam = dict(spectrum_slice(model, c, 0.25, [2]))[ModeIndex(2, 0.25)]
         assert lam.real == 0.0
         assert lam.imag == pytest.approx(-eval_Omega(model, 1, 2.25, c))
 

@@ -30,13 +30,6 @@ def test_screen_models(tmp_path):
     assert rows["kdv"] == ["0", "0", "HF-instability-excluded"]
 
 
-def test_depth_trace(tmp_path):
-    lines = run_script(tmp_path, "depth_trace.py", "--points", "3",
-                       "--out", "depth.csv")
-    assert lines == ["wrote 3 rows to depth.csv"]
-    assert len((tmp_path / "depth.csv").read_text().splitlines()) == 4
-
-
 def test_fifth_order_bubbles(tmp_path):
     lines = run_script(tmp_path, "fifth_order_bubbles.py", "--mu-count", "50",
                        "--refine-factor", "150", "--out", "spec.csv")
@@ -46,3 +39,10 @@ def test_fifth_order_bubbles(tmp_path):
     assert centers == [pytest.approx(-0.2278, abs=1e-4),
                        pytest.approx(0.2278, abs=1e-4)]
     assert (tmp_path / "spec.csv.bubbles.json").exists()
+
+
+def test_every_script_has_a_smoke_case():
+    # scripts/NAME.py is covered by test_NAME above
+    scripts = {path.stem for path in (ROOT / "scripts").glob("*.py")}
+    missing = sorted(s for s in scripts if f"test_{s}" not in globals())
+    assert not missing, f"scripts without a smoke test: {missing}"

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from hfstab.elliptic import kdv_cnoidal
 from hfstab.models import ModelError, bifurcation_speed, make_model
 from hfstab.waves import (ModesInsufficientError, ResonanceError,
                           bw_flat_state_analysis, solve_wave_collocation,
                           stokes_wave, wave_residual)
+
+from elliptic_oracles import kdv_cnoidal
 
 
 class TestStokes:
