@@ -6,6 +6,13 @@ collisions, Krein signatures, and a Fourier-Floquet-Hill verification of
 the predictions on numerically constructed small-amplitude waves.
 """
 
+import os
+
+# Hill spectra are hundreds of small eigensolves (N ~ 130), which a second
+# OpenBLAS thread slows down.  OpenBLAS reads this when numpy loads, so it
+# is set before any numpy import; a value the caller set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .models import (ModelSpec, ModeIndex, DispersionBranch, TravelingWave,
                      BUILTIN_MODELS, make_model, model_from_config,
                      eval_omega, eval_Omega, bifurcation_speed,

@@ -11,7 +11,8 @@ on mu, so a spectrum builds it once per wave.
 
 Hill matrices are built and solved in real arithmetic: L = i·P R P^-1 with
 R real (``Linearization.real_matrix``), so lambda = i*rho for the
-eigenvalues rho of R, and axis eigenvalues have Re exactly 0.
+eigenvalues rho of R, and axis eigenvalues have Re exactly 0.  The solves are
+too small to gain from BLAS threads, so ``import hfstab`` asks for one.
 
 The mu grid is uniform plus a fixed-width window around each predicted
 collision mu (``MuGridSpec.windows``), sampled ``refine_factor`` times
@@ -174,10 +175,10 @@ def full_spectrum(model: ModelSpec, wave: TravelingWave,
                        slices=slices)
 
 
-def spectrum_to_csv_rows(spectrum: SpectrumSet) -> list[tuple[float, float, float]]:
-    """Rows (mu, re_lambda, im_lambda) in deterministic order."""
-    return [(mu, lam.real, lam.imag) for mu, vals in spectrum.slices
-            for lam in vals.tolist()]
+def spectrum_to_csv_rows(spectrum: SpectrumSet) -> np.ndarray:
+    """A (rows, 3) array of (mu, re_lambda, im_lambda) in slice order."""
+    mus, lams = spectrum.all_points()
+    return np.column_stack([mus, lams.real, lams.imag])
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = ["format_float", "json_dumps", "csv_lines"]
 
 
@@ -71,16 +73,15 @@ def json_dumps(obj, indent: int = 2) -> str:
 
 
 def csv_lines(header: list[str], rows) -> str:
-    """CSV text; numeric cells use the 17-significant-digit format."""
+    """CSV text of a 2-D array or equally typed rows; the first row's cell
+    types fix the format (floats 17 significant digits, other cells str)."""
+    table = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
     lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, bool) or isinstance(v, int):
-                cells.append(str(v))
-            elif isinstance(v, float):
-                cells.append(format_float(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+    if len(table):
+        is_float = [isinstance(v, float) for v in table[0]]
+        floats = table[:, is_float].astype(float, copy=False)
+        if not np.isfinite(floats).all():
+            format_float(float(floats[~np.isfinite(floats)][0]))   # raises
+        fmt = ",".join("%.17g" if f else "%s" for f in is_float)
+        lines.append("\n".join([fmt] * len(table)) % tuple(table.ravel().tolist()))
     return "\n".join(lines) + "\n"

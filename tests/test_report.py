@@ -1,0 +1,113 @@
+"""CSV emission: the array path of ``report.csv_lines`` against the per-cell
+formatter it replaced, on the rows of all three CSV writers."""
+
+import numpy as np
+import pytest
+
+from hfstab import hill
+from hfstab.collisions import secant_curve_data, trace_first_collision_vs_depth
+from hfstab.models import bifurcation_speed, make_model
+from hfstab.report import csv_lines, format_float
+
+EDGE = [-0.0, 5e-324, 1e308, 0.1, -1e308, -5e-324, 1.0, 2.0 ** -1074 * 3]
+
+
+def per_cell_csv_lines(header, rows):
+    """Reference: the former emitter, one cell at a time."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = []
+        for v in row:
+            if isinstance(v, bool) or isinstance(v, int):
+                cells.append(str(v))
+            elif isinstance(v, float):
+                cells.append(format_float(v))
+            else:
+                cells.append(str(v))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def per_point_rows(spectrum):
+    """Reference: the former ``spectrum_to_csv_rows``, one tuple per point."""
+    return [(mu, lam.real, lam.imag) for mu, vals in spectrum.slices
+            for lam in vals.tolist()]
+
+
+@pytest.fixture(scope="module")
+def spectrum():
+    model = make_model("fifth-order-scalar")
+    c = bifurcation_speed(model, 1, 1)
+    return hill.full_spectrum(model, hill.zero_wave(model, c),
+                              [-0.4, -0.0, 0.1, 0.45], 6)
+
+
+def test_spectrum_rows(spectrum):
+    header = ["mu", "re_lambda", "im_lambda"]
+    rows = hill.spectrum_to_csv_rows(spectrum)
+    assert rows.shape == (4 * 13, 3)
+    assert csv_lines(header, rows) == per_cell_csv_lines(
+        header, per_point_rows(spectrum))
+
+
+def test_edge_floats_in_an_array():
+    rows = np.array(EDGE).reshape(-1, 2)
+    assert csv_lines(["a", "b"], rows) == per_cell_csv_lines(
+        ["a", "b"], [tuple(r) for r in rows.tolist()])
+    assert "-0,4.9406564584124654e-324" in csv_lines(["a", "b"], rows)
+
+
+def test_curves_rows_keep_integer_cells():
+    model = make_model("gkdv")
+    c = bifurcation_speed(model, 1, 1)
+    header = ["l", "n", "k", "Omega"]
+    rows = secant_curve_data(model, c, range(-3, 4), np.linspace(-0.5, 0.5, 9))
+    rows += [(1, -2, x, y) for x, y in zip(EDGE[::2], EDGE[1::2])]
+    text = csv_lines(header, rows)
+    assert text == per_cell_csv_lines(header, rows)
+    assert text.splitlines()[1].startswith("1,-3,-0.5,")
+
+
+def test_depth_rows():
+    header = ["h", "im_lambda"]
+    rows = trace_first_collision_vs_depth(1.0, [0.5, 1.0, 4.0])
+    rows += list(zip(EDGE[::2], EDGE[1::2]))
+    assert csv_lines(header, rows) == per_cell_csv_lines(header, rows)
+
+
+def test_bool_and_string_cells_use_str():
+    rows = [(True, "x", 0.1, 3), (False, "y z", -0.0, -4)]
+    text = csv_lines(["b", "s", "f", "i"], rows)
+    assert text == per_cell_csv_lines(["b", "s", "f", "i"], rows)
+    assert text.splitlines()[1] == "True,x,0.10000000000000001,3"
+
+
+@pytest.mark.parametrize("rows", [[], np.empty((0, 3))])
+def test_empty_rows_give_the_header_only(rows):
+    assert csv_lines(["mu", "re_lambda", "im_lambda"], rows) == \
+        "mu,re_lambda,im_lambda\n"
+
+
+def test_empty_spectrum_has_no_rows():
+    empty = hill.SpectrumSet(model="m", M=1, amplitude=0.0)
+    assert hill.spectrum_to_csv_rows(empty).shape == (0, 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_non_finite_float_raises(bad, column):
+    rows = [[0.5, -0.25, 1.0], [0.1, 0.2, 0.3]]
+    rows[1][column] = bad
+    with pytest.raises(ValueError) as expected:
+        per_cell_csv_lines(["a", "b", "c"], rows)
+    for table in (rows, np.array(rows)):
+        with pytest.raises(ValueError) as got:
+            csv_lines(["a", "b", "c"], table)
+        assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_float_raises_beside_integer_cells(bad):
+    rows = [(1, 2, 0.5, 0.25), (1, 3, 0.5, bad)]
+    with pytest.raises(ValueError, match="non-finite"):
+        csv_lines(["l", "n", "k", "Omega"], rows)
