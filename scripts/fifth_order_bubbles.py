@@ -15,8 +15,8 @@ import argparse
 import sys
 
 from hfstab import hill
-from hfstab.collisions import find_collisions, mirror_events
-from hfstab.krein import classify
+from hfstab.collisions import mirror_events
+from hfstab.krein import screen
 from hfstab.models import bifurcation_speed, make_model
 from hfstab.report import csv_lines, json_dumps
 from hfstab.waves import solve_wave_collocation
@@ -38,8 +38,7 @@ def main() -> int:
     model = make_model("fifth-order-scalar",
                        {"alpha": args.alpha, "beta": args.beta})
     c0 = bifurcation_speed(model, 1, 1)
-    events = [e for e in find_collisions(model, c0, 3) if not e.at_origin]
-    classify(model, events, c0)
+    events = [e for e in screen(model, c0, 3) if not e.at_origin]
     print(f"speed c0 = {c0:.6f}; {len(events)} non-origin collisions:")
     for e in events:
         tag = "opposite" if e.signature_product < 0 else "same"

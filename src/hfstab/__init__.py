@@ -23,7 +23,7 @@ from .collisions import (CollisionOptions, CollisionEvent, find_collisions,
                          collision_residual, mirror_events,
                          secant_curve_data, trace_first_collision_vs_depth,
                          NoCollisionFoundError)
-from .krein import (run_pipeline, classify, AnalysisReport,
+from .krein import (run_pipeline, screen, AnalysisReport,
                     signature_product, signature, eigenmode,
                     OVERALL_POSSIBLE, OVERALL_EXCLUDED)
 from .waves import (stokes_wave, solve_wave_collocation, wave_residual,

@@ -3,7 +3,7 @@
 Commands
 --------
 analyze   run the full necessary-condition pipeline, emit a JSON report
-collide   locate zero-amplitude eigenvalue collisions, emit JSON
+collide   the model, N, speed and signed events of analyze, emit JSON
 wave      construct a traveling wave by Newton continuation, emit JSON
 spectrum  Hill spectrum over a Floquet grid refined around every predicted
           collision, emit CSV plus a bubble report
@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import dsl, hill, krein, waves
-from .collisions import find_collisions, mirror_events, secant_curve_data, \
+from .collisions import mirror_events, secant_curve_data, \
     trace_first_collision_vs_depth, NoCollisionFoundError
 from .config import ConfigError, RunConfig, apply_flags, build_model, \
     load_config
@@ -120,16 +120,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_collide(args) -> int:
     cfg, model = _load(args)
-    c = bifurcation_speed(model, 1, cfg.N)
-    events = find_collisions(model, c, cfg.n_max, cfg.collision)
-    krein.classify(model, events, c)
-    out = {
-        "model": model.name,
-        "N": cfg.N,
-        "speed": c,
-        "events": [e.to_dict() for e in events],
-    }
-    _write(json_dumps(out), cfg.output)
+    report = krein.run_pipeline(model, N=cfg.N, n_max=cfg.n_max,
+                                opts=cfg.collision).to_dict()
+    view = {k: report[k] for k in ("model", "N", "speed", "events")}
+    _write(json_dumps(view), cfg.output)
     return EXIT_OK
 
 
@@ -164,8 +158,7 @@ def cmd_spectrum(args) -> int:
     else:
         wave = _solve_wave(cfg, model, force=False)
 
-    predictions = find_collisions(model, wave.c, cfg.n_max, cfg.collision)
-    krein.classify(model, predictions, wave.c)
+    predictions = krein.screen(model, wave.c, cfg.n_max, cfg.collision)
     windows = sorted({e.mu for e in mirror_events(model, predictions)
                       if not e.at_origin})
     grid = hill.MuGridSpec(count=cfg.hill_mu_count, windows=tuple(windows))

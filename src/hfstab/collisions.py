@@ -13,6 +13,10 @@ all brackets are bisected together.
 
 Tangential (even-multiplicity) roots without a sign change are missed by
 bracketing; the grid-refinement stability test mitigates this.
+
+An event's verdict follows from its Krein signature product p (set by
+``krein.screen``): p < 0 may destabilize, p > 0 cannot, and the origin, an
+unsigned event or |p| <= BORDERLINE_TOL decides nothing.
 """
 
 from __future__ import annotations
@@ -32,11 +36,15 @@ __all__ = [
     "collision_residual", "find_collisions", "mirror_events",
     "secant_curve_data", "trace_first_collision_vs_depth",
     "VERDICT_NONE", "VERDICT_POTENTIAL", "VERDICT_INDETERMINATE",
+    "BORDERLINE_TOL",
 ]
 
 VERDICT_NONE = "no-instability-possible"
 VERDICT_POTENTIAL = "potential-instability"
 VERDICT_INDETERMINATE = "indeterminate-origin"
+
+# signature products with magnitude below this draw no conclusion
+BORDERLINE_TOL = 1e-12
 
 # Grid elements per block of the scan: bounds the size of every temporary
 # array (the grid of Omega values itself is kept whole).
@@ -64,7 +72,8 @@ class CollisionOptions:
 @dataclass
 class CollisionEvent:
     """One solved collision: modes, Floquet exponent, shared eigenvalue.
-    ``signature_product`` and ``verdict`` are set by ``krein.classify``."""
+    ``signature_product`` is set by ``krein.screen`` and ``verdict``
+    follows from it (see the module docstring)."""
     n1: int
     l1: int
     n2: int
@@ -73,7 +82,13 @@ class CollisionEvent:
     lam: complex
     at_origin: bool
     signature_product: float | None = None
-    verdict: str = VERDICT_INDETERMINATE
+
+    @property
+    def verdict(self) -> str:
+        p = self.signature_product
+        if self.at_origin or p is None or abs(p) <= BORDERLINE_TOL:
+            return VERDICT_INDETERMINATE
+        return VERDICT_POTENTIAL if p < 0 else VERDICT_NONE
 
     @property
     def idx1(self) -> ModeIndex:
@@ -246,9 +261,7 @@ def secant_curve_data(model: ModelSpec, c: float, n_values: Sequence[int],
 
 
 def trace_first_collision_vs_depth(g: float, h_grid: Sequence[float],
-                                   n_max: int = 3,
-                                   opts: CollisionOptions | None = None
-                                   ) -> list[tuple[float, float]]:
+                                   n_max: int = 3) -> list[tuple[float, float]]:
     """Im(lambda) of the non-origin water-wave collision closest to the origin,
     per depth h.  Approaches 3/4 as h grows (g = 1)."""
     rows = []
@@ -257,7 +270,7 @@ def trace_first_collision_vs_depth(g: float, h_grid: Sequence[float],
             raise ValueError(f"depth must be positive, got {h!r}")
         model = make_model("water-waves", {"g": g, "h": h})
         c = bifurcation_speed(model, 1, 1)
-        events = [e for e in find_collisions(model, c, n_max, opts)
+        events = [e for e in find_collisions(model, c, n_max)
                   if not e.at_origin and e.lam.imag > 0]
         if not events:
             raise NoCollisionFoundError(

@@ -389,15 +389,18 @@ class OddnessReport:
     max_violation: float
 
 
+ODDNESS_TOL = 1e-10
+
+
 def validate_oddness(ast: Expr, params: Mapping[str, float] | None,
-                     grid: Sequence[float], tol: float = 1e-10) -> OddnessReport:
-    """Check |omega(k) + omega(-k)| <= tol pointwise over a symmetric grid."""
+                     grid: Sequence[float]) -> OddnessReport:
+    """Check |omega(k) + omega(-k)| <= ODDNESS_TOL over a symmetric grid."""
     ks = np.asarray(grid, dtype=float)
     if ks.size == 0:
         raise ValueError("grid must be nonempty")
     plus, minus = evaluate(ast, np.stack([ks, -ks]), params)
     worst = float(np.max(np.abs(plus + minus)))
-    return OddnessReport(is_odd=worst <= tol, max_violation=worst)
+    return OddnessReport(is_odd=worst <= ODDNESS_TOL, max_violation=worst)
 
 
 def compile_symbol(text: str, params: Mapping[str, float] | None = None,

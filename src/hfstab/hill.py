@@ -184,16 +184,16 @@ def spectrum_to_csv_rows(spectrum: SpectrumSet) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Bubble detection
 
-def detect_bubbles(spectrum: SpectrumSet, threshold: float = BUBBLE_THRESHOLD,
+def detect_bubbles(spectrum: SpectrumSet,
                    predictions: list[CollisionEvent] | None = None
                    ) -> list[Bubble]:
-    """Cluster eigenvalues with Re(lambda) > threshold into bubbles.
+    """Cluster eigenvalues with Re(lambda) > BUBBLE_THRESHOLD into bubbles.
 
     Single-linkage clustering with gap 1e-2 in Im(lambda); each bubble is
     linked to the prediction whose collision ordinate is nearest its center.
     """
     mus, lams = spectrum.all_points()
-    mask = lams.real > threshold
+    mask = lams.real > BUBBLE_THRESHOLD
     if not np.any(mask):
         return []
     mus, lams = mus[mask], lams[mask]
@@ -201,6 +201,7 @@ def detect_bubbles(spectrum: SpectrumSet, threshold: float = BUBBLE_THRESHOLD,
     mus, lams = mus[order], lams[order]
     breaks = np.flatnonzero(np.diff(lams.imag) > IM_CLUSTER_GAP)
     bounds = [0, *(breaks + 1), lams.size]
+    non_origin = [e for e in predictions or () if not e.at_origin]
     bubbles = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         chunk_mu, chunk = mus[lo:hi], lams[lo:hi]
@@ -210,15 +211,10 @@ def detect_bubbles(spectrum: SpectrumSet, threshold: float = BUBBLE_THRESHOLD,
             max_growth=float(chunk.real.max()),
             mu_support=(float(chunk_mu.min()), float(chunk_mu.max())),
             im_support=(float(chunk.imag.min()), float(chunk.imag.max())))
-        if predictions:
-            non_origin = [e for e in predictions if not e.at_origin]
-            if non_origin:
-                best = min(non_origin,
-                           key=lambda e: abs(abs(e.lam.imag)
-                                             - abs(bubble.center.imag)))
-                bubble.nearest_event = best
-                bubble.event_distance = abs(abs(best.lam.imag)
-                                            - abs(bubble.center.imag))
+        if non_origin:
+            dist = lambda e: abs(abs(e.lam.imag) - abs(bubble.center.imag))
+            bubble.nearest_event = min(non_origin, key=dist)
+            bubble.event_distance = dist(bubble.nearest_event)
         bubbles.append(bubble)
     return bubbles
 

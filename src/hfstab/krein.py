@@ -7,7 +7,8 @@ the sign of wᵀS_R(k)w (J(k)S(k) has the eigenvector P·w for lambda = i*rho).
 Opposite signatures at a collision are necessary for the pair to leave the
 imaginary axis, so the pipeline verdict deliberately says only
 ``HF-instability-possible`` or ``HF-instability-excluded``: the condition
-is necessary, not sufficient.
+is necessary, not sufficient.  ``screen``, the one path to signed events,
+checks the dispersion relation, finds the collisions and signs them.
 
 Eigenvectors are null vectors of the real 2x2 block R(k) - rho (w = [1]
 for scalar models); no numerical eigensolver enters this path.
@@ -22,19 +23,19 @@ import numpy as np
 from .models import (ModelSpec, ModeIndex, Linearization, eval_Omega,
                      bifurcation_speed, validate_dispersive, spectrum_slice)
 from .collisions import (CollisionEvent, CollisionOptions, find_collisions,
-                         VERDICT_NONE, VERDICT_POTENTIAL, VERDICT_INDETERMINATE)
+                         VERDICT_POTENTIAL)
 
 __all__ = [
     "SignatureError", "EigenvectorNotFoundError", "EigenMode", "AnalysisReport",
-    "eigenmode", "signature", "signature_product", "classify", "run_pipeline",
+    "eigenmode", "signature", "signature_product", "screen", "run_pipeline",
     "OVERALL_POSSIBLE", "OVERALL_EXCLUDED",
 ]
 
 OVERALL_POSSIBLE = "HF-instability-possible"
 OVERALL_EXCLUDED = "HF-instability-excluded"
 
-# signature products with magnitude below this draw no conclusion
-BORDERLINE_TOL = 1e-12
+# a 2x2 block whose null vector is below this (relative) is degenerate
+EIGENVECTOR_TOL = 1e-10
 
 
 class SignatureError(Exception):
@@ -55,10 +56,10 @@ class EigenMode:
 
 @dataclass
 class AnalysisReport:
-    """Result of the six-step pipeline for one model, branch, and harmonic N."""
+    """Result of the six-step pipeline for one model and harmonic N; the
+    speed is that of the branch-1 bifurcation."""
     model: str
     N: int
-    branch: int
     speed: float
     events: list[CollisionEvent]
     overall: str
@@ -69,7 +70,7 @@ class AnalysisReport:
         return {
             "model": self.model,
             "N": self.N,
-            "branch": self.branch,
+            "branch": 1,
             "speed": self.speed,
             "events": [e.to_dict() for e in self.events],
             "overall": self.overall,
@@ -81,8 +82,7 @@ class AnalysisReport:
 # --------------------------------------------------------------------------
 # Eigenvectors and signatures
 
-def eigenmode(model: ModelSpec, idx: ModeIndex, c: float,
-              tol: float = 1e-10) -> EigenMode:
+def eigenmode(model: ModelSpec, idx: ModeIndex, c: float) -> EigenMode:
     """Real unit eigenvector of the mode's block R(k) for rho = -Omega_l(k)."""
     op = Linearization(model, c)
     Omega = eval_Omega(model, idx.l, idx.k, c)
@@ -95,11 +95,12 @@ def eigenmode(model: ModelSpec, idx: ModeIndex, c: float,
     w1 = np.array([T[1, 1], -T[1, 0]])
     w = w0 if np.linalg.norm(w0) >= np.linalg.norm(w1) else w1
     scale = max(np.linalg.norm(T), 1.0)
-    if np.linalg.norm(w) <= tol * scale:
+    if np.linalg.norm(w) <= EIGENVECTOR_TOL * scale:
         raise EigenvectorNotFoundError(
-            f"no eigenvector within tolerance at {idx} (block is {tol:g}-degenerate)")
+            f"no eigenvector within tolerance at {idx} "
+            f"(block is {EIGENVECTOR_TOL:g}-degenerate)")
     w = w / np.linalg.norm(w)
-    if np.linalg.norm(T @ w) > tol * scale:
+    if np.linalg.norm(T @ w) > EIGENVECTOR_TOL * scale:
         raise EigenvectorNotFoundError(
             f"lambda = {lam!r} is not an eigenvalue of the block at {idx}")
     return EigenMode(idx, lam, w)
@@ -118,37 +119,28 @@ def signature_product(model: ModelSpec, event: CollisionEvent, c: float) -> floa
             * signature(model, eigenmode(model, event.idx2, c), c))
 
 
-def classify(model: ModelSpec, events: list[CollisionEvent], c: float) -> None:
-    """Set each event's signature product and verdict, in place; an origin
-    event gets product 0 and draws no conclusion."""
+def screen(model: ModelSpec, c: float, n_max: int,
+           opts: CollisionOptions | None = None) -> list[CollisionEvent]:
+    """Check the dispersion relation, find the collisions at speed c for
+    |n| <= n_max and sign each one; an origin event gets product 0."""
+    validate_dispersive(model)
+    events = find_collisions(model, c, n_max, opts)
     for e in events:
-        if e.at_origin:
-            e.signature_product = 0.0
-            e.verdict = VERDICT_INDETERMINATE
-            continue
-        p = signature_product(model, e, c)
-        e.signature_product = p
-        if p < -BORDERLINE_TOL:
-            e.verdict = VERDICT_POTENTIAL
-        elif abs(p) <= BORDERLINE_TOL:
-            e.verdict = VERDICT_INDETERMINATE
-        else:
-            e.verdict = VERDICT_NONE
+        e.signature_product = (0.0 if e.at_origin
+                               else signature_product(model, e, c))
+    return events
 
 
 def run_pipeline(model: ModelSpec, N: int = 1, n_max: int = 10,
-                 opts: CollisionOptions | None = None,
-                 branch: int = 1) -> AnalysisReport:
+                 opts: CollisionOptions | None = None) -> AnalysisReport:
     """Run the six-step necessary-condition test and return the report.
 
-    Speed comes from the branch-`branch` bifurcation at harmonic N; every
-    non-origin collision gets a signature verdict; the overall verdict is
-    'HF-instability-possible' iff at least one event is 'potential-instability'.
+    Speed comes from the branch-1 bifurcation at harmonic N; the overall
+    verdict is 'HF-instability-possible' iff at least one event is
+    'potential-instability'.
     """
-    validate_dispersive(model)
-    c = bifurcation_speed(model, branch, N)
-    events = find_collisions(model, c, n_max, opts)
-    classify(model, events, c)
+    c = bifurcation_speed(model, 1, N)
+    events = screen(model, c, n_max, opts)
 
     n_potential = sum(e.verdict == VERDICT_POTENTIAL for e in events)
     counts = {
@@ -165,6 +157,6 @@ def run_pipeline(model: ModelSpec, N: int = 1, n_max: int = 10,
         "max_abs_re_lambda": max(abs(lam.real) for _, lam in diag_slice),
     }
     overall = OVERALL_POSSIBLE if n_potential else OVERALL_EXCLUDED
-    return AnalysisReport(model=model.name, N=N, branch=branch, speed=c,
+    return AnalysisReport(model=model.name, N=N, speed=c,
                           events=events, overall=overall, counts=counts,
                           diagnostics=diagnostics)

@@ -261,16 +261,17 @@ def spectrum_slice(model: ModelSpec, c: float, mu: float,
     return out
 
 
-def validate_dispersive(model: ModelSpec, grid: Sequence[float] | None = None,
-                        tol: float = 1e-10) -> None:
+_DISPERSIVE_GRID = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.5, 5.0, 10.0, 25.0])
+_DISPERSIVE_TOL = 1e-10
+
+
+def validate_dispersive(model: ModelSpec) -> None:
     """Sanity-check branch reality/parity claims on a sample grid.
 
     Raises ModelNotDispersiveError when a branch returns a non-finite value,
     a branch declared odd is not, or an even system fails omega1 + omega2 = 0.
     """
-    if grid is None:
-        grid = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.5, 5.0, 10.0, 25.0]
-    ks = np.asarray(grid, dtype=float)
+    ks, tol = _DISPERSIVE_GRID, _DISPERSIVE_TOL
     w = {b.index: eval_omega(model, b.index, np.stack([ks, -ks]))
          for b in model.branches}
     for b in model.branches:
@@ -619,19 +620,16 @@ def model_from_config(spec: Mapping) -> ModelSpec:
             sigma=params.get("sigma", 1.0))
 
     if kind == CANONICAL:
-        omega2 = lambda k: -omega1(k)
         if "omega2" in spec:
-            omega2 = dsl.compile_symbol(spec["omega2"], params)
-            _require_match(omega2, lambda k: -omega1(k),
+            _require_match(dsl.compile_symbol(spec["omega2"], params),
+                           lambda k: -omega1(k),
                            "custom canonical models have B(k) = 1 and C(k) = "
                            "omega1(k)^2, whose branches are +-omega1: "
                            "'omega2' must equal -omega1")
-        return ModelSpec(
-            name="custom-canonical", kind=CANONICAL,
-            branches=(DispersionBranch(1, omega1, "general"),
-                      DispersionBranch(2, omega2, "general")),
-            params=params, even_system=True, b_symbol=_constant(1.0),
-            c_symbol=_symbol(lambda k: omega1(k) ** 2))
+        return _canonical_even("custom-canonical", params, omega1,
+                               b_symbol=_constant(1.0),
+                               c_symbol=_symbol(lambda k: omega1(k) ** 2),
+                               parity="general")
 
     # noncanonical-bw
     if "c_squared" not in spec:

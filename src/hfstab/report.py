@@ -34,9 +34,9 @@ def _escape(s: str) -> str:
     return "".join(out)
 
 
-def _emit(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * (level + 1))
-    close = " " * (indent * level)
+def _emit(obj, level: int) -> str:
+    pad = "  " * (level + 1)
+    close = "  " * level
     if obj is None:
         return "null"
     if obj is True:
@@ -52,24 +52,24 @@ def _emit(obj, indent: int, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [pad + _emit(v, indent, level + 1) for v in obj]
+        items = [pad + _emit(v, level + 1) for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + close + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [pad + _escape(str(k)) + ": " + _emit(v, indent, level + 1)
+        items = [pad + _escape(str(k)) + ": " + _emit(v, level + 1)
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + close + "}"
     if hasattr(obj, "to_dict"):
-        return _emit(obj.to_dict(), indent, level)
+        return _emit(obj.to_dict(), level)
     if isinstance(obj, complex):
-        return _emit({"re": obj.real, "im": obj.imag}, indent, level)
+        return _emit({"re": obj.real, "im": obj.imag}, level)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def json_dumps(obj, indent: int = 2) -> str:
+def json_dumps(obj) -> str:
     """JSON text with 17-significant-digit floats and trailing newline."""
-    return _emit(obj, indent, 0) + "\n"
+    return _emit(obj, 0) + "\n"
 
 
 def csv_lines(header: list[str], rows) -> str:

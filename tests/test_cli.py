@@ -79,21 +79,36 @@ class TestCollide:
         assert json.loads(out)["model"] == "custom-scalar"
 
 
-    @pytest.mark.parametrize("model", ["water-waves", "water-waves-deep",
-                                       "sine-gordon", "boussinesq-whitham",
-                                       "fifth-order-scalar"])
-    def test_events_match_analyze(self, capsys, model):
-        # collide signs its events as analyze does, and neither report
-        # writes the origin event's lambda_im as -0
+    @pytest.mark.parametrize("model", [
+        "water-waves", "water-waves-deep", "sine-gordon", "boussinesq-whitham",
+        "fifth-order-scalar",
+        # declared odd (scalar) but k^2 + k is not: analyze refuses it
+        pytest.param({"kind": "scalar", "omega1": "k^2+k"},
+                     id="non-dispersive"),
+    ])
+    def test_events_match_analyze(self, capsys, tmp_path, model):
+        # collide is the model, N, speed and signed events of analyze, and
+        # neither report writes the origin event's lambda_im as -0; collide
+        # and spectrum screen as analyze does, so they refuse what it refuses
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": model, "n_max": 5}))
+        cli = lambda command: run(capsys, command, "--config", str(cfg),
+                                  "--out", str(tmp_path / command))
+        code, _, err = cli("analyze")
+        if code:
+            assert code == 2 and "declared odd" in err
+            assert cli("collide") == cli("spectrum") == (2, "", err)
+            return
+        assert cli("collide")[0] == 0
         reports = {}
         for command in ("analyze", "collide"):
-            code, out, _ = run(capsys, command, "--model", model,
-                               "--n-max", "5")
-            assert code == 0
-            assert not re.search(r"-0(?![.\de])", out)
-            reports[command] = json.loads(out)
-        events = reports["collide"]["events"]
-        assert events == reports["analyze"]["events"]
+            text = (tmp_path / command).read_text()
+            assert not re.search(r"-0(?![.\de])", text)
+            reports[command] = json.loads(text)
+        analyze = reports["analyze"]
+        assert reports["collide"] == {k: analyze[k] for k in
+                                      ("model", "N", "speed", "events")}
+        events = analyze["events"]
         assert all(e["signature_product"] is not None for e in events)
         assert any(not e["at_origin"] for e in events)
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hfstab.collisions import (CollisionOptions, NoCollisionFoundError,
+from hfstab.collisions import (VERDICT_INDETERMINATE, VERDICT_NONE,
+                               VERDICT_POTENTIAL, CollisionEvent,
+                               CollisionOptions, NoCollisionFoundError,
                                collision_residual, find_collisions,
                                mirror_events, secant_curve_data,
                                trace_first_collision_vs_depth)
@@ -121,6 +123,25 @@ class TestMechanics:
             assert abs(r) < 1e-8
             lam = -1j * eval_Omega(model, e.l1, e.n1 + e.mu, c)
             assert abs(lam - e.lam) < 1e-8
+
+    @pytest.mark.parametrize("product, at_origin, verdict", [
+        (-0.5, False, VERDICT_POTENTIAL),
+        (1e-13, False, VERDICT_INDETERMINATE),
+        (-1e-13, False, VERDICT_INDETERMINATE),
+        (0.3, False, VERDICT_NONE),
+        (None, False, VERDICT_INDETERMINATE),
+        (-0.5, True, VERDICT_INDETERMINATE),
+    ])
+    def test_verdict_follows_from_signature_product(self, product, at_origin,
+                                                     verdict):
+        # setting only the product, as a caller outside krein may, is enough
+        e = CollisionEvent(n1=1, l1=1, n2=0, l2=1, mu=0.25,
+                           lam=0j if at_origin else 0.75j, at_origin=at_origin)
+        e.signature_product = product
+        assert e.verdict == verdict
+        assert e.to_dict()["verdict"] == verdict
+        assert mirror_events(make_model("water-waves-deep"), [e])[-1].verdict \
+            == verdict
 
     def test_mu_in_half_open_interval(self):
         for name in ("sine-gordon", "water-waves", "fifth-order-scalar"):

@@ -8,9 +8,10 @@ import pytest
 
 from hfstab.collisions import find_collisions
 from hfstab.krein import (OVERALL_EXCLUDED, OVERALL_POSSIBLE, SignatureError,
-                          eigenmode, run_pipeline, signature,
+                          eigenmode, run_pipeline, screen, signature,
                           signature_product)
-from hfstab.models import (Linearization, ModeIndex, bifurcation_speed,
+from hfstab.models import (Linearization, ModeIndex,
+                           ModelNotDispersiveError, bifurcation_speed,
                            eval_Omega, eval_omega, make_model,
                            model_from_config)
 from hfstab.collisions import VERDICT_NONE, VERDICT_POTENTIAL
@@ -165,6 +166,21 @@ class TestBWSignatures:
 
 
 class TestPipeline:
+    def test_screen_signs_every_event(self):
+        model = make_model("fifth-order-scalar")
+        c = bifurcation_speed(model, 1, 1)
+        events = screen(model, c, 3)
+        modes = lambda es: [(e.n1, e.l1, e.n2, e.l2, e.mu) for e in es]
+        assert modes(events) == modes(find_collisions(model, c, 3))
+        for e in events:
+            want = 0.0 if e.at_origin else signature_product(model, e, c)
+            assert e.signature_product == want
+
+    def test_screen_checks_the_dispersion_relation(self):
+        model = model_from_config({"kind": "scalar", "omega1": "k^2+k"})
+        with pytest.raises(ModelNotDispersiveError):
+            screen(model, bifurcation_speed(model, 1, 1), 3)
+
     def test_water_waves_possible(self):
         report = run_pipeline(make_model("water-waves"), N=1, n_max=6)
         assert report.overall == OVERALL_POSSIBLE
