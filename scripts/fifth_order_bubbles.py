@@ -15,7 +15,6 @@ import argparse
 import sys
 
 from hfstab import hill
-from hfstab.collisions import mirror_events
 from hfstab.krein import screen
 from hfstab.models import bifurcation_speed, make_model
 from hfstab.report import csv_lines, json_dumps
@@ -49,8 +48,9 @@ def main() -> int:
                                   steps=4)
     print(f"wave: amplitude {wave.amplitude:g}, speed {wave.c:.8f}")
 
-    windows = tuple(sorted({e.mu for e in mirror_events(model, events)}))
-    grid = hill.MuGridSpec(count=args.mu_count, windows=windows,
+    # each collision mu and its mirror get a window (build_mu_grid)
+    grid = hill.MuGridSpec(count=args.mu_count,
+                           windows=tuple(e.mu for e in events),
                            refine_factor=args.refine_factor)
     spectrum = hill.full_spectrum(model, wave, grid, args.M)
     bubbles = hill.detect_bubbles(spectrum, predictions=events)

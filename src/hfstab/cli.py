@@ -21,8 +21,8 @@ import sys
 import numpy as np
 
 from . import dsl, hill, krein, waves
-from .collisions import mirror_events, secant_curve_data, \
-    trace_first_collision_vs_depth, NoCollisionFoundError
+from .collisions import secant_curve_data, trace_first_collision_vs_depth, \
+    NoCollisionFoundError
 from .config import ConfigError, RunConfig, apply_flags, build_model, \
     load_config
 from .models import ModelError, TravelingWave, bifurcation_speed
@@ -159,9 +159,9 @@ def cmd_spectrum(args) -> int:
         wave = _solve_wave(cfg, model, force=False)
 
     predictions = krein.screen(model, wave.c, cfg.n_max, cfg.collision)
-    windows = sorted({e.mu for e in mirror_events(model, predictions)
-                      if not e.at_origin})
-    grid = hill.MuGridSpec(count=cfg.hill_mu_count, windows=tuple(windows))
+    # build_mu_grid adds each window's mirror
+    windows = tuple(e.mu for e in predictions if not e.at_origin)
+    grid = hill.MuGridSpec(count=cfg.hill_mu_count, windows=windows)
     spectrum = hill.full_spectrum(model, wave, grid, cfg.hill_M)
     bubbles = hill.detect_bubbles(spectrum, predictions=predictions)
 

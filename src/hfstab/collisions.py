@@ -28,8 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import (ModelSpec, ModeIndex, eval_Omega, eval_omega,
-                     bifurcation_speed, make_model)
+from .models import (ModelSpec, ModeIndex, eval_Omega, bifurcation_speed,
+                     make_model, mirror_branches)
 
 __all__ = [
     "CollisionOptions", "CollisionEvent", "NoCollisionFoundError",
@@ -212,25 +212,10 @@ def _events(model, c, n1, l1, n2, l2, mu, opts) -> list[CollisionEvent]:
     return list(found.values())
 
 
-def _mirror_branch_map(model: ModelSpec) -> dict[int, int]:
-    """Map each branch l to the branch l' with omega_{l'}(-k) = -omega_l(k).
-
-    For odd dispersion branches the mirror stays on the same branch; for an
-    even two-branch pair (omega_2 = -omega_1 with omega_1 even in k) the
-    mirror swaps the branches.
-    """
-    ks = np.array([0.37, 1.13, 2.71])
-    w = {b.index: eval_omega(model, b.index, np.stack([ks, -ks]))
-         for b in model.branches}
-    # the first branch with the smallest mismatch wins
-    return {l: min(w, key=lambda lp: np.max(np.abs(w[lp][1] + w[l][0])))
-            for l in w}
-
-
 def mirror_events(model: ModelSpec,
                   events: Sequence[CollisionEvent]) -> list[CollisionEvent]:
     """Re-expand deduplicated events with their lambda -> -lambda mirrors."""
-    pair = _mirror_branch_map(model)
+    pair = mirror_branches(model)
     out = list(events)
     for e in events:
         if e.at_origin:

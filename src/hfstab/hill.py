@@ -15,10 +15,19 @@ eigenvalues rho of R, and axis eigenvalues have Re exactly 0.  The solves are
 too small to gain from BLAS threads, so ``import hfstab`` asks for one.
 
 The mu grid is uniform plus a fixed-width window around each predicted
-collision mu (``MuGridSpec.windows``), sampled ``refine_factor`` times
-more densely.  Bubbles (connected arcs of eigenvalues off the imaginary
-axis) are detected by thresholding Re(lambda) and clustering in
-Im(lambda), and each is linked to the prediction nearest its center.
+collision mu and its mirror -mu (``MuGridSpec.windows``), sampled
+``refine_factor`` times more densely; it is exactly symmetric about 0.
+Every model hfstab accepts is reversible (its branch set is closed under
+k -> -k, which ``models.validate_dispersive`` checks) and every wave is an
+even cosine series, so the spectrum at -mu is the negated spectrum at mu:
+R(-mu) = -Q R(mu) Q^-1 for the flip Q that reverses the modes within each
+component block (and negates the second block of a canonical model).  A
+grid's mu >= 0 half is solved and each mu < 0 slice is derived from its
+partner, exact to the eigensolver's own backward error.
+
+Bubbles (connected arcs of eigenvalues off the imaginary axis) are
+detected by thresholding Re(lambda) and clustering in Im(lambda), and each
+is linked to the prediction nearest its center.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import (ModelSpec, TravelingWave, Linearization,
-                     TruncationWarning, spectrum_slice)
+                     TruncationWarning, spectrum_slice, validate_dispersive)
 from .collisions import CollisionEvent
 
 __all__ = [
@@ -103,9 +112,10 @@ class Bubble:
 class MuGridSpec:
     """Uniform midpoint-avoiding grid plus optional refinement windows.
 
-    ``windows`` lists mu centers; each gets extra sampling on
-    [center - WINDOW_WIDTH, center + WINDOW_WIDTH] at ``refine_factor``
-    times the base density.
+    ``windows`` lists mu centers; each center c and its mirror -c get extra
+    sampling on [c - WINDOW_WIDTH, c + WINDOW_WIDTH] at ``refine_factor``
+    times the base density.  The grid is symmetric about 0, and
+    ``full_spectrum`` solves only its mu >= 0 half.
     """
     count: int = 200
     windows: tuple[float, ...] = ()
@@ -113,19 +123,25 @@ class MuGridSpec:
 
 
 def build_mu_grid(spec: MuGridSpec) -> np.ndarray:
-    """Strictly increasing mu values in (-1/2, 1/2)."""
+    """Strictly increasing mu values in (-1/2, 1/2), with g = -g[::-1].
+
+    The mu >= 0 points are those of the uniform grid and the windows about
+    every center and its mirror; the mu < 0 points are their negations, and
+    mu = 0, when present, is +0.0.
+    """
     if spec.count < 1:
         raise ValueError("mu grid count must be >= 1")
     base = -0.5 + (np.arange(spec.count) + 0.5) / spec.count
     parts = [base]
-    for center in spec.windows:
-        n_local = max(3, int(round(2 * WINDOW_WIDTH
-                                   * spec.refine_factor * spec.count)))
+    n_local = max(3, int(round(2 * WINDOW_WIDTH
+                               * spec.refine_factor * spec.count)))
+    for center in {*spec.windows, *(-c for c in spec.windows)}:
         local = np.linspace(center - WINDOW_WIDTH, center + WINDOW_WIDTH,
                             n_local)
         parts.append(local[(local > -0.5) & (local < 0.5)])
     grid = np.unique(np.concatenate(parts))
-    return grid
+    half = grid[grid >= 0.0] + 0.0   # + 0.0 turns -0 into +0
+    return np.concatenate([-half[half > 0.0][::-1], half])
 
 
 # --------------------------------------------------------------------------
@@ -157,6 +173,13 @@ def _eigvals(R: np.ndarray, mu: float) -> np.ndarray:
     return vals[np.lexsort((vals.real, vals.imag))]
 
 
+def _reflected(vals: np.ndarray) -> np.ndarray:
+    """The slice at -mu from the slice ``vals`` at mu: lambda -> -lambda,
+    sorted by (Im, Re) as ``_eigvals`` sorts."""
+    vals = -vals + 0.0   # + 0.0 turns -0 into +0
+    return vals[np.lexsort((vals.real, vals.imag))]
+
+
 def spectrum_at(model: ModelSpec, wave: TravelingWave, mu: float,
                 M: int) -> np.ndarray:
     """All eigenvalues of the truncated Hill matrix, sorted by (Im, Re)."""
@@ -165,12 +188,24 @@ def spectrum_at(model: ModelSpec, wave: TravelingWave, mu: float,
 
 def full_spectrum(model: ModelSpec, wave: TravelingWave,
                   grid: MuGridSpec | np.ndarray, M: int) -> SpectrumSet:
-    """Point spectra over a mu grid, in increasing mu."""
-    mus = build_mu_grid(grid) if isinstance(grid, MuGridSpec) else np.asarray(grid)
+    """Point spectra over a mu grid, in increasing mu.
+
+    An explicit array of mu is solved slice by slice.  A ``MuGridSpec``
+    grid is symmetric, so only its mu >= 0 slices are solved; each mu < 0
+    slice is its partner's negated (see the module docstring).  The model
+    is checked for that reflection first (``validate_dispersive``).
+    """
     op = Linearization(model, wave.c)
     W = op.wave_part(wave, M)
-    slices = [(mu, _eigvals(op.real_matrix(_wavenumbers(mu, M), W), mu))
-              for mu in sorted(float(m) for m in mus)]
+    solve = lambda mu: _eigvals(op.real_matrix(_wavenumbers(mu, M), W), mu)
+    if isinstance(grid, MuGridSpec):
+        validate_dispersive(model)
+        mus = build_mu_grid(grid).tolist()
+        half = {mu: solve(mu) for mu in mus if mu >= 0.0}
+        slices = [(mu, half[mu] if mu >= 0.0 else _reflected(half[-mu]))
+                  for mu in mus]
+    else:
+        slices = [(mu, solve(mu)) for mu in sorted(float(m) for m in grid)]
     return SpectrumSet(model=model.name, M=M, amplitude=wave.amplitude,
                        slices=slices)
 

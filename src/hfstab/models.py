@@ -32,7 +32,8 @@ __all__ = [
     "ModeIndex", "DispersionBranch", "ModelSpec", "TravelingWave",
     "BUILTIN_MODELS", "make_model", "model_from_config",
     "eval_omega", "eval_Omega", "bifurcation_speed", "spectrum_slice",
-    "validate_dispersive", "normalize_mode", "Linearization",
+    "validate_dispersive", "mirror_branches", "normalize_mode",
+    "Linearization",
     "TruncationWarning",
 ]
 
@@ -269,7 +270,10 @@ def validate_dispersive(model: ModelSpec) -> None:
     """Sanity-check branch reality/parity claims on a sample grid.
 
     Raises ModelNotDispersiveError when a branch returns a non-finite value,
-    a branch declared odd is not, or an even system fails omega1 + omega2 = 0.
+    a branch declared odd is not, an even system fails omega1 + omega2 = 0,
+    or the branch set is not closed under the reflection k -> -k: every
+    branch l needs a branch l' with omega_l'(-k) = -omega_l(k).  The
+    reflection is what makes the spectrum at -mu the negated spectrum at mu.
     """
     ks, tol = _DISPERSIVE_GRID, _DISPERSIVE_TOL
     w = {b.index: eval_omega(model, b.index, np.stack([ks, -ks]))
@@ -287,6 +291,31 @@ def validate_dispersive(model: ModelSpec) -> None:
             raise ModelNotDispersiveError(
                 f"model {model.name!r}: even_system violated at "
                 f"k = {ks[np.argmax(bad)]:g}")
+    mirror_branches(model)
+
+
+def mirror_branches(model: ModelSpec) -> dict[int, int]:
+    """Map each branch l to the branch l' with omega_l'(-k) = -omega_l(k).
+
+    Odd branches mirror onto themselves; an even two-branch pair (omega_2 =
+    -omega_1 with omega_1 even) swaps.  Checked on the validation grid;
+    raises ModelNotDispersiveError when some branch has no mirror.
+    """
+    ks = _DISPERSIVE_GRID
+    w = {b.index: eval_omega(model, b.index, np.stack([ks, -ks]))
+         for b in model.branches}
+    pair = {}
+    for l in w:
+        gaps = {lp: np.abs(w[lp][1] + w[l][0]) for lp in w}
+        pair[l] = min(gaps, key=lambda lp: gaps[lp].max())   # first wins
+        v = gaps[pair[l]]
+        if (v > _DISPERSIVE_TOL).any():
+            i = np.argmax(v)
+            raise ModelNotDispersiveError(
+                f"model {model.name!r}: no branch mirrors branch {l} "
+                f"under k -> -k: |omega_l'(-k) + omega_{l}(k)| = "
+                f"{v[i]:g} at k = {ks[i]:g}")
+    return pair
 
 
 # --------------------------------------------------------------------------

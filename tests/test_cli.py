@@ -113,6 +113,23 @@ class TestCollide:
         assert any(not e["at_origin"] for e in events)
 
 
+    def test_model_not_closed_under_reflection_is_refused(self, capsys,
+                                                           tmp_path):
+        # +-omega1 with an omega1 that is not even: no mirror for the mu < 0
+        # spectra and no lambda -> -lambda mirror for the collision events
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": {
+            "kind": "canonical", "omega1": "sqrt(1+k^2)+0.1*k"}, "n_max": 5}))
+        results = {run(capsys, command, "--config", str(cfg),
+                       "--out", str(tmp_path / command))
+                   for command in ("analyze", "collide", "spectrum")}
+        assert len(results) == 1
+        code, out, err = results.pop()
+        assert (code, out) == (2, "")
+        assert "no branch mirrors branch 1 under k -> -k" in err
+        assert not list(tmp_path.glob("analyze*"))
+
+
 class TestConfigErrors:
     def test_unknown_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -330,6 +347,35 @@ class TestSpectrum:
         for b in bubbles:
             assert b["max_growth"] == pytest.approx(1.5465e-4, rel=1e-2)
         assert report["max_re_lambda"] == max(b["max_growth"] for b in bubbles)
+
+    def test_mirrored_bubbles_are_exact_pairs(self, capsys, tmp_path):
+        # the mu < 0 slices are the mu > 0 slices negated, so the bubble at
+        # Im lambda < 0 is the exact mirror of the one at Im lambda > 0
+        # (roundoff used to give 1.8437261e-4 against 1.8437091e-4)
+        out_path = tmp_path / "spec.csv"
+        code, _, _ = run(capsys, "spectrum", "--model", "fifth-order-scalar",
+                         "--amplitude", "0.02186", "--out", str(out_path))
+        assert code == 0
+        report = json.loads((tmp_path / "spec.csv.bubbles.json").read_text())
+        bubbles = sorted(report["bubbles"], key=lambda b: b["center_im"])
+        assert len(bubbles) == 2
+        low, high = bubbles
+        assert low["max_growth"] == high["max_growth"]
+        assert low["mu_support"] == [-mu for mu in high["mu_support"][::-1]]
+        assert low["im_support"] == [-im for im in high["im_support"][::-1]]
+        assert low["center_im"] == -high["center_im"]
+
+    def test_odd_mu_count_writes_mu_zero_as_0(self, capsys, tmp_path):
+        # mu = 0 is its own mirror: one slice, written 0, never -0
+        out_path = tmp_path / "spec.csv"
+        code, _, _ = run(capsys, "spectrum", "--model", "kdv",
+                         "--n-max", "3", "--mu-count", "201", "--M", "4",
+                         "--out", str(out_path))
+        assert code == 0
+        mus = [row.split(",")[0]
+               for row in out_path.read_text().splitlines()[1:]]
+        assert "-0" not in mus
+        assert mus.count("0") == 9
 
     def test_zero_amplitude_real_parts_are_exact_zeros(self, capsys, tmp_path):
         # two-component spectra at zero amplitude: every re_lambda cell is

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hfstab import hill
-from hfstab.collisions import find_collisions
+from hfstab.collisions import find_collisions, mirror_events
 from hfstab.models import (BUILTIN_MODELS, ModelError, TravelingWave,
                            bifurcation_speed, eval_Omega, make_model,
                            model_from_config, spectrum_slice)
@@ -32,6 +32,29 @@ def real_form(L, canonical=False):
     return -1j * L
 
 
+def parent_mu_grid(spec):
+    """The grid as built before it was mirrored: the uniform points and a
+    window about each listed center only.  Its mu >= 0 half is the oracle."""
+    base = -0.5 + (np.arange(spec.count) + 0.5) / spec.count
+    parts = [base]
+    for center in spec.windows:
+        n_local = max(3, int(round(2 * hill.WINDOW_WIDTH
+                                   * spec.refine_factor * spec.count)))
+        local = np.linspace(center - hill.WINDOW_WIDTH,
+                            center + hill.WINDOW_WIDTH, n_local)
+        parts.append(local[(local > -0.5) & (local < 0.5)])
+    return np.unique(np.concatenate(parts))
+
+
+def fifth_order_windows():
+    """The window centers the CLI passes for the fifth-order model: every
+    non-origin collision mu and its mirror."""
+    model = make_model("fifth-order-scalar")
+    events = find_collisions(model, bifurcation_speed(model, 1, 1), 3)
+    return tuple(sorted({e.mu for e in mirror_events(model, events)
+                         if not e.at_origin}))
+
+
 class TestMuGrid:
     def test_base_grid_open_interval(self):
         grid = hill.build_mu_grid(hill.MuGridSpec(count=128))
@@ -51,6 +74,27 @@ class TestMuGrid:
     def test_bad_count(self):
         with pytest.raises(ValueError):
             hill.build_mu_grid(hill.MuGridSpec(count=0))
+
+    @pytest.mark.parametrize("count, windows, refine_factor", [
+        (200, None, 10),            # the CLI's mirrored fifth-order windows
+        (400, None, 150),           # the acceptance-11 scan's grid
+        (64, (0.21, 0.0012), 10),   # one-sided: each gains its mirror window
+        (201, (0.21, -0.21), 10),   # odd count: mu = 0 is a base point
+    ])
+    def test_grid_is_symmetric(self, count, windows, refine_factor):
+        windows = fifth_order_windows() if windows is None else windows
+        g = hill.build_mu_grid(hill.MuGridSpec(
+            count=count, windows=windows, refine_factor=refine_factor))
+        assert np.array_equal(g, -g[::-1])
+        assert np.all(np.diff(g) > 0) and g[0] > -0.5
+        # mu >= 0 is bit-for-bit the parent's grid for the mirrored list
+        mirrored = tuple(sorted({*windows, *(-c for c in windows)}))
+        old = parent_mu_grid(hill.MuGridSpec(
+            count=count, windows=mirrored, refine_factor=refine_factor))
+        assert g[g >= 0.0].tobytes() == old[old >= 0.0].tobytes()
+        zeros = g[g == 0.0]
+        assert zeros.size == count % 2
+        assert not np.signbit(zeros).any()
 
 
 class TestAssembly:
@@ -240,6 +284,56 @@ class TestSpectra:
         s = hill.full_spectrum(model, wave, np.array([0.1, 0.2]), 4)
         assert [mu for mu, _ in s.slices] == [0.1, 0.2]
         assert s.max_real_part() < 1e-12
+
+
+def derived_slice_case(name):
+    """A model and wave for the derived-slice checks."""
+    if name == "kdv":
+        cn = kdv_cnoidal(0.3)
+        return make_model("kdv"), TravelingWave(
+            model="kdv", c=cn.c, coefficients=cn.coefficients)
+    model = make_model(name)
+    if name in ("sine-gordon", "water-waves"):
+        return model, hill.zero_wave(model, bifurcation_speed(model, 1, 1))
+    amplitude = 0.02 if name == "fifth-order-scalar" else 1e-2
+    return model, solve_wave_collocation(model, amplitude, M=32, steps=4)
+
+
+class TestDerivedSlices:
+    """full_spectrum solves a MuGridSpec grid's mu >= 0 half only and
+    derives each mu < 0 slice by lambda -> -lambda."""
+
+    def test_one_eigensolve_per_nonnegative_mu(self, monkeypatch):
+        model, wave = derived_slice_case("fifth-order-scalar")
+        grid = hill.MuGridSpec(count=41, windows=fifth_order_windows())
+        shapes = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda R: shapes.append(R.shape) or eigvals(R))
+        s = hill.full_spectrum(model, wave, grid, 16)
+        mus = hill.build_mu_grid(grid)
+        assert [mu for mu, _ in s.slices] == mus.tolist()
+        assert len(shapes) == np.count_nonzero(mus >= 0.0)
+        assert len(shapes) == (mus.size + 1) // 2
+        assert set(shapes) == {(33, 33)}
+
+    @pytest.mark.parametrize("name", ["kdv", "fifth-order-scalar",
+                                      "boussinesq-whitham", "sine-gordon",
+                                      "water-waves"])
+    def test_derived_slices_match_direct_solves(self, name):
+        # the canonical models' flip also negates the second block; the
+        # fifth-order windows put near-collision eigenvalues in the grid
+        model, wave = derived_slice_case(name)
+        windows = fifth_order_windows() if name == "fifth-order-scalar" else ()
+        grid = hill.MuGridSpec(count=24, windows=windows)
+        s = hill.full_spectrum(model, wave, grid, 16)
+        negative = [(mu, vals) for mu, vals in s.slices if mu < 0.0]
+        assert len(negative) == len(s.slices) // 2
+        for mu, vals in negative:
+            direct = hill.spectrum_at(model, wave, mu, 16)
+            scale = max(1.0, float(np.abs(direct).max()))
+            assert hill._hausdorff(vals, direct) <= 1e-12 * scale
+            assert not np.signbit(vals.real[vals.real == 0.0]).any()
 
 
 class TestZeroAmplitudeConsistency:

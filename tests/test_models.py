@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hfstab import dsl
+from hfstab import dsl, models
 from hfstab.models import (BUILTIN_MODELS, ModeIndex, ModelError,
                            ModelNotDispersiveError, UnknownModelError,
                            bifurcation_speed, eval_Omega, eval_omega,
@@ -125,6 +125,15 @@ class TestCustomModels:
         assert eval_omega(model, 2, 1.0) == pytest.approx(-math.sqrt(2.0))
         assert model.c_symbol(1.0) == pytest.approx(2.0)
 
+    def test_branch_set_not_closed_under_reflection_rejected(self):
+        # +-omega1 with omega1 not even: omega_2(-k) = -omega_1(k) fails,
+        # and so does omega_1(-k) = -omega_1(k)
+        model = model_from_config(
+            {"kind": "canonical", "omega1": "sqrt(1+k^2)+0.1*k"})
+        with pytest.raises(ModelNotDispersiveError,
+                           match=r"mirrors branch 1 .* = 5 at k = 25"):
+            validate_dispersive(model)
+
     def test_custom_bw_requires_c_squared(self):
         with pytest.raises(ModelError):
             model_from_config({"kind": "noncanonical-bw", "omega1": "k"})
@@ -210,6 +219,20 @@ def test_array_symbols_match_scalar_calls_bit_for_bit(name):
         ones = [symbol(float(k)) for k in ks]
         assert all(type(v) is float for v in ones)
         assert np.array(ones, dtype=arr.dtype).tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_MODELS) + sorted(DSL_TWINS))
+def test_branch_set_is_closed_under_reflection(name):
+    # every branch l has a mirror l' with omega_l'(-k) = -omega_l(k), with
+    # no roundoff at all on the validation grid: the Hill spectra at mu < 0
+    # are derived from this reflection
+    model = build(name)
+    validate_dispersive(model)
+    ks = models._DISPERSIVE_GRID
+    w = {b.index: (eval_omega(model, b.index, ks),
+                   eval_omega(model, b.index, -ks)) for b in model.branches}
+    for l in w:
+        assert min(np.max(np.abs(w[lp][1] + w[l][0])) for lp in w) == 0.0
 
 
 @pytest.mark.parametrize("text, bad, error", [
