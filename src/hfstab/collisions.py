@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import (ModelSpec, ModeIndex, eval_Omega, bifurcation_speed,
-                     make_model, mirror_branches)
+                     make_model, validate_dispersive)
 
 __all__ = [
     "CollisionOptions", "CollisionEvent", "NoCollisionFoundError",
@@ -215,7 +215,7 @@ def _events(model, c, n1, l1, n2, l2, mu, opts) -> list[CollisionEvent]:
 def mirror_events(model: ModelSpec,
                   events: Sequence[CollisionEvent]) -> list[CollisionEvent]:
     """Re-expand deduplicated events with their lambda -> -lambda mirrors."""
-    pair = mirror_branches(model)
+    pair = validate_dispersive(model)
     out = list(events)
     for e in events:
         if e.at_origin:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -31,8 +31,7 @@ __all__ = [
     "Lit", "Var", "Neg", "Bin", "Call", "Expr",
     "ExprError", "ParseError", "EvalError", "UnboundVariableError",
     "DomainError", "NonFiniteError",
-    "parse", "evaluate", "to_source", "validate_oddness", "compile_symbol",
-    "OddnessReport", "FUNCTION_NAMES",
+    "parse", "evaluate", "to_source", "compile_symbol", "FUNCTION_NAMES",
 ]
 
 
@@ -378,29 +377,6 @@ def to_source(node: Expr) -> str:
         # '^' is right-associative and its base must be an atom
         return f"{_wrap(node.left, 5)}^{_wrap(node.right, 3)}"
     raise TypeError(node)
-
-
-# --------------------------------------------------------------------------
-# Oddness validation
-
-@dataclass(frozen=True)
-class OddnessReport:
-    is_odd: bool
-    max_violation: float
-
-
-ODDNESS_TOL = 1e-10
-
-
-def validate_oddness(ast: Expr, params: Mapping[str, float] | None,
-                     grid: Sequence[float]) -> OddnessReport:
-    """Check |omega(k) + omega(-k)| <= ODDNESS_TOL over a symmetric grid."""
-    ks = np.asarray(grid, dtype=float)
-    if ks.size == 0:
-        raise ValueError("grid must be nonempty")
-    plus, minus = evaluate(ast, np.stack([ks, -ks]), params)
-    worst = float(np.max(np.abs(plus + minus)))
-    return OddnessReport(is_odd=worst <= ODDNESS_TOL, max_violation=worst)
 
 
 def compile_symbol(text: str, params: Mapping[str, float] | None = None,

@@ -65,9 +65,6 @@ def zero_wave(model: ModelSpec, c: float) -> TravelingWave:
 @dataclass
 class SpectrumSet:
     """Per-mu point spectra, sorted by mu then (Im, Re)."""
-    model: str
-    M: int
-    amplitude: float
     slices: list[tuple[float, np.ndarray]] = field(default_factory=list)
 
     def all_points(self) -> tuple[np.ndarray, np.ndarray]:
@@ -206,8 +203,7 @@ def full_spectrum(model: ModelSpec, wave: TravelingWave,
                   for mu in mus]
     else:
         slices = [(mu, solve(mu)) for mu in sorted(float(m) for m in grid)]
-    return SpectrumSet(model=model.name, M=M, amplitude=wave.amplitude,
-                       slices=slices)
+    return SpectrumSet(slices)
 
 
 def spectrum_to_csv_rows(spectrum: SpectrumSet) -> np.ndarray:

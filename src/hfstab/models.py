@@ -32,7 +32,7 @@ __all__ = [
     "ModeIndex", "DispersionBranch", "ModelSpec", "TravelingWave",
     "BUILTIN_MODELS", "make_model", "model_from_config",
     "eval_omega", "eval_Omega", "bifurcation_speed", "spectrum_slice",
-    "validate_dispersive", "mirror_branches", "normalize_mode",
+    "validate_dispersive", "normalize_mode",
     "Linearization",
     "TruncationWarning",
 ]
@@ -107,7 +107,6 @@ class DispersionBranch:
     is a symbol (see ``ModelSpec``)."""
     index: int
     evaluator: Symbol
-    parity: str = "odd"  # 'odd' or 'general'
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,6 @@ class ModelSpec:
     kind: str
     branches: tuple[DispersionBranch, ...]
     params: dict = field(default_factory=dict)
-    even_system: bool = False
     kernel_symbol: Symbol | None = None
     b_symbol: Symbol | None = None
     c_symbol: Symbol | None = None
@@ -266,40 +264,16 @@ _DISPERSIVE_GRID = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.5, 5.0, 10.0, 25.0
 _DISPERSIVE_TOL = 1e-10
 
 
-def validate_dispersive(model: ModelSpec) -> None:
-    """Sanity-check branch reality/parity claims on a sample grid.
+def validate_dispersive(model: ModelSpec) -> dict[int, int]:
+    """Check the branch set on a sample grid and return its mirror map.
 
-    Raises ModelNotDispersiveError when a branch returns a non-finite value,
-    a branch declared odd is not, an even system fails omega1 + omega2 = 0,
-    or the branch set is not closed under the reflection k -> -k: every
-    branch l needs a branch l' with omega_l'(-k) = -omega_l(k).  The
-    reflection is what makes the spectrum at -mu the negated spectrum at mu.
-    """
-    ks, tol = _DISPERSIVE_GRID, _DISPERSIVE_TOL
-    w = {b.index: eval_omega(model, b.index, np.stack([ks, -ks]))
-         for b in model.branches}
-    for b in model.branches:
-        v = np.abs(w[b.index][0] + w[b.index][1])
-        if b.parity == "odd" and (v > tol).any():
-            i = np.argmax(v > tol)
-            raise ModelNotDispersiveError(
-                f"model {model.name!r}: branch {b.index} declared odd "
-                f"but |omega(k)+omega(-k)| = {v[i]:g} at k = {ks[i]:g}")
-    if model.even_system:
-        bad = np.abs(w[1][0] + w[2][0]) > tol
-        if bad.any():
-            raise ModelNotDispersiveError(
-                f"model {model.name!r}: even_system violated at "
-                f"k = {ks[np.argmax(bad)]:g}")
-    mirror_branches(model)
-
-
-def mirror_branches(model: ModelSpec) -> dict[int, int]:
-    """Map each branch l to the branch l' with omega_l'(-k) = -omega_l(k).
-
-    Odd branches mirror onto themselves; an even two-branch pair (omega_2 =
-    -omega_1 with omega_1 even) swaps.  Checked on the validation grid;
-    raises ModelNotDispersiveError when some branch has no mirror.
+    Every branch l needs a mirror l' with omega_l'(-k) = -omega_l(k): the
+    branch set is closed under the reflection k -> -k, which is what makes
+    the spectrum at -mu the negated spectrum at mu.  Odd branches mirror
+    onto themselves; a pair +-omega_1 with omega_1 even swaps.  Returns
+    {l: l'}; raises ModelNotDispersiveError when a branch returns a
+    non-finite value or has no mirror.  A scalar model's one branch must
+    therefore be odd, and a Boussinesq-Whitham c^2(k) even.
     """
     ks = _DISPERSIVE_GRID
     w = {b.index: eval_omega(model, b.index, np.stack([ks, -ks]))
@@ -476,7 +450,7 @@ def _merged(defaults: dict, params: Mapping[str, float] | None) -> dict:
 def _scalar_model(name, params, omega, kernel, sigma, power=1):
     return ModelSpec(
         name=name, kind=SCALAR,
-        branches=(DispersionBranch(1, omega, "odd"),),
+        branches=(DispersionBranch(1, omega),),
         params=params, kernel_symbol=kernel, sigma=sigma, power=power)
 
 
@@ -523,13 +497,12 @@ def _constant(value: float) -> Symbol:
     return _symbol(lambda k: np.full(k.shape, value))
 
 
-def _canonical_even(name, params, omega1, b_symbol, c_symbol, parity="odd"):
+def _canonical_even(name, params, omega1, b_symbol, c_symbol):
     omega2 = lambda k: -omega1(k)
     return ModelSpec(
         name=name, kind=CANONICAL,
-        branches=(DispersionBranch(1, omega1, parity),
-                  DispersionBranch(2, omega2, parity)),
-        params=params, even_system=True, b_symbol=b_symbol, c_symbol=c_symbol)
+        branches=(DispersionBranch(1, omega1), DispersionBranch(2, omega2)),
+        params=params, b_symbol=b_symbol, c_symbol=c_symbol)
 
 
 def _make_sine_gordon(params=None):
@@ -537,8 +510,7 @@ def _make_sine_gordon(params=None):
     omega1 = _symbol(lambda k: np.sqrt(1.0 + k * k))
     return _canonical_even("sine-gordon", p, omega1,
                            b_symbol=_constant(1.0),
-                           c_symbol=_symbol(lambda k: 1.0 + k * k),
-                           parity="general")
+                           c_symbol=_symbol(lambda k: 1.0 + k * k))
 
 
 def _make_water_waves(params=None):
@@ -567,9 +539,9 @@ def _make_boussinesq_whitham(params=None):
     omega1 = _ww_omega1(g, h)
     return ModelSpec(
         name="boussinesq-whitham", kind=NONCANONICAL_BW,
-        branches=(DispersionBranch(1, omega1, "odd"),
-                  DispersionBranch(2, lambda k: -omega1(k), "odd")),
-        params=p, even_system=True, c2_symbol=_ww_c2(g, h), alpha=p["alpha"])
+        branches=(DispersionBranch(1, omega1),
+                  DispersionBranch(2, lambda k: -omega1(k))),
+        params=p, c2_symbol=_ww_c2(g, h), alpha=p["alpha"])
 
 
 BUILTIN_MODELS: dict[str, Callable] = {
@@ -619,7 +591,7 @@ def model_from_config(spec: Mapping) -> ModelSpec:
     optional ``omega2`` (canonical; must equal -omega1), ``c_squared`` (BW;
     omega1 must equal k*sqrt(c_squared)), ``params`` mapping, and
     ``at_zero`` for symbols singular at k = 0.  Canonical models built this
-    way have the even-system Hamiltonian B(k) = 1, C(k) = omega1(k)^2, whose
+    way have the Hamiltonian B(k) = 1, C(k) = omega1(k)^2, whose
     only branches are +-omega1.
     """
     unknown = set(spec) - _CUSTOM_KEYS
@@ -644,7 +616,7 @@ def model_from_config(spec: Mapping) -> ModelSpec:
                                     at_zero=0.0 if at_zero is None else at_zero)
         return ModelSpec(
             name="custom-scalar", kind=SCALAR,
-            branches=(DispersionBranch(1, omega1, "odd"),),
+            branches=(DispersionBranch(1, omega1),),
             params=params, kernel_symbol=kernel,
             sigma=params.get("sigma", 1.0))
 
@@ -657,8 +629,7 @@ def model_from_config(spec: Mapping) -> ModelSpec:
                            "'omega2' must equal -omega1")
         return _canonical_even("custom-canonical", params, omega1,
                                b_symbol=_constant(1.0),
-                               c_symbol=_symbol(lambda k: omega1(k) ** 2),
-                               parity="general")
+                               c_symbol=_symbol(lambda k: omega1(k) ** 2))
 
     # noncanonical-bw
     if "c_squared" not in spec:
@@ -671,7 +642,6 @@ def model_from_config(spec: Mapping) -> ModelSpec:
                    "k*sqrt(c_squared)")
     return ModelSpec(
         name="custom-bw", kind=NONCANONICAL_BW,
-        branches=(DispersionBranch(1, omega_bw, "odd"),
-                  DispersionBranch(2, lambda k: -omega_bw(k), "odd")),
-        params=params, even_system=True, c2_symbol=c2,
-        alpha=params.get("alpha", 1.0))
+        branches=(DispersionBranch(1, omega_bw),
+                  DispersionBranch(2, lambda k: -omega_bw(k))),
+        params=params, c2_symbol=c2, alpha=params.get("alpha", 1.0))

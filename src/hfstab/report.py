@@ -60,10 +60,6 @@ def _emit(obj, level: int) -> str:
         items = [pad + _escape(str(k)) + ": " + _emit(v, level + 1)
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + close + "}"
-    if hasattr(obj, "to_dict"):
-        return _emit(obj.to_dict(), level)
-    if isinstance(obj, complex):
-        return _emit({"re": obj.real, "im": obj.imag}, level)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -47,9 +47,8 @@ def cankrein2_product(model, event):
 
 
 def sym_product(model, event, which=2):
-    """Even-system shortcuts: w1*w2 times the C-product (which=1) or B-product."""
-    if not model.even_system:
-        raise SignatureError("sym shortcuts require an even system")
+    """Shortcuts for the branches +-omega1 of every canonical model: w1*w2
+    times the C-product (which=1) or B-product."""
     k1, k2 = event.n1 + event.mu, event.n2 + event.mu
     w = eval_omega(model, event.l1, k1) * eval_omega(model, event.l2, k2)
     sym = model.c_symbol if which == 1 else model.b_symbol

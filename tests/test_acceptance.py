@@ -7,12 +7,13 @@ import random
 import numpy as np
 import pytest
 
-from hfstab import dsl, hill
+from hfstab import hill
 from hfstab.collisions import find_collisions
 from hfstab.dsl import parse, to_source
 from hfstab.krein import eigenmode, signature, signature_product
-from hfstab.models import (BUILTIN_MODELS, bifurcation_speed, eval_Omega,
-                           eval_omega, make_model)
+from hfstab.models import (BUILTIN_MODELS, ModelNotDispersiveError,
+                           bifurcation_speed, eval_Omega, eval_omega,
+                           make_model, model_from_config, validate_dispersive)
 from hfstab.waves import (bw_flat_state_analysis, solve_wave_collocation,
                           wave_residual)
 
@@ -243,11 +244,15 @@ def test_13_utility_layer_randomized(capsys):
             worst = max(abs(eval_omega(model, b.index, k)
                             + eval_omega(model, b.index, -k)) for k in grid)
             odd_ok = odd_ok and ((worst > 1e-6) == is_even_pair)
-    full_grid = [-2.9, -1.2, -0.37, 0.37, 1.2, 2.9]
-    odd_ok = odd_ok and dsl.validate_oddness(
-        dsl.parse("k^3-0.25*k^5"), None, full_grid).is_odd
-    odd_ok = odd_ok and not dsl.validate_oddness(
-        dsl.parse("sqrt(1+k^2)"), None, full_grid).is_odd
+
+    def scalar_reflects(omega1):
+        model = model_from_config({"kind": "scalar", "omega1": omega1})
+        try:
+            return validate_dispersive(model) == {1: 1}
+        except ModelNotDispersiveError:
+            return False
+    odd_ok = (odd_ok and scalar_reflects("k^3-0.25*k^5")
+              and not scalar_reflects("sqrt(1+k^2)"))
     ok = worst_identity <= 1e-12 and round_trips == 10000 and odd_ok
     report(capsys, 13, ok,
            "10^4 Jacobi identity samples within 1e-12, 10^4 expression "

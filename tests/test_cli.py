@@ -82,7 +82,8 @@ class TestCollide:
     @pytest.mark.parametrize("model", [
         "water-waves", "water-waves-deep", "sine-gordon", "boussinesq-whitham",
         "fifth-order-scalar",
-        # declared odd (scalar) but k^2 + k is not: analyze refuses it
+        # a scalar branch must be its own mirror under k -> -k, and k^2 + k
+        # is not: analyze refuses it
         pytest.param({"kind": "scalar", "omega1": "k^2+k"},
                      id="non-dispersive"),
     ])
@@ -96,7 +97,8 @@ class TestCollide:
                                   "--out", str(tmp_path / command))
         code, _, err = cli("analyze")
         if code:
-            assert code == 2 and "declared odd" in err
+            assert code == 2
+            assert "no branch mirrors branch 1 under k -> -k" in err
             assert cli("collide") == cli("spectrum") == (2, "", err)
             return
         assert cli("collide")[0] == 0

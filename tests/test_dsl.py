@@ -9,8 +9,7 @@ from hypothesis import given, strategies as st
 from hfstab import dsl
 from hfstab.dsl import (Bin, Call, Lit, Neg, Var, DomainError, EvalError,
                         NonFiniteError, ParseError, UnboundVariableError,
-                        compile_symbol, evaluate, parse, to_source,
-                        validate_oddness)
+                        compile_symbol, evaluate, parse, to_source)
 
 
 def ev(text, k=0.0, **params):
@@ -85,22 +84,6 @@ class TestEvaluation:
     def test_nonfinite_result(self):
         with pytest.raises(NonFiniteError):
             ev("exp(700)*exp(700)")
-
-
-class TestOddness:
-    def test_odd_symbol(self):
-        rep = validate_oddness(parse("k^3"), None, [0.5, 1.0, 2.5])
-        assert rep.is_odd and rep.max_violation == 0.0
-
-    def test_even_symbol(self):
-        rep = validate_oddness(parse("k^2"), None, [0.5, 1.0])
-        assert not rep.is_odd and rep.max_violation == 2.0
-
-    def test_builtin_water_wave_branch_is_odd(self):
-        text = "sign(k)*sqrt(g*k*tanh(k*h))"
-        rep = validate_oddness(parse(text), {"g": 1.0, "h": 1.0},
-                               [0.0, 0.3, 1.0, 4.0])
-        assert rep.is_odd
 
 
 class TestCompileSymbol:

@@ -1,15 +1,13 @@
 """Krein signatures and pipeline verdicts."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hfstab.collisions import find_collisions
-from hfstab.krein import (OVERALL_EXCLUDED, OVERALL_POSSIBLE, SignatureError,
-                          eigenmode, run_pipeline, screen, signature,
-                          signature_product)
+from hfstab.krein import (OVERALL_EXCLUDED, OVERALL_POSSIBLE, eigenmode,
+                          run_pipeline, screen, signature, signature_product)
 from hfstab.models import (Linearization, ModeIndex,
                            ModelNotDispersiveError, bifurcation_speed,
                            eval_Omega, eval_omega, make_model,
@@ -122,16 +120,6 @@ class TestCanonicalSignatures:
             s1 = signature(model, eigenmode(model, e.idx1, c), c)
             s2 = signature(model, eigenmode(model, e.idx2, c), c)
             assert (s1 * s2 < 0) == (sym_product(model, e, 2) < 0)
-
-    def test_sym_requires_even_system(self):
-        # custom canonical models are always even systems, so take a
-        # built-in one and clear the flag
-        model = replace(make_model("sine-gordon"), even_system=False)
-        c = bifurcation_speed(model, 1, 1)
-        events = [e for e in find_collisions(model, c, 4) if not e.at_origin]
-        assert events
-        with pytest.raises(SignatureError):
-            sym_product(model, events[0], 2)
 
     def test_synthetic_same_signature_canonical_event(self):
         # canonical system built so that some collisions pair equal

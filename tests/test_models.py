@@ -1,5 +1,6 @@
 """Model catalog and zero-amplitude spectrum tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -91,8 +92,10 @@ class TestDispersion:
         assert len(pairs) == 14
 
     def test_declared_odd_but_even_raises(self):
+        # a scalar model's one branch must mirror onto itself: be odd
         bad = model_from_config({"kind": "scalar", "omega1": "k^2"})
-        with pytest.raises(ModelNotDispersiveError):
+        with pytest.raises(ModelNotDispersiveError,
+                           match=r"no branch mirrors branch 1 .* = 1250 at k = 25"):
             validate_dispersive(bad)
 
 
@@ -117,11 +120,14 @@ class TestCustomModels:
             {"kind": "scalar", "omega1": "-k^3", "params": {"sigma": 1.0}})
         assert eval_omega(model, 1, 2.0) == -8.0
         assert model.kernel_symbol(2.0) == -4.0
+        for omega1 in ("k^3", "sign(k)*sqrt(g*k*tanh(k*h))"):
+            odd = model_from_config({"kind": "scalar", "omega1": omega1,
+                                     "params": {"g": 1.0, "h": 1.0}})
+            assert validate_dispersive(odd) == {1: 1}
 
     def test_custom_canonical_defaults(self):
         model = model_from_config(
             {"kind": "canonical", "omega1": "sqrt(1+k^2)"})
-        assert model.even_system
         assert eval_omega(model, 2, 1.0) == pytest.approx(-math.sqrt(2.0))
         assert model.c_symbol(1.0) == pytest.approx(2.0)
 
@@ -132,6 +138,12 @@ class TestCustomModels:
             {"kind": "canonical", "omega1": "sqrt(1+k^2)+0.1*k"})
         with pytest.raises(ModelNotDispersiveError,
                            match=r"mirrors branch 1 .* = 5 at k = 25"):
+            validate_dispersive(model)
+        # +-k*sqrt(c_squared) with c_squared not even
+        model = model_from_config(
+            {"kind": "noncanonical-bw", "omega1": "k*sqrt(1+0.01*k)",
+             "c_squared": "1+0.01*k"})
+        with pytest.raises(ModelNotDispersiveError, match="mirrors branch 1"):
             validate_dispersive(model)
 
     def test_custom_bw_requires_c_squared(self):
@@ -233,6 +245,32 @@ def test_branch_set_is_closed_under_reflection(name):
                    eval_omega(model, b.index, -ks)) for b in model.branches}
     for l in w:
         assert min(np.max(np.abs(w[lp][1] + w[l][0])) for lp in w) == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_MODELS) + sorted(DSL_TWINS)
+                         + ["custom-canonical"])
+def test_validate_dispersive_returns_mirror_map(name):
+    # odd branches mirror onto themselves, the even pair +-sqrt(1+k^2)
+    # swaps; each branch is evaluated once
+    model = (model_from_config({"kind": "canonical", "omega1": "sqrt(1+k^2)"})
+             if name == "custom-canonical" else build(name))
+    calls = {}
+
+    def counted(b):
+        def evaluator(k):
+            calls[b.index] = calls.get(b.index, 0) + 1
+            return b.evaluator(k)
+        return models.DispersionBranch(b.index, evaluator)
+    model = dataclasses.replace(
+        model, branches=tuple(counted(b) for b in model.branches))
+    if model.kind == models.SCALAR:
+        want = {1: 1}
+    elif name in ("sine-gordon", "custom-canonical"):
+        want = {1: 2, 2: 1}
+    else:
+        want = {1: 1, 2: 2}
+    assert validate_dispersive(model) == want
+    assert calls == {l: 1 for l in want}
 
 
 @pytest.mark.parametrize("text, bad, error", [

@@ -89,7 +89,7 @@ def test_empty_rows_give_the_header_only(rows):
 
 
 def test_empty_spectrum_has_no_rows():
-    empty = hill.SpectrumSet(model="m", M=1, amplitude=0.0)
+    empty = hill.SpectrumSet()
     assert hill.spectrum_to_csv_rows(empty).shape == (0, 3)
 
 
