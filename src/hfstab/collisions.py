@@ -46,8 +46,8 @@ VERDICT_INDETERMINATE = "indeterminate-origin"
 # signature products with magnitude below this draw no conclusion
 BORDERLINE_TOL = 1e-12
 
-# Grid elements per block of the scan: bounds the size of every temporary
-# array (the grid of Omega values itself is kept whole).
+# Grid elements per block of the scan: bounds the size of every array it
+# makes, the blocks of the grid of Omega values included.
 _BLOCK = 8192
 
 
@@ -145,10 +145,12 @@ def find_collisions(model: ModelSpec, c: float, n_max: int,
     ls = np.array([b.index for b in model.branches])
     ns = np.arange(-n_max, n_max + 1)
     rows = max(1, _BLOCK // (G + 1))
-    Om = np.empty((ls.size, ns.size, G + 1))   # Omega_l(n + mu) per branch
-    for p, lo in itertools.product(range(ls.size), range(0, ns.size, rows)):
-        ks = ns[lo:lo + rows, None] + mus
-        Om[p, lo:lo + rows] = eval_Omega(model, int(ls[p]), ks, c)
+    # Omega_l(n + mu) per branch, kept as the blocks of ``rows`` n it is
+    # evaluated in: small arrays reuse freed heap, where one grid of them
+    # all would be a fresh mapping
+    Om = [[eval_Omega(model, int(l), ns[lo:lo + rows, None] + mus, c)
+           for lo in range(0, ns.size, rows)] for l in ls]
+    row = lambda p, i: Om[p][i // rows][i % rows]
 
     # Mode tuples (n1, l1, n2, l2): n1 > n2 for every branch pair, n1 == n2
     # for the pair (1st, 2nd).  A grid zero (kind 0) or sign change (kind 1)
@@ -158,7 +160,7 @@ def find_collisions(model: ModelSpec, c: float, n_max: int,
                                         range(ls.size)):
         top = i1 + (p1 < p2)
         for lo in range(0, top, rows):
-            f = Om[p1, i1] - Om[p2, lo:min(lo + rows, top)]
+            f = row(p1, i1) - Om[p2][lo // rows][:top - lo]
             for kind, mask in enumerate((f == 0.0, f[:, :-1] * f[:, 1:] < 0.0)):
                 w = mask.shape[1]
                 hits += [(i1, lo + j // w, p1, p2, kind, j % w)
@@ -168,8 +170,10 @@ def find_collisions(model: ModelSpec, c: float, n_max: int,
     hits.sort()
     i1, i2, p1, p2, kind, i = np.array(hits, dtype=int).reshape(-1, 6).T
     n1, n2, l1, l2 = ns[i1], ns[i2], ls[p1], ls[p2]
-    roots = _bisect(model, c, n1, l1, n2, l2, mus[i], mus[i + kind],
-                    Om[p1, i1, i] - Om[p2, i2, i], opts.bisect_tol)
+    fa = np.array([row(a, b)[g] - row(d, e)[g] for b, e, a, d, _, g in hits],
+                  dtype=float)
+    roots = _bisect(model, c, n1, l1, n2, l2, mus[i], mus[i + kind], fa,
+                    opts.bisect_tol)
     events = _events(model, c, n1, l1, n2, l2, roots, opts)
     return sorted(events, key=lambda e: (e.lam.imag, e.mu, e.n1))
 

@@ -13,6 +13,9 @@ Hill matrices are built and solved in real arithmetic: L = i·P R P^-1 with
 R real (``Linearization.real_matrix``), so lambda = i*rho for the
 eigenvalues rho of R, and axis eigenvalues have Re exactly 0.  The solves are
 too small to gain from BLAS threads, so ``import hfstab`` asks for one.
+Slices are built and solved in stacks of at most ``_BLOCK_BYTES`` of
+matrices, one ``np.linalg.eigvals`` call and one row-wise sort per stack;
+each slice is bitwise what a solve of its own matrix gives.
 
 The mu grid is uniform plus a fixed-width window around each predicted
 collision mu and its mirror -mu (``MuGridSpec.windows``), sampled
@@ -51,6 +54,9 @@ __all__ = [
 BUBBLE_THRESHOLD = 1e-7
 IM_CLUSTER_GAP = 1e-2
 WINDOW_WIDTH = 5e-3   # half-width of a refinement window in mu
+# Bytes of Hill matrices built and solved in one stacked eigvals call: the
+# stack spreads the per-call cost, and stays small beside a spectrum
+_BLOCK_BYTES = 1 << 20
 
 
 class EigensolverError(Exception):
@@ -144,8 +150,10 @@ def build_mu_grid(spec: MuGridSpec) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Assembly and spectra
 
-def _wavenumbers(mu: float, M: int) -> np.ndarray:
-    return np.arange(-M, M + 1) + mu
+def _wavenumbers(mu, M: int) -> np.ndarray:
+    """Modes n + mu, |n| <= M: shape (2M+1,) for a float mu, (B, 2M+1)
+    for an array of B values."""
+    return np.arange(-M, M + 1) + np.asarray(mu, dtype=float)[..., None]
 
 
 def assemble(model: ModelSpec, wave: TravelingWave, mu: float,
@@ -160,21 +168,30 @@ def assemble(model: ModelSpec, wave: TravelingWave, mu: float,
     return op.real_matrix(_wavenumbers(mu, M), op.wave_part(wave, M))
 
 
-def _eigvals(R: np.ndarray, mu: float) -> np.ndarray:
-    """Eigenvalues i*rho, for those rho of the real form R, by (Im, Re)."""
-    try:
-        rho = np.linalg.eigvals(R)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigensolver failed at mu = {mu!r}") from exc
-    vals = (-rho.imag + 0.0) + 1j * rho.real   # + 0.0 turns -0 into +0
-    return vals[np.lexsort((vals.real, vals.imag))]
+def _sorted(vals: np.ndarray) -> np.ndarray:
+    """Each row of ``vals`` sorted by (Im, Re)."""
+    order = np.lexsort((vals.real, vals.imag), axis=-1)
+    return np.take_along_axis(vals, order, axis=-1)
 
 
-def _reflected(vals: np.ndarray) -> np.ndarray:
-    """The slice at -mu from the slice ``vals`` at mu: lambda -> -lambda,
-    sorted by (Im, Re) as ``_eigvals`` sorts."""
-    vals = -vals + 0.0   # + 0.0 turns -0 into +0
-    return vals[np.lexsort((vals.real, vals.imag))]
+def _solve(op: Linearization, W: np.ndarray | None, mus: np.ndarray,
+           M: int) -> np.ndarray:
+    """Eigenvalues i*rho of the real form R at each mu, one row per mu
+    sorted by (Im, Re); the matrices are built and solved a stack of at
+    most ``_BLOCK_BYTES`` at a time."""
+    n = op.size * (2 * M + 1)
+    step = max(1, _BLOCK_BYTES // (8 * n * n))
+    out = np.empty((mus.size, n), dtype=complex)
+    for lo in range(0, mus.size, step):
+        block = mus[lo:lo + step]
+        try:
+            rho = np.linalg.eigvals(op.real_matrix(_wavenumbers(block, M), W))
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"eigensolver failed for mu in "
+                                   f"[{block[0]!r}, {block[-1]!r}]") from exc
+        vals = (-rho.imag + 0.0) + 1j * rho.real   # + 0.0 turns -0 into +0
+        out[lo:lo + step] = _sorted(vals)
+    return out
 
 
 def spectrum_at(model: ModelSpec, wave: TravelingWave, mu: float,
@@ -187,23 +204,25 @@ def full_spectrum(model: ModelSpec, wave: TravelingWave,
                   grid: MuGridSpec | np.ndarray, M: int) -> SpectrumSet:
     """Point spectra over a mu grid, in increasing mu.
 
-    An explicit array of mu is solved slice by slice.  A ``MuGridSpec``
-    grid is symmetric, so only its mu >= 0 slices are solved; each mu < 0
-    slice is its partner's negated (see the module docstring).  The model
-    is checked for that reflection first (``validate_dispersive``).
+    The slices are solved in stacks (``_solve``).  An explicit array of mu
+    is solved whole.  A ``MuGridSpec`` grid is symmetric, so only its
+    mu >= 0 slices are solved; each mu < 0 slice is its partner's negated
+    (see the module docstring).  The model is checked for that reflection
+    first (``validate_dispersive``).
     """
     op = Linearization(model, wave.c)
     W = op.wave_part(wave, M)
-    solve = lambda mu: _eigvals(op.real_matrix(_wavenumbers(mu, M), W), mu)
     if isinstance(grid, MuGridSpec):
         validate_dispersive(model)
-        mus = build_mu_grid(grid).tolist()
-        half = {mu: solve(mu) for mu in mus if mu >= 0.0}
-        slices = [(mu, half[mu] if mu >= 0.0 else _reflected(half[-mu]))
-                  for mu in mus]
+        mus = build_mu_grid(grid)
+        n_neg = np.count_nonzero(mus < 0.0)
+        vals = _solve(op, W, mus[n_neg:], M)
+        # + 0.0 turns -0 into +0
+        rows = [*_sorted(-vals[::-1][:n_neg] + 0.0), *vals]
     else:
-        slices = [(mu, solve(mu)) for mu in sorted(float(m) for m in grid)]
-    return SpectrumSet(slices)
+        mus = np.array(sorted(float(m) for m in grid))
+        rows = _solve(op, W, mus, M)
+    return SpectrumSet(list(zip(mus.tolist(), rows)))
 
 
 def spectrum_to_csv_rows(spectrum: SpectrumSet) -> np.ndarray:

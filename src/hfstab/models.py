@@ -276,8 +276,9 @@ def validate_dispersive(model: ModelSpec) -> dict[int, int]:
     therefore be odd, and a Boussinesq-Whitham c^2(k) even.
     """
     ks = _DISPERSIVE_GRID
-    w = {b.index: eval_omega(model, b.index, np.stack([ks, -ks]))
-         for b in model.branches}
+    with np.errstate(invalid="ignore"):   # a non-finite value raises here
+        w = {b.index: eval_omega(model, b.index, np.stack([ks, -ks]))
+             for b in model.branches}
     pair = {}
     for l in w:
         gaps = {lp: np.abs(w[lp][1] + w[l][0]) for lp in w}
@@ -373,20 +374,35 @@ class Linearization:
     def real_matrix(self, ks: np.ndarray,
                     W: np.ndarray | None = None) -> np.ndarray:
         """The real R with J·(S + W) = i·P R P^-1 on the modes ks, ordered
-        component by component; L's eigenvalues are i*rho for R's rho."""
+        component by component; L's eigenvalues are i*rho for R's rho.
+
+        ks has shape (..., N), one row of modes per matrix, and R has shape
+        (..., N', N') with N' = d·N: a stack of mu slices is built at once.
+        """
         m = self.model
+        ks = np.asarray(ks, dtype=float)
+        n = ks.shape[-1]
+        i = np.arange(n)
+        R = np.zeros(ks.shape[:-1] + (self.size * n,) * 2)
         if m.kind == SCALAR:
             # k*(-Omega/k) = -Omega: the k cancels exactly, also at k = 0
-            R = np.diag(-eval_Omega(m, 1, ks, self.c))
-            return R if W is None else R + ks[:, None] * W
+            R[..., i, i] = -eval_Omega(m, 1, ks, self.c)
+            if W is not None:
+                R += ks[..., :, None] * W
+            return R
         S = self.hessian(ks)
         j = ks if m.kind == NONCANONICAL_BW else np.ones_like(ks)
         # R = j·swap_rows(S_R + W e00), j applied to the diagonals and the
         # dense block only: off-diagonal zeros stay +0, as eigvals needs
-        lower = np.diag(S[:, 0, 0]) if W is None else np.diag(S[:, 0, 0]) + W
-        diag = lambda a, b: np.diag(j * S[:, a, b])
-        return np.block([[diag(1, 0), diag(1, 1)],
-                         [j[:, None] * lower, diag(0, 1)]])
+        lower = R[..., n:, :n]
+        lower[..., i, i] = S[..., 0, 0]
+        if W is not None:
+            lower += W
+        lower *= j[..., :, None]
+        R[..., i, i] = j * S[..., 1, 0]
+        R[..., i, n + i] = j * S[..., 1, 1]
+        R[..., n + i, n + i] = j * S[..., 0, 1]
+        return R
 
 
 def _exp_coeffs(wave: TravelingWave, length: int) -> np.ndarray:
@@ -497,7 +513,7 @@ def _constant(value: float) -> Symbol:
     return _symbol(lambda k: np.full(k.shape, value))
 
 
-def _canonical_even(name, params, omega1, b_symbol, c_symbol):
+def _canonical(name, params, omega1, b_symbol, c_symbol):
     omega2 = lambda k: -omega1(k)
     return ModelSpec(
         name=name, kind=CANONICAL,
@@ -508,18 +524,18 @@ def _canonical_even(name, params, omega1, b_symbol, c_symbol):
 def _make_sine_gordon(params=None):
     p = _merged({}, params)
     omega1 = _symbol(lambda k: np.sqrt(1.0 + k * k))
-    return _canonical_even("sine-gordon", p, omega1,
-                           b_symbol=_constant(1.0),
-                           c_symbol=_symbol(lambda k: 1.0 + k * k))
+    return _canonical("sine-gordon", p, omega1,
+                      b_symbol=_constant(1.0),
+                      c_symbol=_symbol(lambda k: 1.0 + k * k))
 
 
 def _make_water_waves(params=None):
     p = _merged({"g": 1.0, "h": 1.0}, params)
     _require_positive(p, "g", "h")
     g, h = p["g"], p["h"]
-    return _canonical_even("water-waves", p, _ww_omega1(g, h),
-                           b_symbol=_symbol(lambda k: k * np.tanh(k * h)),
-                           c_symbol=_constant(g))
+    return _canonical("water-waves", p, _ww_omega1(g, h),
+                      b_symbol=_symbol(lambda k: k * np.tanh(k * h)),
+                      c_symbol=_constant(g))
 
 
 def _make_water_waves_deep(params=None):
@@ -527,9 +543,9 @@ def _make_water_waves_deep(params=None):
     _require_positive(p, "g")
     g = p["g"]
     omega1 = _symbol(lambda k: np.sign(k) * np.sqrt(g * np.abs(k)))
-    return _canonical_even("water-waves-deep", p, omega1,
-                           b_symbol=_symbol(np.abs),
-                           c_symbol=_constant(g))
+    return _canonical("water-waves-deep", p, omega1,
+                      b_symbol=_symbol(np.abs),
+                      c_symbol=_constant(g))
 
 
 def _make_boussinesq_whitham(params=None):
@@ -627,9 +643,9 @@ def model_from_config(spec: Mapping) -> ModelSpec:
                            "custom canonical models have B(k) = 1 and C(k) = "
                            "omega1(k)^2, whose branches are +-omega1: "
                            "'omega2' must equal -omega1")
-        return _canonical_even("custom-canonical", params, omega1,
-                               b_symbol=_constant(1.0),
-                               c_symbol=_symbol(lambda k: omega1(k) ** 2))
+        return _canonical("custom-canonical", params, omega1,
+                          b_symbol=_constant(1.0),
+                          c_symbol=_symbol(lambda k: omega1(k) ** 2))
 
     # noncanonical-bw
     if "c_squared" not in spec:

@@ -256,6 +256,7 @@ def test_13_utility_layer_randomized(capsys):
     ok = worst_identity <= 1e-12 and round_trips == 10000 and odd_ok
     report(capsys, 13, ok,
            "10^4 Jacobi identity samples within 1e-12, 10^4 expression "
-           "round trips, and branch parity classification of built-ins",
+           "round trips, and odd built-in branches (the sine-Gordon pair "
+           "even)",
            f"identity max {worst_identity:.2e}, "
            f"{round_trips}/10000 round trips")

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +214,23 @@ class TestConfigErrors:
         code, _, err = run(capsys, "analyze", "--config", str(cfg))
         assert code == 2
         assert "configuration error" in err and message in err
+
+    def test_negative_c_squared_prints_only_the_error(self, tmp_path):
+        # a fresh interpreter, as pytest would capture a RuntimeWarning
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": {
+            "kind": "noncanonical-bw", "omega1": "k*sqrt(1+0.1*k)",
+            "c_squared": "1+0.1*k"}}))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH", "")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hfstab.cli", "analyze", "--config",
+             str(cfg)], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr == ("configuration error: model 'custom-bw': "
+                               "omega_1(-25.0) is not finite\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["spectrum", "--model", "kdv", "--amplitude", "nan"], "wave.amplitude"),

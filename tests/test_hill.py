@@ -8,9 +8,9 @@ import pytest
 
 from hfstab import hill
 from hfstab.collisions import find_collisions, mirror_events
-from hfstab.models import (BUILTIN_MODELS, ModelError, TravelingWave,
-                           bifurcation_speed, eval_Omega, make_model,
-                           model_from_config, spectrum_slice)
+from hfstab.models import (BUILTIN_MODELS, Linearization, ModelError,
+                           TravelingWave, bifurcation_speed, eval_Omega,
+                           make_model, model_from_config, spectrum_slice)
 from hfstab.waves import solve_wave_collocation, stokes_wave
 
 from elliptic_oracles import kdv_cnoidal
@@ -313,9 +313,11 @@ class TestDerivedSlices:
         s = hill.full_spectrum(model, wave, grid, 16)
         mus = hill.build_mu_grid(grid)
         assert [mu for mu, _ in s.slices] == mus.tolist()
-        assert len(shapes) == np.count_nonzero(mus >= 0.0)
-        assert len(shapes) == (mus.size + 1) // 2
-        assert set(shapes) == {(33, 33)}
+        # stacked calls of (B, 33, 33): one matrix per mu >= 0
+        solved = sum(shape[0] for shape in shapes)
+        assert solved == np.count_nonzero(mus >= 0.0)
+        assert solved == (mus.size + 1) // 2
+        assert {shape[1:] for shape in shapes} == {(33, 33)}
 
     @pytest.mark.parametrize("name", ["kdv", "fifth-order-scalar",
                                       "boussinesq-whitham", "sine-gordon",
@@ -334,6 +336,37 @@ class TestDerivedSlices:
             scale = max(1.0, float(np.abs(direct).max()))
             assert hill._hausdorff(vals, direct) <= 1e-12 * scale
             assert not np.signbit(vals.real[vals.real == 0.0]).any()
+
+
+class TestStackedSolves:
+    """full_spectrum builds and solves its slices in stacks of at most
+    ``_BLOCK_BYTES``; each slice is bitwise the solve of its own matrix."""
+
+    @pytest.mark.parametrize("name", ["kdv", "fifth-order-scalar",
+                                      "boussinesq-whitham", "sine-gordon",
+                                      "water-waves"])
+    def test_stacked_solves_equal_per_slice_solves(self, name, monkeypatch):
+        model, wave = derived_slice_case(name)
+        M = 16
+        op = Linearization(model, wave.c)
+        W = op.wave_part(wave, M)
+        n = op.size * (2 * M + 1)
+        # stacks of 3 over 11 slices: the last stack is short
+        monkeypatch.setattr(hill, "_BLOCK_BYTES", 3 * 8 * n * n + 8)
+        shapes = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda R: shapes.append(R.shape) or eigvals(R))
+        mus = [*np.linspace(-0.45, 0.45, 9), -0.0, 0.0]
+        s = hill.full_spectrum(model, wave, mus, M)
+        assert [shape[0] for shape in shapes] == [3, 3, 3, 2]
+        assert [mu for mu, _ in s.slices] == sorted(mus)
+        for mu, vals in s.slices:
+            R = op.real_matrix(np.arange(-M, M + 1) + mu, W)
+            rho = eigvals(R)
+            direct = (-rho.imag + 0.0) + 1j * rho.real
+            direct = direct[np.lexsort((direct.real, direct.imag))]
+            assert vals.tobytes() == direct.tobytes()
 
 
 class TestZeroAmplitudeConsistency:

@@ -47,19 +47,6 @@ class TestCatalog:
         model = make_model("whitham", {"g": 4.0, "h": 1.0})
         assert model.sigma == pytest.approx(3.0)
 
-    def test_even_system_branch_pairing(self):
-        # for even systems there is a branch l' with omega_l(-k) = -omega_l'(k)
-        for name in ("sine-gordon", "water-waves", "water-waves-deep",
-                     "boussinesq-whitham"):
-            model = make_model(name)
-            for k in (0.3, 1.0, 2.7):
-                for b in model.branches:
-                    target = -eval_omega(model, b.index, -k)
-                    matches = [bb.index for bb in model.branches
-                               if abs(eval_omega(model, bb.index, k) - target)
-                               <= 1e-12]
-                    assert matches, (name, b.index, k)
-
 
 class TestDispersion:
     def test_gkdv_speed(self):

@@ -1,10 +1,12 @@
 """CSV emission: the array path of ``report.csv_lines`` against the per-cell
 formatter it replaced, on the rows of all three CSV writers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hfstab import hill
+from hfstab import hill, report
 from hfstab.collisions import secant_curve_data, trace_first_collision_vs_depth
 from hfstab.models import bifurcation_speed, make_model
 from hfstab.report import csv_lines, format_float
@@ -55,6 +57,41 @@ def test_edge_floats_in_an_array():
     assert csv_lines(["a", "b"], rows) == per_cell_csv_lines(
         ["a", "b"], [tuple(r) for r in rows.tolist()])
     assert "-0,4.9406564584124654e-324" in csv_lines(["a", "b"], rows)
+
+
+@pytest.mark.parametrize("size", [report._BLOCK - 1, report._BLOCK,
+                                  report._BLOCK + 1, 2 * report._BLOCK + 3])
+def test_rows_across_block_boundaries(size):
+    # repeated values (each formatted once per block), -0.0 beside +0.0 in
+    # one column, distinct values in another, and integer cells
+    rng = np.random.default_rng(size)
+    repeated = rng.choice(np.array(EDGE + [0.0]), size=size)
+    distinct = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    assert np.signbit(repeated[repeated == 0.0]).any()
+    assert not np.signbit(repeated[repeated == 0.0]).all()
+    rows = list(zip(range(-3, size - 3), repeated.tolist(), distinct.tolist()))
+    header = ["i", "repeated", "distinct"]
+    assert csv_lines(header, rows) == per_cell_csv_lines(header, rows)
+    table = np.column_stack([repeated, distinct])
+    assert csv_lines(header[1:], table) == per_cell_csv_lines(
+        header[1:], [tuple(r) for r in table.tolist()])
+
+
+def test_peak_memory_is_bounded_by_the_text():
+    # a 100k-row spectrum table: mu repeats per slice, Re is mostly 0
+    rng = np.random.default_rng(7)
+    n = 65
+    mus = np.repeat(np.linspace(-0.5, 0.5, 100_000 // n + 1), n)[:100_000]
+    re = np.where(rng.random(mus.size) < 0.01, rng.random(mus.size) * 1e-4, 0.0)
+    table = np.column_stack([mus, re, rng.standard_normal(mus.size) * 30.0])
+    tracemalloc.start()
+    try:
+        text = csv_lines(["mu", "re_lambda", "im_lambda"], table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 100_001
+    assert peak <= 2.5 * len(text)
 
 
 def test_curves_rows_keep_integer_cells():
