@@ -17,7 +17,7 @@ import sys
 from hfstab import hill
 from hfstab.krein import screen
 from hfstab.models import bifurcation_speed, make_model
-from hfstab.report import csv_lines, json_dumps
+from hfstab.report import csv_blocks, json_dumps
 from hfstab.waves import solve_wave_collocation
 
 
@@ -56,8 +56,8 @@ def main() -> int:
     bubbles = hill.detect_bubbles(spectrum, predictions=events)
 
     with open(args.out, "w") as fh:
-        fh.write(csv_lines(["mu", "re_lambda", "im_lambda"],
-                           hill.spectrum_to_csv_rows(spectrum)))
+        fh.writelines(csv_blocks(["mu", "re_lambda", "im_lambda"],
+                                 hill.spectrum_to_csv_rows(spectrum)))
     report = {"bubbles": [b.to_dict() for b in bubbles],
               "max_re_lambda": spectrum.max_real_part()}
     with open(args.out + ".bubbles.json", "w") as fh:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -25,8 +26,9 @@ from .collisions import secant_curve_data, trace_first_collision_vs_depth, \
     NoCollisionFoundError
 from .config import ConfigError, RunConfig, apply_flags, build_model, \
     load_config
-from .models import ModelError, TravelingWave, bifurcation_speed
-from .report import csv_lines, json_dumps
+from .models import ModelError, TravelingWave, bifurcation_speed, \
+    validate_dispersive
+from .report import csv_blocks, csv_lines, json_dumps
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -93,13 +95,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(text: str, path: str | None, suffix: str = "") -> None:
-    """Write ``text`` to ``path + suffix``, or to stdout if path is None."""
+def _write(parts: Iterable[str], path: str | None, suffix: str = "") -> None:
+    """Write the strings ``parts`` to ``path + suffix``, or to stdout if path
+    is None, one at a time."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(path + suffix, "w") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
 def _load(args) -> tuple[RunConfig, object]:
@@ -114,7 +117,7 @@ def cmd_analyze(args) -> int:
     cfg, model = _load(args)
     report = krein.run_pipeline(model, N=cfg.N, n_max=cfg.n_max,
                                 opts=cfg.collision)
-    _write(json_dumps(report.to_dict()), cfg.output)
+    _write([json_dumps(report.to_dict())], cfg.output)
     return EXIT_OK
 
 
@@ -123,7 +126,7 @@ def cmd_collide(args) -> int:
     report = krein.run_pipeline(model, N=cfg.N, n_max=cfg.n_max,
                                 opts=cfg.collision).to_dict()
     view = {k: report[k] for k in ("model", "N", "speed", "events")}
-    _write(json_dumps(view), cfg.output)
+    _write([json_dumps(view)], cfg.output)
     return EXIT_OK
 
 
@@ -138,7 +141,7 @@ def cmd_wave(args) -> int:
     wave = _solve_wave(cfg, model, args.force)
     data = wave.to_dict()
     data["residual"] = waves.wave_residual(model, wave)
-    _write(json_dumps(data), cfg.output)
+    _write([json_dumps(data)], cfg.output)
     return EXIT_OK
 
 
@@ -176,15 +179,15 @@ def cmd_spectrum(args) -> int:
         bubble_report["zero_amplitude_deviation"] = hill.zero_amplitude_check(
             model, wave.c, np.linspace(-0.45, 0.45, 7), min(cfg.hill_M, 32))
 
-    csv_text = csv_lines(["mu", "re_lambda", "im_lambda"],
-                         hill.spectrum_to_csv_rows(spectrum))
-    _write(csv_text, cfg.output)
-    _write(json_dumps(bubble_report), cfg.output, ".bubbles.json")
+    _write(csv_blocks(["mu", "re_lambda", "im_lambda"],
+                      hill.spectrum_to_csv_rows(spectrum)), cfg.output)
+    _write([json_dumps(bubble_report)], cfg.output, ".bubbles.json")
     return EXIT_OK
 
 
 def cmd_curves(args) -> int:
     cfg, model = _load(args)
+    validate_dispersive(model)
     c = bifurcation_speed(model, 1, cfg.N)
     k_grid = np.linspace(-0.5, 0.5, 201)
     rows = secant_curve_data(model, c, range(-3, 4), k_grid)
@@ -195,7 +198,7 @@ def cmd_curves(args) -> int:
             model.params["g"], h_grid, n_max=max(cfg.n_max, 3))
         texts[".depth.csv"] = csv_lines(["h", "im_lambda"], trace)
     for suffix, text in texts.items():
-        _write(text, cfg.output, suffix)
+        _write([text], cfg.output, suffix)
     return EXIT_OK
 
 

@@ -13,9 +13,16 @@ Hill matrices are built and solved in real arithmetic: L = i·P R P^-1 with
 R real (``Linearization.real_matrix``), so lambda = i*rho for the
 eigenvalues rho of R, and axis eigenvalues have Re exactly 0.  The solves are
 too small to gain from BLAS threads, so ``import hfstab`` asks for one.
-Slices are built and solved in stacks of at most ``_BLOCK_BYTES`` of
-matrices, one ``np.linalg.eigvals`` call and one row-wise sort per stack;
-each slice is bitwise what a solve of its own matrix gives.
+Slices are built and solved in stacks, one ``np.linalg.eigvals`` call and one
+row-wise sort per stack; each slice is bitwise what a solve of its own matrix
+gives.  A stack holds at most ``_BLOCK_BYTES`` of matrices, but never fewer
+than 500 // N + 1 of size N: numpy's eigvals releases the GIL only for a call
+whose matrices times N exceed 500.  So the stacks of one spectrum are solved
+in parallel, by one thread per CPU the process may use (divided by
+OPENBLAS_NUM_THREADS, at most ``_MAX_WORKERS``), the calling thread among
+them.  The threads start and end within each call, and every slice is still
+one single-threaded LAPACK call on the same matrix, so the spectrum does not
+depend on the thread count.
 
 The mu grid is uniform plus a fixed-width window around each predicted
 collision mu and its mirror -mu (``MuGridSpec.windows``), sampled
@@ -36,6 +43,9 @@ is linked to the prediction nearest its center.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +67,33 @@ WINDOW_WIDTH = 5e-3   # half-width of a refinement window in mu
 # Bytes of Hill matrices built and solved in one stacked eigvals call: the
 # stack spreads the per-call cost, and stays small beside a spectrum
 _BLOCK_BYTES = 1 << 20
+# numpy's eigvals releases the GIL only when matrices x N exceeds this
+_GIL_OUTPUTS = 500
+# Most threads one spectrum is solved on: each holds a stack in flight
+_MAX_WORKERS = 4
+
+
+def _stack_size(n: int) -> int:
+    """Slices per stacked solve of n x n matrices: at most ``_BLOCK_BYTES``
+    of matrices, but enough that eigvals releases the GIL."""
+    return max(_BLOCK_BYTES // (8 * n * n), _GIL_OUTPUTS // n + 1)
+
+
+def _worker_count() -> int:
+    """CPUs this process may use, divided by the OpenBLAS threads of each
+    solve, at least 1 and at most ``_MAX_WORKERS``."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    try:
+        blas = int(os.environ.get("OPENBLAS_NUM_THREADS", ""))
+    except ValueError:
+        blas = 0
+    if blas < 1:   # OpenBLAS then runs one thread per CPU
+        blas = cpus
+    return max(1, min(_MAX_WORKERS, cpus // blas))
+
+
+_WORKERS = _worker_count()
 
 
 class EigensolverError(Exception):
@@ -70,19 +107,23 @@ def zero_wave(model: ModelSpec, c: float) -> TravelingWave:
 
 @dataclass
 class SpectrumSet:
-    """Per-mu point spectra, sorted by mu then (Im, Re)."""
-    slices: list[tuple[float, np.ndarray]] = field(default_factory=list)
+    """Point spectra: row i of ``values`` holds the eigenvalues at ``mus[i]``
+    sorted by (Im, Re), and ``mus`` increases."""
+    mus: np.ndarray = field(default_factory=lambda: np.empty(0))
+    values: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 0), dtype=complex))
+
+    @property
+    def slices(self) -> list[tuple[float, np.ndarray]]:
+        """(mu, eigenvalues) per slice; each array is a row of ``values``."""
+        return list(zip(self.mus.tolist(), self.values))
 
     def all_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened (mu, lambda) arrays over all slices."""
-        mus = [np.full(vals.size, mu) for mu, vals in self.slices]
-        lams = [vals for _, vals in self.slices]
-        return (np.concatenate([np.empty(0)] + mus),
-                np.concatenate([np.empty(0, dtype=complex)] + lams))
+        """Flattened (mu, lambda) arrays over all slices; lambda is a view."""
+        return np.repeat(self.mus, self.values.shape[1]), self.values.ravel()
 
     def max_real_part(self) -> float:
-        _, lams = self.all_points()
-        return float(np.max(lams.real)) if lams.size else 0.0
+        return float(self.values.real.max()) if self.values.size else 0.0
 
 
 @dataclass
@@ -175,29 +216,59 @@ def _sorted(vals: np.ndarray) -> np.ndarray:
 
 
 def _solve(op: Linearization, W: np.ndarray | None, mus: np.ndarray,
-           M: int) -> np.ndarray:
-    """Eigenvalues i*rho of the real form R at each mu, one row per mu
-    sorted by (Im, Re); the matrices are built and solved a stack of at
-    most ``_BLOCK_BYTES`` at a time."""
-    n = op.size * (2 * M + 1)
-    step = max(1, _BLOCK_BYTES // (8 * n * n))
-    out = np.empty((mus.size, n), dtype=complex)
-    for lo in range(0, mus.size, step):
+           M: int, out: np.ndarray) -> None:
+    """Fill row i of ``out`` with the eigenvalues i*rho of the real form R
+    at mus[i], sorted by (Im, Re).
+
+    The matrices are built and solved a stack of ``_stack_size`` slices at a
+    time, by up to ``_WORKERS`` threads (the caller's among them), each taking
+    the next stack in mu order.  A failure stops the hand-out; once every
+    thread has stopped, the first failing stack in mu order is raised."""
+    step = _stack_size(out.shape[1])
+    stacks = deque(range(0, mus.size, step))
+    failures: dict[int, Exception] = {}
+
+    def work() -> None:
+        # a stack taken after a failure lies above it in mu, so a late look
+        # at ``failures`` cannot change which failure is raised
+        while not failures:
+            try:
+                lo = stacks.popleft()
+            except IndexError:
+                return
+            block = mus[lo:lo + step]
+            try:
+                rho = np.linalg.eigvals(
+                    op.real_matrix(_wavenumbers(block, M), W))
+            except Exception as exc:   # raised by the caller below
+                failures[lo] = exc
+                return
+            vals = (-rho.imag + 0.0) + 1j * rho.real   # + 0.0 turns -0 into +0
+            out[lo:lo + step] = _sorted(vals)
+
+    threads = [threading.Thread(target=work)
+               for _ in range(min(_WORKERS, len(stacks)) - 1)]
+    try:
+        for thread in threads:
+            thread.start()
+        work()
+    finally:
+        stacks.clear()
+        for thread in threads:
+            thread.join()
+    if failures:
+        lo = min(failures)
+        if not isinstance(failures[lo], np.linalg.LinAlgError):
+            raise failures[lo]
         block = mus[lo:lo + step]
-        try:
-            rho = np.linalg.eigvals(op.real_matrix(_wavenumbers(block, M), W))
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(f"eigensolver failed for mu in "
-                                   f"[{block[0]!r}, {block[-1]!r}]") from exc
-        vals = (-rho.imag + 0.0) + 1j * rho.real   # + 0.0 turns -0 into +0
-        out[lo:lo + step] = _sorted(vals)
-    return out
+        raise EigensolverError(f"eigensolver failed for mu in "
+                               f"[{block[0]!r}, {block[-1]!r}]") from failures[lo]
 
 
 def spectrum_at(model: ModelSpec, wave: TravelingWave, mu: float,
                 M: int) -> np.ndarray:
     """All eigenvalues of the truncated Hill matrix, sorted by (Im, Re)."""
-    return full_spectrum(model, wave, [mu], M).slices[0][1]
+    return full_spectrum(model, wave, [mu], M).values[0]
 
 
 def full_spectrum(model: ModelSpec, wave: TravelingWave,
@@ -216,19 +287,24 @@ def full_spectrum(model: ModelSpec, wave: TravelingWave,
         validate_dispersive(model)
         mus = build_mu_grid(grid)
         n_neg = np.count_nonzero(mus < 0.0)
-        vals = _solve(op, W, mus[n_neg:], M)
-        # + 0.0 turns -0 into +0
-        rows = [*_sorted(-vals[::-1][:n_neg] + 0.0), *vals]
     else:
         mus = np.array(sorted(float(m) for m in grid))
-        rows = _solve(op, W, mus, M)
-    return SpectrumSet(list(zip(mus.tolist(), rows)))
+        n_neg = 0
+    values = np.empty((mus.size, op.size * (2 * M + 1)), dtype=complex)
+    _solve(op, W, mus[n_neg:], M, values[n_neg:])
+    # + 0.0 turns -0 into +0
+    values[:n_neg] = _sorted(-values[::-1][:n_neg] + 0.0)
+    return SpectrumSet(mus, values)
 
 
 def spectrum_to_csv_rows(spectrum: SpectrumSet) -> np.ndarray:
     """A (rows, 3) array of (mu, re_lambda, im_lambda) in slice order."""
-    mus, lams = spectrum.all_points()
-    return np.column_stack([mus, lams.real, lams.imag])
+    values = spectrum.values
+    rows = np.empty(values.shape + (3,))
+    rows[..., 0] = spectrum.mus[:, None]
+    rows[..., 1] = values.real
+    rows[..., 2] = values.imag
+    return rows.reshape(-1, 3)
 
 
 # --------------------------------------------------------------------------
@@ -242,11 +318,10 @@ def detect_bubbles(spectrum: SpectrumSet,
     Single-linkage clustering with gap 1e-2 in Im(lambda); each bubble is
     linked to the prediction whose collision ordinate is nearest its center.
     """
-    mus, lams = spectrum.all_points()
-    mask = lams.real > BUBBLE_THRESHOLD
-    if not np.any(mask):
+    rows, cols = np.nonzero(spectrum.values.real > BUBBLE_THRESHOLD)
+    if not rows.size:
         return []
-    mus, lams = mus[mask], lams[mask]
+    mus, lams = spectrum.mus[rows], spectrum.values[rows, cols]
     order = np.argsort(lams.imag)
     mus, lams = mus[order], lams[order]
     breaks = np.flatnonzero(np.diff(lams.imag) > IM_CLUSTER_GAP)

@@ -2,8 +2,9 @@
 
 All floating-point values are written with 17 significant digits so that
 serialized artifacts round-trip exactly and reruns are byte-identical.
-CSV text is formatted a block of rows at a time, so that emitting a
-spectrum of hundreds of thousands of rows needs little beyond the text.
+CSV text is formatted a block of rows at a time (``csv_blocks``), so that
+a spectrum of hundreds of thousands of rows is written to its file with
+little beyond the rows in memory.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-__all__ = ["format_float", "json_dumps", "csv_lines"]
+__all__ = ["format_float", "json_dumps", "csv_lines", "csv_blocks"]
 
 _BLOCK = 4096   # CSV rows formatted at a time
 
@@ -73,30 +74,35 @@ def json_dumps(obj) -> str:
 
 
 def csv_lines(header: list[str], rows) -> str:
-    """CSV text of a 2-D array or equally typed rows; the first row's cell
-    types fix the format (floats 17 significant digits, other cells str).
+    """CSV text of a 2-D array or equally typed rows: ``csv_blocks``
+    joined."""
+    return "".join(csv_blocks(header, rows))
 
-    Rows are formatted ``_BLOCK`` at a time and the blocks joined once, so
-    the temporaries stay small beside the text.  Within a block each float
-    column formats each distinct bit pattern once (so -0.0 keeps its
+
+def csv_blocks(header: list[str], rows):
+    """Yield the CSV text of a 2-D array or equally typed rows, the header
+    line first and then ``_BLOCK`` rows at a time, so that a writer holds
+    one block beside the rows.  The first row's cell types fix the format
+    (floats 17 significant digits, other cells str).  Within a block each
+    float column formats each distinct bit pattern once (so -0.0 keeps its
     text), and one ``%s`` gather lays the cells out."""
     table = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
-    parts = [",".join(header) + "\n"]
-    if len(table):
-        is_float = [isinstance(v, float) for v in table[0]]
-        other = np.logical_not(is_float)
-        fmt = ",".join(["%s"] * len(is_float)) + "\n"
-        for lo in range(0, len(table), _BLOCK):
-            block = table[lo:lo + _BLOCK]
-            floats = block[:, is_float].astype(float)
-            if not np.isfinite(floats).all():
-                format_float(float(floats[~np.isfinite(floats)][0]))   # raises
-            cells = np.empty(block.shape, dtype=object)
-            cells[:, other] = block[:, other]
-            for j, col in zip(np.flatnonzero(is_float), floats.T):
-                bits, inverse = np.unique(col.view(np.int64),
-                                          return_inverse=True)
-                texts = ["%.17g" % x for x in bits.view(float).tolist()]
-                cells[:, j] = np.array(texts, dtype=object)[inverse]
-            parts.append(fmt * len(block) % tuple(cells.ravel().tolist()))
-    return "".join(parts)
+    yield ",".join(header) + "\n"
+    if not len(table):
+        return
+    is_float = [isinstance(v, float) for v in table[0]]
+    other = np.logical_not(is_float)
+    fmt = ",".join(["%s"] * len(is_float)) + "\n"
+    for lo in range(0, len(table), _BLOCK):
+        block = table[lo:lo + _BLOCK]
+        floats = block[:, is_float].astype(float)
+        if not np.isfinite(floats).all():
+            format_float(float(floats[~np.isfinite(floats)][0]))   # raises
+        cells = np.empty(block.shape, dtype=object)
+        cells[:, other] = block[:, other]
+        for j, col in zip(np.flatnonzero(is_float), floats.T):
+            bits, inverse = np.unique(col.view(np.int64),
+                                      return_inverse=True)
+            texts = ["%.17g" % x for x in bits.view(float).tolist()]
+            cells[:, j] = np.array(texts, dtype=object)[inverse]
+        yield fmt * len(block) % tuple(cells.ravel().tolist())

@@ -128,7 +128,8 @@ class TestCollide:
             "kind": "canonical", "omega1": "sqrt(1+k^2)+0.1*k"}, "n_max": 5}))
         results = {run(capsys, command, "--config", str(cfg),
                        "--out", str(tmp_path / command))
-                   for command in ("analyze", "collide", "spectrum")}
+                   for command in ("analyze", "collide", "spectrum",
+                                   "curves")}
         assert len(results) == 1
         code, out, err = results.pop()
         assert (code, out) == (2, "")
@@ -458,6 +459,20 @@ class TestCurves:
         lines = out.splitlines()
         assert lines[0] == "l,n,k,Omega"
         assert len(lines) == 1 + 7 * 201
+
+    def test_refuses_what_analyze_refuses(self, capsys, tmp_path):
+        # the branch is finite on the plotted |k| <= 3.5 but not on the
+        # dispersion check's grid: curves checks the model as analyze does
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": {
+            "kind": "noncanonical-bw", "omega1": "k*sqrt(1+0.1*k)",
+            "c_squared": "1+0.1*k"}}))
+        results = {run(capsys, command, "--config", str(cfg),
+                       "--out", str(tmp_path / command))
+                   for command in ("analyze", "curves")}
+        assert results == {(2, "", "configuration error: model 'custom-bw': "
+                                   "omega_1(-25.0) is not finite\n")}
+        assert not list(tmp_path.glob("curves*"))
 
     def test_water_waves_depth_trace(self, capsys, tmp_path):
         out_path = tmp_path / "curves.csv"

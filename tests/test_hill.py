@@ -1,6 +1,8 @@
 """Hill-matrix assembly, spectra, bubbles, and zero-amplitude consistency."""
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -339,8 +341,17 @@ class TestDerivedSlices:
 
 
 class TestStackedSolves:
-    """full_spectrum builds and solves its slices in stacks of at most
-    ``_BLOCK_BYTES``; each slice is bitwise the solve of its own matrix."""
+    """full_spectrum builds and solves its slices in stacks of
+    ``_stack_size`` slices, on up to ``_WORKERS`` threads; each slice is
+    bitwise the solve of its own matrix, whatever the thread count."""
+
+    @pytest.mark.parametrize("n, step", [(65, 31), (129, 7), (130, 7),
+                                         (258, 2)])
+    def test_every_stack_releases_the_gil(self, n, step):
+        # at most 1 MiB of matrices, but more than 500 outputs per eigvals
+        # call, below which numpy holds the GIL (the floor decides at N = 258)
+        assert hill._stack_size(n) == step
+        assert step * n > hill._GIL_OUTPUTS == 500
 
     @pytest.mark.parametrize("name", ["kdv", "fifth-order-scalar",
                                       "boussinesq-whitham", "sine-gordon",
@@ -350,16 +361,16 @@ class TestStackedSolves:
         M = 16
         op = Linearization(model, wave.c)
         W = op.wave_part(wave, M)
-        n = op.size * (2 * M + 1)
-        # stacks of 3 over 11 slices: the last stack is short
-        monkeypatch.setattr(hill, "_BLOCK_BYTES", 3 * 8 * n * n + 8)
+        step = hill._stack_size(op.size * (2 * M + 1))
         shapes = []
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals",
                             lambda R: shapes.append(R.shape) or eigvals(R))
-        mus = [*np.linspace(-0.45, 0.45, 9), -0.0, 0.0]
+        monkeypatch.setattr(hill, "_WORKERS", 3)
+        # two full stacks and a short one, solved in any order
+        mus = [*np.linspace(-0.45, 0.45, 2 * step + 1), -0.0, 0.0]
         s = hill.full_spectrum(model, wave, mus, M)
-        assert [shape[0] for shape in shapes] == [3, 3, 3, 2]
+        assert sorted(shape[0] for shape in shapes) == [3, step, step]
         assert [mu for mu, _ in s.slices] == sorted(mus)
         for mu, vals in s.slices:
             R = op.real_matrix(np.arange(-M, M + 1) + mu, W)
@@ -367,6 +378,95 @@ class TestStackedSolves:
             direct = (-rho.imag + 0.0) + 1j * rho.real
             direct = direct[np.lexsort((direct.real, direct.imag))]
             assert vals.tobytes() == direct.tobytes()
+
+    @pytest.mark.parametrize("name", ["fifth-order-scalar",
+                                      "boussinesq-whitham"])
+    def test_spectrum_does_not_depend_on_worker_count(self, name,
+                                                      monkeypatch):
+        model, wave = derived_slice_case(name)
+        step = hill._stack_size(Linearization(model, wave.c).size * 33)
+        # the mu >= 0 half is three full stacks and a short one of 2; with
+        # more threads than stacks and a short switch interval, a stack
+        # solved twice or skipped would change the bytes
+        grid = hill.MuGridSpec(count=2 * (3 * step + 2))
+        spectra = set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3, 8):
+                monkeypatch.setattr(hill, "_WORKERS", workers)
+                s = hill.full_spectrum(model, wave, grid, 16)
+                spectra.add((s.mus.tobytes(), s.values.tobytes()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(spectra) == 1
+
+    def failing_solves(self, monkeypatch, fails):
+        """Make eigvals raise LinAlgError where ``fails(start)`` holds for
+        the first mu of the stack being solved; return the stack starts
+        that failed and the threads alive before the solve."""
+        starts, failed = {}, []
+        wavenumbers, eigvals = hill._wavenumbers, np.linalg.eigvals
+
+        def record(block, M):
+            starts[threading.get_ident()] = float(block[0])
+            return wavenumbers(block, M)
+
+        def solve(R):
+            start = starts[threading.get_ident()]
+            if fails(start):
+                failed.append(start)
+                raise np.linalg.LinAlgError("injected")
+            return eigvals(R)
+        monkeypatch.setattr(hill, "_wavenumbers", record)
+        monkeypatch.setattr(np.linalg, "eigvals", solve)
+        return failed, set(threading.enumerate())
+
+    def stack_range(self, mus, start, step):
+        block = mus[list(mus).index(start):][:step]
+        return f"eigensolver failed for mu in [{block[0]!r}, {block[-1]!r}]"
+
+    def test_first_failing_stack_in_mu_order_is_raised(self, monkeypatch):
+        model, wave = derived_slice_case("fifth-order-scalar")
+        step = hill._stack_size(33)
+        mus = np.linspace(0.0, 0.45, 5 * step)
+        monkeypatch.setattr(hill, "_WORKERS", 3)
+        both = threading.Barrier(2, timeout=60)
+
+        def fails(start):
+            # stacks 1 and 2 fail, once both are in flight
+            if start not in (mus[step], mus[2 * step]):
+                return False
+            both.wait()
+            return True
+        failed, before = self.failing_solves(monkeypatch, fails)
+        with pytest.raises(hill.EigensolverError) as info:
+            hill.full_spectrum(model, wave, mus, 16)
+        assert sorted(failed) == [mus[step], mus[2 * step]]
+        assert str(info.value) == self.stack_range(mus, mus[step], step)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        assert set(threading.enumerate()) == before
+
+    def test_a_worker_failure_is_raised_and_no_thread_is_left(self,
+                                                              monkeypatch):
+        model, wave = derived_slice_case("fifth-order-scalar")
+        step = hill._stack_size(33)
+        mus = np.linspace(0.0, 0.45, 5 * step)
+        monkeypatch.setattr(hill, "_WORKERS", 2)
+        worker_failed = threading.Event()
+
+        def fails(start):
+            # the caller's solves wait for the worker's, which all fail
+            if threading.current_thread() is threading.main_thread():
+                assert worker_failed.wait(timeout=60)
+                return False
+            worker_failed.set()
+            return True
+        failed, before = self.failing_solves(monkeypatch, fails)
+        with pytest.raises(hill.EigensolverError) as info:
+            hill.full_spectrum(model, wave, mus, 16)
+        assert str(info.value) == self.stack_range(mus, min(failed), step)
+        assert set(threading.enumerate()) == before
 
 
 class TestZeroAmplitudeConsistency:

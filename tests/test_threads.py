@@ -1,5 +1,6 @@
 """BLAS thread policy: ``import hfstab`` pins OpenBLAS to one thread unless
-the caller set a count, and report bytes do not depend on the count."""
+the caller set a count, and starts no thread; report bytes depend neither on
+the BLAS count nor on the Hill solve's worker threads."""
 
 import os
 import subprocess
@@ -46,13 +47,19 @@ def test_numpy_loads_after_the_setting():
 
 
 def test_spectrum_bytes_do_not_depend_on_thread_count(tmp_path):
+    # BLAS threads, and the Hill solve's workers: hill._WORKERS is 1 with
+    # two BLAS threads on a 2-CPU host, and is forced to 1 in the last run
+    args = ["spectrum", "--model", "fifth-order-scalar", "--amplitude", "0.02",
+            "--M", "64", "--mu-count", "20"]
+    one_worker = ("import sys; from hfstab import cli, hill; "
+                  "hill._WORKERS = 1; sys.exit(cli.main(sys.argv[1:]))")
     texts = {}
-    for threads in ("1", "2"):
-        out = tmp_path / f"spectrum-{threads}.csv"
-        python("-m", "hfstab.cli", "spectrum", "--model", "fifth-order-scalar",
-               "--amplitude", "0.02", "--M", "64", "--mu-count", "20",
-               "--out", str(out), threads=threads)
-        texts[threads] = (out.read_bytes(),
-                          Path(f"{out}.bubbles.json").read_bytes())
-    assert texts["1"][0].count(b"\n") > 20 * 129
-    assert texts["1"] == texts["2"]
+    for run, threads, entry in (("blas1", "1", ["-m", "hfstab.cli"]),
+                                ("blas2", "2", ["-m", "hfstab.cli"]),
+                                ("worker1", "1", ["-c", one_worker])):
+        out = tmp_path / f"spectrum-{run}.csv"
+        python(*entry, *args, "--out", str(out), threads=threads)
+        texts[run] = (out.read_bytes(),
+                      Path(f"{out}.bubbles.json").read_bytes())
+    assert texts["blas1"][0].count(b"\n") > 20 * 129
+    assert texts["blas1"] == texts["blas2"] == texts["worker1"]
