@@ -16,7 +16,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .models import (ModelSpec, ModeIndex, DispersionBranch, TravelingWave,
                      BUILTIN_MODELS, make_model, model_from_config,
                      eval_omega, eval_Omega, bifurcation_speed,
-                     spectrum_slice, normalize_mode, Linearization,
+                     spectrum_slice, Linearization,
                      ModelError, UnknownModelError, ModelNotDispersiveError,
                      SCALAR, CANONICAL, NONCANONICAL_BW)
 from .collisions import (CollisionOptions, CollisionEvent, find_collisions,

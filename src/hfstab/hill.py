@@ -118,10 +118,6 @@ class SpectrumSet:
         """(mu, eigenvalues) per slice; each array is a row of ``values``."""
         return list(zip(self.mus.tolist(), self.values))
 
-    def all_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened (mu, lambda) arrays over all slices; lambda is a view."""
-        return np.repeat(self.mus, self.values.shape[1]), self.values.ravel()
-
     def max_real_part(self) -> float:
         return float(self.values.real.max()) if self.values.size else 0.0
 
@@ -358,11 +354,10 @@ def zero_amplitude_check(model: ModelSpec, c: float, mu_samples,
                          M: int) -> float:
     """Max Hausdorff distance, over mu samples, between the Hill spectrum of
     the zero wave and the closed-form eigenvalue set."""
-    wave = zero_wave(model, c)
     worst = 0.0
-    for mu in mu_samples:
-        computed = spectrum_at(model, wave, float(mu), M)
+    for mu, computed in full_spectrum(model, zero_wave(model, c),
+                                      mu_samples, M).slices:
         exact = np.array([lam for _, lam in
-                          spectrum_slice(model, c, float(mu), range(-M, M + 1))])
+                          spectrum_slice(model, c, mu, range(-M, M + 1))])
         worst = max(worst, _hausdorff(computed, exact))
     return worst

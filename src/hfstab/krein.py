@@ -16,12 +16,12 @@ for scalar models); no numerical eigensolver enters this path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .models import (ModelSpec, ModeIndex, Linearization, eval_Omega,
-                     bifurcation_speed, validate_dispersive, spectrum_slice)
+                     bifurcation_speed, validate_dispersive)
 from .collisions import (CollisionEvent, CollisionOptions, find_collisions,
                          VERDICT_POTENTIAL)
 
@@ -64,7 +64,6 @@ class AnalysisReport:
     events: list[CollisionEvent]
     overall: str
     counts: dict
-    diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -75,7 +74,6 @@ class AnalysisReport:
             "events": [e.to_dict() for e in self.events],
             "overall": self.overall,
             "counts": self.counts,
-            "diagnostics": self.diagnostics,
         }
 
 
@@ -149,14 +147,6 @@ def run_pipeline(model: ModelSpec, N: int = 1, n_max: int = 10,
         "non_origin": sum(not e.at_origin for e in events),
         "potential_instability": n_potential,
     }
-    slice_mu = 0.25
-    diag_slice = spectrum_slice(model, c, slice_mu, range(-3, 4))
-    diagnostics = {
-        "spectrum_slice_mu": slice_mu,
-        "spectrum_slice_im": [lam.imag for _, lam in diag_slice],
-        "max_abs_re_lambda": max(abs(lam.real) for _, lam in diag_slice),
-    }
     overall = OVERALL_POSSIBLE if n_potential else OVERALL_EXCLUDED
     return AnalysisReport(model=model.name, N=N, speed=c,
-                          events=events, overall=overall, counts=counts,
-                          diagnostics=diagnostics)
+                          events=events, overall=overall, counts=counts)

@@ -32,8 +32,7 @@ __all__ = [
     "ModeIndex", "DispersionBranch", "ModelSpec", "TravelingWave",
     "BUILTIN_MODELS", "make_model", "model_from_config",
     "eval_omega", "eval_Omega", "bifurcation_speed", "spectrum_slice",
-    "validate_dispersive", "normalize_mode",
-    "Linearization",
+    "validate_dispersive", "Linearization",
     "TruncationWarning",
 ]
 
@@ -79,14 +78,6 @@ class ModeIndex:
         return self.n + self.mu
 
 
-def normalize_mode(n: int, mu: float, l: int = 1) -> ModeIndex:
-    """Shift (n, mu) so that mu lands in (-1/2, 1/2]."""
-    shift = math.floor(mu + 0.5)
-    if mu - shift == -0.5:  # boundary: -1/2 is excluded, 1/2 included
-        shift -= 1
-    return ModeIndex(n + shift, mu - shift, l)
-
-
 Symbol = Callable[[ArrayLike], ArrayLike]
 
 
@@ -113,13 +104,14 @@ class DispersionBranch:
 class ModelSpec:
     """A model prepared for the six-step analysis.
 
-    ``kernel_symbol`` is the scalar nonlocal kernel c(k) = omega(k)/k.
+    ``kernel_symbol`` is K of the traveling equation (``waves``): the
+    nonlocal kernel omega(k)/k of a scalar model, or the squared phase speed
+    c^2(k) of the noncanonical Boussinesq-Whitham structure, where it is
+    also the Hessian entry S[0, 0]; canonical models have none.
     ``b_symbol`` and ``c_symbol`` are the canonical Hamiltonian symbols B(k)
-    and C(k); canonical models have no advection term, A(k) = 0.
-    ``c2_symbol`` is the squared phase speed c^2(k) of the noncanonical
-    structure.  Symbols are closed-form functions of k, never truncated
-    coefficient lists, so models with infinitely many Hamiltonian
-    coefficients stay exact.
+    and C(k); canonical models have no advection term, A(k) = 0.  Symbols
+    are closed-form functions of k, never truncated coefficient lists, so
+    models with infinitely many Hamiltonian coefficients stay exact.
 
     Every symbol, the branch evaluators included, is an array function: it
     takes a float or an ndarray of wavenumbers and returns the same shape,
@@ -133,7 +125,6 @@ class ModelSpec:
     kernel_symbol: Symbol | None = None
     b_symbol: Symbol | None = None
     c_symbol: Symbol | None = None
-    c2_symbol: Symbol | None = None
     sigma: float = 0.0   # scalar nonlinearity sigma * u^power * u_x
     power: int = 1
     alpha: float = 0.0   # BW quadratic term alpha * q^2
@@ -341,7 +332,7 @@ class Linearization:
             S[..., 0, 0], S[..., 1, 1] = m.c_symbol(k), m.b_symbol(k)
             S[..., 0, 1] = S[..., 1, 0] = c * k
         else:
-            S[..., 0, 0], S[..., 1, 1] = m.c2_symbol(k), 1.0
+            S[..., 0, 0], S[..., 1, 1] = m.kernel_symbol(k), 1.0
             S[..., 0, 1] = S[..., 1, 0] = c
         return S
 
@@ -557,7 +548,7 @@ def _make_boussinesq_whitham(params=None):
         name="boussinesq-whitham", kind=NONCANONICAL_BW,
         branches=(DispersionBranch(1, omega1),
                   DispersionBranch(2, lambda k: -omega1(k))),
-        params=p, c2_symbol=_ww_c2(g, h), alpha=p["alpha"])
+        params=p, kernel_symbol=_ww_c2(g, h), alpha=p["alpha"])
 
 
 BUILTIN_MODELS: dict[str, Callable] = {
@@ -660,4 +651,4 @@ def model_from_config(spec: Mapping) -> ModelSpec:
         name="custom-bw", kind=NONCANONICAL_BW,
         branches=(DispersionBranch(1, omega_bw),
                   DispersionBranch(2, lambda k: -omega_bw(k))),
-        params=params, c2_symbol=c2, alpha=params.get("alpha", 1.0))
+        params=params, kernel_symbol=c2, alpha=params.get("alpha", 1.0))

@@ -9,6 +9,7 @@ little beyond the rows in memory.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -22,21 +23,6 @@ def format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
     return "%.17g" % x
-
-
-def _escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
 
 
 def _emit(obj, level: int) -> str:
@@ -53,7 +39,7 @@ def _emit(obj, level: int) -> str:
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, str):
-        return _escape(obj)
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -62,7 +48,7 @@ def _emit(obj, level: int) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [pad + _escape(str(k)) + ": " + _emit(v, level + 1)
+        items = [pad + _emit(str(k), level) + ": " + _emit(v, level + 1)
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + close + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")

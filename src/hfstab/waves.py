@@ -1,24 +1,26 @@
 """Small-amplitude periodic traveling waves.
 
-Scalar models solve the integrated traveling equation
+Every model hfstab builds waves for solves one integrated traveling
+equation,
 
-    K*U - c U + sigma U^(p+1)/(p+1) = B,
+    K*U - s(c) U + N(U) = r,
 
-where K is the nonlocal kernel with symbol c(k) = omega(k)/k, and the
-two-component Boussinesq-Whitham form solves
-
-    c^2 Q = alpha Q^2 + K*Q + A,
-
-with kernel symbol c^2(k).  Waves are even, 2*pi-periodic cosine series.
-A Stokes expansion seeds a Newton/cosine-collocation continuation in the
-first cosine coefficient; the speed (and integration constant) are solved
-for while u_1 is pinned, which removes the fold at the bifurcation point.
+where K is the nonlocal kernel with symbol ``ModelSpec.kernel_symbol``.
+Scalar models have s = c, N = sigma U^(p+1)/(p+1) and r = B, with kernel
+symbol omega(k)/k.  The two-component Boussinesq-Whitham form
+c^2 Q = alpha Q^2 + K*Q + A, negated, has s = c^2, N = alpha Q^2 and
+r = -A, with kernel symbol c^2(k).  Waves are even, 2*pi-periodic cosine
+series.  A Stokes expansion seeds a Newton/cosine-collocation continuation
+in the first cosine coefficient; the speed (and integration constant) are
+solved for while u_1 is pinned, which removes the fold at the bifurcation
+point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,26 +49,36 @@ class ModesInsufficientError(ModelError):
     pass
 
 
-def _kernel(model: ModelSpec):
-    """Symbol of the nonlocal term in the integrated traveling equation."""
-    kernel = {SCALAR: model.kernel_symbol,
-              NONCANONICAL_BW: model.c2_symbol}.get(model.kind)
-    if kernel is None:
-        raise ModelError(
-            f"traveling-wave construction needs the kernel symbol of a scalar "
-            f"or noncanonical-bw model; {model.name!r} ({model.kind}) has none")
-    return kernel
+class _Equation(NamedTuple):
+    """K*U - s(c) U + N(U) = r, with ``TravelingWave.constant`` = sign * r;
+    ds and dN are the derivatives of s and N, and q is the U^2 coefficient
+    of N (None when N is not quadratic)."""
+    kernel: Callable
+    s: Callable
+    ds: Callable
+    N: Callable
+    dN: Callable
+    q: float | None
+    sign: float
 
 
-def _quadratic_coeff(model: ModelSpec) -> float:
-    """Coefficient of the quadratic term in the integrated equation."""
+def _equation(model: ModelSpec) -> _Equation:
+    """The traveling equation of a scalar or Boussinesq-Whitham model."""
     if model.kind == SCALAR:
-        if model.power != 1:
-            raise ModelError(
-                "Stokes hierarchy implemented for quadratic nonlinearity "
-                f"(power 1), model {model.name!r} has power {model.power}")
-        return model.sigma / 2.0
-    return model.alpha
+        sigma, p = model.sigma, model.power
+        return _Equation(kernel=model.kernel_symbol, s=lambda c: c,
+                         ds=lambda c: 1.0,
+                         N=lambda u: sigma * u ** (p + 1) / (p + 1),
+                         dN=lambda u: sigma * u ** p,
+                         q=sigma / 2.0 if p == 1 else None, sign=1.0)
+    if model.kind == NONCANONICAL_BW:
+        alpha = model.alpha
+        return _Equation(kernel=model.kernel_symbol, s=lambda c: c * c,
+                         ds=lambda c: 2.0 * c, N=lambda u: alpha * u * u,
+                         dN=lambda u: 2.0 * alpha * u, q=alpha, sign=-1.0)
+    raise ModelError(
+        f"traveling-wave construction needs the kernel symbol of a scalar "
+        f"or noncanonical-bw model; {model.name!r} ({model.kind}) has none")
 
 
 def stokes_wave(model: ModelSpec, epsilon: float, order: int) -> TravelingWave:
@@ -80,38 +92,30 @@ def stokes_wave(model: ModelSpec, epsilon: float, order: int) -> TravelingWave:
     """
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2, or 3, got {order!r}")
-    kernel = _kernel(model)
+    eq = _equation(model)
     c0 = bifurcation_speed(model, 1, 1)
     coeffs = [0.0, float(epsilon), 0.0, 0.0][:order + 1]
     c = c0
     const = 0.0
     if order >= 2:
-        q = _quadratic_coeff(model)
-        if model.kind == SCALAR:
-            # (kernel(j) - c0) a_j + [quadratic harmonics] = 0
-            d2 = kernel(2.0) - c0
-            _check_divisor(d2, 2)
-            a2 = -q / (2.0 * d2) * epsilon ** 2
-            coeffs[2] = a2
-            c = c0 + q * a2  # speed correction q*A2*eps^2, a2 = A2*eps^2
-            if order == 3:
-                d3 = kernel(3.0) - c0
-                _check_divisor(d3, 3)
-                coeffs[3] = -q * a2 * epsilon / d3
-        else:
-            # (c0^2 - c2(j)) a_j = alpha * [harmonics of Q^2]
-            d2 = c0 * c0 - kernel(2.0)
-            _check_divisor(d2, 2)
-            a2 = q / (2.0 * d2) * epsilon ** 2
-            coeffs[2] = a2
-            c = c0 + q * a2 / (2.0 * c0)  # from 2 c0 c2 = alpha A2
-            if order == 3:
-                d3 = c0 * c0 - kernel(3.0)
-                _check_divisor(d3, 3)
-                coeffs[3] = q * a2 * epsilon / d3
-        # integration constant: mean of the zero-mean-gauge equation
+        q = eq.q
+        if q is None:
+            raise ModelError(
+                "Stokes hierarchy implemented for quadratic nonlinearity "
+                f"(power 1), model {model.name!r} has power {model.power}")
+        # (K(j) - s(c0)) a_j + q [harmonic j of U^2] = 0
+        d2 = eq.kernel(2.0) - eq.s(c0)
+        _check_divisor(d2, 2)
+        a2 = -q / (2.0 * d2) * epsilon ** 2
+        coeffs[2] = a2
+        c = c0 + q * a2 / eq.ds(c0)  # harmonic 1: s'(c0) (c - c0) = q a2
+        if order == 3:
+            d3 = eq.kernel(3.0) - eq.s(c0)
+            _check_divisor(d3, 3)
+            coeffs[3] = -q * a2 * epsilon / d3
+        # integration constant: the mean of the zero-mean-gauge equation
         sq = sum(v * v for v in coeffs) / 2.0
-        const = q * sq if model.kind == SCALAR else -q * sq
+        const = eq.sign * q * sq
     return TravelingWave(model=model.name, c=c, coefficients=coeffs,
                          constant=const)
 
@@ -142,7 +146,7 @@ def solve_wave_collocation(model: ModelSpec, target_amplitude: float,
     """Newton continuation in the first cosine coefficient.
 
     Unknowns are the cosine coefficients a_0..a_M, the speed c, and the
-    integration constant (B or A).  The rows pinning a_1 to the continuation
+    integration constant r.  The rows pinning a_1 to the continuation
     target and a_0 to ``mean`` close the system; phase is fixed by evenness.
     Converged when the max cosine-space residual is <= 1e-11, which keeps
     the pointwise traveling-equation residual comfortably below 1e-10.
@@ -151,9 +155,8 @@ def solve_wave_collocation(model: ModelSpec, target_amplitude: float,
         raise ValueError(f"M must be >= 16, got {M!r}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps!r}")
-    kernel = _kernel(model)
-    bw = model.kind == NONCANONICAL_BW
-    if bw and mean < 0.0 and not force:
+    eq = _equation(model)
+    if model.kind == NONCANONICAL_BW and mean < 0.0 and not force:
         raise ModelError(
             "boussinesq-whitham continuation requires a nonnegative mean "
             "(negative-average states are ill-posed); pass force=True to "
@@ -163,24 +166,23 @@ def solve_wave_collocation(model: ModelSpec, target_amplitude: float,
         return TravelingWave(model=model.name, c=c0,
                              coefficients=[mean] + [0.0] * M)
 
-    sym = kernel(np.arange(M + 1.0))
+    sym = eq.kernel(np.arange(M + 1.0))
     ngrid = 4 * M
     x = 2.0 * math.pi * np.arange(ngrid) / ngrid
     cosj = np.cos(np.outer(np.arange(M + 1), x))  # (M+1, ngrid) basis rows
 
-    seed_order = 3 if (bw or model.power == 1) else 1
+    seed_order = 1 if eq.q is None else 3
     first = target_amplitude / steps
     seed = stokes_wave(model, first, seed_order)
     a = np.zeros(M + 1)
     a[:len(seed.coefficients)] = seed.coefficients
     a[0] = mean
     c = seed.c
-    const = 0.0
+    r = 0.0
 
     for i in range(1, steps + 1):
         target = target_amplitude * i / steps
-        a, c, const = _newton_solve(model, kernel, sym, cosj, x, a, c, const,
-                                    target, mean, bw)
+        a, c, r = _newton_solve(eq, sym, cosj, x, a, c, r, target, mean)
 
     tail = np.max(np.abs(a[-2:]))
     if tail > 1e-12:
@@ -188,33 +190,22 @@ def solve_wave_collocation(model: ModelSpec, target_amplitude: float,
             f"coefficients do not decay below 1e-12 within M={M} "
             f"(tail {tail:.3e}); increase M")
     return TravelingWave(model=model.name, c=float(c),
-                         coefficients=a.tolist(), constant=float(const))
+                         coefficients=a.tolist(), constant=float(eq.sign * r))
 
 
-def _newton_solve(model, kernel, sym, cosj, x, a, c, const, target, mean, bw):
+def _newton_solve(eq, sym, cosj, x, a, c, r, target, mean):
     M = a.size - 1
-    p = model.power
     for _ in range(MAX_NEWTON_STEPS):
         u = cosj.T @ a
-        if bw:
-            # residual form: c^2 Q - K*Q - alpha Q^2 - A = 0
-            nl = -model.alpha * u * u
-            w = -2.0 * model.alpha * u         # d(nl)/dU on the grid
-            lin = (c * c - sym) * a
-            dc = 2.0 * c * a
-        else:
-            nl = model.sigma * u ** (p + 1) / (p + 1)
-            w = model.sigma * u ** p
-            lin = (sym - c) * a
-            dc = -a
-        F = lin + _cosine_coeffs(nl, M)
-        F[0] -= const
+        lin = (sym - eq.s(c)) * a
+        F = lin + _cosine_coeffs(eq.N(u), M)
+        F[0] -= r
         res = np.concatenate([F, [a[1] - target, a[0] - mean]])
         if np.max(np.abs(res)) <= RESIDUAL_TOL:
-            return a, c, const
+            return a, c, r
 
-        # conv[m, j] = m-th cosine coefficient of w(x) cos(j x)
-        prods = w[None, :] * cosj              # (M+1 columns j, ngrid)
+        # conv[m, j] = m-th cosine coefficient of N'(U(x)) cos(j x)
+        prods = eq.dN(u)[None, :] * cosj       # (M+1 columns j, ngrid)
         spec = np.fft.rfft(prods, axis=1)
         conv = np.empty((M + 1, M + 1))
         conv[0, :] = spec[:, 0].real / x.size
@@ -224,8 +215,8 @@ def _newton_solve(model, kernel, sym, cosj, x, a, c, const, target, mean, bw):
         J = np.zeros((n, n))
         J[:M + 1, :M + 1] = conv
         idx = np.arange(M + 1)
-        J[idx, idx] += (c * c - sym) if bw else (sym - c)
-        J[:M + 1, M + 1] = dc
+        J[idx, idx] += sym - eq.s(c)
+        J[:M + 1, M + 1] = -eq.ds(c) * a
         J[0, M + 2] = -1.0
         J[M + 1, 1] = 1.0
         J[M + 2, 0] = 1.0
@@ -236,7 +227,7 @@ def _newton_solve(model, kernel, sym, cosj, x, a, c, const, target, mean, bw):
                 f"singular Newton system at target {target:g}") from exc
         a = a + delta[:M + 1]
         c = c + delta[M + 1]
-        const = const + delta[M + 2]
+        r = r + delta[M + 2]
     raise WaveConvergenceError(
         f"Newton failed to reach residual {RESIDUAL_TOL:g} in "
         f"{MAX_NEWTON_STEPS} steps at target amplitude {target:g}")
@@ -244,22 +235,17 @@ def _newton_solve(model, kernel, sym, cosj, x, a, c, const, target, mean, bw):
 
 def wave_residual(model: ModelSpec, wave: TravelingWave) -> float:
     """Max traveling-equation residual over 4M collocation points."""
-    kernel = _kernel(model)
+    eq = _equation(model)
     a = np.asarray(wave.coefficients, dtype=float)
     M = a.size - 1
     ngrid = max(4 * M, 64)
     x = 2.0 * math.pi * np.arange(ngrid) / ngrid
     cosj = np.cos(np.outer(np.arange(M + 1), x))
     u = cosj.T @ a
-    sym = kernel(np.arange(M + 1.0))
+    sym = eq.kernel(np.arange(M + 1.0))
     conv = cosj.T @ (sym * a)
-    if model.kind == NONCANONICAL_BW:
-        r = model.alpha * u * u + conv + wave.constant - wave.c ** 2 * u
-    else:
-        p = model.power
-        r = (conv - wave.c * u
-             + model.sigma * u ** (p + 1) / (p + 1) - wave.constant)
-    return float(np.max(np.abs(r)))
+    res = conv - eq.s(wave.c) * u + eq.N(u) - eq.sign * wave.constant
+    return float(np.max(np.abs(res)))
 
 
 # --------------------------------------------------------------------------
@@ -284,7 +270,7 @@ def bw_flat_state_analysis(a: float, g: float = 1.0,
         raise ValueError("g and h must be positive")
     if a >= 0.0:
         return FlatStateReport(wellposed=True, cutoff_k=None)
-    c2 = make_model("boussinesq-whitham", {"g": g, "h": h}).c2_symbol
+    c2 = make_model("boussinesq-whitham", {"g": g, "h": h}).kernel_symbol
     symbol = lambda k: 2.0 * a + c2(k)
 
     if symbol(0.0) <= 0.0:

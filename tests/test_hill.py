@@ -164,7 +164,7 @@ class TestAssembly:
             for j in range(n):
                 diag = float(i == j)
                 q_hat = quadrature_coeff(q, x, i - j)
-                lower = ik * (model.c2_symbol(k) * diag
+                lower = ik * (model.kernel_symbol(k) * diag
                               + 2.0 * model.alpha * q_hat)
                 assert abs(R[i, j] - real_form(ik * wave.c * diag)) < 1e-12
                 assert abs(R[i, n + j] - real_form(ik * diag)) < 1e-12

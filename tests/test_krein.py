@@ -49,7 +49,7 @@ class TestEigenvectors:
         model = make_model("boussinesq-whitham")
         c = bifurcation_speed(model, 1, 1)
         op = Linearization(model, c)
-        c2 = model.c2_symbol
+        c2 = model.kernel_symbol
         for n, mu, l in [(2, 0.25, 1), (-1, 0.4, 2)]:
             em = eigenmode(model, ModeIndex(n, mu, l), c)
             k, w = em.mode.k, em.components

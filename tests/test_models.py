@@ -5,13 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from hfstab import dsl, models
 from hfstab.models import (BUILTIN_MODELS, ModeIndex, ModelError,
                            ModelNotDispersiveError, UnknownModelError,
                            bifurcation_speed, eval_Omega, eval_omega,
-                           make_model, model_from_config, normalize_mode,
+                           make_model, model_from_config,
                            spectrum_slice, validate_dispersive)
 
 
@@ -94,12 +93,6 @@ class TestModeIndex:
         with pytest.raises(ValueError):
             ModeIndex(0, 0.7)
 
-    @given(st.integers(-5, 5), st.floats(-3.0, 3.0, allow_nan=False))
-    def test_normalize_preserves_wavenumber(self, n, mu):
-        idx = normalize_mode(n, mu)
-        assert -0.5 < idx.mu <= 0.5
-        assert idx.k == pytest.approx(n + mu, abs=1e-12)
-
 
 class TestCustomModels:
     def test_custom_scalar(self):
@@ -141,7 +134,7 @@ class TestCustomModels:
         model = model_from_config(
             {"kind": "noncanonical-bw", "omega1": "sign(k)*sqrt(k*tanh(k))",
              "c_squared": "tanh(k)/k", "at_zero": 1.0})
-        assert model.c2_symbol(0.0) == 1.0
+        assert model.kernel_symbol(0.0) == 1.0
         assert eval_omega(model, 1, 2.0) == pytest.approx(
             2.0 * math.sqrt(math.tanh(2.0) / 2.0))
 
@@ -194,7 +187,7 @@ DSL_TWINS = {
         "c_squared": "g*tanh(k*h)/k", "params": {"g": 1.0, "h": 1.03},
         "at_zero": 1.03},
 }
-SYMBOLS = ("kernel_symbol", "b_symbol", "c_symbol", "c2_symbol")
+SYMBOLS = ("kernel_symbol", "b_symbol", "c_symbol")
 
 
 def build(name):

@@ -11,6 +11,7 @@ from hfstab.waves import (ModesInsufficientError, ResonanceError,
                           stokes_wave, wave_residual)
 
 from elliptic_oracles import kdv_cnoidal
+import wave_oracles
 
 
 class TestStokes:
@@ -132,6 +133,48 @@ class TestCollocation:
         assert base < 1e-9
         assert bumped > 100.0 * max(base, 1e-10)
         assert bumped < 1e-2
+
+
+SCALAR_WAVES = ("kdv", "gkdv", "whitham", "mkdv-focusing",
+                "fifth-order-scalar")
+AMPLITUDES = (0.001, 0.01, 0.02)
+# (model, params, amplitude, mean): every wave the two-branch oracle checks
+ORACLE_WAVES = (
+    [(name, None, amp, 0.0) for name in SCALAR_WAVES + ("boussinesq-whitham",)
+     for amp in AMPLITUDES]
+    + [("boussinesq-whitham", {"alpha": 0.7}, 0.01, 0.0),
+       ("boussinesq-whitham", None, 0.01, 0.05),
+       ("boussinesq-whitham", {"h": 1.03}, 0.01, 0.0)])
+
+
+def bits(wave):
+    """Every float of a wave's speed, coefficients and constant, exactly."""
+    return [v.hex() for v in (wave.c, *wave.coefficients, wave.constant)]
+
+
+class TestOneEquation:
+    """The one traveling equation reproduces the two-branch solver bit for
+    bit (``wave_oracles``)."""
+
+    @pytest.mark.parametrize("name,params,amplitude,mean", ORACLE_WAVES)
+    def test_collocation_matches_two_branch_oracle(self, name, params,
+                                                   amplitude, mean):
+        model = make_model(name, params)
+        got = solve_wave_collocation(model, amplitude, mean=mean)
+        want = wave_oracles.solve_wave_collocation(model, amplitude,
+                                                   mean=mean)
+        assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("name", SCALAR_WAVES + ("boussinesq-whitham",))
+    def test_stokes_matches_two_branch_oracle(self, name):
+        model = make_model(name)
+        orders = (1,) if model.power != 1 else (1, 2, 3)
+        for eps in AMPLITUDES:
+            # the order-1 constant is +0.0 for every kind, never sign * 0.0
+            assert stokes_wave(model, eps, 1).constant.hex() == "0x0.0p+0"
+            for order in orders:
+                assert (bits(stokes_wave(model, eps, order))
+                        == bits(wave_oracles.stokes_wave(model, eps, order)))
 
 
 class TestFlatState:
