@@ -19,7 +19,7 @@ from .models import (ModelSpec, ModeIndex, DispersionBranch, TravelingWave,
                      spectrum_slice, Linearization,
                      ModelError, UnknownModelError, ModelNotDispersiveError,
                      SCALAR, CANONICAL, NONCANONICAL_BW)
-from .collisions import (CollisionOptions, CollisionEvent, find_collisions,
+from .collisions import (CollisionEvent, find_collisions,
                          collision_residual, mirror_events,
                          secant_curve_data, trace_first_collision_vs_depth,
                          NoCollisionFoundError)
@@ -29,7 +29,7 @@ from .krein import (run_pipeline, screen, AnalysisReport,
 from .waves import (stokes_wave, solve_wave_collocation, wave_residual,
                     bw_flat_state_analysis, FlatStateReport, ResonanceError,
                     WaveConvergenceError)
-from .hill import (assemble, spectrum_at, full_spectrum, detect_bubbles,
+from .hill import (assemble, full_spectrum, detect_bubbles,
                    zero_amplitude_check, zero_wave, MuGridSpec,
                    SpectrumSet, Bubble)
 

@@ -115,22 +115,27 @@ def _load(args) -> tuple[RunConfig, object]:
 
 def cmd_analyze(args) -> int:
     cfg, model = _load(args)
-    report = krein.run_pipeline(model, N=cfg.N, n_max=cfg.n_max,
-                                opts=cfg.collision)
+    report = krein.run_pipeline(model, N=cfg.N, n_max=cfg.n_max)
     _write([json_dumps(report.to_dict())], cfg.output)
     return EXIT_OK
 
 
 def cmd_collide(args) -> int:
     cfg, model = _load(args)
-    report = krein.run_pipeline(model, N=cfg.N, n_max=cfg.n_max,
-                                opts=cfg.collision).to_dict()
+    report = krein.run_pipeline(model, N=cfg.N, n_max=cfg.n_max).to_dict()
     view = {k: report[k] for k in ("model", "N", "speed", "events")}
     _write([json_dumps(view)], cfg.output)
     return EXIT_OK
 
 
+def _first_harmonic(cfg) -> None:
+    """Waves are built, and read, on the first harmonic only."""
+    if cfg.N != 1:
+        raise ConfigError(f"a wave is built at N = 1 only, got N = {cfg.N}")
+
+
 def _solve_wave(cfg, model, force: bool) -> TravelingWave:
+    _first_harmonic(cfg)
     return waves.solve_wave_collocation(
         model, cfg.wave_amplitude, M=cfg.wave_modes, steps=cfg.wave_steps,
         mean=cfg.wave_mean, force=force)
@@ -148,6 +153,7 @@ def cmd_wave(args) -> int:
 def cmd_spectrum(args) -> int:
     cfg, model = _load(args)
     if args.wave_file is not None:
+        _first_harmonic(cfg)
         try:
             with open(args.wave_file) as fh:
                 wave = TravelingWave.from_dict(json.load(fh))
@@ -157,11 +163,14 @@ def cmd_spectrum(args) -> int:
             raise ConfigError(
                 f"wave file is for model {wave.model!r}, not {model.name!r}")
     elif cfg.wave_amplitude == 0.0:
+        if cfg.wave_mean != 0.0:
+            raise ConfigError("the zero-amplitude wave has mean 0, got "
+                              f"wave.mean = {cfg.wave_mean!r}")
         wave = hill.zero_wave(model, bifurcation_speed(model, 1, cfg.N))
     else:
         wave = _solve_wave(cfg, model, force=False)
 
-    predictions = krein.screen(model, wave.c, cfg.n_max, cfg.collision)
+    predictions = krein.screen(model, wave.c, cfg.n_max)
     # build_mu_grid adds each window's mirror
     windows = tuple(e.mu for e in predictions if not e.at_origin)
     grid = hill.MuGridSpec(count=cfg.hill_mu_count, windows=windows)

@@ -22,7 +22,6 @@ unsigned event or |p| <= BORDERLINE_TOL decides nothing.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -32,11 +31,12 @@ from .models import (ModelSpec, ModeIndex, eval_Omega, bifurcation_speed,
                      make_model, validate_dispersive)
 
 __all__ = [
-    "CollisionOptions", "CollisionEvent", "NoCollisionFoundError",
+    "CollisionEvent", "NoCollisionFoundError",
     "collision_residual", "find_collisions", "mirror_events",
     "secant_curve_data", "trace_first_collision_vs_depth",
     "VERDICT_NONE", "VERDICT_POTENTIAL", "VERDICT_INDETERMINATE",
-    "BORDERLINE_TOL",
+    "BORDERLINE_TOL", "GRID_POINTS", "RESIDUAL_TOL", "LAMBDA_TOL",
+    "BISECT_TOL",
 ]
 
 VERDICT_NONE = "no-instability-possible"
@@ -46,6 +46,11 @@ VERDICT_INDETERMINATE = "indeterminate-origin"
 # signature products with magnitude below this draw no conclusion
 BORDERLINE_TOL = 1e-12
 
+GRID_POINTS = 1024      # intervals of the uniform mu grid of the scan
+RESIDUAL_TOL = 1e-9     # |residual| above this at a root is no collision
+LAMBDA_TOL = 1e-8       # |lambda| below this counts as an origin collision
+BISECT_TOL = 1e-13      # mu interval width at which bisection stops
+
 # Grid elements per block of the scan: bounds the size of every array it
 # makes, the blocks of the grid of Omega values included.
 _BLOCK = 8192
@@ -53,20 +58,6 @@ _BLOCK = 8192
 
 class NoCollisionFoundError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class CollisionOptions:
-    grid_points: int = 1024
-    residual_tol: float = 1e-9
-    lambda_tol: float = 1e-8     # |lambda| below this counts as an origin collision
-    bisect_tol: float = 1e-13    # mu interval width at which bisection stops
-
-    def __post_init__(self):
-        tols = (self.residual_tol, self.lambda_tol, self.bisect_tol)
-        if not (self.grid_points >= 1 and all(0 < t < math.inf for t in tols)):
-            raise ValueError("collision options need grid_points >= 1 and "
-                             f"finite tolerances > 0, got {self}")
 
 
 @dataclass
@@ -127,8 +118,8 @@ def _Omega(model: ModelSpec, c: float, l, k):
     return out
 
 
-def find_collisions(model: ModelSpec, c: float, n_max: int,
-                    opts: CollisionOptions | None = None) -> list[CollisionEvent]:
+def find_collisions(model: ModelSpec, c: float,
+                    n_max: int) -> list[CollisionEvent]:
     """Locate all two-mode collisions for |n| <= n_max.
 
     Output is deduplicated by (lambda, mu) rounded to 1e-9, keeps only
@@ -137,8 +128,7 @@ def find_collisions(model: ModelSpec, c: float, n_max: int,
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    opts = opts or CollisionOptions()
-    G = opts.grid_points
+    G = GRID_POINTS
     # grid over [-1/2, 1/2]; the -1/2 endpoint is equivalent to +1/2 and
     # roots found exactly there are renormalized below
     mus = -0.5 + np.arange(G + 1) / G
@@ -172,18 +162,17 @@ def find_collisions(model: ModelSpec, c: float, n_max: int,
     n1, n2, l1, l2 = ns[i1], ns[i2], ls[p1], ls[p2]
     fa = np.array([row(a, b)[g] - row(d, e)[g] for b, e, a, d, _, g in hits],
                   dtype=float)
-    roots = _bisect(model, c, n1, l1, n2, l2, mus[i], mus[i + kind], fa,
-                    opts.bisect_tol)
-    events = _events(model, c, n1, l1, n2, l2, roots, opts)
+    roots = _bisect(model, c, n1, l1, n2, l2, mus[i], mus[i + kind], fa)
+    events = _events(model, c, n1, l1, n2, l2, roots)
     return sorted(events, key=lambda e: (e.lam.imag, e.mu, e.n1))
 
 
-def _bisect(model, c, n1, l1, n2, l2, a, b, fa, tol):
+def _bisect(model, c, n1, l1, n2, l2, a, b, fa):
     """Bisect every bracket [a, b] of the residual together, updating a, b
-    and fa = f(a) in place; a bracket stops when its width is <= tol or
-    its midpoint is an exact root."""
+    and fa = f(a) in place; a bracket stops when its width is <= BISECT_TOL
+    or its midpoint is an exact root."""
     while True:
-        live = np.flatnonzero(b - a > tol)
+        live = np.flatnonzero(b - a > BISECT_TOL)
         if not live.size:
             return 0.5 * (a + b)
         m = 0.5 * (a[live] + b[live])
@@ -196,7 +185,7 @@ def _bisect(model, c, n1, l1, n2, l2, a, b, fa, tol):
         fa[live] = np.where(left, fa[live], fm)
 
 
-def _events(model, c, n1, l1, n2, l2, mu, opts) -> list[CollisionEvent]:
+def _events(model, c, n1, l1, n2, l2, mu) -> list[CollisionEvent]:
     """The roots that are collisions, one per (lambda, mu) class: the first
     root of a class in scan order is kept."""
     shift = mu <= -0.5 + 1e-15  # -1/2 is excluded; use the +1/2 representative
@@ -205,14 +194,14 @@ def _events(model, c, n1, l1, n2, l2, mu, opts) -> list[CollisionEvent]:
     r = collision_residual(model, n1, l1, n2, l2, mu, c)
     lams = -1j * _Omega(model, c, l1, n1 + mu)
     # an Im < 0 root is skipped: its mirror is found from the mirrored tuple
-    keep = (np.abs(r) <= opts.residual_tol) & (lams.imag >= -opts.lambda_tol)
+    keep = (np.abs(r) <= RESIDUAL_TOL) & (lams.imag >= -LAMBDA_TOL)
     found: dict[tuple, CollisionEvent] = {}
     for j in np.flatnonzero(keep):
         lam, m = complex(lams[j]), float(mu[j])
         key = (round(lam.real, 9), round(abs(lam.imag), 9), round(m, 9))
         found.setdefault(key, CollisionEvent(
             n1=int(n1[j]), l1=int(l1[j]), n2=int(n2[j]), l2=int(l2[j]),
-            mu=m, lam=lam, at_origin=abs(lam) < opts.lambda_tol))
+            mu=m, lam=lam, at_origin=abs(lam) < LAMBDA_TOL))
     return list(found.values())
 
 

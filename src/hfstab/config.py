@@ -7,16 +7,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .collisions import CollisionOptions
 from .models import ModelSpec, ModelError, make_model, model_from_config
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "apply_flags",
            "build_model"]
 
 _TOP_KEYS = {"model", "params", "g", "h", "alpha", "beta", "sigma",
-             "N", "n_max", "collision", "wave", "hill", "output"}
-_COLLISION_KEYS = {"grid_points": int, "residual_tol": float,
-                   "lambda_tol": float}
+             "N", "n_max", "wave", "hill", "output"}
 # section -> {key: (RunConfig field, type)}
 _SECTIONS = {
     "wave": {"amplitude": ("wave_amplitude", float),
@@ -44,7 +41,6 @@ class RunConfig:
     params: dict = field(default_factory=dict)
     N: int = 1
     n_max: int = 10
-    collision: CollisionOptions = field(default_factory=CollisionOptions)
     wave_amplitude: float = 0.0
     wave_modes: int = 64
     wave_steps: int = 10
@@ -75,14 +71,14 @@ def _floats(sec, where: str) -> dict:
 
 
 def _coerce(value, kind, where: str):
+    """``value`` as ``kind``, int or float; a JSON string or boolean is not
+    a number, though Python would convert it."""
     try:
-        if kind is int:
-            if isinstance(value, bool) or int(value) != value:
-                raise ValueError
-            return int(value)
-        if kind is float:
-            return float(value)
-    except (TypeError, ValueError):
+        if isinstance(value, (bool, str)) or (kind is int
+                                              and int(value) != value):
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"{where} must be {kind.__name__}, got {value!r}")
 
@@ -125,11 +121,6 @@ def load_config(path: str | None) -> RunConfig:
         cfg.N = _coerce(data["N"], int, "N")
     if "n_max" in data:
         cfg.n_max = _coerce(data["n_max"], int, "n_max")
-    if "collision" in data:
-        sec = _object(data["collision"], "collision", set(_COLLISION_KEYS))
-        cfg.collision = CollisionOptions(**{
-            key: _coerce(v, _COLLISION_KEYS[key], f"collision.{key}")
-            for key, v in sec.items()})
     for name, fields in _SECTIONS.items():
         if name in data:
             for key, v in _object(data[name], name, set(fields)).items():

@@ -57,7 +57,7 @@ from .collisions import CollisionEvent
 __all__ = [
     "TruncationWarning", "EigensolverError", "SpectrumSet", "Bubble",
     "MuGridSpec", "WINDOW_WIDTH", "build_mu_grid", "zero_wave", "assemble",
-    "spectrum_at", "full_spectrum", "detect_bubbles", "zero_amplitude_check",
+    "full_spectrum", "detect_bubbles", "zero_amplitude_check",
     "spectrum_to_csv_rows",
 ]
 
@@ -259,12 +259,6 @@ def _solve(op: Linearization, W: np.ndarray | None, mus: np.ndarray,
         block = mus[lo:lo + step]
         raise EigensolverError(f"eigensolver failed for mu in "
                                f"[{block[0]!r}, {block[-1]!r}]") from failures[lo]
-
-
-def spectrum_at(model: ModelSpec, wave: TravelingWave, mu: float,
-                M: int) -> np.ndarray:
-    """All eigenvalues of the truncated Hill matrix, sorted by (Im, Re)."""
-    return full_spectrum(model, wave, [mu], M).values[0]
 
 
 def full_spectrum(model: ModelSpec, wave: TravelingWave,

@@ -22,8 +22,7 @@ import numpy as np
 
 from .models import (ModelSpec, ModeIndex, Linearization, eval_Omega,
                      bifurcation_speed, validate_dispersive)
-from .collisions import (CollisionEvent, CollisionOptions, find_collisions,
-                         VERDICT_POTENTIAL)
+from .collisions import CollisionEvent, find_collisions, VERDICT_POTENTIAL
 
 __all__ = [
     "SignatureError", "EigenvectorNotFoundError", "EigenMode", "AnalysisReport",
@@ -117,20 +116,19 @@ def signature_product(model: ModelSpec, event: CollisionEvent, c: float) -> floa
             * signature(model, eigenmode(model, event.idx2, c), c))
 
 
-def screen(model: ModelSpec, c: float, n_max: int,
-           opts: CollisionOptions | None = None) -> list[CollisionEvent]:
+def screen(model: ModelSpec, c: float, n_max: int) -> list[CollisionEvent]:
     """Check the dispersion relation, find the collisions at speed c for
     |n| <= n_max and sign each one; an origin event gets product 0."""
     validate_dispersive(model)
-    events = find_collisions(model, c, n_max, opts)
+    events = find_collisions(model, c, n_max)
     for e in events:
         e.signature_product = (0.0 if e.at_origin
                                else signature_product(model, e, c))
     return events
 
 
-def run_pipeline(model: ModelSpec, N: int = 1, n_max: int = 10,
-                 opts: CollisionOptions | None = None) -> AnalysisReport:
+def run_pipeline(model: ModelSpec, N: int = 1,
+                 n_max: int = 10) -> AnalysisReport:
     """Run the six-step necessary-condition test and return the report.
 
     Speed comes from the branch-1 bifurcation at harmonic N; the overall
@@ -138,7 +136,7 @@ def run_pipeline(model: ModelSpec, N: int = 1, n_max: int = 10,
     'potential-instability'.
     """
     c = bifurcation_speed(model, 1, N)
-    events = screen(model, c, n_max, opts)
+    events = screen(model, c, n_max)
 
     n_potential = sum(e.verdict == VERDICT_POTENTIAL for e in events)
     counts = {

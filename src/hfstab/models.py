@@ -7,6 +7,8 @@ functions of the quadratic Hamiltonian.  ``Linearization`` turns these into
 one real form of L = J·S: the real symmetric Hessian S_R and a scalar
 Poisson factor j(k) per model kind, from which both the Krein signatures
 (wᵀS_R w) and the real Hill matrices R, with L = i·P R P^-1, are computed.
+The nonlinearity is stated once, in ``traveling_equation``: ``waves``
+solves that equation, and a wave's Hill-matrix term is its N'(U).
 
 Built-in model identifiers: ``gkdv``, ``kdv``, ``mkdv-focusing``,
 ``mkdv-defocusing``, ``whitham``, ``sine-gordon``, ``water-waves``,
@@ -20,7 +22,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -32,7 +34,7 @@ __all__ = [
     "ModeIndex", "DispersionBranch", "ModelSpec", "TravelingWave",
     "BUILTIN_MODELS", "make_model", "model_from_config",
     "eval_omega", "eval_Omega", "bifurcation_speed", "spectrum_slice",
-    "validate_dispersive", "Linearization",
+    "validate_dispersive", "traveling_equation", "Linearization",
     "TruncationWarning",
 ]
 
@@ -104,7 +106,7 @@ class DispersionBranch:
 class ModelSpec:
     """A model prepared for the six-step analysis.
 
-    ``kernel_symbol`` is K of the traveling equation (``waves``): the
+    ``kernel_symbol`` is K of ``traveling_equation``: the
     nonlocal kernel omega(k)/k of a scalar model, or the squared phase speed
     c^2(k) of the noncanonical Boussinesq-Whitham structure, where it is
     also the Hessian entry S[0, 0]; canonical models have none.
@@ -285,6 +287,47 @@ def validate_dispersive(model: ModelSpec) -> dict[int, int]:
 
 
 # --------------------------------------------------------------------------
+# The traveling equation
+
+class _Equation(NamedTuple):
+    """K*U - s(c) U + N(U) = r, with ``TravelingWave.constant`` = sign * r;
+    ds and dN are the derivatives of s and N, and q is the U^2 coefficient
+    of N (None when N is not quadratic)."""
+    kernel: Callable
+    s: Callable
+    ds: Callable
+    N: Callable
+    dN: Callable
+    q: float | None
+    sign: float
+
+
+def traveling_equation(model: ModelSpec) -> _Equation:
+    """The traveling equation of a scalar or Boussinesq-Whitham model.
+
+    K has the symbol ``kernel_symbol``.  Scalar models have s = c,
+    N = sigma U^(p+1)/(p+1) and r = B; the Boussinesq-Whitham form
+    c^2 Q = alpha Q^2 + K*Q + A, negated, has s = c^2, N = alpha Q^2 and
+    r = -A.  Canonical models have none (ModelError).
+    """
+    if model.kind == SCALAR:
+        sigma, p = model.sigma, model.power
+        return _Equation(kernel=model.kernel_symbol, s=lambda c: c,
+                         ds=lambda c: 1.0,
+                         N=lambda u: sigma * u ** (p + 1) / (p + 1),
+                         dN=lambda u: sigma * u ** p,
+                         q=sigma / 2.0 if p == 1 else None, sign=1.0)
+    if model.kind == NONCANONICAL_BW:
+        alpha = model.alpha
+        return _Equation(kernel=model.kernel_symbol, s=lambda c: c * c,
+                         ds=lambda c: 2.0 * c, N=lambda u: alpha * u * u,
+                         dN=lambda u: 2.0 * alpha * u, q=alpha, sign=-1.0)
+    raise ModelError(
+        f"traveling-wave construction needs the kernel symbol of a scalar "
+        f"or noncanonical-bw model; {model.name!r} ({model.kind}) has none")
+
+
+# --------------------------------------------------------------------------
 # The linearised operator L = J·S
 
 @dataclass(frozen=True)
@@ -339,8 +382,8 @@ class Linearization:
     def wave_part(self, wave: TravelingWave, M: int) -> np.ndarray | None:
         """Fourier matrix of the wave's term in S[0, 0] on the modes |n| <= M.
 
-        The term is multiplication by f = -sigma*U^p (scalar) or 2*alpha*Q
-        (Boussinesq-Whitham); its matrix W[n, m] = f_hat(n - m) does not
+        The term is multiplication by f = -sign * N'(U), from the model's
+        traveling equation; its matrix W[n, m] = f_hat(n - m) does not
         depend on the Floquet exponent.  None for the zero wave.
         """
         if M < 1:
@@ -353,14 +396,12 @@ class Linearization:
                 TruncationWarning, stacklevel=3)
         if wave.is_zero:
             return None
-        m = self.model
-        if m.kind == SCALAR:
-            return -_toeplitz(_scalar_nonlinearity(m, wave, M), M)
-        if m.kind == NONCANONICAL_BW:
-            return 2.0 * m.alpha * _toeplitz(_exp_coeffs(wave, 2 * M), M)
-        raise ModelError(
-            f"finite-amplitude spectra are not supported for canonical "
-            f"model {m.name!r}")
+        eq = traveling_equation(self.model)
+        if eq.q is not None:   # N'(U) = 2q U
+            dN = 2.0 * eq.q * _exp_coeffs(wave, 2 * M)
+        else:
+            dN = _grid_coeffs(eq.dN, wave, 2 * M)
+        return -eq.sign * _toeplitz(dN, M)
 
     def real_matrix(self, ks: np.ndarray,
                     W: np.ndarray | None = None) -> np.ndarray:
@@ -414,20 +455,18 @@ def _toeplitz(col_row: np.ndarray, M: int) -> np.ndarray:
     return col_row[center + idx[:, None] - idx[None, :]]
 
 
-def _scalar_nonlinearity(model: ModelSpec, wave: TravelingWave,
-                         M: int) -> np.ndarray:
-    """Exponential coefficients of sigma*U^p over shifts -2M..2M."""
-    if model.power == 1:
-        return model.sigma * _exp_coeffs(wave, 2 * M)
-    ngrid = max(8 * M, 4 * (len(wave.coefficients) - 1), 64)
+def _grid_coeffs(f: Callable, wave: TravelingWave,
+                 length: int) -> np.ndarray:
+    """Exponential Fourier coefficients of f(U)(-length..length), from
+    samples of the wave on a uniform grid."""
+    ngrid = max(4 * length, 4 * (len(wave.coefficients) - 1), 64)
     x = 2.0 * math.pi * np.arange(ngrid) / ngrid
-    w = model.sigma * wave.profile(x) ** model.power
-    spec = np.fft.rfft(w) / ngrid
-    out = np.zeros(4 * M + 1, dtype=float)
-    top = min(2 * M, spec.size - 1)
-    out[2 * M] = spec[0].real
-    out[2 * M + 1:2 * M + 1 + top] = spec[1:top + 1].real
-    out[2 * M - top:2 * M] = spec[top:0:-1].real
+    spec = np.fft.rfft(f(wave.profile(x))) / ngrid
+    out = np.zeros(2 * length + 1, dtype=float)
+    top = min(length, spec.size - 1)
+    out[length] = spec[0].real
+    out[length + 1:length + 1 + top] = spec[1:top + 1].real
+    out[length - top:length] = spec[top:0:-1].real
     return out
 
 

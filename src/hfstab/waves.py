@@ -1,15 +1,9 @@
 """Small-amplitude periodic traveling waves.
 
 Every model hfstab builds waves for solves one integrated traveling
-equation,
-
-    K*U - s(c) U + N(U) = r,
-
-where K is the nonlocal kernel with symbol ``ModelSpec.kernel_symbol``.
-Scalar models have s = c, N = sigma U^(p+1)/(p+1) and r = B, with kernel
-symbol omega(k)/k.  The two-component Boussinesq-Whitham form
-c^2 Q = alpha Q^2 + K*Q + A, negated, has s = c^2, N = alpha Q^2 and
-r = -A, with kernel symbol c^2(k).  Waves are even, 2*pi-periodic cosine
+equation, K*U - s(c) U + N(U) = r, stated once by
+``models.traveling_equation``, which ``models.Linearization.wave_part``
+also reads for the wave's term N'(U).  Waves are even, 2*pi-periodic cosine
 series.  A Stokes expansion seeds a Newton/cosine-collocation continuation
 in the first cosine coefficient; the speed (and integration constant) are
 solved for while u_1 is pinned, which removes the fold at the bifurcation
@@ -20,12 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .models import (ModelSpec, TravelingWave, SCALAR, NONCANONICAL_BW,
-                     ModelError, bifurcation_speed, make_model)
+from .models import (ModelSpec, TravelingWave, NONCANONICAL_BW, ModelError,
+                     bifurcation_speed, make_model, traveling_equation)
 
 __all__ = [
     "ResonanceError", "WaveConvergenceError", "ModesInsufficientError",
@@ -49,38 +42,6 @@ class ModesInsufficientError(ModelError):
     pass
 
 
-class _Equation(NamedTuple):
-    """K*U - s(c) U + N(U) = r, with ``TravelingWave.constant`` = sign * r;
-    ds and dN are the derivatives of s and N, and q is the U^2 coefficient
-    of N (None when N is not quadratic)."""
-    kernel: Callable
-    s: Callable
-    ds: Callable
-    N: Callable
-    dN: Callable
-    q: float | None
-    sign: float
-
-
-def _equation(model: ModelSpec) -> _Equation:
-    """The traveling equation of a scalar or Boussinesq-Whitham model."""
-    if model.kind == SCALAR:
-        sigma, p = model.sigma, model.power
-        return _Equation(kernel=model.kernel_symbol, s=lambda c: c,
-                         ds=lambda c: 1.0,
-                         N=lambda u: sigma * u ** (p + 1) / (p + 1),
-                         dN=lambda u: sigma * u ** p,
-                         q=sigma / 2.0 if p == 1 else None, sign=1.0)
-    if model.kind == NONCANONICAL_BW:
-        alpha = model.alpha
-        return _Equation(kernel=model.kernel_symbol, s=lambda c: c * c,
-                         ds=lambda c: 2.0 * c, N=lambda u: alpha * u * u,
-                         dN=lambda u: 2.0 * alpha * u, q=alpha, sign=-1.0)
-    raise ModelError(
-        f"traveling-wave construction needs the kernel symbol of a scalar "
-        f"or noncanonical-bw model; {model.name!r} ({model.kind}) has none")
-
-
 def stokes_wave(model: ModelSpec, epsilon: float, order: int) -> TravelingWave:
     """Stokes expansion about the first cosine harmonic, orders 1..3.
 
@@ -92,7 +53,7 @@ def stokes_wave(model: ModelSpec, epsilon: float, order: int) -> TravelingWave:
     """
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2, or 3, got {order!r}")
-    eq = _equation(model)
+    eq = traveling_equation(model)
     c0 = bifurcation_speed(model, 1, 1)
     coeffs = [0.0, float(epsilon), 0.0, 0.0][:order + 1]
     c = c0
@@ -150,12 +111,14 @@ def solve_wave_collocation(model: ModelSpec, target_amplitude: float,
     target and a_0 to ``mean`` close the system; phase is fixed by evenness.
     Converged when the max cosine-space residual is <= 1e-11, which keeps
     the pointwise traveling-equation residual comfortably below 1e-10.
+    Amplitude 0 gives the zero wave at the bifurcation speed, so a nonzero
+    mean there is a ValueError.
     """
     if M < 16:
         raise ValueError(f"M must be >= 16, got {M!r}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps!r}")
-    eq = _equation(model)
+    eq = traveling_equation(model)
     if model.kind == NONCANONICAL_BW and mean < 0.0 and not force:
         raise ModelError(
             "boussinesq-whitham continuation requires a nonnegative mean "
@@ -163,6 +126,9 @@ def solve_wave_collocation(model: ModelSpec, target_amplitude: float,
             "override")
     c0 = bifurcation_speed(model, 1, 1)
     if target_amplitude == 0.0:
+        if mean != 0.0:
+            raise ValueError(f"amplitude 0 gives the zero wave, whose mean "
+                             f"is 0, not {mean!r}")
         return TravelingWave(model=model.name, c=c0,
                              coefficients=[mean] + [0.0] * M)
 
@@ -235,7 +201,7 @@ def _newton_solve(eq, sym, cosj, x, a, c, r, target, mean):
 
 def wave_residual(model: ModelSpec, wave: TravelingWave) -> float:
     """Max traveling-equation residual over 4M collocation points."""
-    eq = _equation(model)
+    eq = traveling_equation(model)
     a = np.asarray(wave.coefficients, dtype=float)
     M = a.size - 1
     ngrid = max(4 * M, 64)

@@ -9,7 +9,7 @@ import pytest
 
 from hfstab import hill
 from hfstab.collisions import find_collisions
-from hfstab.dsl import parse, to_source
+from hfstab.dsl import parse
 from hfstab.krein import eigenmode, signature, signature_product
 from hfstab.models import (BUILTIN_MODELS, ModelNotDispersiveError,
                            bifurcation_speed, eval_Omega, eval_omega,
@@ -17,6 +17,7 @@ from hfstab.models import (BUILTIN_MODELS, ModelNotDispersiveError,
 from hfstab.waves import (bw_flat_state_analysis, solve_wave_collocation,
                           wave_residual)
 
+from dsl_printer import to_source
 from elliptic_oracles import (elliptic_K, jacobi_cn, jacobi_dn, jacobi_sn,
                               kdv_cnoidal, mkdv_cn_wave, mkdv_sn_wave)
 from signature_oracles import bw_signature, canonical_products, scalar_opposite

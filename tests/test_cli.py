@@ -177,13 +177,22 @@ class TestConfigErrors:
         assert run(capsys, "spectrum", "--model", "kdv", flag)[0] == 2
 
     @pytest.mark.parametrize("config, message", [
-        ({"model": "water-waves", "n_max": 10,
-          "collision": {"grid_points": -4}}, "grid_points"),
-        ({"model": "water-waves", "n_max": 10,
-          "collision": {"grid_points": 0}}, "grid_points"),
-        ({"model": "water-waves", "collision": {"residual_tol": 0}},
-         "residual_tol"),
-        ({"model": "water-waves", "collision": 5}, "'collision' must be"),
+        # the collision scan has no options: its grid and tolerances are
+        # constants of hfstab.collisions
+        ({"model": "water-waves", "collision": {"grid_points": 512}},
+         "unknown config key(s): ['collision']"),
+        # numbers must be JSON numbers, not strings or booleans
+        ({"model": "water-waves", "h": "2", "n_max": 3}, "h must be float"),
+        ({"model": "water-waves", "wave": {"amplitude": True}, "n_max": 3},
+         "wave.amplitude must be float"),
+        ({"model": "water-waves", "params": {"h": "2"}}, "params.h"),
+        ({"model": "kdv", "wave": {"mean": False}}, "wave.mean"),
+        ({"model": {"kind": "scalar", "omega1": "a*k^3",
+                    "params": {"a": True}}}, "model.params.a"),
+        ({"model": {"kind": "noncanonical-bw", "omega1": "k",
+                    "c_squared": "tanh(k)/k", "at_zero": "1"}},
+         "model.at_zero"),
+        ({"model": "kdv", "N": math.inf}, "N must be int"),
         ({"model": "kdv", "wave": [1, 2]}, "'wave' must be"),
         ({"model": {"kind": "scalar", "omega1": "a*k^3", "params": 5}},
          "'model.params' must be"),
@@ -283,6 +292,25 @@ class TestWave:
         assert code == 0
         assert json.loads(out)["coefficients"][0] == pytest.approx(-1e-4)
 
+    @pytest.mark.parametrize("model", ["kdv", "boussinesq-whitham"])
+    def test_zero_amplitude_with_a_mean_is_refused(self, capsys, model):
+        code, out, err = run(capsys, "wave", "--model", model, "--amplitude",
+                             "0", "--mean", "0.1", "--modes", "16")
+        assert code == 2 and out == ""
+        assert "configuration error" in err and "mean" in err
+
+    @pytest.mark.parametrize("amplitude", ["0", "0.01"])
+    def test_harmonic_other_than_one_is_refused(self, capsys, tmp_path,
+                                                amplitude):
+        # from the flag and from the config file alike
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": "kdv", "N": 2}))
+        for argv in (["--model", "kdv", "--N", "2"], ["--config", str(cfg)]):
+            code, out, err = run(capsys, "wave", *argv, "--amplitude",
+                                 amplitude, "--modes", "16")
+            assert code == 2 and out == ""
+            assert "configuration error" in err and "N = 2" in err
+
     def test_canonical_model_has_no_wave(self, capsys):
         code, _, err = run(capsys, "wave", "--model", "sine-gordon",
                            "--amplitude", "0.01")
@@ -302,6 +330,38 @@ class TestSpectrum:
         report = json.loads((tmp_path / "spec.csv.bubbles.json").read_text())
         assert report["bubbles"] == []
         assert report["zero_amplitude_deviation"] <= 1e-8
+
+    def test_zero_amplitude_with_a_mean_is_refused(self, capsys, tmp_path):
+        out_path = tmp_path / "spec.csv"
+        code, _, err = run(capsys, "spectrum", "--model", "kdv", "--mean",
+                           "0.1", "--mu-count", "4", "--M", "8",
+                           "--out", str(out_path))
+        assert code == 2 and not out_path.exists()
+        assert "configuration error" in err and "wave.mean" in err
+
+    def test_zero_amplitude_spectrum_at_harmonic_two(self, capsys, tmp_path):
+        # the zero wave at omega(N)/N needs no wave solve
+        out_path = tmp_path / "spec.csv"
+        code, _, _ = run(capsys, "spectrum", "--model", "kdv", "--N", "2",
+                         "--n-max", "3", "--mu-count", "4", "--M", "8",
+                         "--out", str(out_path))
+        assert code == 0
+        assert json.loads((tmp_path / "spec.csv.bubbles.json").read_text()
+                          )["zero_amplitude_deviation"] <= 1e-8
+
+    def test_harmonic_other_than_one_is_refused(self, capsys, tmp_path):
+        # whenever a wave is solved or read
+        wave_path = tmp_path / "wave.json"
+        run(capsys, "wave", "--model", "kdv", "--amplitude", "0.01",
+            "--modes", "16", "--out", str(wave_path))
+        out_path = tmp_path / "spec.csv"
+        for argv in (["--amplitude", "0.01", "--modes", "16"],
+                     ["--wave", str(wave_path)]):
+            code, _, err = run(capsys, "spectrum", "--model", "kdv", "--N",
+                               "2", *argv, "--mu-count", "4", "--M", "8",
+                               "--out", str(out_path))
+            assert code == 2 and not out_path.exists()
+            assert "configuration error" in err and "N = 2" in err
 
     def test_wave_file_roundtrip(self, capsys, tmp_path):
         wave_path = tmp_path / "wave.json"

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hfstab import collisions
 from hfstab.collisions import (VERDICT_INDETERMINATE, VERDICT_NONE,
                                VERDICT_POTENTIAL, CollisionEvent,
-                               CollisionOptions, NoCollisionFoundError,
-                               collision_residual, find_collisions,
-                               mirror_events, secant_curve_data,
+                               NoCollisionFoundError, collision_residual,
+                               find_collisions, mirror_events,
+                               secant_curve_data,
                                trace_first_collision_vs_depth)
 from hfstab.models import (bifurcation_speed, eval_Omega, make_model,
                            model_from_config)
@@ -20,10 +21,10 @@ def non_origin(events):
     return [e for e in events if not e.at_origin]
 
 
-def find_for(name, n_max, params=None, N=1, opts=None):
+def find_for(name, n_max, params=None, N=1):
     model = make_model(name, params)
     c = bifurcation_speed(model, 1, N)
-    return model, c, find_collisions(model, c, n_max, opts)
+    return model, c, find_collisions(model, c, n_max)
 
 
 class TestAnchors:
@@ -95,13 +96,13 @@ class TestMechanics:
         with pytest.raises(ValueError):
             collision_residual(model, 1, 1, 1, 1, 0.1, -1.0)
 
-    def test_grid_refinement_stability(self):
+    def test_grid_refinement_stability(self, monkeypatch):
         model = make_model("water-waves")
         c = bifurcation_speed(model, 1, 1)
-        coarse = find_collisions(model, c, 5,
-                                 CollisionOptions(grid_points=512))
-        fine = find_collisions(model, c, 5,
-                               CollisionOptions(grid_points=4096))
+        monkeypatch.setattr(collisions, "GRID_POINTS", 512)
+        coarse = find_collisions(model, c, 5)
+        monkeypatch.setattr(collisions, "GRID_POINTS", 4096)
+        fine = find_collisions(model, c, 5)
         assert len(coarse) == len(fine)
         for a, b in zip(coarse, fine):
             assert (a.n1, a.l1, a.n2, a.l2) == (b.n1, b.l1, b.n2, b.l2)
@@ -160,11 +161,11 @@ class TestMechanics:
         assert r1 == pytest.approx(-r2, abs=1e-12)
 
 
-def per_tuple_scan(model, c, n_max, opts):
+def per_tuple_scan(model, c, n_max):
     """Oracle: the scan one mode tuple and one bracket at a time, each root
     bisected with scalar residuals; the first root of a (lambda, mu) class
     in tuple order is kept."""
-    G = opts.grid_points
+    G = collisions.GRID_POINTS
     mus = -0.5 + np.arange(G + 1) / G
     ls = [b.index for b in model.branches]
     ns = range(-n_max, n_max + 1)
@@ -178,7 +179,7 @@ def per_tuple_scan(model, c, n_max, opts):
         for i in range(G):
             if grid[i] * grid[i + 1] < 0.0:
                 a, b, fa = float(mus[i]), float(mus[i + 1]), grid[i]
-                while b - a > opts.bisect_tol:
+                while b - a > collisions.BISECT_TOL:
                     m = 0.5 * (a + b)
                     fm = f(m)
                     if fm == 0.0:
@@ -192,11 +193,11 @@ def per_tuple_scan(model, c, n_max, opts):
             m1, m2 = (n1, n2) if mu > -0.5 + 1e-15 else (n1 - 1, n2 - 1)
             mu = mu if mu > -0.5 + 1e-15 else mu + 1.0
             r = collision_residual(model, m1, l1, m2, l2, mu, c)
-            if abs(r) > opts.residual_tol:
+            if abs(r) > collisions.RESIDUAL_TOL:
                 continue
             lam = -1j * eval_Omega(model, l1, m1 + mu, c)
             key = (round(lam.real, 9), round(abs(lam.imag), 9), round(mu, 9))
-            if lam.imag >= -opts.lambda_tol and key not in found:
+            if lam.imag >= -collisions.LAMBDA_TOL and key not in found:
                 found[key] = (m1, l1, m2, l2, mu, lam)
     return sorted(found.values(), key=lambda e: (e[5].imag, e[4], e[0]))
 
@@ -206,23 +207,16 @@ def per_tuple_scan(model, c, n_max, opts):
     ("fifth-order-scalar", 3, 256), ("boussinesq-whitham", 4, 7),
     ({"kind": "canonical", "omega1": "k^3-0.25*k^5"}, 3, 1),
 ])
-def test_array_scan_matches_per_tuple_scan(spec, n_max, grid_points):
+def test_array_scan_matches_per_tuple_scan(spec, n_max, grid_points,
+                                           monkeypatch):
     # the same events in the same order, with the same values
     model = (make_model(spec) if isinstance(spec, str)
              else model_from_config(spec))
     c = bifurcation_speed(model, 1, 1)
-    opts = CollisionOptions(grid_points=grid_points)
+    monkeypatch.setattr(collisions, "GRID_POINTS", grid_points)
     got = [(e.n1, e.l1, e.n2, e.l2, e.mu, e.lam)
-           for e in find_collisions(model, c, n_max, opts)]
-    assert got and got == per_tuple_scan(model, c, n_max, opts)
-
-
-def test_bad_collision_options_rejected():
-    for bad in ({"grid_points": 0}, {"grid_points": -4},
-                {"residual_tol": 0.0}, {"lambda_tol": math.nan},
-                {"bisect_tol": -1e-13}):
-        with pytest.raises(ValueError):
-            CollisionOptions(**bad)
+           for e in find_collisions(model, c, n_max)]
+    assert got and got == per_tuple_scan(model, c, n_max)
 
 
 class TestCurves:

@@ -9,7 +9,9 @@ from hypothesis import given, strategies as st
 from hfstab import dsl
 from hfstab.dsl import (Bin, Call, Lit, Neg, Var, DomainError, EvalError,
                         NonFiniteError, ParseError, UnboundVariableError,
-                        compile_symbol, evaluate, parse, to_source)
+                        compile_symbol, evaluate, parse)
+
+from dsl_printer import to_source
 
 
 def ev(text, k=0.0, **params):

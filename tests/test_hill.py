@@ -17,6 +17,13 @@ from hfstab.waves import solve_wave_collocation, stokes_wave
 
 from elliptic_oracles import kdv_cnoidal
 from signature_oracles import J_CANONICAL, canonical_hessian
+import wave_oracles
+
+
+def spectrum_at(model, wave, mu, M):
+    """All eigenvalues of the truncated Hill matrix at one mu, sorted by
+    (Im, Re): a one-slice ``full_spectrum``."""
+    return hill.full_spectrum(model, wave, [mu], M).values[0]
 
 
 def quadrature_coeff(values, x, j):
@@ -198,7 +205,7 @@ class TestAssembly:
         wave = solve_wave_collocation(model, 1e-2, M=24, steps=3)
         M, mu = 12, 0.22
         R = hill.assemble(model, wave, mu, M)
-        vals = hill.spectrum_at(model, wave, mu, M)
+        vals = spectrum_at(model, wave, mu, M)
         assert abs(1j * np.trace(R) - np.sum(vals)) < 1e-8
 
     def test_canonical_finite_amplitude_rejected(self):
@@ -208,8 +215,23 @@ class TestAssembly:
                              coefficients=[0.0, 0.1])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", hill.TruncationWarning)
-            with pytest.raises(ModelError):
+            with pytest.raises(ModelError, match="'sine-gordon' .canonical."):
                 hill.assemble(model, wave, 0.1, 4)
+
+    @pytest.mark.parametrize("M", [8, 32])
+    @pytest.mark.parametrize("name, params", [
+        ("kdv", None), ("gkdv", {"sigma": -2.0}), ("mkdv-focusing", None),
+        ("mkdv-defocusing", None), ("whitham", None),
+        ("fifth-order-scalar", None), ("boussinesq-whitham", {"alpha": 0.7})])
+    def test_wave_part_matches_per_kind_oracle(self, name, params, M):
+        # -sign * N'(U) of the traveling equation is, bit for bit and sign
+        # of zero included, -sigma*U^p (scalar) and 2*alpha*Q (BW)
+        model = make_model(name, params)
+        wave = solve_wave_collocation(model, 0.05, M=32, steps=3)
+        got = Linearization(model, wave.c).wave_part(wave, M)
+        want = wave_oracles.wave_part(model, wave, M)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_truncation_warning(self):
         model = make_model("kdv")
@@ -246,8 +268,8 @@ class TestSpectra:
         wave = TravelingWave(model="kdv", c=cn.c,
                              coefficients=cn.coefficients)
         for mu in (0.1, 0.37):
-            plus = hill.spectrum_at(model, wave, mu, 16)
-            minus = hill.spectrum_at(model, wave, -mu, 16)
+            plus = spectrum_at(model, wave, mu, 16)
+            minus = spectrum_at(model, wave, -mu, 16)
             d = np.abs(np.conj(plus)[:, None] - minus[None, :])
             assert max(d.min(axis=0).max(), d.min(axis=1).max()) < 1e-10
 
@@ -277,7 +299,7 @@ class TestSpectra:
         model = make_model("kdv")
         wave = TravelingWave(model="kdv", c=cn.c,
                              coefficients=cn.coefficients)
-        vals = hill.spectrum_at(model, wave, 0.25, 32)
+        vals = spectrum_at(model, wave, 0.25, 32)
         assert np.max(np.abs(vals.real)) < 1e-6
 
     def test_explicit_mu_array_accepted(self):
@@ -334,7 +356,7 @@ class TestDerivedSlices:
         negative = [(mu, vals) for mu, vals in s.slices if mu < 0.0]
         assert len(negative) == len(s.slices) // 2
         for mu, vals in negative:
-            direct = hill.spectrum_at(model, wave, mu, 16)
+            direct = spectrum_at(model, wave, mu, 16)
             scale = max(1.0, float(np.abs(direct).max()))
             assert hill._hausdorff(vals, direct) <= 1e-12 * scale
             assert not np.signbit(vals.real[vals.real == 0.0]).any()
@@ -483,7 +505,7 @@ class TestZeroAmplitudeConsistency:
         model = make_model(name)
         c = bifurcation_speed(model, 1, 1)
         for mu in self.MUS:
-            vals = hill.spectrum_at(model, hill.zero_wave(model, c), mu, 16)
+            vals = spectrum_at(model, hill.zero_wave(model, c), mu, 16)
             assert np.all(vals.real == 0.0)
             assert not np.any(np.signbit(vals.real))
 
@@ -499,7 +521,7 @@ class TestZeroAmplitudeConsistency:
         wave = hill.zero_wave(model, -1.0)
         faulty = 0.0
         for mu in self.MUS:
-            computed = hill.spectrum_at(model, wave, mu, 12)
+            computed = spectrum_at(model, wave, mu, 12)
             exact = np.array([lam for _, lam in
                               spectrum_slice(perturbed, -1.0, mu,
                                              range(-12, 13))])

@@ -70,6 +70,12 @@ class TestCollocation:
         assert w.amplitude == 0.0
         assert w.c == pytest.approx(bifurcation_speed(model, 1, 1))
 
+    @pytest.mark.parametrize("name", ["kdv", "boussinesq-whitham"])
+    def test_zero_target_with_a_mean_is_refused(self, name):
+        # amplitude 0 is the zero wave at the bifurcation speed
+        with pytest.raises(ValueError, match="mean"):
+            solve_wave_collocation(make_model(name), 0.0, M=16, mean=0.1)
+
     def test_kdv_matches_cnoidal(self):
         cn = kdv_cnoidal(0.3)
         model = make_model("kdv")

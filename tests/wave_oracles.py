@@ -1,19 +1,22 @@
-"""The two-branch Stokes seed and Newton continuation, kept as an oracle for
-the one traveling equation K*U - s(c) U + N(U) = r of ``hfstab.waves``.
+"""The two-branch Stokes seed, Newton continuation and Hill wave term, kept
+as oracles for the one traveling equation K*U - s(c) U + N(U) = r of
+``hfstab.models.traveling_equation``.
 
 Scalar models solve K*U - c U + sigma U^(p+1)/(p+1) = B here, and
 Boussinesq-Whitham models c^2 Q - K*Q - alpha Q^2 - A = 0, each with its own
 seed formulas, residual rows and Jacobian.  The library's Boussinesq-Whitham
 system is this one with its equation rows and its r = -A column negated,
 which LU with partial pivoting solves to the same bits, so the two must agree
-bit for bit on every wave.
+bit for bit on every wave.  The Hill wave term -sign * N'(U) is likewise
+written out per kind here, as -sigma U^p and 2 alpha Q.
 """
 
 import math
 
 import numpy as np
 
-from hfstab.models import SCALAR, NONCANONICAL_BW, TravelingWave, bifurcation_speed
+from hfstab.models import (SCALAR, NONCANONICAL_BW, TravelingWave,
+                           bifurcation_speed, _exp_coeffs, _toeplitz)
 from hfstab.waves import MAX_NEWTON_STEPS, RESIDUAL_TOL, _cosine_coeffs
 
 
@@ -111,3 +114,27 @@ def _newton_solve(model, sym, cosj, x, a, c, const, target, mean, bw):
         c = c + delta[M + 1]
         const = const + delta[M + 2]
     raise AssertionError(f"oracle Newton did not converge at {target:g}")
+
+
+def wave_part(model, wave, M):
+    """The wave's Toeplitz matrix W in S[0, 0] on the modes |n| <= M:
+    multiplication by -sigma*U^p (scalar) or 2*alpha*Q (Boussinesq-Whitham)."""
+    if model.kind == SCALAR:
+        return -_toeplitz(_scalar_nonlinearity(model, wave, M), M)
+    return 2.0 * model.alpha * _toeplitz(_exp_coeffs(wave, 2 * M), M)
+
+
+def _scalar_nonlinearity(model, wave, M):
+    """Exponential coefficients of sigma*U^p over shifts -2M..2M."""
+    if model.power == 1:
+        return model.sigma * _exp_coeffs(wave, 2 * M)
+    ngrid = max(8 * M, 4 * (len(wave.coefficients) - 1), 64)
+    x = 2.0 * math.pi * np.arange(ngrid) / ngrid
+    w = model.sigma * wave.profile(x) ** model.power
+    spec = np.fft.rfft(w) / ngrid
+    out = np.zeros(4 * M + 1, dtype=float)
+    top = min(2 * M, spec.size - 1)
+    out[2 * M] = spec[0].real
+    out[2 * M + 1:2 * M + 1 + top] = spec[1:top + 1].real
+    out[2 * M - top:2 * M] = spec[top:0:-1].real
+    return out
