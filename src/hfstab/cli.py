@@ -26,13 +26,14 @@ from .collisions import secant_curve_data, trace_first_collision_vs_depth, \
     NoCollisionFoundError
 from .config import ConfigError, RunConfig, apply_flags, build_model, \
     load_config
-from .models import ModelError, TravelingWave, bifurcation_speed, \
-    validate_dispersive
+from .models import ModelError, TravelingWave, bifurcation_speed
 from .report import csv_blocks, csv_lines, json_dumps
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+WAVE_FILE_TOL = 1e-8   # largest traveling-equation residual of a --wave file
 
 _NUMERICAL_ERRORS = (
     waves.ResonanceError, waves.WaveConvergenceError,
@@ -154,6 +155,10 @@ def cmd_spectrum(args) -> int:
     cfg, model = _load(args)
     if args.wave_file is not None:
         _first_harmonic(cfg)
+        given = [f"--{f}" for f in ("amplitude", "mean", "modes", "steps")
+                 if getattr(args, f) is not None]
+        if given:
+            raise ConfigError(f"--wave reads a solved wave: drop {given}")
         try:
             with open(args.wave_file) as fh:
                 wave = TravelingWave.from_dict(json.load(fh))
@@ -162,6 +167,10 @@ def cmd_spectrum(args) -> int:
         if wave.model != model.name:
             raise ConfigError(
                 f"wave file is for model {wave.model!r}, not {model.name!r}")
+        residual = 0.0 if wave.is_zero else waves.wave_residual(model, wave)
+        if residual > WAVE_FILE_TOL:
+            raise ConfigError(f"wave file does not solve {model.name!r}: its "
+                              f"traveling-equation residual is {residual:.3g}")
     elif cfg.wave_amplitude == 0.0:
         if cfg.wave_mean != 0.0:
             raise ConfigError("the zero-amplitude wave has mean 0, got "
@@ -196,7 +205,6 @@ def cmd_spectrum(args) -> int:
 
 def cmd_curves(args) -> int:
     cfg, model = _load(args)
-    validate_dispersive(model)
     c = bifurcation_speed(model, 1, cfg.N)
     k_grid = np.linspace(-0.5, 0.5, 201)
     rows = secant_curve_data(model, c, range(-3, 4), k_grid)

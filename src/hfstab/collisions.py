@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import (ModelSpec, ModeIndex, eval_Omega, bifurcation_speed,
-                     make_model, validate_dispersive)
+                     make_model)
 
 __all__ = [
     "CollisionEvent", "NoCollisionFoundError",
@@ -208,7 +208,7 @@ def _events(model, c, n1, l1, n2, l2, mu) -> list[CollisionEvent]:
 def mirror_events(model: ModelSpec,
                   events: Sequence[CollisionEvent]) -> list[CollisionEvent]:
     """Re-expand deduplicated events with their lambda -> -lambda mirrors."""
-    pair = validate_dispersive(model)
+    pair = model.mirror
     out = list(events)
     for e in events:
         if e.at_origin:

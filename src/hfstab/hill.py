@@ -28,12 +28,13 @@ The mu grid is uniform plus a fixed-width window around each predicted
 collision mu and its mirror -mu (``MuGridSpec.windows``), sampled
 ``refine_factor`` times more densely; it is exactly symmetric about 0.
 Every model hfstab accepts is reversible (its branch set is closed under
-k -> -k, which ``models.validate_dispersive`` checks) and every wave is an
-even cosine series, so the spectrum at -mu is the negated spectrum at mu:
-R(-mu) = -Q R(mu) Q^-1 for the flip Q that reverses the modes within each
-component block (and negates the second block of a canonical model).  A
-grid's mu >= 0 half is solved and each mu < 0 slice is derived from its
-partner, exact to the eigensolver's own backward error.
+k -> -k, which ``models.validate_dispersive`` checks when the model is
+built) and every wave is an even cosine series, so the spectrum at -mu is
+the negated spectrum at mu: R(-mu) = -Q R(mu) Q^-1 for the flip Q that
+reverses the modes within each component block (and negates the second
+block of a canonical model).  A grid's mu >= 0 half is solved and each
+mu < 0 slice is derived from its partner, exact to the eigensolver's own
+backward error.
 
 Bubbles (connected arcs of eigenvalues off the imaginary axis) are
 detected by thresholding Re(lambda) and clustering in Im(lambda), and each
@@ -51,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import (ModelSpec, TravelingWave, Linearization,
-                     TruncationWarning, spectrum_slice, validate_dispersive)
+                     TruncationWarning, spectrum_slice)
 from .collisions import CollisionEvent
 
 __all__ = [
@@ -268,13 +269,12 @@ def full_spectrum(model: ModelSpec, wave: TravelingWave,
     The slices are solved in stacks (``_solve``).  An explicit array of mu
     is solved whole.  A ``MuGridSpec`` grid is symmetric, so only its
     mu >= 0 slices are solved; each mu < 0 slice is its partner's negated
-    (see the module docstring).  The model is checked for that reflection
-    first (``validate_dispersive``).
+    (see the module docstring); every ``ModelSpec`` was checked for that
+    reflection when it was built.
     """
     op = Linearization(model, wave.c)
     W = op.wave_part(wave, M)
     if isinstance(grid, MuGridSpec):
-        validate_dispersive(model)
         mus = build_mu_grid(grid)
         n_neg = np.count_nonzero(mus < 0.0)
     else:

@@ -8,7 +8,8 @@ Opposite signatures at a collision are necessary for the pair to leave the
 imaginary axis, so the pipeline verdict deliberately says only
 ``HF-instability-possible`` or ``HF-instability-excluded``: the condition
 is necessary, not sufficient.  ``screen``, the one path to signed events,
-checks the dispersion relation, finds the collisions and signs them.
+finds the collisions and signs them; the dispersion relation was checked
+when the model was built (``models.ModelSpec``).
 
 Eigenvectors are null vectors of the real 2x2 block R(k) - rho (w = [1]
 for scalar models); no numerical eigensolver enters this path.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import (ModelSpec, ModeIndex, Linearization, eval_Omega,
-                     bifurcation_speed, validate_dispersive)
+                     bifurcation_speed)
 from .collisions import CollisionEvent, find_collisions, VERDICT_POTENTIAL
 
 __all__ = [
@@ -117,9 +118,8 @@ def signature_product(model: ModelSpec, event: CollisionEvent, c: float) -> floa
 
 
 def screen(model: ModelSpec, c: float, n_max: int) -> list[CollisionEvent]:
-    """Check the dispersion relation, find the collisions at speed c for
-    |n| <= n_max and sign each one; an origin event gets product 0."""
-    validate_dispersive(model)
+    """Find the collisions at speed c for |n| <= n_max and sign each one;
+    an origin event gets product 0."""
     events = find_collisions(model, c, n_max)
     for e in events:
         e.signature_product = (0.0 if e.at_origin

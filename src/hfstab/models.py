@@ -104,7 +104,8 @@ class DispersionBranch:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A model prepared for the six-step analysis.
+    """A model prepared for the six-step analysis, checked once, when it is
+    built: ``validate_dispersive`` runs here and ``mirror`` keeps its map.
 
     ``kernel_symbol`` is K of ``traveling_equation``: the
     nonlocal kernel omega(k)/k of a scalar model, or the squared phase speed
@@ -130,6 +131,7 @@ class ModelSpec:
     sigma: float = 0.0   # scalar nonlinearity sigma * u^power * u_x
     power: int = 1
     alpha: float = 0.0   # BW quadratic term alpha * q^2
+    mirror: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -139,6 +141,7 @@ class ModelSpec:
             raise ModelError(
                 f"{self.kind} model must have {want} branch(es), "
                 f"got {len(self.branches)}")
+        object.__setattr__(self, "mirror", validate_dispersive(self))
 
     def branch(self, l: int) -> DispersionBranch:
         for b in self.branches:
@@ -388,7 +391,8 @@ class Linearization:
         """
         if M < 1:
             raise ValueError("M must be >= 1")
-        tail = np.asarray(wave.coefficients, dtype=float)[2 * M + 1:]
+        a = np.asarray(wave.coefficients, dtype=float)
+        tail = a[2 * M + 1:]
         if tail.size and np.max(np.abs(tail)) > 1e-12:
             warnings.warn(
                 f"wave coefficients do not decay below 1e-12 within the "
@@ -398,9 +402,12 @@ class Linearization:
             return None
         eq = traveling_equation(self.model)
         if eq.q is not None:   # N'(U) = 2q U
-            dN = 2.0 * eq.q * _exp_coeffs(wave, 2 * M)
-        else:
-            dN = _grid_coeffs(eq.dN, wave, 2 * M)
+            dN = 2.0 * eq.q * _exp_coeffs(a, 2 * M)
+        else:   # N'(U) sampled on a grid that resolves shifts up to 2M
+            ngrid = max(8 * M, 4 * (a.size - 1), 64)
+            x = 2.0 * math.pi * np.arange(ngrid) / ngrid
+            dN = _exp_coeffs(_cosine_coeffs(eq.dN(wave.profile(x)), 2 * M),
+                             2 * M)
         return -eq.sign * _toeplitz(dN, M)
 
     def real_matrix(self, ks: np.ndarray,
@@ -437,10 +444,20 @@ class Linearization:
         return R
 
 
-def _exp_coeffs(wave: TravelingWave, length: int) -> np.ndarray:
-    """Exponential Fourier coefficients u_hat(-length..length) of the wave."""
+def _cosine_coeffs(values: np.ndarray, M: int) -> np.ndarray:
+    """First M+1 cosine coefficients of even grid samples (length >= 2M+2)."""
+    n = values.size
+    spec = np.fft.rfft(values)
+    out = np.empty(M + 1)
+    out[0] = spec[0].real / n
+    out[1:] = 2.0 * spec[1:M + 1].real / n
+    return out
+
+
+def _exp_coeffs(a: np.ndarray, length: int) -> np.ndarray:
+    """Exponential Fourier coefficients u_hat(-length..length) of the
+    cosine series with coefficients a."""
     out = np.zeros(2 * length + 1)
-    a = np.asarray(wave.coefficients, dtype=float)
     out[length] = a[0]
     top = min(length, a.size - 1)
     out[length + 1:length + 1 + top] = a[1:top + 1] / 2.0
@@ -453,21 +470,6 @@ def _toeplitz(col_row: np.ndarray, M: int) -> np.ndarray:
     center = (col_row.size - 1) // 2
     idx = np.arange(2 * M + 1)
     return col_row[center + idx[:, None] - idx[None, :]]
-
-
-def _grid_coeffs(f: Callable, wave: TravelingWave,
-                 length: int) -> np.ndarray:
-    """Exponential Fourier coefficients of f(U)(-length..length), from
-    samples of the wave on a uniform grid."""
-    ngrid = max(4 * length, 4 * (len(wave.coefficients) - 1), 64)
-    x = 2.0 * math.pi * np.arange(ngrid) / ngrid
-    spec = np.fft.rfft(f(wave.profile(x))) / ngrid
-    out = np.zeros(2 * length + 1, dtype=float)
-    top = min(length, spec.size - 1)
-    out[length] = spec[0].real
-    out[length + 1:length + 1 + top] = spec[1:top + 1].real
-    out[length - top:length] = spec[top:0:-1].real
-    return out
 
 
 # --------------------------------------------------------------------------

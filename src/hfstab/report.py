@@ -60,35 +60,25 @@ def json_dumps(obj) -> str:
 
 
 def csv_lines(header: list[str], rows) -> str:
-    """CSV text of a 2-D array or equally typed rows: ``csv_blocks``
-    joined."""
+    """CSV text of a 2-D array or equally typed rows: ``csv_blocks`` joined."""
     return "".join(csv_blocks(header, rows))
 
 
 def csv_blocks(header: list[str], rows):
     """Yield the CSV text of a 2-D array or equally typed rows, the header
     line first and then ``_BLOCK`` rows at a time, so that a writer holds
-    one block beside the rows.  The first row's cell types fix the format
-    (floats 17 significant digits, other cells str).  Within a block each
-    float column formats each distinct bit pattern once (so -0.0 keeps its
-    text), and one ``%s`` gather lays the cells out."""
+    one block beside the rows.  The first row's cell types fix one row
+    format (floats 17 significant digits, other cells str), and one ``%``
+    formats each block after refusing its non-finite floats."""
     table = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
     yield ",".join(header) + "\n"
     if not len(table):
         return
     is_float = [isinstance(v, float) for v in table[0]]
-    other = np.logical_not(is_float)
-    fmt = ",".join(["%s"] * len(is_float)) + "\n"
+    fmt = ",".join("%.17g" if f else "%s" for f in is_float) + "\n"
     for lo in range(0, len(table), _BLOCK):
         block = table[lo:lo + _BLOCK]
         floats = block[:, is_float].astype(float)
         if not np.isfinite(floats).all():
             format_float(float(floats[~np.isfinite(floats)][0]))   # raises
-        cells = np.empty(block.shape, dtype=object)
-        cells[:, other] = block[:, other]
-        for j, col in zip(np.flatnonzero(is_float), floats.T):
-            bits, inverse = np.unique(col.view(np.int64),
-                                      return_inverse=True)
-            texts = ["%.17g" % x for x in bits.view(float).tolist()]
-            cells[:, j] = np.array(texts, dtype=object)[inverse]
-        yield fmt * len(block) % tuple(cells.ravel().tolist())
+        yield fmt * len(block) % tuple(block.ravel().tolist())

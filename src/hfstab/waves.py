@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import (ModelSpec, TravelingWave, NONCANONICAL_BW, ModelError,
-                     bifurcation_speed, make_model, traveling_equation)
+                     bifurcation_speed, make_model, traveling_equation,
+                     _cosine_coeffs)
 
 __all__ = [
     "ResonanceError", "WaveConvergenceError", "ModesInsufficientError",
@@ -89,16 +90,6 @@ def _check_divisor(d: float, j: int) -> None:
 
 # --------------------------------------------------------------------------
 # Cosine-collocation Newton continuation
-
-def _cosine_coeffs(values: np.ndarray, M: int) -> np.ndarray:
-    """First M+1 cosine coefficients of even grid samples (length >= 2M+2)."""
-    n = values.size
-    spec = np.fft.rfft(values)
-    out = np.empty(M + 1)
-    out[0] = spec[0].real / n
-    out[1:] = 2.0 * spec[1:M + 1].real / n
-    return out
-
 
 def solve_wave_collocation(model: ModelSpec, target_amplitude: float,
                            M: int = 64, steps: int = 10,

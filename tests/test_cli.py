@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from hfstab.cli import main
+from hfstab.models import make_model
+from hfstab.waves import solve_wave_collocation
 
 
 def run(capsys, *argv):
@@ -128,8 +130,8 @@ class TestCollide:
             "kind": "canonical", "omega1": "sqrt(1+k^2)+0.1*k"}, "n_max": 5}))
         results = {run(capsys, command, "--config", str(cfg),
                        "--out", str(tmp_path / command))
-                   for command in ("analyze", "collide", "spectrum",
-                                   "curves")}
+                   for command in ("analyze", "collide", "wave",
+                                   "spectrum", "curves")}
         assert len(results) == 1
         code, out, err = results.pop()
         assert (code, out) == (2, "")
@@ -316,6 +318,25 @@ class TestWave:
                            "--amplitude", "0.01")
         assert code == 2
 
+    def test_every_command_refuses_a_non_reversible_model(self, capsys,
+                                                           tmp_path):
+        # k^3 + k^2 is not odd, so no branch mirrors it under k -> -k; the
+        # model is refused when it is built, by wave as by the rest
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "model": {"kind": "scalar", "omega1": "k^3+k^2"}, "n_max": 5,
+            "wave": {"amplitude": 0.01, "modes": 16}}))
+        results = {command: run(capsys, command, "--config", str(cfg),
+                                "--out", str(tmp_path / command))
+                   for command in ("analyze", "collide", "wave", "spectrum",
+                                   "curves")}
+        assert len(set(results.values())) == 1
+        code, out, err = results["wave"]
+        assert (code, out) == (2, "")
+        assert err.startswith("configuration error: model 'custom-scalar': "
+                              "no branch mirrors branch 1 under k -> -k")
+        assert not list(tmp_path.glob("[!r]*"))
+
 
 class TestSpectrum:
     def test_zero_amplitude_spectrum(self, capsys, tmp_path):
@@ -378,9 +399,15 @@ class TestSpectrum:
 
     def test_wave_with_only_higher_harmonics_is_not_zero(self, capsys,
                                                          tmp_path):
+        # a_1 = 0: U(x) = 4 u(2x) solves KdV at speed 4c for a solution u
+        # at speed c, with the integration constant times 16
+        u = solve_wave_collocation(make_model("kdv"), 0.05, M=16, steps=3)
+        coefficients = [0.0] * (2 * len(u.coefficients) - 1)
+        coefficients[::2] = [4.0 * a for a in u.coefficients]
         wave_path = tmp_path / "wave.json"
         wave_path.write_text(json.dumps(
-            {"model": "kdv", "c": -1.0, "coefficients": [0.0, 0.0, 0.3]}))
+            {"model": "kdv", "c": 4.0 * u.c, "coefficients": coefficients,
+             "constant": 16.0 * u.constant}))
         out_path = tmp_path / "spec.csv"
         code, _, _ = run(capsys, "spectrum", "--model", "kdv",
                          "--wave", str(wave_path), "--n-max", "3",
@@ -472,6 +499,47 @@ class TestSpectrum:
         rows = out_path.read_text().splitlines()[1:]
         assert len(rows) % 34 == 0 and rows
         assert {row.split(",")[1] for row in rows} == {"0"}
+
+    @pytest.mark.parametrize("model, flags", [
+        ("boussinesq-whitham", ["--h", "2"]), ("kdv", ["--sigma", "5"])])
+    def test_wave_file_that_does_not_solve_the_model_is_refused(
+            self, capsys, tmp_path, model, flags):
+        # the wave was solved at the default parameters, and the spectrum
+        # run changes one: its traveling equation no longer holds
+        wave_path = tmp_path / "wave.json"
+        assert run(capsys, "wave", "--model", model, "--amplitude", "0.01",
+                   "--modes", "32", "--out", str(wave_path))[0] == 0
+        out_path = tmp_path / "spec.csv"
+        argv = ["spectrum", "--model", model, "--wave", str(wave_path),
+                "--n-max", "3", "--mu-count", "4", "--M", "8",
+                "--out", str(out_path)]
+        assert run(capsys, *argv)[0] == 0
+        out_path.unlink()
+        code, out, err = run(capsys, *argv, *flags)
+        assert (code, out) == (2, "") and not out_path.exists()
+        assert "configuration error" in err
+        assert f"does not solve {model!r}" in err
+        assert "traveling-equation residual is" in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--amplitude", "0.05"), ("--mean", "0.3"), ("--modes", "40"),
+        ("--steps", "4")])
+    def test_wave_solve_flags_beside_a_wave_file_are_refused(
+            self, capsys, tmp_path, flag, value):
+        # they describe a wave solve, which the file replaces; the config
+        # file's wave section may be the one the file was solved with
+        wave_path = tmp_path / "wave.json"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": "kdv", "wave": {
+            "amplitude": 0.01, "modes": 32, "steps": 3}}))
+        run(capsys, "wave", "--config", str(cfg), "--out", str(wave_path))
+        argv = ["spectrum", "--config", str(cfg), "--wave", str(wave_path),
+                "--n-max", "3", "--mu-count", "4", "--M", "8"]
+        assert run(capsys, *argv)[0] == 0
+        code, out, err = run(capsys, *argv, flag, value)
+        assert (code, out) == (2, "")
+        assert err == ("configuration error: --wave reads a solved wave: "
+                       f"drop ['{flag}']\n")
 
     def test_wave_model_mismatch(self, capsys, tmp_path):
         wave_path = tmp_path / "wave.json"

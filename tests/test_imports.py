@@ -1,6 +1,7 @@
 """The library depends on numpy alone; scipy and the test tools are extras."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -22,3 +23,14 @@ def test_src_imports_only_stdlib_and_numpy(path):
             found.append(node.module)
     outside = [m for m in found if m.split(".")[0] not in ALLOWED]
     assert not outside, f"{path.name} imports {outside}"
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_every_exported_name_exists(path):
+    # a name that leaves a module must leave its __all__ too (the package
+    # and the CLI have none)
+    module = importlib.import_module(
+        "hfstab" if path.stem == "__init__" else f"hfstab.{path.stem}")
+    missing = [name for name in getattr(module, "__all__", ())
+               if not hasattr(module, name)]
+    assert not missing, f"{path.name} exports missing names {missing}"

@@ -78,11 +78,11 @@ class TestDispersion:
         assert len(pairs) == 14
 
     def test_declared_odd_but_even_raises(self):
-        # a scalar model's one branch must mirror onto itself: be odd
-        bad = model_from_config({"kind": "scalar", "omega1": "k^2"})
+        # a scalar model's one branch must mirror onto itself: be odd; the
+        # model is refused when it is built
         with pytest.raises(ModelNotDispersiveError,
                            match=r"no branch mirrors branch 1 .* = 1250 at k = 25"):
-            validate_dispersive(bad)
+            model_from_config({"kind": "scalar", "omega1": "k^2"})
 
 
 class TestModeIndex:
@@ -113,18 +113,17 @@ class TestCustomModels:
 
     def test_branch_set_not_closed_under_reflection_rejected(self):
         # +-omega1 with omega1 not even: omega_2(-k) = -omega_1(k) fails,
-        # and so does omega_1(-k) = -omega_1(k)
-        model = model_from_config(
-            {"kind": "canonical", "omega1": "sqrt(1+k^2)+0.1*k"})
+        # and so does omega_1(-k) = -omega_1(k); the model is refused when
+        # it is built
         with pytest.raises(ModelNotDispersiveError,
                            match=r"mirrors branch 1 .* = 5 at k = 25"):
-            validate_dispersive(model)
+            model_from_config(
+                {"kind": "canonical", "omega1": "sqrt(1+k^2)+0.1*k"})
         # +-k*sqrt(c_squared) with c_squared not even
-        model = model_from_config(
-            {"kind": "noncanonical-bw", "omega1": "k*sqrt(1+0.01*k)",
-             "c_squared": "1+0.01*k"})
         with pytest.raises(ModelNotDispersiveError, match="mirrors branch 1"):
-            validate_dispersive(model)
+            model_from_config(
+                {"kind": "noncanonical-bw", "omega1": "k*sqrt(1+0.01*k)",
+                 "c_squared": "1+0.01*k"})
 
     def test_custom_bw_requires_c_squared(self):
         with pytest.raises(ModelError):
@@ -231,7 +230,8 @@ def test_branch_set_is_closed_under_reflection(name):
                          + ["custom-canonical"])
 def test_validate_dispersive_returns_mirror_map(name):
     # odd branches mirror onto themselves, the even pair +-sqrt(1+k^2)
-    # swaps; each branch is evaluated once
+    # swaps; building the model checks it, evaluating each branch once, and
+    # keeps the map as ``mirror``
     model = (model_from_config({"kind": "canonical", "omega1": "sqrt(1+k^2)"})
              if name == "custom-canonical" else build(name))
     calls = {}
@@ -249,8 +249,10 @@ def test_validate_dispersive_returns_mirror_map(name):
         want = {1: 2, 2: 1}
     else:
         want = {1: 1, 2: 2}
-    assert validate_dispersive(model) == want
     assert calls == {l: 1 for l in want}
+    assert model.mirror == want
+    assert validate_dispersive(model) == want
+    assert calls == {l: 2 for l in want}
 
 
 @pytest.mark.parametrize("text, bad, error", [

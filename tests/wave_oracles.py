@@ -16,8 +16,9 @@ import math
 import numpy as np
 
 from hfstab.models import (SCALAR, NONCANONICAL_BW, TravelingWave,
-                           bifurcation_speed, _exp_coeffs, _toeplitz)
-from hfstab.waves import MAX_NEWTON_STEPS, RESIDUAL_TOL, _cosine_coeffs
+                           bifurcation_speed, _cosine_coeffs, _exp_coeffs,
+                           _toeplitz)
+from hfstab.waves import MAX_NEWTON_STEPS, RESIDUAL_TOL
 
 
 def stokes_wave(model, epsilon, order):
@@ -121,13 +122,15 @@ def wave_part(model, wave, M):
     multiplication by -sigma*U^p (scalar) or 2*alpha*Q (Boussinesq-Whitham)."""
     if model.kind == SCALAR:
         return -_toeplitz(_scalar_nonlinearity(model, wave, M), M)
-    return 2.0 * model.alpha * _toeplitz(_exp_coeffs(wave, 2 * M), M)
+    a = np.asarray(wave.coefficients, dtype=float)
+    return 2.0 * model.alpha * _toeplitz(_exp_coeffs(a, 2 * M), M)
 
 
 def _scalar_nonlinearity(model, wave, M):
     """Exponential coefficients of sigma*U^p over shifts -2M..2M."""
     if model.power == 1:
-        return model.sigma * _exp_coeffs(wave, 2 * M)
+        return model.sigma * _exp_coeffs(
+            np.asarray(wave.coefficients, dtype=float), 2 * M)
     ngrid = max(8 * M, 4 * (len(wave.coefficients) - 1), 64)
     x = 2.0 * math.pi * np.arange(ngrid) / ngrid
     w = model.sigma * wave.profile(x) ** model.power
