@@ -25,7 +25,7 @@ from . import dsl, hill, krein, waves
 from .collisions import secant_curve_data, trace_first_collision_vs_depth, \
     NoCollisionFoundError
 from .config import ConfigError, RunConfig, apply_flags, build_model, \
-    load_config
+    load_config, _SECTIONS
 from .models import ModelError, TravelingWave, bifurcation_speed
 from .report import csv_blocks, csv_lines, json_dumps
 
@@ -54,7 +54,8 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--N", type=int, help="bifurcation harmonic")
     p.add_argument("--n-max", dest="n_max", type=int,
                    help="mode index bound for the collision search")
-    p.add_argument("--out", help="output path (default stdout)")
+    p.add_argument("--out", dest="output", metavar="OUT",
+                   help="output path (default stdout)")
     p.add_argument("--config", help="JSON config file")
 
 
@@ -138,8 +139,8 @@ def _first_harmonic(cfg) -> None:
 def _solve_wave(cfg, model, force: bool) -> TravelingWave:
     _first_harmonic(cfg)
     return waves.solve_wave_collocation(
-        model, cfg.wave_amplitude, M=cfg.wave_modes, steps=cfg.wave_steps,
-        mean=cfg.wave_mean, force=force)
+        model, cfg.amplitude, M=cfg.modes, steps=cfg.steps, mean=cfg.mean,
+        force=force)
 
 
 def cmd_wave(args) -> int:
@@ -155,7 +156,7 @@ def cmd_spectrum(args) -> int:
     cfg, model = _load(args)
     if args.wave_file is not None:
         _first_harmonic(cfg)
-        given = [f"--{f}" for f in ("amplitude", "mean", "modes", "steps")
+        given = [f"--{f}" for f in _SECTIONS["wave"]
                  if getattr(args, f) is not None]
         if given:
             raise ConfigError(f"--wave reads a solved wave: drop {given}")
@@ -171,10 +172,10 @@ def cmd_spectrum(args) -> int:
         if residual > WAVE_FILE_TOL:
             raise ConfigError(f"wave file does not solve {model.name!r}: its "
                               f"traveling-equation residual is {residual:.3g}")
-    elif cfg.wave_amplitude == 0.0:
-        if cfg.wave_mean != 0.0:
+    elif cfg.amplitude == 0.0:
+        if cfg.mean != 0.0:
             raise ConfigError("the zero-amplitude wave has mean 0, got "
-                              f"wave.mean = {cfg.wave_mean!r}")
+                              f"wave.mean = {cfg.mean!r}")
         wave = hill.zero_wave(model, bifurcation_speed(model, 1, cfg.N))
     else:
         wave = _solve_wave(cfg, model, force=False)
@@ -182,20 +183,20 @@ def cmd_spectrum(args) -> int:
     predictions = krein.screen(model, wave.c, cfg.n_max)
     # build_mu_grid adds each window's mirror
     windows = tuple(e.mu for e in predictions if not e.at_origin)
-    grid = hill.MuGridSpec(count=cfg.hill_mu_count, windows=windows)
-    spectrum = hill.full_spectrum(model, wave, grid, cfg.hill_M)
+    grid = hill.MuGridSpec(count=cfg.mu_count, windows=windows)
+    spectrum = hill.full_spectrum(model, wave, grid, cfg.M)
     bubbles = hill.detect_bubbles(spectrum, predictions=predictions)
 
     bubble_report = {
         "model": model.name,
-        "M": cfg.hill_M,
+        "M": cfg.M,
         "amplitude": wave.amplitude,
         "max_re_lambda": spectrum.max_real_part(),
         "bubbles": [b.to_dict() for b in bubbles],
     }
     if wave.is_zero:
         bubble_report["zero_amplitude_deviation"] = hill.zero_amplitude_check(
-            model, wave.c, np.linspace(-0.45, 0.45, 7), min(cfg.hill_M, 32))
+            model, wave.c, np.linspace(-0.45, 0.45, 7), min(cfg.M, 32))
 
     _write(csv_blocks(["mu", "re_lambda", "im_lambda"],
                       hill.spectrum_to_csv_rows(spectrum)), cfg.output)

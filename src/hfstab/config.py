@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 from .models import ModelSpec, ModelError, make_model, model_from_config
@@ -12,23 +12,11 @@ from .models import ModelSpec, ModelError, make_model, model_from_config
 __all__ = ["ConfigError", "RunConfig", "load_config", "apply_flags",
            "build_model"]
 
-_TOP_KEYS = {"model", "params", "g", "h", "alpha", "beta", "sigma",
-             "N", "n_max", "wave", "hill", "output"}
-# section -> {key: (RunConfig field, type)}
-_SECTIONS = {
-    "wave": {"amplitude": ("wave_amplitude", float),
-             "modes": ("wave_modes", int), "steps": ("wave_steps", int),
-             "mean": ("wave_mean", float)},
-    "hill": {"mu_count": ("hill_mu_count", int), "M": ("hill_M", int)},
-}
-
+# section -> the RunConfig fields it sets (wave: in cmd_spectrum's order)
+_SECTIONS = {"wave": ("amplitude", "mean", "modes", "steps"),
+             "hill": ("mu_count", "M")}
 # model parameters that may be set by a top-level config key or a CLI flag
 _FLAG_PARAMS = ("g", "h", "alpha", "beta", "sigma")
-# CLI flag -> RunConfig field
-_FLAG_FIELDS = {"model": "model", "N": "N", "n_max": "n_max", "out": "output",
-                "amplitude": "wave_amplitude", "modes": "wave_modes",
-                "steps": "wave_steps", "mean": "wave_mean",
-                "mu_count": "hill_mu_count", "M": "hill_M"}
 
 
 class ConfigError(Exception):
@@ -37,16 +25,19 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
+    """A run's settings.  A field's name is its config key, in its
+    ``_SECTIONS`` section if any, and its CLI flag's ``dest``; a config
+    value must have the type of the field's default."""
     model: str | dict = "gkdv"
     params: dict = field(default_factory=dict)
     N: int = 1
     n_max: int = 10
-    wave_amplitude: float = 0.0
-    wave_modes: int = 64
-    wave_steps: int = 10
-    wave_mean: float = 0.0
-    hill_mu_count: int = 200
-    hill_M: int = 64
+    amplitude: float = 0.0
+    mean: float = 0.0
+    modes: int = 64
+    steps: int = 10
+    mu_count: int = 200
+    M: int = 64
     output: str | None = None
 
 
@@ -99,7 +90,9 @@ def load_config(path: str | None) -> RunConfig:
         ) from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(data, _TOP_KEYS, "config")
+    in_sections = {key for keys in _SECTIONS.values() for key in keys}
+    _check_keys(data, {f.name for f in fields(cfg)} - in_sections
+                | set(_FLAG_PARAMS) | set(_SECTIONS), "config")
 
     if "model" in data:
         m = data["model"]
@@ -117,15 +110,14 @@ def load_config(path: str | None) -> RunConfig:
     for name in _FLAG_PARAMS:
         if name in data:
             cfg.params[name] = _coerce(data[name], float, name)
-    if "N" in data:
-        cfg.N = _coerce(data["N"], int, "N")
-    if "n_max" in data:
-        cfg.n_max = _coerce(data["n_max"], int, "n_max")
-    for name, fields in _SECTIONS.items():
+    for key in ("N", "n_max"):
+        if key in data:
+            setattr(cfg, key, _coerce(data[key], int, key))
+    for name, keys in _SECTIONS.items():
         if name in data:
-            for key, v in _object(data[name], name, set(fields)).items():
-                attr, kind = fields[key]
-                setattr(cfg, attr, _coerce(v, kind, f"{name}.{key}"))
+            for key, v in _object(data[name], name, set(keys)).items():
+                kind = type(getattr(cfg, key))
+                setattr(cfg, key, _coerce(v, kind, f"{name}.{key}"))
     if "output" in data:
         if not isinstance(data["output"], str):
             raise ConfigError("'output' must be a path string")
@@ -135,16 +127,16 @@ def load_config(path: str | None) -> RunConfig:
 
 def apply_flags(cfg: RunConfig, args) -> RunConfig:
     """CLI flags take precedence over config-file values."""
-    for flag, attr in _FLAG_FIELDS.items():
-        v = getattr(args, flag, None)
+    for f in fields(cfg):
+        v = getattr(args, f.name, None)
         if v is not None:
-            setattr(cfg, attr, v)
+            setattr(cfg, f.name, v)
     for name in _FLAG_PARAMS:
         v = getattr(args, name, None)
         if v is not None:
             cfg.params[name] = v
     for key in ("amplitude", "mean"):
-        if not math.isfinite(v := getattr(cfg, "wave_" + key)):
+        if not math.isfinite(v := getattr(cfg, key)):
             raise ConfigError(f"wave.{key} must be finite, got {v!r}")
     if cfg.N < 1:
         raise ConfigError(f"N must be >= 1, got {cfg.N}")

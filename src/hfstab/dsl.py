@@ -11,7 +11,7 @@ tightest and associating to the right::
     power  := atom ('^' unary)?
     atom   := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
 
-Numbers are decimal with an optional exponent.  There is no implicit
+Numbers are ASCII decimal with an optional exponent.  There is no implicit
 multiplication: write ``g*k``, not ``g k``.  ``pi`` is a built-in constant.
 Evaluation is real-valued IEEE double arithmetic with numpy, on a float or
 an ndarray of wavenumbers at once; ``sign(0) = 0``.
@@ -122,6 +122,7 @@ class NonFiniteError(EvalError):
 # Lexer
 
 _OPS = set("+-*/^()")
+_DIGITS = set("0123456789")   # str.isdigit also accepts "²", float() not
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -137,17 +138,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             toks.append(("op", ch, i))
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "." and text[i + 1:i + 2] in _DIGITS):
             j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
+            while j < n and (text[j] in _DIGITS or text[j] == "."):
                 j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
+                if k < n and text[k] in _DIGITS:
                     j = k
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j] in _DIGITS:
                         j += 1
             lexeme = text[i:j]
             if lexeme.count(".") > 1:
@@ -175,6 +176,7 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
+        self.names = []   # (name, offset) of each variable, in source order
 
     def peek(self):
         return self.toks[self.pos]
@@ -246,6 +248,7 @@ class _Parser:
                 arg = self.expr()
                 self.expect_op(")")
                 return Call(lexeme, arg)
+            self.names.append((lexeme, off))
             return Var(lexeme)
         if kind == "op" and lexeme == "(":
             node = self.expr()
@@ -331,24 +334,19 @@ def _walk(node: Expr, env: Mapping):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def compile_symbol(text: str, params: Mapping[str, float] | None = None,
-                   at_zero: float | None = None) -> Callable[[ArrayLike], ArrayLike]:
+def compile_symbol(text: str, params: Mapping[str, float] | None = None
+                   ) -> Callable[[ArrayLike], ArrayLike]:
     """Parse ``text`` once and return a symbol: a float or an ndarray of
     wavenumbers in, the same shape out (a float for a float).
 
-    ``at_zero``, when given, is the value at the k == 0 elements, where the
-    expression is never evaluated; this is how symbols with a removable
-    singularity at the origin (e.g. tanh(k*h)/k) are configured.
+    Every name must be ``k``, ``pi`` or a key of ``params``: the first that
+    is not is a ParseError at its offset, so no evaluation meets it.
     """
-    ast = parse(text)
+    parser = _Parser(text)
+    ast = parser.parse()
     frozen = dict(params or {})
-    if at_zero is None:
-        return lambda k: evaluate(ast, k, frozen)
-
-    def symbol(k):
-        k = np.asarray(k, dtype=float)
-        out = np.full(k.shape, float(at_zero))
-        out[k != 0.0] = evaluate(ast, k[k != 0.0], frozen)
-        return out.item() if k.ndim == 0 else out
-
-    return symbol
+    for name, offset in parser.names:
+        if name not in frozen and name not in ("k", "pi"):
+            raise ParseError(offset, f"k, pi or a parameter, not {name!r}",
+                             text)
+    return lambda k: evaluate(ast, k, frozen)

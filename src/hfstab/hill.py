@@ -51,13 +51,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import (ModelSpec, TravelingWave, Linearization,
-                     TruncationWarning, spectrum_slice)
+from .models import ModelSpec, TravelingWave, Linearization, spectrum_slice
 from .collisions import CollisionEvent
 
 __all__ = [
-    "TruncationWarning", "EigensolverError", "SpectrumSet", "Bubble",
-    "MuGridSpec", "WINDOW_WIDTH", "build_mu_grid", "zero_wave", "assemble",
+    "EigensolverError", "SpectrumSet", "Bubble", "MuGridSpec",
+    "WINDOW_WIDTH", "build_mu_grid", "zero_wave", "assemble",
     "full_spectrum", "detect_bubbles", "zero_amplitude_check",
     "spectrum_to_csv_rows",
 ]

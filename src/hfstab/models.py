@@ -94,6 +94,16 @@ def _symbol(f: Callable[[np.ndarray], np.ndarray]) -> Symbol:
     return symbol
 
 
+def _at_zero(f: Callable[[np.ndarray], np.ndarray], value: float) -> Symbol:
+    """The symbol equal to ``f``, numpy code for an array of wavenumbers,
+    except at k = 0, where it is ``value`` and f is never evaluated."""
+    def f_or_value(k):
+        out = np.full(k.shape, float(value))
+        out[k != 0.0] = f(k[k != 0.0])
+        return out
+    return _symbol(f_or_value)
+
+
 @dataclass(frozen=True)
 class DispersionBranch:
     """One real branch omega_l(k) of the dispersion relation; ``evaluator``
@@ -118,8 +128,8 @@ class ModelSpec:
 
     Every symbol, the branch evaluators included, is an array function: it
     takes a float or an ndarray of wavenumbers and returns the same shape,
-    a float for a float.  Removable singularities at k = 0 take their limit
-    there by a masked divide.
+    a float for a float.  A removable singularity at k = 0 takes its limit
+    there from ``_at_zero``, which never evaluates the symbol at k = 0.
     """
     name: str
     kind: str
@@ -515,9 +525,8 @@ def _ww_omega1(g: float, h: float) -> Symbol:
 
 
 def _ww_c2(g: float, h: float) -> Symbol:
-    """c^2(k) = g tanh(kh)/k, with its limit g*h at k = 0 (masked divide)."""
-    return _symbol(lambda k: np.divide(g * np.tanh(k * h), k, where=k != 0.0,
-                                       out=np.full(k.shape, g * h)))
+    """c^2(k) = g tanh(kh)/k, with its limit g*h at k = 0."""
+    return _at_zero(lambda k: g * np.tanh(k * h) / k, g * h)
 
 
 def _make_whitham(params=None):
@@ -638,8 +647,9 @@ def model_from_config(spec: Mapping) -> ModelSpec:
     Keys: ``kind`` (scalar | canonical | noncanonical-bw), ``omega1``,
     optional ``omega2`` (canonical; must equal -omega1), ``c_squared`` (BW;
     omega1 must equal k*sqrt(c_squared)), ``params`` mapping, and
-    ``at_zero`` for symbols singular at k = 0.  Canonical models built this
-    way have the Hamiltonian B(k) = 1, C(k) = omega1(k)^2, whose
+    ``at_zero``, the k = 0 value of a scalar kernel omega1(k)/k (default 0)
+    or of a BW c_squared (canonical models refuse it).  Canonical models
+    built this way have the Hamiltonian B(k) = 1, C(k) = omega1(k)^2, whose
     only branches are +-omega1.
     """
     unknown = set(spec) - _CUSTOM_KEYS
@@ -659,9 +669,8 @@ def model_from_config(spec: Mapping) -> ModelSpec:
     omega1 = dsl.compile_symbol(spec["omega1"], params)
 
     if kind == SCALAR:
-        # kernel omega1(k)/k, never evaluated at k = 0
-        kernel = dsl.compile_symbol(f"({spec['omega1']})/k", params,
-                                    at_zero=0.0 if at_zero is None else at_zero)
+        kernel = _at_zero(lambda k: omega1(k) / k,
+                          0.0 if at_zero is None else at_zero)
         return ModelSpec(
             name="custom-scalar", kind=SCALAR,
             branches=(DispersionBranch(1, omega1),),
@@ -669,6 +678,9 @@ def model_from_config(spec: Mapping) -> ModelSpec:
             sigma=params.get("sigma", 1.0))
 
     if kind == CANONICAL:
+        if "at_zero" in spec:
+            raise ModelError("custom canonical symbols are regular at k = 0: "
+                             "drop 'at_zero'")
         if "omega2" in spec:
             _require_match(dsl.compile_symbol(spec["omega2"], params),
                            lambda k: -omega1(k),
@@ -682,7 +694,9 @@ def model_from_config(spec: Mapping) -> ModelSpec:
     # noncanonical-bw
     if "c_squared" not in spec:
         raise ModelError("noncanonical-bw custom model requires 'c_squared'")
-    c2 = dsl.compile_symbol(spec["c_squared"], params, at_zero=at_zero)
+    c2 = dsl.compile_symbol(spec["c_squared"], params)
+    if at_zero is not None:
+        c2 = _at_zero(c2, at_zero)
     omega_bw = _symbol(lambda k: k * np.sqrt(c2(k)))
     _require_match(omega1, omega_bw,
                    "custom noncanonical-bw models have the branches "

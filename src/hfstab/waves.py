@@ -29,6 +29,7 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-11
 MAX_NEWTON_STEPS = 50
+_RESIDUAL_BLOCK = 256   # grid points per block of wave_residual's cosine basis
 
 
 class ResonanceError(ModelError):
@@ -68,7 +69,11 @@ def stokes_wave(model: ModelSpec, epsilon: float, order: int) -> TravelingWave:
         # (K(j) - s(c0)) a_j + q [harmonic j of U^2] = 0
         d2 = eq.kernel(2.0) - eq.s(c0)
         _check_divisor(d2, 2)
-        a2 = -q / (2.0 * d2) * epsilon ** 2
+        try:
+            a2 = -q / (2.0 * d2) * epsilon ** 2
+        except OverflowError:
+            raise WaveConvergenceError(f"the Stokes expansion overflows at "
+                                       f"amplitude {epsilon:g}") from None
         coeffs[2] = a2
         c = c0 + q * a2 / eq.ds(c0)  # harmonic 1: s'(c0) (c - c0) = q a2
         if order == 3:
@@ -191,18 +196,23 @@ def _newton_solve(eq, sym, cosj, x, a, c, r, target, mean):
 
 
 def wave_residual(model: ModelSpec, wave: TravelingWave) -> float:
-    """Max traveling-equation residual over 4M collocation points."""
+    """Max traveling-equation residual over max(4M, 64) collocation points,
+    with the cosine basis built ``_RESIDUAL_BLOCK`` points at a time."""
     eq = traveling_equation(model)
     a = np.asarray(wave.coefficients, dtype=float)
     M = a.size - 1
     ngrid = max(4 * M, 64)
     x = 2.0 * math.pi * np.arange(ngrid) / ngrid
-    cosj = np.cos(np.outer(np.arange(M + 1), x))
-    u = cosj.T @ a
-    sym = eq.kernel(np.arange(M + 1.0))
-    conv = cosj.T @ (sym * a)
-    res = conv - eq.s(wave.c) * u + eq.N(u) - eq.sign * wave.constant
-    return float(np.max(np.abs(res)))
+    sym_a = eq.kernel(np.arange(M + 1.0)) * a
+    worst = 0.0
+    for start in range(0, ngrid, _RESIDUAL_BLOCK):
+        block = x[start:start + _RESIDUAL_BLOCK]
+        cosj = np.cos(np.outer(np.arange(M + 1), block))
+        u = cosj.T @ a
+        res = (cosj.T @ sym_a - eq.s(wave.c) * u + eq.N(u)
+               - eq.sign * wave.constant)
+        worst = max(worst, float(np.max(np.abs(res))))
+    return worst
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from hfstab.cli import main
+from hfstab.cli import build_parser, main
+from hfstab.config import apply_flags, load_config
 from hfstab.models import make_model
 from hfstab.waves import solve_wave_collocation
 
@@ -218,6 +219,16 @@ class TestConfigErrors:
         ({"model": "kdv", "wave": {"amplitude": math.nan}}, "wave.amplitude"),
         # refinement around predicted collisions is always on
         ({"model": "kdv", "hill": {"refine": False}}, "'refine'"),
+        # an expression's names are k, pi and its params, checked when it
+        # is compiled, not when the collision scan first evaluates it
+        ({"model": {"kind": "scalar", "omega1": "q*k^3"}},
+         "parse error at offset 0: expected k, pi or a parameter, not 'q'"),
+        # numbers are ASCII decimal
+        ({"model": {"kind": "scalar", "omega1": "k^²"}},
+         "parse error at offset 2: expected a token"),
+        # a custom canonical model has no symbol singular at k = 0
+        ({"model": {"kind": "canonical", "omega1": "sqrt(1+k^2)",
+                    "at_zero": 1.0}}, "drop 'at_zero'"),
     ])
     def test_malformed_config_is_a_configuration_error(self, capsys, tmp_path,
                                                        config, message):
@@ -257,6 +268,31 @@ class TestConfigErrors:
         assert code == 2
         assert "configuration error" in err and message in err
 
+    @pytest.mark.parametrize("field, section, in_config, flag, in_flag", [
+        ("N", None, 2, "--N", 3),
+        ("n_max", None, 4, "--n-max", 7),
+        ("amplitude", "wave", 0.01, "--amplitude", 0.02),
+        ("mean", "wave", 0.1, "--mean", 0.2),
+        ("modes", "wave", 40, "--modes", 48),
+        ("steps", "wave", 3, "--steps", 5),
+        ("mu_count", "hill", 10, "--mu-count", 12),
+        ("M", "hill", 16, "--M", 24),
+        ("output", None, "a.csv", "--out", "b.csv"),
+    ])
+    def test_config_key_sets_each_setting_and_its_flag_wins(
+            self, tmp_path, field, section, in_config, flag, in_flag):
+        # a RunConfig field's name is its config key and its flag's dest
+        path = tmp_path / "run.json"
+        data = {field: in_config}
+        path.write_text(json.dumps({section: data} if section else data))
+        parser = build_parser()
+        argv = ["spectrum", "--config", str(path)]
+        for argv, expected in ((argv, in_config),
+                               (argv + [flag, str(in_flag)], in_flag)):
+            cfg = apply_flags(load_config(str(path)), parser.parse_args(argv))
+            assert getattr(cfg, field) == expected
+            assert type(getattr(cfg, field)) is type(expected)
+
     def test_explicit_omega2_equal_to_minus_omega1_runs(self, capsys,
                                                         tmp_path):
         cfg = tmp_path / "run.json"
@@ -293,6 +329,16 @@ class TestWave:
                            "--mean", "-0.0001", "--force")
         assert code == 0
         assert json.loads(out)["coefficients"][0] == pytest.approx(-1e-4)
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--model", "kdv", "--amplitude", "1e300"],
+        ["wave", "--model", "kdv", "--amplitude", "1e200"]])
+    def test_overflowing_amplitude_is_a_numerical_failure(self, capsys, argv):
+        # the Stokes seed squares the amplitude; that overflowed to a
+        # traceback where a merely large amplitude already exits 3
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical failure: ") and "amplitude" in err
 
     @pytest.mark.parametrize("model", ["kdv", "boussinesq-whitham"])
     def test_zero_amplitude_with_a_mean_is_refused(self, capsys, model):

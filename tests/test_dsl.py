@@ -61,6 +61,14 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse("(1+2")
 
+    @pytest.mark.parametrize("text, offset", [("k^²", 2), ("1e²", 1),
+                                              ("٣*k", 0), (".²", 0)])
+    def test_numbers_are_ascii_decimal(self, text, offset):
+        # str.isdigit accepts these characters, and float() refuses them
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.offset == offset
+
 
 class TestEvaluation:
     def test_unbound_variable(self):
@@ -89,11 +97,13 @@ class TestEvaluation:
 
 
 class TestCompileSymbol:
-    def test_at_zero_limit(self):
-        sym = compile_symbol("sqrt(g*tanh(k*h)/k)", {"g": 1.0, "h": 1.0},
-                             at_zero=1.0)
-        assert sym(0.0) == 1.0
-        assert sym(1.0) == pytest.approx(math.sqrt(math.tanh(1.0)))
+    def test_unknown_name_is_refused_when_compiled(self):
+        # before any evaluation, at the offset of the first unknown name
+        with pytest.raises(ParseError, match="not 'q'") as exc:
+            compile_symbol("k*pi + q*k^3 - r", {"a": 1.0})
+        assert exc.value.offset == 7
+        sym = compile_symbol("a*k + pi", {"a": 2.0})
+        assert sym(1.0) == 2.0 + math.pi
 
 
 # --------------------------------------------------------------------------

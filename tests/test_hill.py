@@ -11,8 +11,9 @@ import pytest
 from hfstab import hill
 from hfstab.collisions import find_collisions, mirror_events
 from hfstab.models import (BUILTIN_MODELS, Linearization, ModelError,
-                           TravelingWave, bifurcation_speed, eval_Omega,
-                           make_model, model_from_config, spectrum_slice)
+                           TravelingWave, TruncationWarning,
+                           bifurcation_speed, eval_Omega, make_model,
+                           model_from_config, spectrum_slice)
 from hfstab.waves import solve_wave_collocation, stokes_wave
 
 from elliptic_oracles import kdv_cnoidal
@@ -214,7 +215,7 @@ class TestAssembly:
         wave = TravelingWave(model="sine-gordon", c=c,
                              coefficients=[0.0, 0.1])
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", hill.TruncationWarning)
+            warnings.simplefilter("ignore", TruncationWarning)
             with pytest.raises(ModelError, match="'sine-gordon' .canonical."):
                 hill.assemble(model, wave, 0.1, 4)
 
@@ -237,7 +238,7 @@ class TestAssembly:
         model = make_model("kdv")
         wave = TravelingWave(model="kdv", c=-1.0,
                              coefficients=[0.0] + [0.1] * 9)
-        with pytest.warns(hill.TruncationWarning):
+        with pytest.warns(TruncationWarning):
             hill.assemble(model, wave, 0.1, 2)
 
     def test_no_truncation_warning_when_the_matrix_holds_the_wave(self):
@@ -248,7 +249,7 @@ class TestAssembly:
         stokes = stokes_wave(model, 0.05, 3)
         full = TravelingWave(model="kdv", c=-1.0, coefficients=[0.1] * 9)
         with warnings.catch_warnings():
-            warnings.simplefilter("error", hill.TruncationWarning)
+            warnings.simplefilter("error", TruncationWarning)
             hill.assemble(model, short, 0.1, 4)
             hill.assemble(model, stokes, 0.1, 16)
             hill.assemble(model, full, 0.1, 4)

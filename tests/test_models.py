@@ -150,6 +150,30 @@ class TestCustomModels:
         with pytest.raises(ModelError):
             model_from_config({"kind": "scalar", "omega1": "k", "bogus": 1})
 
+    def test_at_zero_limit(self):
+        # a BW c_squared and the scalar kernel omega1(k)/k divide by k, so
+        # each takes the at_zero value at k = 0 without evaluating there
+        with pytest.raises(dsl.DomainError, match="division by zero"):
+            dsl.compile_symbol("g*tanh(k)/k", {"g": 2.0})(0.0)
+        bw = model_from_config(
+            {"kind": "noncanonical-bw", "omega1": "sign(k)*sqrt(g*k*tanh(k))",
+             "c_squared": "g*tanh(k)/k", "params": {"g": 2.0}, "at_zero": 2.0})
+        scalar = model_from_config(
+            {"kind": "scalar", "omega1": "sign(k)*sqrt(k*tanh(k))",
+             "at_zero": 1.0})
+        default = model_from_config({"kind": "scalar", "omega1": "k^3"})
+        ks = np.array([0.0, 1.0, -2.0])
+        for model, at_zero, rest in (
+                (bw, 2.0, [2.0 * math.tanh(1.0), math.tanh(2.0)]),
+                (scalar, 1.0, [math.sqrt(math.tanh(1.0)),
+                               math.sqrt(2.0 * math.tanh(2.0)) / 2.0]),
+                (default, 0.0, [1.0, 4.0])):
+            assert model.kernel_symbol(0.0) == model.kernel_symbol(-0.0) \
+                == at_zero
+            values = model.kernel_symbol(ks)
+            assert values[0] == at_zero
+            assert values[1:] == pytest.approx(rest, rel=1e-15)
+
 
 class TestTravelingWaveSerialization:
     def test_round_trip(self):

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from hfstab.models import ModelError, bifurcation_speed, make_model
+from hfstab import waves
+from hfstab.models import (ModelError, bifurcation_speed, make_model,
+                           traveling_equation)
 from hfstab.waves import (ModesInsufficientError, ResonanceError,
                           bw_flat_state_analysis, solve_wave_collocation,
                           stokes_wave, wave_residual)
@@ -139,6 +141,34 @@ class TestCollocation:
         assert base < 1e-9
         assert bumped > 100.0 * max(base, 1e-10)
         assert bumped < 1e-2
+
+    @pytest.mark.parametrize("name, M", [
+        ("kdv", 200), ("whitham", 64), ("mkdv-focusing", 100),
+        ("fifth-order-scalar", 16), ("boussinesq-whitham", 150)])
+    def test_blocked_residual_equals_the_dense_one(self, monkeypatch, name,
+                                                   M):
+        # the residual's cosine basis is built a block of points at a time;
+        # every block size gives the bits of the one dense basis
+        model = make_model(name)
+        wave = solve_wave_collocation(model, 0.01, M=M, steps=2)
+        want = dense_residual(model, wave)
+        for block in (64, 256, 1000):
+            monkeypatch.setattr(waves, "_RESIDUAL_BLOCK", block)
+            assert wave_residual(model, wave).hex() == want.hex()
+
+
+def dense_residual(model, wave):
+    """``waves.wave_residual`` on one (M+1) x max(4M, 64) cosine basis."""
+    eq = traveling_equation(model)
+    a = np.asarray(wave.coefficients, dtype=float)
+    M = a.size - 1
+    ngrid = max(4 * M, 64)
+    x = 2.0 * math.pi * np.arange(ngrid) / ngrid
+    cosj = np.cos(np.outer(np.arange(M + 1), x))
+    u = cosj.T @ a
+    conv = cosj.T @ (eq.kernel(np.arange(M + 1.0)) * a)
+    res = conv - eq.s(wave.c) * u + eq.N(u) - eq.sign * wave.constant
+    return float(np.max(np.abs(res)))
 
 
 SCALAR_WAVES = ("kdv", "gkdv", "whitham", "mkdv-focusing",
