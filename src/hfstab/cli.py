@@ -21,7 +21,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from . import dsl, hill, krein, waves
+from . import dsl, krein
 from .collisions import secant_curve_data, trace_first_collision_vs_depth, \
     NoCollisionFoundError
 from .config import ConfigError, RunConfig, apply_flags, build_model, \
@@ -35,12 +35,17 @@ EXIT_NUMERICAL = 3
 
 WAVE_FILE_TOL = 1e-8   # largest traveling-equation residual of a --wave file
 
-_NUMERICAL_ERRORS = (
-    waves.ResonanceError, waves.WaveConvergenceError,
-    waves.ModesInsufficientError, hill.EigensolverError,
-    NoCollisionFoundError, krein.SignatureError, dsl.EvalError,
-    np.linalg.LinAlgError,
-)
+
+def _numerical_errors() -> tuple:
+    """The errors that exit 3.  ``main`` asks only once a command has failed,
+    so that commands that build no wave never import hill and waves."""
+    from . import hill, waves
+    return (waves.ResonanceError, waves.WaveConvergenceError,
+            waves.ModesInsufficientError, hill.EigensolverError,
+            NoCollisionFoundError, krein.SignatureError, dsl.EvalError,
+            np.linalg.LinAlgError)
+
+
 _CONFIG_ERRORS = (ConfigError, ModelError, dsl.ParseError, ValueError)
 
 
@@ -137,6 +142,7 @@ def _first_harmonic(cfg) -> None:
 
 
 def _solve_wave(cfg, model, force: bool) -> TravelingWave:
+    from . import waves
     _first_harmonic(cfg)
     return waves.solve_wave_collocation(
         model, cfg.amplitude, M=cfg.modes, steps=cfg.steps, mean=cfg.mean,
@@ -144,6 +150,7 @@ def _solve_wave(cfg, model, force: bool) -> TravelingWave:
 
 
 def cmd_wave(args) -> int:
+    from . import waves
     cfg, model = _load(args)
     wave = _solve_wave(cfg, model, args.force)
     data = wave.to_dict()
@@ -153,6 +160,7 @@ def cmd_wave(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from . import hill, waves
     cfg, model = _load(args)
     if args.wave_file is not None:
         _first_harmonic(cfg)
@@ -237,7 +245,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except _NUMERICAL_ERRORS as exc:
+    except _numerical_errors() as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except _CONFIG_ERRORS as exc:

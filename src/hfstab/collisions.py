@@ -1,15 +1,20 @@
 """Eigenvalue collision detection for zero-amplitude spectra.
 
 Two zero-amplitude eigenvalues within the same Floquet class collide when
-Omega_{l1}(n1 + mu) = Omega_{l2}(n2 + mu).  This module scans all mode
+Omega_{l1}(n1 + mu) = Omega_{l2}(n2 + mu).  This module scans the mode
 tuples up to |n| <= n_max, brackets sign changes of the residual over a
 uniform mu grid, and refines roots by bisection.  Roots are bracketed
 rather than found by derivative methods because dispersion relations may
 be supplied through the expression DSL, which has no derivatives.
 
 The scan works on arrays: each branch is evaluated on the (n, mu) grid a
-block of rows at a time, sign changes are found one n1 row at a time, and
-all brackets are bisected together.
+block of rows at a time, the residual rows of the scanned tuples are
+formed a block at a time, and all brackets are bisected together.  A tuple
+whose two Omega rows have disjoint ranges over the grid is skipped, which
+is exact: the rows are finite (``eval_omega`` refuses other values), and
+the difference of two distinct finite doubles is nonzero with the sign of
+their comparison, so its residual has one strict sign at every grid point
+and neither a grid zero nor a sign change.
 
 Tangential (even-multiplicity) roots without a sign change are missed by
 bracketing; the grid-refinement stability test mitigates this.
@@ -143,18 +148,26 @@ def find_collisions(model: ModelSpec, c: float,
     row = lambda p, i: Om[p][i // rows][i % rows]
 
     # Mode tuples (n1, l1, n2, l2): n1 > n2 for every branch pair, n1 == n2
-    # for the pair (1st, 2nd).  A grid zero (kind 0) or sign change (kind 1)
-    # is kept as (n1, n2, p1, p2, kind, grid index), p the branch position.
+    # for the pair (1st, 2nd).  A tuple whose rows have disjoint ranges is
+    # skipped: its residual has one strict sign on the whole grid.  A grid
+    # zero (kind 0) or sign change (kind 1) is kept as (n1, n2, p1, p2,
+    # kind, grid index), p the branch position.
+    lo = [np.concatenate([b.min(axis=1) for b in blocks]) for blocks in Om]
+    hi = [np.concatenate([b.max(axis=1) for b in blocks]) for blocks in Om]
+    pairs = []
+    for p1, p2 in itertools.product(range(ls.size), repeat=2):
+        meet = ~((hi[p1][:, None] < lo[p2]) | (hi[p2] < lo[p1][:, None]))
+        i1, i2 = np.nonzero(np.tril(meet, (p1 < p2) - 1))
+        pairs += [(a, b, p1, p2) for a, b in zip(i1.tolist(), i2.tolist())]
     hits = []
-    for i1, p1, p2 in itertools.product(range(ns.size), range(ls.size),
-                                        range(ls.size)):
-        top = i1 + (p1 < p2)
-        for lo in range(0, top, rows):
-            f = row(p1, i1) - Om[p2][lo // rows][:top - lo]
-            for kind, mask in enumerate((f == 0.0, f[:, :-1] * f[:, 1:] < 0.0)):
-                w = mask.shape[1]
-                hits += [(i1, lo + j // w, p1, p2, kind, j % w)
-                         for j in np.flatnonzero(mask).tolist()]
+    for start in range(0, len(pairs), rows):
+        block = pairs[start:start + rows]
+        f = (np.array([row(p1, i1) for i1, _, p1, _ in block])
+             - np.array([row(p2, i2) for _, i2, _, p2 in block]))
+        for kind, mask in enumerate((f == 0.0, f[:, :-1] * f[:, 1:] < 0.0)):
+            w = mask.shape[1]
+            hits += [block[j // w] + (kind, j % w)
+                     for j in np.flatnonzero(mask).tolist()]
     # scan order: by tuple, exact zeros first, then by grid index; an exact
     # zero is a bracket of width 0
     hits.sort()

@@ -278,13 +278,17 @@ def validate_dispersive(model: ModelSpec) -> dict[int, int]:
     the spectrum at -mu the negated spectrum at mu.  Odd branches mirror
     onto themselves; a pair +-omega_1 with omega_1 even swaps.  Returns
     {l: l'}; raises ModelNotDispersiveError when a branch returns a
-    non-finite value or has no mirror.  A scalar model's one branch must
-    therefore be odd, and a Boussinesq-Whitham c^2(k) even.
+    non-finite value, cannot be evaluated, or has no mirror.  A scalar
+    model's one branch must therefore be odd, and a Boussinesq-Whitham
+    c^2(k) even.
     """
     ks = _DISPERSIVE_GRID
-    with np.errstate(invalid="ignore"):   # a non-finite value raises here
-        w = {b.index: eval_omega(model, b.index, np.stack([ks, -ks]))
-             for b in model.branches}
+    try:
+        with np.errstate(invalid="ignore"):   # a non-finite value raises here
+            w = {b.index: eval_omega(model, b.index, np.stack([ks, -ks]))
+                 for b in model.branches}
+    except dsl.EvalError as exc:
+        raise ModelNotDispersiveError(f"model {model.name!r}: {exc}") from exc
     pair = {}
     for l in w:
         gaps = {lp: np.abs(w[lp][1] + w[l][0]) for lp in w}

@@ -229,6 +229,14 @@ class TestConfigErrors:
         # a custom canonical model has no symbol singular at k = 0
         ({"model": {"kind": "canonical", "omega1": "sqrt(1+k^2)",
                     "at_zero": 1.0}}, "drop 'at_zero'"),
+        # a branch that cannot be evaluated on the sample grid is refused
+        # when the model is built
+        ({"model": {"kind": "noncanonical-bw",
+                    "omega1": "sign(k)*sqrt(k*tanh(k))",
+                    "c_squared": "tanh(k)/k"}},
+         "model 'custom-bw': division by zero at k=0.0"),
+        ({"model": {"kind": "scalar", "omega1": "k^3 + 1/0"}},
+         "model 'custom-scalar': division by zero at k=0.0"),
     ])
     def test_malformed_config_is_a_configuration_error(self, capsys, tmp_path,
                                                        config, message):

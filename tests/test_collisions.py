@@ -13,8 +13,10 @@ from hfstab.collisions import (VERDICT_INDETERMINATE, VERDICT_NONE,
                                find_collisions, mirror_events,
                                secant_curve_data,
                                trace_first_collision_vs_depth)
-from hfstab.models import (bifurcation_speed, eval_Omega, make_model,
-                           model_from_config)
+from hfstab.models import (BUILTIN_MODELS, bifurcation_speed, eval_Omega,
+                           make_model, model_from_config)
+
+from collision_oracles import all_pairs_scan, per_tuple_scan
 
 
 def non_origin(events):
@@ -161,47 +163,6 @@ class TestMechanics:
         assert r1 == pytest.approx(-r2, abs=1e-12)
 
 
-def per_tuple_scan(model, c, n_max):
-    """Oracle: the scan one mode tuple and one bracket at a time, each root
-    bisected with scalar residuals; the first root of a (lambda, mu) class
-    in tuple order is kept."""
-    G = collisions.GRID_POINTS
-    mus = -0.5 + np.arange(G + 1) / G
-    ls = [b.index for b in model.branches]
-    ns = range(-n_max, n_max + 1)
-    tuples = [(n1, l1, n2, l2) for n1 in ns for n2 in ns for l1 in ls
-              for l2 in ls if n1 > n2 or (n1 == n2 and (l1, l2) == (1, 2))]
-    found = {}
-    for n1, l1, n2, l2 in tuples:
-        f = lambda mu: collision_residual(model, n1, l1, n2, l2, mu, c)
-        grid = [f(float(mu)) for mu in mus]
-        roots = [float(mus[i]) for i in range(G + 1) if grid[i] == 0.0]
-        for i in range(G):
-            if grid[i] * grid[i + 1] < 0.0:
-                a, b, fa = float(mus[i]), float(mus[i + 1]), grid[i]
-                while b - a > collisions.BISECT_TOL:
-                    m = 0.5 * (a + b)
-                    fm = f(m)
-                    if fm == 0.0:
-                        a = b = m
-                    elif (fa < 0.0) != (fm < 0.0):
-                        b = m
-                    else:
-                        a, fa = m, fm
-                roots.append(0.5 * (a + b))
-        for mu in roots:
-            m1, m2 = (n1, n2) if mu > -0.5 + 1e-15 else (n1 - 1, n2 - 1)
-            mu = mu if mu > -0.5 + 1e-15 else mu + 1.0
-            r = collision_residual(model, m1, l1, m2, l2, mu, c)
-            if abs(r) > collisions.RESIDUAL_TOL:
-                continue
-            lam = -1j * eval_Omega(model, l1, m1 + mu, c)
-            key = (round(lam.real, 9), round(abs(lam.imag), 9), round(mu, 9))
-            if lam.imag >= -collisions.LAMBDA_TOL and key not in found:
-                found[key] = (m1, l1, m2, l2, mu, lam)
-    return sorted(found.values(), key=lambda e: (e[5].imag, e[4], e[0]))
-
-
 @pytest.mark.parametrize("spec, n_max, grid_points", [
     ("water-waves", 4, 128), ("sine-gordon", 4, 64),
     ("fifth-order-scalar", 3, 256), ("boussinesq-whitham", 4, 7),
@@ -217,6 +178,70 @@ def test_array_scan_matches_per_tuple_scan(spec, n_max, grid_points,
     got = [(e.n1, e.l1, e.n2, e.l2, e.mu, e.lam)
            for e in find_collisions(model, c, n_max)]
     assert got and got == per_tuple_scan(model, c, n_max)
+
+
+def event_fields(events):
+    # mu and lambda as their bits, so equal means bitwise equal
+    return [(e.n1, e.l1, e.n2, e.l2, e.mu.hex(), e.lam.real.hex(),
+             e.lam.imag.hex(), e.at_origin) for e in events]
+
+
+def assert_scan_matches_all_pairs(model, n_max):
+    c = bifurcation_speed(model, 1, 1)
+    assert (event_fields(find_collisions(model, c, n_max))
+            == event_fields(all_pairs_scan(model, c, n_max)))
+
+
+# the inline twins of water-waves, fifth-order-scalar and boussinesq-whitham
+DSL_TWINS = [
+    {"kind": "canonical", "omega1": "sign(k)*sqrt(g*k*tanh(k*h))",
+     "params": {"g": 1.0, "h": 1.0}},
+    {"kind": "scalar", "omega1": "alpha*k^3 - beta*k^5",
+     "params": {"alpha": 1.0, "beta": 0.25}},
+    {"kind": "noncanonical-bw", "omega1": "sign(k)*sqrt(g*k*tanh(k*h))",
+     "c_squared": "g*tanh(k*h)/k", "params": {"g": 1.0, "h": 1.0},
+     "at_zero": 1.0},
+]
+
+
+class TestSkippedTuples:
+    """Tuples whose Omega rows have disjoint ranges cannot collide on the
+    grid, so skipping them changes no event."""
+
+    @pytest.mark.parametrize("n_max", [1, 3, 10, 30])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+    def test_builtins_match_all_pairs_scan(self, name, n_max):
+        assert_scan_matches_all_pairs(make_model(name), n_max)
+
+    @pytest.mark.parametrize("spec", DSL_TWINS,
+                             ids=lambda spec: spec["kind"])
+    def test_dsl_twins_match_all_pairs_scan(self, spec):
+        assert_scan_matches_all_pairs(model_from_config(spec), 30)
+
+    @pytest.mark.parametrize("h", [0.9, 1.1])
+    @pytest.mark.parametrize("name", ["water-waves", "boussinesq-whitham"])
+    def test_depths_match_all_pairs_scan(self, name, h):
+        assert_scan_matches_all_pairs(make_model(name, {"h": h}), 30)
+
+    def test_tuple_of_one_mode_number_is_scanned(self):
+        # the branches +-omega meet where omega = 0, at k = -sqrt(2.5), an
+        # event only the tuple (-2, 1, -2, 2) finds
+        model = model_from_config({"kind": "canonical",
+                                   "omega1": "k^3 - 2.5*k"})
+        c = bifurcation_speed(model, 1, 1)
+        assert any((e.n1, e.l1, e.n2, e.l2) == (-2, 1, -2, 2)
+                   and e.mu == pytest.approx(2.0 - math.sqrt(2.5))
+                   for e in find_collisions(model, c, 5))
+        assert_scan_matches_all_pairs(model, 5)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+           st.integers(1, 12))
+    def test_odd_polynomials_match_all_pairs_scan(self, coeffs, n_max):
+        model = model_from_config({
+            "kind": "scalar", "omega1": "a1*k + a3*k^3 + a5*k^5",
+            "params": dict(zip(("a1", "a3", "a5"), coeffs))})
+        assert_scan_matches_all_pairs(model, n_max)
 
 
 class TestCurves:

@@ -1,7 +1,10 @@
-"""The library depends on numpy alone; scipy and the test tools are extras."""
+"""The library depends on numpy alone; scipy and the test tools are extras.
+The CLI loads the Hill layer only in the commands that use it."""
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,3 +37,16 @@ def test_every_exported_name_exists(path):
     missing = [name for name in getattr(module, "__all__", ())
                if not hasattr(module, name)]
     assert not missing, f"{path.name} exports missing names {missing}"
+
+
+def test_cli_import_leaves_out_the_hill_layer():
+    # analyze, collide and curves build no wave: hill and waves load only
+    # in the commands that use them, or once a command has failed
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH", "")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hfstab.cli; print(sorted("
+         "m for m in ('hfstab.hill', 'hfstab.waves') if m in sys.modules))"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "[]\n"
