@@ -3,13 +3,15 @@
 Commands
 --------
 analyze   run the full necessary-condition pipeline, emit a JSON report
-collide   the model, N, speed and signed events of analyze, emit JSON
 wave      construct a traveling wave by Newton continuation, emit JSON
 spectrum  Hill spectrum over a Floquet grid refined around every predicted
           collision, emit CSV plus a bubble report
 curves    secant-curve data tables (and a depth trace for water waves)
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure.  An
+error's class decides its code: ``models.NumericalError`` and numpy's
+``LinAlgError`` exit 3; ``config.ConfigError``, ``models.ModelError`` and
+``ValueError`` exit 2.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from . import dsl, krein
-from .collisions import secant_curve_data, trace_first_collision_vs_depth, \
-    NoCollisionFoundError
+from . import krein
+from .collisions import secant_curve_data, trace_first_collision_vs_depth
 from .config import ConfigError, RunConfig, apply_flags, build_model, \
     load_config, _SECTIONS
-from .models import ModelError, TravelingWave, bifurcation_speed
+from .models import ModelError, NumericalError, TravelingWave, \
+    bifurcation_speed
 from .report import csv_blocks, csv_lines, json_dumps
 
 EXIT_OK = 0
@@ -34,19 +36,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 WAVE_FILE_TOL = 1e-8   # largest traveling-equation residual of a --wave file
-
-
-def _numerical_errors() -> tuple:
-    """The errors that exit 3.  ``main`` asks only once a command has failed,
-    so that commands that build no wave never import hill and waves."""
-    from . import hill, waves
-    return (waves.ResonanceError, waves.WaveConvergenceError,
-            waves.ModesInsufficientError, hill.EigensolverError,
-            NoCollisionFoundError, krein.SignatureError, dsl.EvalError,
-            np.linalg.LinAlgError)
-
-
-_CONFIG_ERRORS = (ConfigError, ModelError, dsl.ParseError, ValueError)
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
@@ -72,9 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full necessary-condition pipeline")
-    _common_flags(p)
-
-    p = sub.add_parser("collide", help="zero-amplitude collision search")
     _common_flags(p)
 
     p = sub.add_parser("wave", help="traveling-wave construction")
@@ -124,14 +110,6 @@ def cmd_analyze(args) -> int:
     cfg, model = _load(args)
     report = krein.run_pipeline(model, N=cfg.N, n_max=cfg.n_max)
     _write([json_dumps(report.to_dict())], cfg.output)
-    return EXIT_OK
-
-
-def cmd_collide(args) -> int:
-    cfg, model = _load(args)
-    report = krein.run_pipeline(model, N=cfg.N, n_max=cfg.n_max).to_dict()
-    view = {k: report[k] for k in ("model", "N", "speed", "events")}
-    _write([json_dumps(view)], cfg.output)
     return EXIT_OK
 
 
@@ -230,7 +208,6 @@ def cmd_curves(args) -> int:
 
 _COMMANDS = {
     "analyze": cmd_analyze,
-    "collide": cmd_collide,
     "wave": cmd_wave,
     "spectrum": cmd_spectrum,
     "curves": cmd_curves,
@@ -245,10 +222,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except _numerical_errors() as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except _CONFIG_ERRORS as exc:
+    except (ConfigError, ModelError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

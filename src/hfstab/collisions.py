@@ -32,8 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import (ModelSpec, ModeIndex, eval_Omega, bifurcation_speed,
-                     make_model)
+from .models import (ModelSpec, ModeIndex, NumericalError, eval_Omega,
+                     bifurcation_speed, make_model)
 
 __all__ = [
     "CollisionEvent", "NoCollisionFoundError",
@@ -61,7 +61,7 @@ BISECT_TOL = 1e-13      # mu interval width at which bisection stops
 _BLOCK = 8192
 
 
-class NoCollisionFoundError(Exception):
+class NoCollisionFoundError(NumericalError):
     pass
 
 

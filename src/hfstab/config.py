@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Mapping
 
-from .models import ModelSpec, ModelError, make_model, model_from_config
+from .models import ModelSpec, make_model, model_from_config
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "apply_flags",
            "build_model"]

@@ -15,6 +15,11 @@ Numbers are ASCII decimal with an optional exponent.  There is no implicit
 multiplication: write ``g*k``, not ``g k``.  ``pi`` is a built-in constant.
 Evaluation is real-valued IEEE double arithmetic with numpy, on a float or
 an ndarray of wavenumbers at once; ``sign(0) = 0``.
+
+A ``ParseError`` is a ``models.ModelError`` and an ``EvalError`` a
+``models.NumericalError``.  ``models.model_from_config``, the package's
+one importer of this module, turns an ``EvalError`` raised while it builds
+a model into a ``models.ModelNotDispersiveError``.
 """
 
 from __future__ import annotations
@@ -27,11 +32,12 @@ from typing import Callable, Mapping, Union
 import numpy as np
 from numpy.typing import ArrayLike
 
+from .models import ModelError, NumericalError
+
 __all__ = [
     "Lit", "Var", "Neg", "Bin", "Call", "Expr",
-    "ExprError", "ParseError", "EvalError", "UnboundVariableError",
-    "DomainError", "NonFiniteError",
-    "parse", "evaluate", "compile_symbol", "FUNCTION_NAMES",
+    "ParseError", "EvalError", "DomainError", "NonFiniteError",
+    "parse", "compile_symbol", "FUNCTION_NAMES",
 ]
 
 
@@ -74,11 +80,7 @@ FUNCTION_NAMES = ("sqrt", "tanh", "sign", "abs", "sin", "cos", "exp")
 # --------------------------------------------------------------------------
 # Errors
 
-class ExprError(Exception):
-    """Base class for all expression-language errors."""
-
-
-class ParseError(ExprError):
+class ParseError(ModelError):
     """Malformed expression text.
 
     Attributes
@@ -102,12 +104,8 @@ class ParseError(ExprError):
         )
 
 
-class EvalError(ExprError):
+class EvalError(NumericalError):
     """Base class for evaluation failures."""
-
-
-class UnboundVariableError(EvalError):
-    pass
 
 
 class DomainError(EvalError):
@@ -265,30 +263,6 @@ def parse(text: str) -> Expr:
 # --------------------------------------------------------------------------
 # Evaluation
 
-def evaluate(ast: Expr, k: ArrayLike,
-             params: Mapping[str, float] | None = None) -> ArrayLike:
-    """Evaluate ``ast`` at wavenumber(s) ``k`` with the given parameter
-    bindings: a float or an ndarray in, the same shape out (a float for a
-    float).  The tree is walked once, on arrays.
-
-    Raises UnboundVariableError, DomainError (sqrt of a negative, division
-    by zero, a power that is not a finite real) or NonFiniteError (overflow
-    of a function, or a non-finite result) if any element fails; the
-    message names the first failing wavenumber.
-    """
-    k = np.asarray(k, dtype=float)
-    ks = np.atleast_1d(k)
-    env = {"pi": math.pi, **{n: float(v) for n, v in (params or {}).items()},
-           "k": ks}
-    with np.errstate(all="ignore"):
-        out = np.asarray(_walk(ast, env), dtype=float)
-        _check(~np.isfinite(out), env, NonFiniteError,
-               "expression is not finite")
-    if out.shape != ks.shape or out is ks:  # a constant, or k itself
-        out = np.full(ks.shape, out)
-    return out.item() if k.ndim == 0 else out
-
-
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.truediv, "^": np.power}
 
@@ -306,10 +280,7 @@ def _walk(node: Expr, env: Mapping):
     if isinstance(node, Lit):
         return node.value
     if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise UnboundVariableError(f"unbound variable {node.name!r}") from None
+        return env[node.name]
     if isinstance(node, Neg):
         return -_walk(node.arg, env)
     if isinstance(node, Call):
@@ -340,7 +311,11 @@ def compile_symbol(text: str, params: Mapping[str, float] | None = None
     wavenumbers in, the same shape out (a float for a float).
 
     Every name must be ``k``, ``pi`` or a key of ``params``: the first that
-    is not is a ParseError at its offset, so no evaluation meets it.
+    is not is a ParseError at its offset, so no evaluation meets it.  The
+    symbol walks the tree once, on arrays, and raises DomainError (sqrt of
+    a negative, division by zero, a power that is not a finite real) or
+    NonFiniteError (overflow of a function, or a non-finite result) if any
+    element fails; the message names the first failing wavenumber.
     """
     parser = _Parser(text)
     ast = parser.parse()
@@ -349,4 +324,17 @@ def compile_symbol(text: str, params: Mapping[str, float] | None = None
         if name not in frozen and name not in ("k", "pi"):
             raise ParseError(offset, f"k, pi or a parameter, not {name!r}",
                              text)
-    return lambda k: evaluate(ast, k, frozen)
+    bindings = {"pi": math.pi, **{n: float(v) for n, v in frozen.items()}}
+
+    def symbol(k: ArrayLike) -> ArrayLike:
+        k = np.asarray(k, dtype=float)
+        ks = np.atleast_1d(k)
+        env = {**bindings, "k": ks}
+        with np.errstate(all="ignore"):
+            out = np.asarray(_walk(ast, env), dtype=float)
+            _check(~np.isfinite(out), env, NonFiniteError,
+                   "expression is not finite")
+        if out.shape != ks.shape or out is ks:  # a constant, or k itself
+            out = np.full(ks.shape, out)
+        return out.item() if k.ndim == 0 else out
+    return symbol

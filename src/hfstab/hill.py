@@ -51,7 +51,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import ModelSpec, TravelingWave, Linearization, spectrum_slice
+from .models import (ModelSpec, TravelingWave, Linearization, NumericalError,
+                     spectrum_slice)
 from .collisions import CollisionEvent
 
 __all__ = [
@@ -96,7 +97,7 @@ def _worker_count() -> int:
 _WORKERS = _worker_count()
 
 
-class EigensolverError(Exception):
+class EigensolverError(NumericalError):
     pass
 
 

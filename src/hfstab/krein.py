@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (ModelSpec, ModeIndex, Linearization, eval_Omega,
-                     bifurcation_speed)
+from .models import (ModelSpec, ModeIndex, Linearization, NumericalError,
+                     eval_Omega, bifurcation_speed)
 from .collisions import CollisionEvent, find_collisions, VERDICT_POTENTIAL
 
 __all__ = [
@@ -38,7 +38,7 @@ OVERALL_EXCLUDED = "HF-instability-excluded"
 EIGENVECTOR_TOL = 1e-10
 
 
-class SignatureError(Exception):
+class SignatureError(NumericalError):
     pass
 
 

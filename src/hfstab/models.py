@@ -13,6 +13,13 @@ solves that equation, and a wave's Hill-matrix term is its N'(U).
 Built-in model identifiers: ``gkdv``, ``kdv``, ``mkdv-focusing``,
 ``mkdv-defocusing``, ``whitham``, ``sine-gordon``, ``water-waves``,
 ``water-waves-deep``, ``boussinesq-whitham``, ``fifth-order-scalar``.
+
+Errors carry the CLI's exit code in their class: a ``ModelError`` is a
+model, parameter or wave that cannot be used (exit 2), and a
+``NumericalError`` is a computation that failed on a usable one (exit 3).
+Custom models are the only ones written in the expression language:
+``model_from_config`` imports ``dsl`` and turns an expression that fails
+while the model is built into a ``ModelNotDispersiveError``.
 """
 
 from __future__ import annotations
@@ -27,10 +34,9 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from . import dsl
-
 __all__ = [
     "ModelError", "ModelNotDispersiveError", "UnknownModelError",
+    "NumericalError",
     "ModeIndex", "DispersionBranch", "ModelSpec", "TravelingWave",
     "BUILTIN_MODELS", "make_model", "model_from_config",
     "eval_omega", "eval_Omega", "bifurcation_speed", "spectrum_slice",
@@ -46,7 +52,7 @@ _KINDS = (SCALAR, CANONICAL, NONCANONICAL_BW)
 
 
 class ModelError(Exception):
-    pass
+    """A model, parameter or wave that cannot be used: exit 2."""
 
 
 class ModelNotDispersiveError(ModelError):
@@ -55,6 +61,10 @@ class ModelNotDispersiveError(ModelError):
 
 class UnknownModelError(ModelError):
     pass
+
+
+class NumericalError(Exception):
+    """A computation that failed on a usable model: exit 3."""
 
 
 class TruncationWarning(UserWarning):
@@ -278,17 +288,14 @@ def validate_dispersive(model: ModelSpec) -> dict[int, int]:
     the spectrum at -mu the negated spectrum at mu.  Odd branches mirror
     onto themselves; a pair +-omega_1 with omega_1 even swaps.  Returns
     {l: l'}; raises ModelNotDispersiveError when a branch returns a
-    non-finite value, cannot be evaluated, or has no mirror.  A scalar
-    model's one branch must therefore be odd, and a Boussinesq-Whitham
-    c^2(k) even.
+    non-finite value or has no mirror.  A scalar model's one branch must
+    therefore be odd, and a Boussinesq-Whitham c^2(k) even.  A branch that
+    fails to evaluate raises its own error (see ``model_from_config``).
     """
     ks = _DISPERSIVE_GRID
-    try:
-        with np.errstate(invalid="ignore"):   # a non-finite value raises here
-            w = {b.index: eval_omega(model, b.index, np.stack([ks, -ks]))
-                 for b in model.branches}
-    except dsl.EvalError as exc:
-        raise ModelNotDispersiveError(f"model {model.name!r}: {exc}") from exc
+    with np.errstate(invalid="ignore"):   # a non-finite value raises here
+        w = {b.index: eval_omega(model, b.index, np.stack([ks, -ks]))
+             for b in model.branches}
     pair = {}
     for l in w:
         gaps = {lp: np.abs(w[lp][1] + w[l][0]) for lp in w}
@@ -635,12 +642,14 @@ def make_model(name: str, params: Mapping[str, float] | None = None) -> ModelSpe
 # Custom models from DSL expressions
 
 _CUSTOM_KEYS = {"kind", "omega1", "omega2", "c_squared", "params", "at_zero"}
+_CUSTOM_NAMES = {SCALAR: "custom-scalar", CANONICAL: "custom-canonical",
+                 NONCANONICAL_BW: "custom-bw"}
+_PROBES = np.array([0.3, 1.0, 2.7, 5.0])   # wavenumbers of the checks below
 
 
-def _require_match(f: Symbol, g: Symbol, requirement: str) -> None:
-    """ModelError naming ``requirement`` unless f = g to 1e-10 at probes."""
-    ks = np.array([0.3, 1.0, 2.7, 5.0])
-    gap = np.abs(f(ks) - g(ks))
+def _require_match(a: np.ndarray, b: np.ndarray, requirement: str) -> None:
+    """ModelError naming ``requirement`` unless the values a = b to 1e-10."""
+    gap = np.abs(a - b)
     if not (gap <= 1e-10).all():
         raise ModelError(f"{requirement} (largest gap {gap.max():g})")
 
@@ -655,6 +664,10 @@ def model_from_config(spec: Mapping) -> ModelSpec:
     or of a BW c_squared (canonical models refuse it).  Canonical models
     built this way have the Hamiltonian B(k) = 1, C(k) = omega1(k)^2, whose
     only branches are +-omega1.
+
+    Only custom models load ``dsl``.  An expression that fails while the
+    model is built (a ``dsl.EvalError``) is a ModelNotDispersiveError
+    naming the model; one that fails later is a numerical failure.
     """
     unknown = set(spec) - _CUSTOM_KEYS
     if unknown:
@@ -666,17 +679,27 @@ def model_from_config(spec: Mapping) -> ModelSpec:
     kind = spec.get("kind")
     if kind not in _KINDS:
         raise ModelError(f"custom model kind must be one of {_KINDS}, got {kind!r}")
-    params = dict(spec.get("params", {}))
-    at_zero = spec.get("at_zero")
     if "omega1" not in spec:
         raise ModelError("custom model requires 'omega1'")
-    omega1 = dsl.compile_symbol(spec["omega1"], params)
+    from . import dsl
+    name = _CUSTOM_NAMES[kind]
+    try:
+        return _custom_model(spec, kind, name, dsl.compile_symbol)
+    except dsl.EvalError as exc:
+        raise ModelNotDispersiveError(f"model {name!r}: {exc}") from exc
+
+
+def _custom_model(spec: Mapping, kind: str, name: str,
+                  compile_symbol: Callable) -> ModelSpec:
+    params = dict(spec.get("params", {}))
+    at_zero = spec.get("at_zero")
+    omega1 = compile_symbol(spec["omega1"], params)
 
     if kind == SCALAR:
         kernel = _at_zero(lambda k: omega1(k) / k,
                           0.0 if at_zero is None else at_zero)
         return ModelSpec(
-            name="custom-scalar", kind=SCALAR,
+            name=name, kind=SCALAR,
             branches=(DispersionBranch(1, omega1),),
             params=params, kernel_symbol=kernel,
             sigma=params.get("sigma", 1.0))
@@ -686,28 +709,34 @@ def model_from_config(spec: Mapping) -> ModelSpec:
             raise ModelError("custom canonical symbols are regular at k = 0: "
                              "drop 'at_zero'")
         if "omega2" in spec:
-            _require_match(dsl.compile_symbol(spec["omega2"], params),
-                           lambda k: -omega1(k),
+            _require_match(compile_symbol(spec["omega2"], params)(_PROBES),
+                           -omega1(_PROBES),
                            "custom canonical models have B(k) = 1 and C(k) = "
                            "omega1(k)^2, whose branches are +-omega1: "
                            "'omega2' must equal -omega1")
-        return _canonical("custom-canonical", params, omega1,
+        return _canonical(name, params, omega1,
                           b_symbol=_constant(1.0),
                           c_symbol=_symbol(lambda k: omega1(k) ** 2))
 
     # noncanonical-bw
     if "c_squared" not in spec:
         raise ModelError("noncanonical-bw custom model requires 'c_squared'")
-    c2 = dsl.compile_symbol(spec["c_squared"], params)
+    c2 = compile_symbol(spec["c_squared"], params)
     if at_zero is not None:
         c2 = _at_zero(c2, at_zero)
-    omega_bw = _symbol(lambda k: k * np.sqrt(c2(k)))
-    _require_match(omega1, omega_bw,
+    w1, c2_probes = omega1(_PROBES), c2(_PROBES)
+    negative = c2_probes < 0.0
+    if negative.any():
+        raise ModelError(f"custom noncanonical-bw 'c_squared' is negative at "
+                         f"k={float(_PROBES[negative][0])!r}, so its branches "
+                         f"+-k*sqrt(c_squared(k)) are not real")
+    _require_match(w1, _PROBES * np.sqrt(c2_probes),
                    "custom noncanonical-bw models have the branches "
                    "+-k*sqrt(c_squared(k)): 'omega1' must equal "
                    "k*sqrt(c_squared)")
+    omega_bw = _symbol(lambda k: k * np.sqrt(c2(k)))
     return ModelSpec(
-        name="custom-bw", kind=NONCANONICAL_BW,
+        name=name, kind=NONCANONICAL_BW,
         branches=(DispersionBranch(1, omega_bw),
                   DispersionBranch(2, lambda k: -omega_bw(k))),
         params=params, kernel_symbol=c2, alpha=params.get("alpha", 1.0))

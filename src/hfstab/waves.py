@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import (ModelSpec, TravelingWave, NONCANONICAL_BW, ModelError,
-                     bifurcation_speed, make_model, traveling_equation,
-                     _cosine_coeffs)
+                     NumericalError, bifurcation_speed, make_model,
+                     traveling_equation, _cosine_coeffs)
 
 __all__ = [
     "ResonanceError", "WaveConvergenceError", "ModesInsufficientError",
@@ -32,15 +32,15 @@ MAX_NEWTON_STEPS = 50
 _RESIDUAL_BLOCK = 256   # grid points per block of wave_residual's cosine basis
 
 
-class ResonanceError(ModelError):
+class ResonanceError(NumericalError):
     """A Stokes denominator Omega(j) vanished; the expansion is singular."""
 
 
-class WaveConvergenceError(ModelError):
+class WaveConvergenceError(NumericalError):
     pass
 
 
-class ModesInsufficientError(ModelError):
+class ModesInsufficientError(NumericalError):
     pass
 
 

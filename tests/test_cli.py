@@ -47,8 +47,10 @@ class TestAnalyze:
 
 
 class TestCollide:
+    """The collision screen's events, through analyze."""
+
     def test_deep_water_anchor(self, capsys):
-        code, out, _ = run(capsys, "collide", "--model", "water-waves-deep",
+        code, out, _ = run(capsys, "analyze", "--model", "water-waves-deep",
                            "--n-max", "3")
         assert code == 0
         data = json.loads(out)
@@ -62,7 +64,7 @@ class TestCollide:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"model": "water-waves", "h": 2.0,
                                    "n_max": 3}))
-        code, out, _ = run(capsys, "collide", "--config", str(cfg),
+        code, out, _ = run(capsys, "analyze", "--config", str(cfg),
                            "--h", "100.0")
         assert code == 0
         # deep-water speed sqrt(tanh(100)) ~ 1, not sqrt(tanh(2))
@@ -71,7 +73,7 @@ class TestCollide:
     def test_config_only(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"model": "sine-gordon", "n_max": 4}))
-        code, out, _ = run(capsys, "collide", "--config", str(cfg))
+        code, out, _ = run(capsys, "analyze", "--config", str(cfg))
         assert code == 0
         assert json.loads(out)["speed"] == pytest.approx(math.sqrt(2.0))
 
@@ -81,7 +83,7 @@ class TestCollide:
             "model": {"kind": "scalar", "omega1": "k^3",
                       "params": {"sigma": 1.0}},
             "n_max": 5}))
-        code, out, _ = run(capsys, "collide", "--config", str(cfg))
+        code, out, _ = run(capsys, "analyze", "--config", str(cfg))
         assert code == 0
         assert json.loads(out)["model"] == "custom-scalar"
 
@@ -95,9 +97,8 @@ class TestCollide:
                      id="non-dispersive"),
     ])
     def test_events_match_analyze(self, capsys, tmp_path, model):
-        # collide is the model, N, speed and signed events of analyze, and
-        # neither report writes the origin event's lambda_im as -0; collide
-        # and spectrum screen as analyze does, so they refuse what it refuses
+        # the report never writes the origin event's lambda_im as -0, and
+        # spectrum screens as analyze does, so it refuses what analyze refuses
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"model": model, "n_max": 5}))
         cli = lambda command: run(capsys, command, "--config", str(cfg),
@@ -106,18 +107,11 @@ class TestCollide:
         if code:
             assert code == 2
             assert "no branch mirrors branch 1 under k -> -k" in err
-            assert cli("collide") == cli("spectrum") == (2, "", err)
+            assert cli("spectrum") == (2, "", err)
             return
-        assert cli("collide")[0] == 0
-        reports = {}
-        for command in ("analyze", "collide"):
-            text = (tmp_path / command).read_text()
-            assert not re.search(r"-0(?![.\de])", text)
-            reports[command] = json.loads(text)
-        analyze = reports["analyze"]
-        assert reports["collide"] == {k: analyze[k] for k in
-                                      ("model", "N", "speed", "events")}
-        events = analyze["events"]
+        text = (tmp_path / "analyze").read_text()
+        assert not re.search(r"-0(?![.\de])", text)
+        events = json.loads(text)["events"]
         assert all(e["signature_product"] is not None for e in events)
         assert any(not e["at_origin"] for e in events)
 
@@ -131,8 +125,7 @@ class TestCollide:
             "kind": "canonical", "omega1": "sqrt(1+k^2)+0.1*k"}, "n_max": 5}))
         results = {run(capsys, command, "--config", str(cfg),
                        "--out", str(tmp_path / command))
-                   for command in ("analyze", "collide", "wave",
-                                   "spectrum", "curves")}
+                   for command in ("analyze", "wave", "spectrum", "curves")}
         assert len(results) == 1
         code, out, err = results.pop()
         assert (code, out) == (2, "")
@@ -144,35 +137,37 @@ class TestConfigErrors:
     def test_unknown_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"model": "kdv", "bogus": 1}))
-        code, _, err = run(capsys, "collide", "--config", str(cfg))
+        code, _, err = run(capsys, "analyze", "--config", str(cfg))
         assert code == 2
         assert "bogus" in err
 
     def test_malformed_json_reports_offset(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text('{"model": "kdv",,}')
-        code, _, err = run(capsys, "collide", "--config", str(cfg))
+        code, _, err = run(capsys, "analyze", "--config", str(cfg))
         assert code == 2
         assert "offset" in err
 
     def test_missing_config_file(self, capsys, tmp_path):
-        code, _, err = run(capsys, "collide", "--config",
+        code, _, err = run(capsys, "analyze", "--config",
                            str(tmp_path / "absent.json"))
         assert code == 2
 
     def test_bad_flag_value(self, capsys):
-        code, _, _ = run(capsys, "collide", "--model", "kdv",
+        code, _, _ = run(capsys, "analyze", "--model", "kdv",
                          "--n-max", "not-a-number")
         assert code == 2
 
     def test_nonpositive_n_max(self, capsys):
-        code, _, err = run(capsys, "collide", "--model", "kdv",
+        code, _, err = run(capsys, "analyze", "--model", "kdv",
                            "--n-max", "0")
         assert code == 2
         assert "n_max" in err
 
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+        # collide is no command: analyze writes the collision events
+        assert run(capsys, "collide", "--model", "kdv")[0] == 2
 
     @pytest.mark.parametrize("flag", ["--refine", "--no-refine"])
     def test_refine_flags_are_gone(self, capsys, flag):
@@ -237,6 +232,16 @@ class TestConfigErrors:
          "model 'custom-bw': division by zero at k=0.0"),
         ({"model": {"kind": "scalar", "omega1": "k^3 + 1/0"}},
          "model 'custom-scalar': division by zero at k=0.0"),
+        # so is one that fails in the checks of its stated symbols
+        ({"model": {"kind": "noncanonical-bw", "omega1": "sqrt(k-1)",
+                    "c_squared": "k^2"}},
+         "model 'custom-bw': sqrt of a negative value at k=0.3"),
+        ({"model": {"kind": "canonical", "omega1": "k",
+                    "omega2": "-sqrt(k-1)"}},
+         "model 'custom-canonical': sqrt of a negative value at k=0.3"),
+        ({"model": {"kind": "noncanonical-bw", "omega1": "k*sqrt(c)",
+                    "c_squared": "c", "params": {"c": -1.0}}},
+         "model 'custom-bw': sqrt of a negative value at k=0.3"),
     ])
     def test_malformed_config_is_a_configuration_error(self, capsys, tmp_path,
                                                        config, message):
@@ -246,22 +251,38 @@ class TestConfigErrors:
         assert code == 2
         assert "configuration error" in err and message in err
 
-    def test_negative_c_squared_prints_only_the_error(self, tmp_path):
+    @staticmethod
+    def _analyze_in_fresh_interpreter(tmp_path, model):
         # a fresh interpreter, as pytest would capture a RuntimeWarning
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"model": {
-            "kind": "noncanonical-bw", "omega1": "k*sqrt(1+0.1*k)",
-            "c_squared": "1+0.1*k"}}))
+        cfg.write_text(json.dumps({"model": model}))
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH", "")])))
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "hfstab.cli", "analyze", "--config",
              str(cfg)], env=env, capture_output=True, text=True, timeout=300)
+
+    def test_negative_c_squared_prints_only_the_error(self, tmp_path):
+        proc = self._analyze_in_fresh_interpreter(tmp_path, {
+            "kind": "noncanonical-bw", "omega1": "k*sqrt(1+0.1*k)",
+            "c_squared": "1+0.1*k"})
         assert proc.returncode == 2
         assert "RuntimeWarning" not in proc.stderr
         assert proc.stderr == ("configuration error: model 'custom-bw': "
                                "omega_1(-25.0) is not finite\n")
+
+    def test_c_squared_negative_where_omega1_is_checked_is_refused(
+            self, tmp_path):
+        # omega1 = k*sqrt(c_squared) is checked at k = 0.3, 1, 2.7 and 5,
+        # where sqrt(-1) once printed numpy's RuntimeWarning and a nan gap
+        proc = self._analyze_in_fresh_interpreter(tmp_path, {
+            "kind": "noncanonical-bw", "omega1": "k", "c_squared": "-1"})
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "configuration error: custom noncanonical-bw 'c_squared' is "
+            "negative at k=0.3, so its branches +-k*sqrt(c_squared(k)) are "
+            "not real\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["spectrum", "--model", "kdv", "--amplitude", "nan"], "wave.amplitude"),
@@ -382,8 +403,7 @@ class TestWave:
             "wave": {"amplitude": 0.01, "modes": 16}}))
         results = {command: run(capsys, command, "--config", str(cfg),
                                 "--out", str(tmp_path / command))
-                   for command in ("analyze", "collide", "wave", "spectrum",
-                                   "curves")}
+                   for command in ("analyze", "wave", "spectrum", "curves")}
         assert len(set(results.values())) == 1
         code, out, err = results["wave"]
         assert (code, out) == (2, "")

@@ -8,14 +8,13 @@ from hypothesis import given, strategies as st
 
 from hfstab import dsl
 from hfstab.dsl import (Bin, Call, Lit, Neg, Var, DomainError, EvalError,
-                        NonFiniteError, ParseError, UnboundVariableError,
-                        compile_symbol, evaluate, parse)
+                        NonFiniteError, ParseError, compile_symbol, parse)
 
 from dsl_printer import to_source
 
 
 def ev(text, k=0.0, **params):
-    return evaluate(parse(text), k, params)
+    return compile_symbol(text, params)(k)
 
 
 class TestParsing:
@@ -71,10 +70,6 @@ class TestParsing:
 
 
 class TestEvaluation:
-    def test_unbound_variable(self):
-        with pytest.raises(UnboundVariableError):
-            ev("q")
-
     def test_sqrt_negative(self):
         with pytest.raises(DomainError):
             ev("sqrt(-1)")

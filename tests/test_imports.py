@@ -1,5 +1,7 @@
 """The library depends on numpy alone; scipy and the test tools are extras.
-The CLI loads the Hill layer only in the commands that use it."""
+The CLI loads the Hill layer only in the commands that use it, and the
+expression language only for custom models.  Each error's class decides
+its exit code."""
 
 import ast
 import importlib
@@ -39,14 +41,52 @@ def test_every_exported_name_exists(path):
     assert not missing, f"{path.name} exports missing names {missing}"
 
 
-def test_cli_import_leaves_out_the_hill_layer():
-    # analyze, collide and curves build no wave: hill and waves load only
-    # in the commands that use them, or once a command has failed
+def _fresh_interpreter(code: str) -> str:
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH", "")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, hfstab.cli; print(sorted("
-         "m for m in ('hfstab.hill', 'hfstab.waves') if m in sys.modules))"],
-        capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout == "[]\n"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True).stdout
+
+
+LOADED = ("print(sorted(m for m in ('hfstab.dsl', 'hfstab.hill', "
+          "'hfstab.waves') if m in sys.modules))")
+
+
+def test_cli_import_leaves_out_the_hill_layer():
+    # analyze and curves build no wave: hill and waves load only in the
+    # commands that use them, and dsl only for a custom model
+    assert _fresh_interpreter("import sys, hfstab.cli; " + LOADED) == "[]\n"
+
+
+def test_only_a_custom_model_loads_the_dsl(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text('{"model": {"kind": "scalar", "omega1": "k^3"}}')
+    runs = {"--model water-waves": "[]\n",
+            f"--config {config}": "['hfstab.dsl']\n"}
+    for flags, loaded in runs.items():
+        argv = ["analyze", *flags.split(), "--n-max", "4",
+                "--out", str(tmp_path / "report.json")]
+        assert _fresh_interpreter(
+            f"import sys; from hfstab import cli; "
+            f"assert cli.main({argv!r}) == 0; " + LOADED) == loaded
+
+
+def test_every_error_class_has_one_exit_code():
+    # NumericalError exits 3, ModelError and ConfigError exit 2: a class
+    # under neither would end in a traceback, one under both is ambiguous
+    from hfstab.config import ConfigError
+    from hfstab.models import ModelError, NumericalError
+    errors = []
+    for path in SRC:
+        module = importlib.import_module(
+            "hfstab" if path.stem == "__init__" else f"hfstab.{path.stem}")
+        errors += [cls for cls in vars(module).values()
+                   if isinstance(cls, type) and issubclass(cls, Exception)
+                   and not issubclass(cls, Warning)   # warned, not raised
+                   and cls.__module__ == module.__name__]
+    assert {ModelError, NumericalError, ConfigError} <= set(errors)
+    unmapped = [cls.__qualname__ for cls in errors
+                if issubclass(cls, NumericalError)
+                == issubclass(cls, (ModelError, ConfigError))]
+    assert unmapped == []

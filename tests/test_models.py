@@ -286,9 +286,9 @@ def test_validate_dispersive_returns_mirror_map(name):
     ("exp(k)", 1000.0, dsl.NonFiniteError),
 ])
 def test_one_bad_point_fails_an_array_like_the_scalar_call(text, bad, error):
-    ast = dsl.parse(text)
+    symbol = dsl.compile_symbol(text)
     with pytest.raises(error):
-        dsl.evaluate(ast, bad)
+        symbol(bad)
     with pytest.raises(error, match=f"k={bad!r}"):
-        dsl.evaluate(ast, np.array([0.5, 1.5, bad, 2.0]))
-    assert dsl.evaluate(ast, np.array([0.5, 2.0])).shape == (2,)
+        symbol(np.array([0.5, 1.5, bad, 2.0]))
+    assert symbol(np.array([0.5, 2.0])).shape == (2,)
