@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import (ModelSpec, ModeIndex, NumericalError, eval_Omega,
+from .models import (ModelSpec, NumericalError, eval_Omega,
                      bifurcation_speed, make_model)
 
 __all__ = [
@@ -85,14 +85,6 @@ class CollisionEvent:
         if self.at_origin or p is None or abs(p) <= BORDERLINE_TOL:
             return VERDICT_INDETERMINATE
         return VERDICT_POTENTIAL if p < 0 else VERDICT_NONE
-
-    @property
-    def idx1(self) -> ModeIndex:
-        return ModeIndex(self.n1, self.mu, self.l1)
-
-    @property
-    def idx2(self) -> ModeIndex:
-        return ModeIndex(self.n2, self.mu, self.l2)
 
     def to_dict(self) -> dict:
         return {

@@ -27,12 +27,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
-from numpy.typing import ArrayLike
 
-from .models import ModelError, NumericalError
+from .models import ModelError, NumericalError, Symbol, _symbol
 
 __all__ = [
     "Lit", "Var", "Neg", "Bin", "Call", "Expr",
@@ -306,7 +305,7 @@ def _walk(node: Expr, env: Mapping):
 
 
 def compile_symbol(text: str, params: Mapping[str, float] | None = None
-                   ) -> Callable[[ArrayLike], ArrayLike]:
+                   ) -> Symbol:
     """Parse ``text`` once and return a symbol: a float or an ndarray of
     wavenumbers in, the same shape out (a float for a float).
 
@@ -326,9 +325,7 @@ def compile_symbol(text: str, params: Mapping[str, float] | None = None
                              text)
     bindings = {"pi": math.pi, **{n: float(v) for n, v in frozen.items()}}
 
-    def symbol(k: ArrayLike) -> ArrayLike:
-        k = np.asarray(k, dtype=float)
-        ks = np.atleast_1d(k)
+    def evaluate(ks: np.ndarray) -> np.ndarray:
         env = {**bindings, "k": ks}
         with np.errstate(all="ignore"):
             out = np.asarray(_walk(ast, env), dtype=float)
@@ -336,5 +333,5 @@ def compile_symbol(text: str, params: Mapping[str, float] | None = None
                    "expression is not finite")
         if out.shape != ks.shape or out is ks:  # a constant, or k itself
             out = np.full(ks.shape, out)
-        return out.item() if k.ndim == 0 else out
-    return symbol
+        return out
+    return _symbol(evaluate)

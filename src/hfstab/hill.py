@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import (ModelSpec, TravelingWave, Linearization, NumericalError,
-                     spectrum_slice)
+                     eval_Omega)
 from .collisions import CollisionEvent
 
 __all__ = [
@@ -348,10 +348,11 @@ def zero_amplitude_check(model: ModelSpec, c: float, mu_samples,
                          M: int) -> float:
     """Max Hausdorff distance, over mu samples, between the Hill spectrum of
     the zero wave and the closed-form eigenvalue set."""
+    ns = np.arange(-M, M + 1)
     worst = 0.0
     for mu, computed in full_spectrum(model, zero_wave(model, c),
                                       mu_samples, M).slices:
-        exact = np.array([lam for _, lam in
-                          spectrum_slice(model, c, mu, range(-M, M + 1))])
+        exact = np.concatenate([-1j * eval_Omega(model, b.index, ns + mu, c)
+                                for b in model.branches])
         worst = max(worst, _hausdorff(computed, exact))
     return worst

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (ModelSpec, ModeIndex, Linearization, NumericalError,
-                     eval_Omega, bifurcation_speed)
+from .models import (ModelSpec, Linearization, NumericalError, eval_Omega,
+                     bifurcation_speed)
 from .collisions import CollisionEvent, find_collisions, VERDICT_POTENTIAL
 
 __all__ = [
-    "SignatureError", "EigenvectorNotFoundError", "EigenMode", "AnalysisReport",
+    "SignatureError", "EigenvectorNotFoundError", "AnalysisReport",
     "eigenmode", "signature", "signature_product", "screen", "run_pipeline",
     "OVERALL_POSSIBLE", "OVERALL_EXCLUDED",
 ]
@@ -44,14 +44,6 @@ class SignatureError(NumericalError):
 
 class EigenvectorNotFoundError(SignatureError):
     pass
-
-
-@dataclass(frozen=True)
-class EigenMode:
-    """lambda of one mode's block of J·S and real unit eigenvector w of R."""
-    mode: ModeIndex
-    lam: complex
-    components: np.ndarray
 
 
 @dataclass
@@ -80,14 +72,14 @@ class AnalysisReport:
 # --------------------------------------------------------------------------
 # Eigenvectors and signatures
 
-def eigenmode(model: ModelSpec, idx: ModeIndex, c: float) -> EigenMode:
-    """Real unit eigenvector of the mode's block R(k) for rho = -Omega_l(k)."""
+def eigenmode(model: ModelSpec, l: int, k: float, c: float) -> np.ndarray:
+    """Real unit eigenvector w of the block R(k) of the branch-l mode at
+    wavenumber k, for rho = -Omega_l(k)."""
     op = Linearization(model, c)
-    Omega = eval_Omega(model, idx.l, idx.k, c)
-    lam = -1j * Omega
     if op.size == 1:
-        return EigenMode(idx, lam, np.ones(1))
-    T = op.real_matrix(np.array([idx.k])) + Omega * np.eye(2)
+        return np.ones(1)
+    Omega = eval_Omega(model, l, k, c)
+    T = op.real_matrix(np.array([k])) + Omega * np.eye(2)
     # null space of a singular 2x2: read it off whichever row is larger
     w0 = np.array([T[0, 1], -T[0, 0]])
     w1 = np.array([T[1, 1], -T[1, 0]])
@@ -95,26 +87,28 @@ def eigenmode(model: ModelSpec, idx: ModeIndex, c: float) -> EigenMode:
     scale = max(np.linalg.norm(T), 1.0)
     if np.linalg.norm(w) <= EIGENVECTOR_TOL * scale:
         raise EigenvectorNotFoundError(
-            f"no eigenvector within tolerance at {idx} "
+            f"no eigenvector within tolerance on branch l={l} at k={k!r} "
             f"(block is {EIGENVECTOR_TOL:g}-degenerate)")
     w = w / np.linalg.norm(w)
     if np.linalg.norm(T @ w) > EIGENVECTOR_TOL * scale:
         raise EigenvectorNotFoundError(
-            f"lambda = {lam!r} is not an eigenvalue of the block at {idx}")
-    return EigenMode(idx, lam, w)
+            f"lambda = {-1j * Omega!r} is not an eigenvalue of the block on "
+            f"branch l={l} at k={k!r}")
+    return w
 
 
-def signature(model: ModelSpec, em: EigenMode, c: float) -> float:
-    """wᵀS_R(k)w for the mode's real unit eigenvector w; its sign is the
-    Krein signature.  Raises ZeroDivisionError for a scalar mode at k = 0."""
-    w = em.components
-    return float(w @ Linearization(model, c).hessian(em.mode.k) @ w)
+def signature(model: ModelSpec, l: int, k: float, c: float) -> float:
+    """wᵀS_R(k)w for the real unit eigenvector w of the branch-l mode at
+    wavenumber k; its sign is the Krein signature.  Raises ZeroDivisionError
+    for a scalar mode at k = 0."""
+    w = eigenmode(model, l, k, c)
+    return float(w @ Linearization(model, c).hessian(k) @ w)
 
 
 def signature_product(model: ModelSpec, event: CollisionEvent, c: float) -> float:
     """Product of the signatures of the two colliding modes."""
-    return (signature(model, eigenmode(model, event.idx1, c), c)
-            * signature(model, eigenmode(model, event.idx2, c), c))
+    return (signature(model, event.l1, event.n1 + event.mu, c)
+            * signature(model, event.l2, event.n2 + event.mu, c))
 
 
 def screen(model: ModelSpec, c: float, n_max: int) -> list[CollisionEvent]:

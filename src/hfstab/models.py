@@ -1,5 +1,4 @@
-"""Model catalog, dispersion relations, zero-amplitude spectra, and the
-linearised operator L = J·S.
+"""Model catalog, dispersion relations, and the linearised operator L = J·S.
 
 A model is a Hamiltonian PDE reduced to the data needed by the instability
 analysis: its Poisson-structure kind, dispersion branches, and the symbol
@@ -37,9 +36,9 @@ from numpy.typing import ArrayLike
 __all__ = [
     "ModelError", "ModelNotDispersiveError", "UnknownModelError",
     "NumericalError",
-    "ModeIndex", "DispersionBranch", "ModelSpec", "TravelingWave",
+    "DispersionBranch", "ModelSpec", "TravelingWave",
     "BUILTIN_MODELS", "make_model", "model_from_config",
-    "eval_omega", "eval_Omega", "bifurcation_speed", "spectrum_slice",
+    "eval_omega", "eval_Omega", "bifurcation_speed",
     "validate_dispersive", "traveling_equation", "Linearization",
     "TruncationWarning",
 ]
@@ -73,22 +72,6 @@ class TruncationWarning(UserWarning):
 
 # --------------------------------------------------------------------------
 # Domain types
-
-@dataclass(frozen=True)
-class ModeIndex:
-    """One Fourier/Floquet mode: integer index n, Floquet exponent mu, branch l."""
-    n: int
-    mu: float
-    l: int = 1
-
-    def __post_init__(self):
-        if not (-0.5 < self.mu <= 0.5):
-            raise ValueError(f"mu must lie in (-1/2, 1/2], got {self.mu!r}")
-
-    @property
-    def k(self) -> float:
-        return self.n + self.mu
-
 
 Symbol = Callable[[ArrayLike], ArrayLike]
 
@@ -261,19 +244,6 @@ def bifurcation_speed(model: ModelSpec, l: int, N: int) -> float:
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N!r}")
     return eval_omega(model, l, N) / N
-
-
-def spectrum_slice(model: ModelSpec, c: float, mu: float,
-                   n_range: Sequence[int]) -> list[tuple[ModeIndex, complex]]:
-    """Closed-form point spectrum for one Floquet exponent, sorted by Im."""
-    ns = np.asarray(n_range, dtype=int)
-    out = []
-    for b in model.branches:
-        lams = -1j * eval_Omega(model, b.index, ns + mu, c)
-        out += [(ModeIndex(n, mu, b.index), lam)
-                for n, lam in zip(ns.tolist(), lams.tolist())]
-    out.sort(key=lambda pair: (pair[1].imag, pair[0].l, pair[0].n))
-    return out
 
 
 _DISPERSIVE_GRID = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.5, 5.0, 10.0, 25.0])
@@ -466,12 +436,13 @@ class Linearization:
 
 
 def _cosine_coeffs(values: np.ndarray, M: int) -> np.ndarray:
-    """First M+1 cosine coefficients of even grid samples (length >= 2M+2)."""
-    n = values.size
+    """First M+1 cosine coefficients of even grid samples along the last
+    axis (length >= 2M+2)."""
+    n = values.shape[-1]
     spec = np.fft.rfft(values)
-    out = np.empty(M + 1)
-    out[0] = spec[0].real / n
-    out[1:] = 2.0 * spec[1:M + 1].real / n
+    out = np.empty(values.shape[:-1] + (M + 1,))
+    out[..., 0] = spec[..., 0].real / n
+    out[..., 1:] = 2.0 * spec[..., 1:M + 1].real / n
     return out
 
 

@@ -144,7 +144,7 @@ def solve_wave_collocation(model: ModelSpec, target_amplitude: float,
 
     for i in range(1, steps + 1):
         target = target_amplitude * i / steps
-        a, c, r = _newton_solve(eq, sym, cosj, x, a, c, r, target, mean)
+        a, c, r = _newton_solve(eq, sym, cosj, a, c, r, target, mean)
 
     tail = np.max(np.abs(a[-2:]))
     if tail > 1e-12:
@@ -155,7 +155,7 @@ def solve_wave_collocation(model: ModelSpec, target_amplitude: float,
                          coefficients=a.tolist(), constant=float(eq.sign * r))
 
 
-def _newton_solve(eq, sym, cosj, x, a, c, r, target, mean):
+def _newton_solve(eq, sym, cosj, a, c, r, target, mean):
     M = a.size - 1
     for _ in range(MAX_NEWTON_STEPS):
         u = cosj.T @ a
@@ -167,11 +167,7 @@ def _newton_solve(eq, sym, cosj, x, a, c, r, target, mean):
             return a, c, r
 
         # conv[m, j] = m-th cosine coefficient of N'(U(x)) cos(j x)
-        prods = eq.dN(u)[None, :] * cosj       # (M+1 columns j, ngrid)
-        spec = np.fft.rfft(prods, axis=1)
-        conv = np.empty((M + 1, M + 1))
-        conv[0, :] = spec[:, 0].real / x.size
-        conv[1:, :] = 2.0 * spec[:, 1:M + 1].real.T / x.size
+        conv = _cosine_coeffs(eq.dN(u)[None, :] * cosj, M).T
 
         n = M + 3
         J = np.zeros((n, n))

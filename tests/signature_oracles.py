@@ -61,7 +61,8 @@ def canonical_products(model, event):
             sym_product(model, event, 1), sym_product(model, event, 2)]
 
 
-def bw_signature(model, idx, V):
-    """2*w*(w - kV): v†S v on the unnormalised eigenvector (ik, -i*w)."""
-    w = eval_omega(model, idx.l, idx.k)
-    return 2.0 * w * (w - idx.k * V)
+def bw_signature(model, l, k, V):
+    """2*w*(w - kV): v†S v on the unnormalised eigenvector (ik, -i*w) of
+    the branch-l mode at wavenumber k."""
+    w = eval_omega(model, l, k)
+    return 2.0 * w * (w - k * V)

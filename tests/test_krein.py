@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from hfstab.collisions import find_collisions
-from hfstab.krein import (OVERALL_EXCLUDED, OVERALL_POSSIBLE, eigenmode,
-                          run_pipeline, screen, signature, signature_product)
-from hfstab.models import (Linearization, ModeIndex,
-                           ModelNotDispersiveError, bifurcation_speed,
+from hfstab.krein import (OVERALL_EXCLUDED, OVERALL_POSSIBLE,
+                          EigenvectorNotFoundError, eigenmode, run_pipeline,
+                          screen, signature, signature_product)
+from hfstab.models import (Linearization, ModelNotDispersiveError,
+                           bifurcation_speed,
                            eval_Omega, eval_omega, make_model,
                            model_from_config)
 from hfstab.collisions import VERDICT_NONE, VERDICT_POTENTIAL
@@ -34,15 +35,16 @@ class TestEigenvectors:
         c = bifurcation_speed(model, 1, 1)
         op = Linearization(model, c)
         for n, mu, l in [(2, 0.3, 1), (-1, 0.1, 2), (0, 0.5, 1)]:
-            em = eigenmode(model, ModeIndex(n, mu, l), c)
-            k, w = em.mode.k, em.components
+            k = n + mu
+            w = eigenmode(model, l, k, c)
             assert w.dtype == float
             rho = -eval_Omega(model, l, k, c)
             R = op.real_matrix(np.array([k]))
             assert np.linalg.norm(R @ w - rho * w) < 1e-10
             v = P_CANONICAL @ w
             block = J_CANONICAL @ canonical_hessian(model, c, k)
-            assert np.linalg.norm(block @ v - em.lam * v) < 1e-10
+            lam = -1j * eval_Omega(model, l, k, c)
+            assert np.linalg.norm(block @ v - lam * v) < 1e-10
 
     def test_bw_eigenvector_solves_block(self):
         # P = 1 for Boussinesq-Whitham: w itself is the eigenvector of J·S
@@ -51,15 +53,26 @@ class TestEigenvectors:
         op = Linearization(model, c)
         c2 = model.kernel_symbol
         for n, mu, l in [(2, 0.25, 1), (-1, 0.4, 2)]:
-            em = eigenmode(model, ModeIndex(n, mu, l), c)
-            k, w = em.mode.k, em.components
+            k = n + mu
+            w = eigenmode(model, l, k, c)
             assert w.dtype == float
             rho = -eval_Omega(model, l, k, c)
             R = op.real_matrix(np.array([k]))
             assert np.linalg.norm(R @ w - rho * w) < 1e-10
             block = np.array([[1j * k * c, 1j * k],
                               [1j * k * c2(k), 1j * k * c]])
-            assert np.linalg.norm(block @ w - em.lam * w) < 1e-10
+            lam = -1j * eval_Omega(model, l, k, c)
+            assert np.linalg.norm(block @ w - lam * w) < 1e-10
+
+    def test_degenerate_block_names_the_mode(self):
+        # at k = 0 the BW block is zero, so every vector is a null vector
+        # and none is the mode's: the error names the branch and wavenumber
+        model = make_model("boussinesq-whitham")
+        c = bifurcation_speed(model, 1, 1)
+        with pytest.raises(EigenvectorNotFoundError,
+                           match=r"^no eigenvector within tolerance on "
+                                 r"branch l=1 at k=0\.0 "):
+            eigenmode(model, 1, 0.0, c)
 
 
 class TestScalarSignatures:
@@ -67,15 +80,14 @@ class TestScalarSignatures:
         model = make_model("fifth-order-scalar")
         c = bifurcation_speed(model, 1, 1)
         for n, mu in [(1, 0.3), (-2, 0.25), (2, -0.4)]:
-            idx = ModeIndex(n, mu)
-            k = idx.k
+            k = n + mu
             expected = -eval_Omega(model, 1, k, c) / k
-            assert signature(model, eigenmode(model, idx, c), c) == expected
+            assert signature(model, 1, k, c) == expected
 
     def test_zero_wavenumber_has_no_signature(self):
         model = make_model("kdv")
         with pytest.raises(ZeroDivisionError):
-            signature(model, eigenmode(model, ModeIndex(0, 0.0), -1.0), -1.0)
+            signature(model, 1, 0.0, -1.0)
 
     def test_opposite_iff_wavenumbers_straddle_zero(self):
         model, c, events = non_origin_events("fifth-order-scalar", 3)
@@ -117,8 +129,8 @@ class TestCanonicalSignatures:
         # only the sign is contractual, so compare signs against sym2
         model, c, events = non_origin_events("sine-gordon", 4)
         for e in events:
-            s1 = signature(model, eigenmode(model, e.idx1, c), c)
-            s2 = signature(model, eigenmode(model, e.idx2, c), c)
+            s1 = signature(model, e.l1, e.n1 + e.mu, c)
+            s2 = signature(model, e.l2, e.n2 + e.mu, c)
             assert (s1 * s2 < 0) == (sym_product(model, e, 2) < 0)
 
     def test_synthetic_same_signature_canonical_event(self):
@@ -140,11 +152,11 @@ class TestBWSignatures:
         model = make_model("boussinesq-whitham")
         c = bifurcation_speed(model, 1, 1)
         for n, mu, l in [(2, 0.3, 1), (-3, 0.45, 2), (7, -0.2, 1)]:
-            idx = ModeIndex(n, mu, l)
-            w = eval_omega(model, l, idx.k)
-            s = signature(model, eigenmode(model, idx, c), c)
-            assert s == pytest.approx(bw_signature(model, idx, c)
-                                      / (idx.k ** 2 + w ** 2))
+            k = n + mu
+            w = eval_omega(model, l, k)
+            s = signature(model, l, k, c)
+            assert s == pytest.approx(bw_signature(model, l, k, c)
+                                      / (k ** 2 + w ** 2))
 
     def test_all_non_origin_opposite(self):
         model, c, events = non_origin_events("boussinesq-whitham", 8)

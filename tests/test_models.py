@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from hfstab import dsl, models
-from hfstab.models import (BUILTIN_MODELS, ModeIndex, ModelError,
+from hfstab import dsl, hill, models
+from hfstab.models import (BUILTIN_MODELS, ModelError,
                            ModelNotDispersiveError, UnknownModelError,
                            bifurcation_speed, eval_Omega, eval_omega,
                            make_model, model_from_config,
-                           spectrum_slice, validate_dispersive)
+                           validate_dispersive)
 
 
 class TestCatalog:
@@ -63,19 +63,16 @@ class TestDispersion:
             math.sqrt(math.tanh(1.0)))
 
     def test_zero_amp_eigenvalue_is_imaginary(self):
+        # the zero wave's Hill spectrum at mu = 0.25 holds the mode n = 2
+        # as lambda = -i*Omega(2.25), on the imaginary axis
         model = make_model("kdv")
         c = bifurcation_speed(model, 1, 1)
-        lam = dict(spectrum_slice(model, c, 0.25, [2]))[ModeIndex(2, 0.25)]
+        vals = hill.full_spectrum(model, hill.zero_wave(model, c),
+                                  [0.25], 4).values[0]
+        Omega = eval_Omega(model, 1, 2.25, c)
+        lam = vals[np.argmin(np.abs(vals + 1j * Omega))]
         assert lam.real == 0.0
-        assert lam.imag == pytest.approx(-eval_Omega(model, 1, 2.25, c))
-
-    def test_spectrum_slice_sorted(self):
-        model = make_model("water-waves")
-        c = bifurcation_speed(model, 1, 1)
-        pairs = spectrum_slice(model, c, 0.25, range(-3, 4))
-        ims = [lam.imag for _, lam in pairs]
-        assert ims == sorted(ims)
-        assert len(pairs) == 14
+        assert lam.imag == pytest.approx(-Omega)
 
     def test_declared_odd_but_even_raises(self):
         # a scalar model's one branch must mirror onto itself: be odd; the
@@ -83,15 +80,6 @@ class TestDispersion:
         with pytest.raises(ModelNotDispersiveError,
                            match=r"no branch mirrors branch 1 .* = 1250 at k = 25"):
             model_from_config({"kind": "scalar", "omega1": "k^2"})
-
-
-class TestModeIndex:
-    def test_mu_range_enforced(self):
-        ModeIndex(0, 0.5)
-        with pytest.raises(ValueError):
-            ModeIndex(0, -0.5)
-        with pytest.raises(ValueError):
-            ModeIndex(0, 0.7)
 
 
 class TestCustomModels:
