@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, help="continuation increments")
     p.add_argument("--mean", type=float, help="pinned mean value")
     p.add_argument("--force", action="store_true",
-                   help="allow ill-posed negative-mean continuation")
+                   help="continue from an ill-posed BW mean")
 
     p = sub.add_parser("spectrum", help="Hill spectrum and bubble report")
     _common_flags(p)

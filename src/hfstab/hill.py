@@ -180,7 +180,8 @@ def build_mu_grid(spec: MuGridSpec) -> np.ndarray:
         local = np.linspace(center - WINDOW_WIDTH, center + WINDOW_WIDTH,
                             n_local)
         parts.append(local[(local > -0.5) & (local < 0.5)])
-    grid = np.unique(np.concatenate(parts))
+    grid = np.sort(np.concatenate(parts))   # np.unique, without numpy.ma
+    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
     half = grid[grid >= 0.0] + 0.0   # + 0.0 turns -0 into +0
     return np.concatenate([-half[half > 0.0][::-1], half])
 

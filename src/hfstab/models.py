@@ -28,10 +28,12 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from numpy.typing import ArrayLike
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 __all__ = [
     "ModelError", "ModelNotDispersiveError", "UnknownModelError",
@@ -73,7 +75,7 @@ class TruncationWarning(UserWarning):
 # --------------------------------------------------------------------------
 # Domain types
 
-Symbol = Callable[[ArrayLike], ArrayLike]
+Symbol = Callable[["ArrayLike"], "ArrayLike"]
 
 
 def _symbol(f: Callable[[np.ndarray], np.ndarray]) -> Symbol:

@@ -13,18 +13,17 @@ point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .models import (ModelSpec, TravelingWave, NONCANONICAL_BW, ModelError,
-                     NumericalError, bifurcation_speed, make_model,
-                     traveling_equation, _cosine_coeffs)
+                     NumericalError, bifurcation_speed, traveling_equation,
+                     _cosine_coeffs)
 
 __all__ = [
     "ResonanceError", "WaveConvergenceError", "ModesInsufficientError",
-    "FlatStateReport", "stokes_wave", "solve_wave_collocation",
-    "wave_residual", "bw_flat_state_analysis",
+    "stokes_wave", "solve_wave_collocation", "wave_residual",
+    "flat_state_cutoff",
 ]
 
 RESIDUAL_TOL = 1e-11
@@ -108,18 +107,22 @@ def solve_wave_collocation(model: ModelSpec, target_amplitude: float,
     Converged when the max cosine-space residual is <= 1e-11, which keeps
     the pointwise traveling-equation residual comfortably below 1e-10.
     Amplitude 0 gives the zero wave at the bifurcation speed, so a nonzero
-    mean there is a ValueError.
+    mean there is a ValueError.  A Boussinesq-Whitham mean whose flat state
+    has a ``flat_state_cutoff`` is ill-posed and refused unless ``force``.
     """
     if M < 16:
         raise ValueError(f"M must be >= 16, got {M!r}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps!r}")
     eq = traveling_equation(model)
-    if model.kind == NONCANONICAL_BW and mean < 0.0 and not force:
-        raise ModelError(
-            "boussinesq-whitham continuation requires a nonnegative mean "
-            "(negative-average states are ill-posed); pass force=True to "
-            "override")
+    if model.kind == NONCANONICAL_BW and not force:
+        cutoff = flat_state_cutoff(model, mean)
+        if cutoff is not None:
+            sign = "nonnegative" if model.alpha > 0.0 else "nonpositive"
+            raise ModelError(
+                f"boussinesq-whitham mean {mean!r} is ill-posed beyond "
+                f"k = {cutoff:.6g} (alpha = {model.alpha!r}; a {sign} mean "
+                f"is well-posed); pass force=True to override")
     c0 = bifurcation_speed(model, 1, 1)
     if target_amplitude == 0.0:
         if mean != 0.0:
@@ -214,39 +217,31 @@ def wave_residual(model: ModelSpec, wave: TravelingWave) -> float:
 # --------------------------------------------------------------------------
 # Boussinesq-Whitham flat states
 
-@dataclass(frozen=True)
-class FlatStateReport:
-    wellposed: bool
-    cutoff_k: float | None
+def flat_state_cutoff(model: ModelSpec, q: float) -> float | None:
+    """The wavenumber beyond which the flat state Q = q is ill-posed.
 
-
-def bw_flat_state_analysis(a: float, g: float = 1.0,
-                           h: float = 1.0) -> FlatStateReport:
-    """Well-posedness of the linearization about the flat state Q = a.
-
-    The flat-state dispersion is omega^2 = k^2 (2a + c^2(k)) with
-    c^2(k) = g tanh(kh)/k.  For a >= 0 both branches stay real.  For a < 0
-    the symbol 2a + c^2(k) decreases through zero at a finite cutoff_k,
-    beyond which omega is imaginary and the problem is ill-posed.
+    Linearised about Q = q, a Boussinesq-Whitham model has S[0, 0] =
+    2*alpha*q + c^2(k), and omega is imaginary where that is negative: from
+    k = 0 on (0.0), or beyond the first zero, found by bisection.  None
+    (well-posed) when alpha*q >= 0 or when no zero lies below k = 1e12.
     """
-    if not (g > 0 and h > 0):
-        raise ValueError("g and h must be positive")
-    if a >= 0.0:
-        return FlatStateReport(wellposed=True, cutoff_k=None)
-    c2 = make_model("boussinesq-whitham", {"g": g, "h": h}).kernel_symbol
-    symbol = lambda k: 2.0 * a + c2(k)
-
+    if model.kind != NONCANONICAL_BW:
+        raise ModelError(f"a {model.kind} model has no flat-state cutoff")
+    if model.alpha * q >= 0.0:
+        return None
+    shift, c2 = 2.0 * model.alpha * q, model.kernel_symbol
+    symbol = lambda k: shift + c2(k)
     if symbol(0.0) <= 0.0:
-        return FlatStateReport(wellposed=False, cutoff_k=0.0)
+        return 0.0
     lo, hi = 0.0, 1.0
     while symbol(hi) > 0.0:
         lo, hi = hi, 2.0 * hi
-        if hi > 1e12:  # pragma: no cover - symbol decays to 2a < 0
-            raise ValueError("no sign change found for cutoff bisection")
+        if hi > 1e12:
+            return None
     while hi - lo > 1e-13 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if symbol(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    return FlatStateReport(wellposed=False, cutoff_k=0.5 * (lo + hi))
+    return 0.5 * (lo + hi)

@@ -14,7 +14,7 @@ from hfstab.krein import signature, signature_product
 from hfstab.models import (BUILTIN_MODELS, ModelNotDispersiveError,
                            bifurcation_speed, eval_Omega, eval_omega,
                            make_model, model_from_config, validate_dispersive)
-from hfstab.waves import (bw_flat_state_analysis, solve_wave_collocation,
+from hfstab.waves import (flat_state_cutoff, solve_wave_collocation,
                           wave_residual)
 
 from dsl_printer import to_source
@@ -207,16 +207,13 @@ def test_11_fifth_order_bubble_confirms_prediction(capsys):
 
 
 def test_12_bw_flat_state_dichotomy(capsys):
-    pos = bw_flat_state_analysis(0.1)
-    neg = bw_flat_state_analysis(-0.1, g=1.0, h=1.0)
-    ok = pos.wellposed and pos.cutoff_k is None and not neg.wellposed
-    if ok:
-        k = neg.cutoff_k
-        ok = k is not None and abs(2.0 * (-0.1) + math.tanh(k) / k) <= 1e-10
+    model = make_model("boussinesq-whitham")
+    k = flat_state_cutoff(model, -0.1)
+    ok = (flat_state_cutoff(model, 0.1) is None and k is not None
+          and abs(2.0 * (-0.1) + math.tanh(k) / k) <= 1e-10)
     report(capsys, 12, ok,
            "boussinesq-whitham flat states: a=+0.1 well-posed, a=-0.1 "
-           "ill-posed with an accurate cutoff",
-           f"cutoff_k {neg.cutoff_k:.6f}")
+           "ill-posed with an accurate cutoff", f"cutoff_k {k:.6f}")
 
 
 def test_13_utility_layer_randomized(capsys):

@@ -359,6 +359,20 @@ class TestWave:
         assert code == 0
         assert json.loads(out)["coefficients"][0] == pytest.approx(-1e-4)
 
+    @pytest.mark.parametrize("alpha, mean, code", [
+        ("-1", "0.01", 2), ("-1", "-0.01", 0), ("0", "-0.01", 0)])
+    def test_mean_refused_by_the_flat_state_cutoff(self, capsys, alpha,
+                                                   mean, code):
+        # 2*alpha*mean + c^2(k) < 0 beyond k = 50 at alpha = -1, mean = 0.01;
+        # the sign of alpha*mean decides, not the sign of the mean
+        got, _, err = run(capsys, "wave", "--model", "boussinesq-whitham",
+                          "--alpha", alpha, "--amplitude", "0.001",
+                          "--modes", "16", "--mean", mean)
+        assert got == code
+        if code:
+            assert "ill-posed beyond k = 50 " in err
+            assert "nonpositive mean" in err
+
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--model", "kdv", "--amplitude", "1e300"],
         ["wave", "--model", "kdv", "--amplitude", "1e200"]])

@@ -1,7 +1,8 @@
 """The library depends on numpy alone; scipy and the test tools are extras.
-The CLI loads the Hill layer only in the commands that use it, and the
-expression language only for custom models.  Each error's class decides
-its exit code, and every exported name has a user outside the tests."""
+The CLI loads the Hill layer only in the commands that use it, the
+expression language only for custom models, and numpy.ma and numpy.typing
+never.  Each error's class decides its exit code, and every exported name
+has a user outside the tests."""
 
 import ast
 import importlib
@@ -42,10 +43,6 @@ def test_every_exported_name_exists(path):
     assert not missing, f"{path.name} exports missing names {missing}"
 
 
-# exported only for the tests until a flat-state report replaces it
-TEST_ONLY_EXPORTS = {"waves.bw_flat_state_analysis"}
-
-
 def _lines_outside_all(path: Path) -> list[str]:
     """The file's lines, with those of a module-level ``__all__`` blanked."""
     text = path.read_text()
@@ -77,7 +74,7 @@ def test_every_exported_name_has_a_user_outside_the_tests():
             if not any(word.search(line) and not own.match(line)
                        for line in lines):
                 unused.append(f"{path.stem}.{name}")
-    assert sorted(set(unused) - TEST_ONLY_EXPORTS) == []
+    assert unused == []
 
 
 def _fresh_interpreter(code: str) -> str:
@@ -96,6 +93,16 @@ def test_cli_import_leaves_out_the_hill_layer():
     # analyze and curves build no wave: hill and waves load only in the
     # commands that use them, and dsl only for a custom model
     assert _fresh_interpreter("import sys, hfstab.cli; " + LOADED) == "[]\n"
+
+
+def test_no_command_loads_numpy_ma_or_numpy_typing():
+    # numpy.ma (which np.unique loads) costs 16-18 ms and about 1.25 MB per
+    # start; numpy.typing serves annotations only
+    code = ("import sys, hfstab.cli; from hfstab import hill; "
+            "hill.build_mu_grid(hill.MuGridSpec(count=16, windows=(0.2,))); "
+            "print(sorted(m for m in ('numpy.ma', 'numpy.typing') "
+            "if m in sys.modules))")
+    assert _fresh_interpreter(code) == "[]\n"
 
 
 def test_only_a_custom_model_loads_the_dsl(tmp_path):

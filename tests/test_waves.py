@@ -1,4 +1,4 @@
-"""Stokes expansion, Newton collocation, and flat-state analysis."""
+"""Stokes expansion, Newton collocation, and the flat-state cutoff."""
 
 import math
 
@@ -7,9 +7,9 @@ import pytest
 
 from hfstab import waves
 from hfstab.models import (ModelError, bifurcation_speed, make_model,
-                           traveling_equation)
+                           model_from_config, traveling_equation)
 from hfstab.waves import (ModesInsufficientError, ResonanceError,
-                          bw_flat_state_analysis, solve_wave_collocation,
+                          flat_state_cutoff, solve_wave_collocation,
                           stokes_wave, wave_residual)
 
 from elliptic_oracles import kdv_cnoidal
@@ -214,21 +214,46 @@ class TestOneEquation:
 
 
 class TestFlatState:
+    BW = make_model("boussinesq-whitham")
+
     def test_positive_background_wellposed(self):
-        rep = bw_flat_state_analysis(0.1)
-        assert rep.wellposed and rep.cutoff_k is None
+        assert flat_state_cutoff(self.BW, 0.1) is None
 
     def test_zero_background_wellposed(self):
-        assert bw_flat_state_analysis(0.0).wellposed
+        assert flat_state_cutoff(self.BW, 0.0) is None
 
     def test_negative_background_cutoff(self):
-        rep = bw_flat_state_analysis(-0.1, g=1.0, h=1.0)
-        assert not rep.wellposed
-        k = rep.cutoff_k
+        k = flat_state_cutoff(self.BW, -0.1)
         assert k is not None and k > 0
         assert abs(2.0 * (-0.1) + math.tanh(k) / k) < 1e-10
 
     def test_strongly_negative_background(self):
-        rep = bw_flat_state_analysis(-1.0, g=1.0, h=1.0)
-        assert not rep.wellposed
-        assert rep.cutoff_k == 0.0
+        assert flat_state_cutoff(self.BW, -1.0) == 0.0
+
+    def test_cutoff_reads_alpha(self):
+        # S[0, 0] = 2*alpha*q + c^2(k): at alpha = 2, q = -0.1 acts as -0.2
+        bw2 = make_model("boussinesq-whitham", {"alpha": 2.0})
+        k = flat_state_cutoff(bw2, -0.1)
+        assert k == pytest.approx(2.4641, abs=1e-4)
+        assert abs(4.0 * (-0.1) + math.tanh(k) / k) < 1e-10
+        # a negative alpha makes the positive mean the ill-posed one
+        flipped = make_model("boussinesq-whitham", {"alpha": -1.0})
+        assert flat_state_cutoff(flipped, -0.1) is None
+        assert flat_state_cutoff(flipped, 0.1) == flat_state_cutoff(
+            self.BW, -0.1)
+        assert flat_state_cutoff(
+            make_model("boussinesq-whitham", {"alpha": 0.0}), -0.1) is None
+
+    def test_expression_twin_has_the_same_cutoff(self):
+        twin = model_from_config({
+            "kind": "noncanonical-bw",
+            "omega1": "sign(k)*sqrt(g*k*tanh(k*h))",
+            "c_squared": "g*tanh(k*h)/k", "params": {"g": 1.0, "h": 1.0},
+            "at_zero": 1.0})
+        assert (flat_state_cutoff(twin, -0.1).hex()
+                == flat_state_cutoff(self.BW, -0.1).hex())
+
+    def test_other_kinds_refused(self):
+        for name in ("kdv", "water-waves"):
+            with pytest.raises(ModelError, match="no flat-state cutoff"):
+                flat_state_cutoff(make_model(name), -0.1)
