@@ -90,12 +90,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write(parts: Iterable[str], path: str | None, suffix: str = "") -> None:
     """Write the strings ``parts`` to ``path + suffix``, or to stdout if path
-    is None, one at a time."""
+    is None, one at a time.  A path that cannot be opened is a ConfigError."""
     if path is None:
         sys.stdout.writelines(parts)
-    else:
-        with open(path + suffix, "w") as fh:
-            fh.writelines(parts)
+        return
+    try:
+        fh = open(path + suffix, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}") from exc
+    with fh:
+        fh.writelines(parts)
 
 
 def _load(args) -> tuple[RunConfig, object]:

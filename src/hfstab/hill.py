@@ -1,16 +1,16 @@
 """Fourier-Floquet-Hill spectra of the linearization about a traveling wave.
 
 The linearized problem is u_t = L u with L = J·(S + W): the Poisson symbol
-J and Hessian symbol S of ``models.Linearization``, plus the Toeplitz
-multiplication matrix W of the wave.  For each Floquet exponent mu in
-(-1/2, 1/2] the bi-infinite Fourier matrix of L on the modes n + mu is
-truncated to |n| <= M and solved densely.  At zero amplitude the matrix is
-diagonal (scalar) or 2x2-block (two-component), so the spectrum reproduces
-the closed-form eigenvalues -i*Omega_l(n+mu) exactly.  W does not depend
-on mu, so a spectrum builds it once per wave.
+J and Hessian symbol S of ``models.hessian``, plus the Toeplitz
+multiplication matrix W of the wave (``models.wave_part``).  For each
+Floquet exponent mu in (-1/2, 1/2] the bi-infinite Fourier matrix of L on
+the modes n + mu is truncated to |n| <= M and solved densely.  At zero
+amplitude the matrix is diagonal (scalar) or 2x2-block (two-component), so
+the spectrum reproduces the closed-form eigenvalues -i*Omega_l(n+mu)
+exactly.  W does not depend on mu, so a spectrum builds it once per wave.
 
 Hill matrices are built and solved in real arithmetic: L = i·P R P^-1 with
-R real (``Linearization.real_matrix``), so lambda = i*rho for the
+R real (``models.real_matrix``), so lambda = i*rho for the
 eigenvalues rho of R, and axis eigenvalues have Re exactly 0.  The solves are
 too small to gain from BLAS threads, so ``import hfstab`` asks for one.
 Slices are built and solved in stacks, one ``np.linalg.eigvals`` call and one
@@ -51,8 +51,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import (ModelSpec, TravelingWave, Linearization, NumericalError,
-                     eval_Omega)
+from .models import (ModelSpec, TravelingWave, NumericalError, eval_Omega,
+                     real_matrix, wave_part)
 from .collisions import CollisionEvent
 
 __all__ = [
@@ -198,13 +198,13 @@ def _wavenumbers(mu, M: int) -> np.ndarray:
 def assemble(model: ModelSpec, wave: TravelingWave, mu: float,
              M: int) -> np.ndarray:
     """Real Hill matrix R for one Floquet exponent: the truncated Fourier
-    matrix of L = J·(S + W) is L = i·P R P^-1 (``Linearization.real_matrix``).
+    matrix of L = J·(S + W) is L = i·P R P^-1 (``models.real_matrix``).
 
     Scalar models give a (2M+1)-dimensional matrix; two-component models
     give 2(2M+1), ordered as the two component blocks.
     """
-    op = Linearization(model, wave.c)
-    return op.real_matrix(_wavenumbers(mu, M), op.wave_part(wave, M))
+    return real_matrix(model, _wavenumbers(mu, M), wave.c,
+                       wave_part(model, wave, M))
 
 
 def _sorted(vals: np.ndarray) -> np.ndarray:
@@ -213,8 +213,8 @@ def _sorted(vals: np.ndarray) -> np.ndarray:
     return np.take_along_axis(vals, order, axis=-1)
 
 
-def _solve(op: Linearization, W: np.ndarray | None, mus: np.ndarray,
-           M: int, out: np.ndarray) -> None:
+def _solve(model: ModelSpec, c: float, W: np.ndarray | None,
+           mus: np.ndarray, M: int, out: np.ndarray) -> None:
     """Fill row i of ``out`` with the eigenvalues i*rho of the real form R
     at mus[i], sorted by (Im, Re).
 
@@ -237,7 +237,7 @@ def _solve(op: Linearization, W: np.ndarray | None, mus: np.ndarray,
             block = mus[lo:lo + step]
             try:
                 rho = np.linalg.eigvals(
-                    op.real_matrix(_wavenumbers(block, M), W))
+                    real_matrix(model, _wavenumbers(block, M), c, W))
             except Exception as exc:   # raised by the caller below
                 failures[lo] = exc
                 return
@@ -273,16 +273,16 @@ def full_spectrum(model: ModelSpec, wave: TravelingWave,
     (see the module docstring); every ``ModelSpec`` was checked for that
     reflection when it was built.
     """
-    op = Linearization(model, wave.c)
-    W = op.wave_part(wave, M)
+    W = wave_part(model, wave, M)
     if isinstance(grid, MuGridSpec):
         mus = build_mu_grid(grid)
         n_neg = np.count_nonzero(mus < 0.0)
     else:
         mus = np.array(sorted(float(m) for m in grid))
         n_neg = 0
-    values = np.empty((mus.size, op.size * (2 * M + 1)), dtype=complex)
-    _solve(op, W, mus[n_neg:], M, values[n_neg:])
+    values = np.empty((mus.size, len(model.branches) * (2 * M + 1)),
+                      dtype=complex)
+    _solve(model, wave.c, W, mus[n_neg:], M, values[n_neg:])
     # + 0.0 turns -0 into +0
     values[:n_neg] = _sorted(-values[::-1][:n_neg] + 0.0)
     return SpectrumSet(mus, values)

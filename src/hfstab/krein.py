@@ -1,6 +1,6 @@
 """Krein signatures of colliding eigenvalues, and the analysis pipeline.
 
-The linearized problem is u_t = L u with L = J·S (``models.Linearization``).
+The linearized problem is u_t = L u with L = J·S (``models.real_matrix``).
 At zero amplitude each Fourier mode k carries the real d x d block R(k);
 its eigenvector w for rho = -Omega_l(k) gives the mode's Krein signature,
 the sign of wᵀS_R(k)w (J(k)S(k) has the eigenvector P·w for lambda = i*rho).
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (ModelSpec, Linearization, NumericalError, eval_Omega,
-                     bifurcation_speed)
+from .models import (ModelSpec, SCALAR, NumericalError, bifurcation_speed,
+                     eval_Omega, hessian, real_matrix)
 from .collisions import CollisionEvent, find_collisions, VERDICT_POTENTIAL
 
 __all__ = [
@@ -75,11 +75,10 @@ class AnalysisReport:
 def eigenmode(model: ModelSpec, l: int, k: float, c: float) -> np.ndarray:
     """Real unit eigenvector w of the block R(k) of the branch-l mode at
     wavenumber k, for rho = -Omega_l(k)."""
-    op = Linearization(model, c)
-    if op.size == 1:
+    if model.kind == SCALAR:
         return np.ones(1)
     Omega = eval_Omega(model, l, k, c)
-    T = op.real_matrix(np.array([k])) + Omega * np.eye(2)
+    T = real_matrix(model, np.array([k]), c) + Omega * np.eye(2)
     # null space of a singular 2x2: read it off whichever row is larger
     w0 = np.array([T[0, 1], -T[0, 0]])
     w1 = np.array([T[1, 1], -T[1, 0]])
@@ -102,7 +101,7 @@ def signature(model: ModelSpec, l: int, k: float, c: float) -> float:
     wavenumber k; its sign is the Krein signature.  Raises ZeroDivisionError
     for a scalar mode at k = 0."""
     w = eigenmode(model, l, k, c)
-    return float(w @ Linearization(model, c).hessian(k) @ w)
+    return float(w @ hessian(model, k, c) @ w)
 
 
 def signature_product(model: ModelSpec, event: CollisionEvent, c: float) -> float:

@@ -2,10 +2,11 @@
 
 A model is a Hamiltonian PDE reduced to the data needed by the instability
 analysis: its Poisson-structure kind, dispersion branches, and the symbol
-functions of the quadratic Hamiltonian.  ``Linearization`` turns these into
-one real form of L = J·S: the real symmetric Hessian S_R and a scalar
-Poisson factor j(k) per model kind, from which both the Krein signatures
-(wᵀS_R w) and the real Hill matrices R, with L = i·P R P^-1, are computed.
+functions of the quadratic Hamiltonian.  ``hessian`` and ``real_matrix``
+turn these into one real form of L = J·S: the real symmetric Hessian S_R
+and a scalar Poisson factor j(k) per model kind, from which both the Krein
+signatures (wᵀS_R w) and the real Hill matrices R, with L = i·P R P^-1, are
+computed; ``wave_part`` adds a wave's term.
 The nonlinearity is stated once, in ``traveling_equation``: ``waves``
 solves that equation, and a wave's Hill-matrix term is its N'(U).
 
@@ -41,8 +42,8 @@ __all__ = [
     "DispersionBranch", "ModelSpec", "TravelingWave",
     "BUILTIN_MODELS", "make_model", "model_from_config",
     "eval_omega", "eval_Omega", "bifurcation_speed",
-    "validate_dispersive", "traveling_equation", "Linearization",
-    "TruncationWarning",
+    "validate_dispersive", "traveling_equation", "hessian", "wave_part",
+    "real_matrix", "TruncationWarning",
 ]
 
 SCALAR = "scalar"
@@ -326,15 +327,67 @@ def traveling_equation(model: ModelSpec) -> _Equation:
 # --------------------------------------------------------------------------
 # The linearised operator L = J·S
 
-@dataclass(frozen=True)
-class Linearization:
-    """The problem linearised about a wave of speed c: u_t = L u, L = J·S.
+def hessian(model: ModelSpec, k: ArrayLike, c: float) -> np.ndarray:
+    """The real symmetric Hessian S_R(k) of the frame moving at speed c, with
+    shape (..., d, d) for wavenumbers k of shape (...) and d components (see
+    ``real_matrix``).  A scalar model's S_R = -Omega/k has no value at
+    k = 0 (ZeroDivisionError)."""
+    k = np.asarray(k, dtype=float)
+    if model.kind == SCALAR:
+        if (k == 0.0).any():
+            raise ZeroDivisionError("S(k) = -Omega(k)/k at k = 0")
+        return (-eval_Omega(model, 1, k, c) / k)[..., None, None]
+    S = np.empty(k.shape + (2, 2))
+    if model.kind == CANONICAL:
+        S[..., 0, 0], S[..., 1, 1] = model.c_symbol(k), model.b_symbol(k)
+        S[..., 0, 1] = S[..., 1, 0] = c * k
+    else:
+        S[..., 0, 0], S[..., 1, 1] = model.kernel_symbol(k), 1.0
+        S[..., 0, 1] = S[..., 1, 0] = c
+    return S
+
+
+def wave_part(model: ModelSpec, wave: TravelingWave,
+              M: int) -> np.ndarray | None:
+    """Fourier matrix of the wave's term in S[0, 0] on the modes |n| <= M.
+
+    The term is multiplication by f = -sign * N'(U), from the model's
+    traveling equation; its matrix W[n, m] = f_hat(n - m) does not
+    depend on the Floquet exponent.  None for the zero wave.
+    """
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    a = np.asarray(wave.coefficients, dtype=float)
+    tail = a[2 * M + 1:]
+    if tail.size and np.max(np.abs(tail)) > 1e-12:
+        warnings.warn(
+            f"wave coefficients do not decay below 1e-12 within the "
+            f"truncation (M={M}); spectra may be under-resolved",
+            TruncationWarning, stacklevel=3)
+    if wave.is_zero:
+        return None
+    eq = traveling_equation(model)
+    if eq.q is not None:   # N'(U) = 2q U
+        dN = 2.0 * eq.q * _exp_coeffs(a, 2 * M)
+    else:   # N'(U) sampled on a grid that resolves shifts up to 2M
+        ngrid = max(8 * M, 4 * (a.size - 1), 64)
+        x = 2.0 * math.pi * np.arange(ngrid) / ngrid
+        dN = _exp_coeffs(_cosine_coeffs(eq.dN(wave.profile(x)), 2 * M),
+                         2 * M)
+    return -eq.sign * _toeplitz(dN, M)
+
+
+def real_matrix(model: ModelSpec, ks: np.ndarray, c: float,
+                W: np.ndarray | None = None) -> np.ndarray:
+    """The problem linearised about a wave of speed c, u_t = L u with
+    L = J·(S + W), in one real form R on the modes ks.
 
     J is the Poisson symbol and S the Hessian symbol of the Hamiltonian in
-    the frame moving at speed c, d x d for a d-component model, held in one
-    real form: S_R = P†SP is real symmetric and J·S = i·P R P^-1 with the
-    real R = j(k)·S_R (rows swapped for d = 2), for the diagonal similarity
-    P = diag(1, i) (canonical) or 1 and a scalar Poisson factor j(k):
+    the frame moving at speed c, d x d for a model with d = len(branches)
+    components.  S_R = P†SP is real symmetric (``hessian``) and
+    J·S = i·P R P^-1 with the real R = j(k)·S_R (rows swapped for d = 2),
+    for the diagonal similarity P = diag(1, i) (canonical) or 1 and a
+    scalar Poisson factor j(k):
 
     ===============  ===================  =====  =====================
     kind             J(k)                 j(k)   S_R(k)
@@ -346,95 +399,36 @@ class Linearization:
 
     R(k) has the eigenvalues rho = -Omega_l(k), and the sign of wᵀS_R(k)w on
     a real eigenvector w is the mode's Krein signature.  A finite-amplitude
-    wave adds a multiplication operator W to S_R[0, 0] (see ``wave_part``).
+    wave adds its multiplication matrix W (``wave_part``) to S_R[0, 0]; L's
+    eigenvalues are then i*rho for R's rho.
+
+    ks has shape (..., N), one row of modes per matrix, and R has shape
+    (..., d·N, d·N), ordered component by component: a stack of mu slices
+    is built at once.
     """
-    model: ModelSpec
-    c: float
-
-    @property
-    def size(self) -> int:
-        """Number of components d."""
-        return 1 if self.model.kind == SCALAR else 2
-
-    def hessian(self, k: ArrayLike) -> np.ndarray:
-        """The real symmetric S_R(k) with shape (..., d, d) for wavenumbers
-        k of shape (...).  A scalar model's S_R = -Omega/k has no value at
-        k = 0 (ZeroDivisionError)."""
-        m, c = self.model, self.c
-        k = np.asarray(k, dtype=float)
-        if m.kind == SCALAR:
-            if (k == 0.0).any():
-                raise ZeroDivisionError("S(k) = -Omega(k)/k at k = 0")
-            return (-eval_Omega(m, 1, k, c) / k)[..., None, None]
-        S = np.empty(k.shape + (2, 2))
-        if m.kind == CANONICAL:
-            S[..., 0, 0], S[..., 1, 1] = m.c_symbol(k), m.b_symbol(k)
-            S[..., 0, 1] = S[..., 1, 0] = c * k
-        else:
-            S[..., 0, 0], S[..., 1, 1] = m.kernel_symbol(k), 1.0
-            S[..., 0, 1] = S[..., 1, 0] = c
-        return S
-
-    def wave_part(self, wave: TravelingWave, M: int) -> np.ndarray | None:
-        """Fourier matrix of the wave's term in S[0, 0] on the modes |n| <= M.
-
-        The term is multiplication by f = -sign * N'(U), from the model's
-        traveling equation; its matrix W[n, m] = f_hat(n - m) does not
-        depend on the Floquet exponent.  None for the zero wave.
-        """
-        if M < 1:
-            raise ValueError("M must be >= 1")
-        a = np.asarray(wave.coefficients, dtype=float)
-        tail = a[2 * M + 1:]
-        if tail.size and np.max(np.abs(tail)) > 1e-12:
-            warnings.warn(
-                f"wave coefficients do not decay below 1e-12 within the "
-                f"truncation (M={M}); spectra may be under-resolved",
-                TruncationWarning, stacklevel=3)
-        if wave.is_zero:
-            return None
-        eq = traveling_equation(self.model)
-        if eq.q is not None:   # N'(U) = 2q U
-            dN = 2.0 * eq.q * _exp_coeffs(a, 2 * M)
-        else:   # N'(U) sampled on a grid that resolves shifts up to 2M
-            ngrid = max(8 * M, 4 * (a.size - 1), 64)
-            x = 2.0 * math.pi * np.arange(ngrid) / ngrid
-            dN = _exp_coeffs(_cosine_coeffs(eq.dN(wave.profile(x)), 2 * M),
-                             2 * M)
-        return -eq.sign * _toeplitz(dN, M)
-
-    def real_matrix(self, ks: np.ndarray,
-                    W: np.ndarray | None = None) -> np.ndarray:
-        """The real R with J·(S + W) = i·P R P^-1 on the modes ks, ordered
-        component by component; L's eigenvalues are i*rho for R's rho.
-
-        ks has shape (..., N), one row of modes per matrix, and R has shape
-        (..., N', N') with N' = d·N: a stack of mu slices is built at once.
-        """
-        m = self.model
-        ks = np.asarray(ks, dtype=float)
-        n = ks.shape[-1]
-        i = np.arange(n)
-        R = np.zeros(ks.shape[:-1] + (self.size * n,) * 2)
-        if m.kind == SCALAR:
-            # k*(-Omega/k) = -Omega: the k cancels exactly, also at k = 0
-            R[..., i, i] = -eval_Omega(m, 1, ks, self.c)
-            if W is not None:
-                R += ks[..., :, None] * W
-            return R
-        S = self.hessian(ks)
-        j = ks if m.kind == NONCANONICAL_BW else np.ones_like(ks)
-        # R = j·swap_rows(S_R + W e00), j applied to the diagonals and the
-        # dense block only: off-diagonal zeros stay +0, as eigvals needs
-        lower = R[..., n:, :n]
-        lower[..., i, i] = S[..., 0, 0]
+    ks = np.asarray(ks, dtype=float)
+    n = ks.shape[-1]
+    i = np.arange(n)
+    R = np.zeros(ks.shape[:-1] + (len(model.branches) * n,) * 2)
+    if model.kind == SCALAR:
+        # k*(-Omega/k) = -Omega: the k cancels exactly, also at k = 0
+        R[..., i, i] = -eval_Omega(model, 1, ks, c)
         if W is not None:
-            lower += W
-        lower *= j[..., :, None]
-        R[..., i, i] = j * S[..., 1, 0]
-        R[..., i, n + i] = j * S[..., 1, 1]
-        R[..., n + i, n + i] = j * S[..., 0, 1]
+            R += ks[..., :, None] * W
         return R
+    S = hessian(model, ks, c)
+    j = ks if model.kind == NONCANONICAL_BW else np.ones_like(ks)
+    # R = j·swap_rows(S_R + W e00), j applied to the diagonals and the
+    # dense block only: off-diagonal zeros stay +0, as eigvals needs
+    lower = R[..., n:, :n]
+    lower[..., i, i] = S[..., 0, 0]
+    if W is not None:
+        lower += W
+    lower *= j[..., :, None]
+    R[..., i, i] = j * S[..., 1, 0]
+    R[..., i, n + i] = j * S[..., 1, 1]
+    R[..., n + i, n + i] = j * S[..., 0, 1]
+    return R
 
 
 def _cosine_coeffs(values: np.ndarray, M: int) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Every model hfstab builds waves for solves one integrated traveling
 equation, K*U - s(c) U + N(U) = r, stated once by
-``models.traveling_equation``, which ``models.Linearization.wave_part``
-also reads for the wave's term N'(U).  Waves are even, 2*pi-periodic cosine
+``models.traveling_equation``, which ``models.wave_part`` also reads for
+the wave's term N'(U).  Waves are even, 2*pi-periodic cosine
 series.  A Stokes expansion seeds a Newton/cosine-collocation continuation
 in the first cosine coefficient; the speed (and integration constant) are
 solved for while u_1 is pinned, which removes the fold at the bifurcation
@@ -122,7 +122,7 @@ def solve_wave_collocation(model: ModelSpec, target_amplitude: float,
             raise ModelError(
                 f"boussinesq-whitham mean {mean!r} is ill-posed beyond "
                 f"k = {cutoff:.6g} (alpha = {model.alpha!r}; a {sign} mean "
-                f"is well-posed); pass force=True to override")
+                f"is well-posed)")
     c0 = bifurcation_speed(model, 1, 1)
     if target_amplitude == 0.0:
         if mean != 0.0:

@@ -45,6 +45,17 @@ class TestAnalyze:
         assert code == 2
         assert "configuration error" in err
 
+    @pytest.mark.parametrize("target", ["missing/r.json", "."])
+    def test_unwritable_output_is_a_configuration_error(self, capsys,
+                                                        tmp_path, target):
+        # a missing directory and a directory itself: a message, no traceback
+        path = str(tmp_path / target)
+        code, out, err = run(capsys, "analyze", "--model", "kdv",
+                             "--n-max", "3", "--out", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("configuration error: cannot write output file")
+        assert repr(path) in err
+
 
 class TestCollide:
     """The collision screen's events, through analyze."""
@@ -427,6 +438,29 @@ class TestWave:
 
 
 class TestSpectrum:
+    def test_ill_posed_mean_refusal_names_no_option(self, capsys):
+        # spectrum has no --force, so its refusal must not suggest one
+        code, out, err = run(capsys, "spectrum", "--model",
+                             "boussinesq-whitham", "--amplitude", "0.001",
+                             "--mean", "-0.5", "--M", "16")
+        assert (code, out) == (2, "")
+        assert "ill-posed beyond k = 0 " in err
+        assert "force" not in err
+
+    def test_forced_wave_file(self, capsys, tmp_path):
+        # what wave --force is for: a wave about an ill-posed BW mean,
+        # written once and then read by spectrum
+        wave = str(tmp_path / "w.json")
+        code, _, _ = run(capsys, "wave", "--model", "boussinesq-whitham",
+                         "--amplitude", "0.001", "--modes", "16",
+                         "--mean", "-0.0001", "--force", "--out", wave)
+        assert code == 0
+        code, _, err = run(capsys, "spectrum", "--model",
+                           "boussinesq-whitham", "--wave", wave, "--M", "16",
+                           "--mu-count", "8", "--out",
+                           str(tmp_path / "s.csv"))
+        assert (code, err) == (0, "")
+
     def test_zero_amplitude_spectrum(self, capsys, tmp_path):
         out_path = tmp_path / "spec.csv"
         code, _, _ = run(capsys, "spectrum", "--model", "kdv",

@@ -10,10 +10,10 @@ import pytest
 
 from hfstab import hill
 from hfstab.collisions import find_collisions, mirror_events
-from hfstab.models import (BUILTIN_MODELS, Linearization, ModelError,
-                           TravelingWave, TruncationWarning,
-                           bifurcation_speed, eval_Omega, make_model,
-                           model_from_config)
+from hfstab.models import (BUILTIN_MODELS, ModelError, TravelingWave,
+                           TruncationWarning, bifurcation_speed, eval_Omega,
+                           hessian, make_model, model_from_config,
+                           real_matrix, wave_part)
 from hfstab.waves import solve_wave_collocation, stokes_wave
 
 from elliptic_oracles import kdv_cnoidal
@@ -229,7 +229,7 @@ class TestAssembly:
         # of zero included, -sigma*U^p (scalar) and 2*alpha*Q (BW)
         model = make_model(name, params)
         wave = solve_wave_collocation(model, 0.05, M=32, steps=3)
-        got = Linearization(model, wave.c).wave_part(wave, M)
+        got = wave_part(model, wave, M)
         want = wave_oracles.wave_part(model, wave, M)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -382,9 +382,8 @@ class TestStackedSolves:
     def test_stacked_solves_equal_per_slice_solves(self, name, monkeypatch):
         model, wave = derived_slice_case(name)
         M = 16
-        op = Linearization(model, wave.c)
-        W = op.wave_part(wave, M)
-        step = hill._stack_size(op.size * (2 * M + 1))
+        W = wave_part(model, wave, M)
+        step = hill._stack_size(len(model.branches) * (2 * M + 1))
         shapes = []
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals",
@@ -396,7 +395,7 @@ class TestStackedSolves:
         assert sorted(shape[0] for shape in shapes) == [3, step, step]
         assert [mu for mu, _ in s.slices] == sorted(mus)
         for mu, vals in s.slices:
-            R = op.real_matrix(np.arange(-M, M + 1) + mu, W)
+            R = real_matrix(model, np.arange(-M, M + 1) + mu, wave.c, W)
             rho = eigvals(R)
             direct = (-rho.imag + 0.0) + 1j * rho.real
             direct = direct[np.lexsort((direct.real, direct.imag))]
@@ -407,7 +406,7 @@ class TestStackedSolves:
     def test_spectrum_does_not_depend_on_worker_count(self, name,
                                                       monkeypatch):
         model, wave = derived_slice_case(name)
-        step = hill._stack_size(Linearization(model, wave.c).size * 33)
+        step = hill._stack_size(len(model.branches) * 33)
         # the mu >= 0 half is three full stacks and a short one of 2; with
         # more threads than stacks and a short switch interval, a stack
         # solved twice or skipped would change the bytes
@@ -500,6 +499,11 @@ class TestZeroAmplitudeConsistency:
         model = make_model(name)
         c = bifurcation_speed(model, 1, 1)
         assert hill.zero_amplitude_check(model, c, self.MUS, 16) <= 1e-8
+        # one row and column of R per component and mode, d x d blocks of S
+        d = len(model.branches)
+        ks = np.arange(-16, 17) + self.MUS[0]
+        assert real_matrix(model, ks, c).shape == (d * ks.size,) * 2
+        assert hessian(model, self.MUS[0], c).shape == (d, d)
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
     def test_axis_eigenvalues_have_exactly_zero_real_part(self, name):
