@@ -17,7 +17,9 @@ error's class decides its code: ``models.NumericalError`` and numpy's
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from collections.abc import Iterable
 
@@ -88,18 +90,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(parts: Iterable[str], path: str | None, suffix: str = "") -> None:
-    """Write the strings ``parts`` to ``path + suffix``, or to stdout if path
-    is None, one at a time.  A path that cannot be opened is a ConfigError."""
+def _write(outputs: dict[str, Iterable[str]], path: str | None) -> None:
+    """Write a command's outputs ``{suffix: parts}``: the strings ``parts``
+    to ``path + suffix``, one at a time, or all to stdout if path is None.
+
+    Every file is opened before any is written.  A path that cannot be
+    opened is a ConfigError, and the files already opened are removed, so a
+    refused run leaves no partial output."""
     if path is None:
-        sys.stdout.writelines(parts)
+        for parts in outputs.values():
+            sys.stdout.writelines(parts)
         return
-    try:
-        fh = open(path + suffix, "w")
-    except OSError as exc:
-        raise ConfigError(f"cannot write output file: {exc}") from exc
-    with fh:
-        fh.writelines(parts)
+    with contextlib.ExitStack() as stack:
+        files = []
+        for suffix in outputs:
+            try:
+                files.append(stack.enter_context(open(path + suffix, "w")))
+            except OSError as exc:
+                stack.close()
+                for fh in files:
+                    os.remove(fh.name)
+                raise ConfigError(f"cannot write output file: {exc}") from exc
+        for fh, parts in zip(files, outputs.values()):
+            fh.writelines(parts)
 
 
 def _load(args) -> tuple[RunConfig, object]:
@@ -113,7 +126,7 @@ def _load(args) -> tuple[RunConfig, object]:
 def cmd_analyze(args) -> int:
     cfg, model = _load(args)
     report = krein.run_pipeline(model, N=cfg.N, n_max=cfg.n_max)
-    _write([json_dumps(report.to_dict())], cfg.output)
+    _write({"": [json_dumps(report.to_dict())]}, cfg.output)
     return EXIT_OK
 
 
@@ -137,7 +150,7 @@ def cmd_wave(args) -> int:
     wave = _solve_wave(cfg, model, args.force)
     data = wave.to_dict()
     data["residual"] = waves.wave_residual(model, wave)
-    _write([json_dumps(data)], cfg.output)
+    _write({"": [json_dumps(data)]}, cfg.output)
     return EXIT_OK
 
 
@@ -184,13 +197,9 @@ def cmd_spectrum(args) -> int:
         "max_re_lambda": spectrum.max_real_part(),
         "bubbles": [b.to_dict() for b in bubbles],
     }
-    if wave.is_zero:
-        bubble_report["zero_amplitude_deviation"] = hill.zero_amplitude_check(
-            model, wave.c, np.linspace(-0.45, 0.45, 7), min(cfg.M, 32))
-
-    _write(csv_blocks(["mu", "re_lambda", "im_lambda"],
-                      hill.spectrum_to_csv_rows(spectrum)), cfg.output)
-    _write([json_dumps(bubble_report)], cfg.output, ".bubbles.json")
+    _write({"": csv_blocks(["mu", "re_lambda", "im_lambda"],
+                           hill.spectrum_to_csv_rows(spectrum)),
+            ".bubbles.json": [json_dumps(bubble_report)]}, cfg.output)
     return EXIT_OK
 
 
@@ -199,14 +208,13 @@ def cmd_curves(args) -> int:
     c = bifurcation_speed(model, 1, cfg.N)
     k_grid = np.linspace(-0.5, 0.5, 201)
     rows = secant_curve_data(model, c, range(-3, 4), k_grid)
-    texts = {"": csv_lines(["l", "n", "k", "Omega"], rows)}
+    texts = {"": [csv_lines(["l", "n", "k", "Omega"], rows)]}
     if model.name == "water-waves":
         h_grid = np.logspace(np.log10(0.5), 2.0, 25)
         trace = trace_first_collision_vs_depth(
             model.params["g"], h_grid, n_max=max(cfg.n_max, 3))
-        texts[".depth.csv"] = csv_lines(["h", "im_lambda"], trace)
-    for suffix, text in texts.items():
-        _write([text], cfg.output, suffix)
+        texts[".depth.csv"] = [csv_lines(["h", "im_lambda"], trace)]
+    _write(texts, cfg.output)
     return EXIT_OK
 
 

@@ -4,10 +4,14 @@ The linearized problem is u_t = L u with L = J·(S + W): the Poisson symbol
 J and Hessian symbol S of ``models.hessian``, plus the Toeplitz
 multiplication matrix W of the wave (``models.wave_part``).  For each
 Floquet exponent mu in (-1/2, 1/2] the bi-infinite Fourier matrix of L on
-the modes n + mu is truncated to |n| <= M and solved densely.  At zero
-amplitude the matrix is diagonal (scalar) or 2x2-block (two-component), so
-the spectrum reproduces the closed-form eigenvalues -i*Omega_l(n+mu)
-exactly.  W does not depend on mu, so a spectrum builds it once per wave.
+the modes n + mu is truncated to |n| <= M and solved densely.  W does not
+depend on mu, so a spectrum builds it once per wave.
+
+At zero amplitude W is None and the matrix is diagonal (scalar) or
+2x2-block (two-component), with the eigenvalues -i*Omega_l(n+mu) of the
+dispersion relation.  The zero wave's spectrum is that closed form: it takes
+no eigensolve, and every real part is +0.  No canonical model has a
+finite-amplitude wave, so every canonical spectrum is closed form.
 
 Hill matrices are built and solved in real arithmetic: L = i·P R P^-1 with
 R real (``models.real_matrix``), so lambda = i*rho for the
@@ -32,7 +36,7 @@ k -> -k, which ``models.validate_dispersive`` checks when the model is
 built) and every wave is an even cosine series, so the spectrum at -mu is
 the negated spectrum at mu: R(-mu) = -Q R(mu) Q^-1 for the flip Q that
 reverses the modes within each component block (and negates the second
-block of a canonical model).  A grid's mu >= 0 half is solved and each
+block of a canonical model).  A grid's mu >= 0 half is computed and each
 mu < 0 slice is derived from its partner, exact to the eigensolver's own
 backward error.
 
@@ -43,7 +47,6 @@ is linked to the prediction nearest its center.
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 from collections import deque
@@ -58,8 +61,7 @@ from .collisions import CollisionEvent
 __all__ = [
     "EigensolverError", "SpectrumSet", "Bubble", "MuGridSpec",
     "WINDOW_WIDTH", "build_mu_grid", "zero_wave", "assemble",
-    "full_spectrum", "detect_bubbles", "zero_amplitude_check",
-    "spectrum_to_csv_rows",
+    "full_spectrum", "detect_bubbles", "spectrum_to_csv_rows",
 ]
 
 BUBBLE_THRESHOLD = 1e-7
@@ -213,7 +215,7 @@ def _sorted(vals: np.ndarray) -> np.ndarray:
     return np.take_along_axis(vals, order, axis=-1)
 
 
-def _solve(model: ModelSpec, c: float, W: np.ndarray | None,
+def _solve(model: ModelSpec, c: float, W: np.ndarray,
            mus: np.ndarray, M: int, out: np.ndarray) -> None:
     """Fill row i of ``out`` with the eigenvalues i*rho of the real form R
     at mus[i], sorted by (Im, Re).
@@ -267,11 +269,12 @@ def full_spectrum(model: ModelSpec, wave: TravelingWave,
                   grid: MuGridSpec | np.ndarray, M: int) -> SpectrumSet:
     """Point spectra over a mu grid, in increasing mu.
 
-    The slices are solved in stacks (``_solve``).  An explicit array of mu
-    is solved whole.  A ``MuGridSpec`` grid is symmetric, so only its
-    mu >= 0 slices are solved; each mu < 0 slice is its partner's negated
-    (see the module docstring); every ``ModelSpec`` was checked for that
-    reflection when it was built.
+    A finite wave's slices are solved in stacks (``_solve``); the zero
+    wave's are the closed form -i*Omega_l(n + mu), with no eigensolve.  An
+    explicit array of mu is computed whole.  A ``MuGridSpec`` grid is
+    symmetric, so only its mu >= 0 slices are computed; each mu < 0 slice
+    is its partner's negated (see the module docstring); every ``ModelSpec``
+    was checked for that reflection when it was built.
     """
     W = wave_part(model, wave, M)
     if isinstance(grid, MuGridSpec):
@@ -282,8 +285,14 @@ def full_spectrum(model: ModelSpec, wave: TravelingWave,
         n_neg = 0
     values = np.empty((mus.size, len(model.branches) * (2 * M + 1)),
                       dtype=complex)
-    _solve(model, wave.c, W, mus[n_neg:], M, values[n_neg:])
     # + 0.0 turns -0 into +0
+    if W is None:
+        ks = _wavenumbers(mus[n_neg:], M)
+        values[n_neg:] = _sorted(np.concatenate(
+            [-1j * eval_Omega(model, b.index, ks, wave.c)
+             for b in model.branches], axis=-1) + 0.0)
+    else:
+        _solve(model, wave.c, W, mus[n_neg:], M, values[n_neg:])
     values[:n_neg] = _sorted(-values[::-1][:n_neg] + 0.0)
     return SpectrumSet(mus, values)
 
@@ -333,27 +342,3 @@ def detect_bubbles(spectrum: SpectrumSet,
             bubble.event_distance = dist(bubble.nearest_event)
         bubbles.append(bubble)
     return bubbles
-
-
-# --------------------------------------------------------------------------
-# Zero-amplitude consistency
-
-def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    if a.size == 0 or b.size == 0:
-        return math.inf if a.size != b.size else 0.0
-    d = np.abs(a[:, None] - b[None, :])
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
-
-
-def zero_amplitude_check(model: ModelSpec, c: float, mu_samples,
-                         M: int) -> float:
-    """Max Hausdorff distance, over mu samples, between the Hill spectrum of
-    the zero wave and the closed-form eigenvalue set."""
-    ns = np.arange(-M, M + 1)
-    worst = 0.0
-    for mu, computed in full_spectrum(model, zero_wave(model, c),
-                                      mu_samples, M).slices:
-        exact = np.concatenate([-1j * eval_Omega(model, b.index, ns + mu, c)
-                                for b in model.branches])
-        worst = max(worst, _hausdorff(computed, exact))
-    return worst

@@ -17,6 +17,7 @@ from hfstab.models import (BUILTIN_MODELS, ModelError, TravelingWave,
 from hfstab.waves import solve_wave_collocation, stokes_wave
 
 from elliptic_oracles import kdv_cnoidal
+from hill_oracles import hausdorff, zero_amplitude_deviation
 from signature_oracles import J_CANONICAL, canonical_hessian
 import wave_oracles
 
@@ -271,8 +272,7 @@ class TestSpectra:
         for mu in (0.1, 0.37):
             plus = spectrum_at(model, wave, mu, 16)
             minus = spectrum_at(model, wave, -mu, 16)
-            d = np.abs(np.conj(plus)[:, None] - minus[None, :])
-            assert max(d.min(axis=0).max(), d.min(axis=1).max()) < 1e-10
+            assert hausdorff(np.conj(plus), minus) < 1e-10
 
     @pytest.mark.parametrize("name, mu", [("kdv", 0.37),
                                           ("fifth-order-scalar", 0.3675),
@@ -359,7 +359,7 @@ class TestDerivedSlices:
         for mu, vals in negative:
             direct = spectrum_at(model, wave, mu, 16)
             scale = max(1.0, float(np.abs(direct).max()))
-            assert hill._hausdorff(vals, direct) <= 1e-12 * scale
+            assert hausdorff(vals, direct) <= 1e-12 * scale
             assert not np.signbit(vals.real[vals.real == 0.0]).any()
 
 
@@ -377,8 +377,7 @@ class TestStackedSolves:
         assert step * n > hill._GIL_OUTPUTS == 500
 
     @pytest.mark.parametrize("name", ["kdv", "fifth-order-scalar",
-                                      "boussinesq-whitham", "sine-gordon",
-                                      "water-waves"])
+                                      "boussinesq-whitham"])
     def test_stacked_solves_equal_per_slice_solves(self, name, monkeypatch):
         model, wave = derived_slice_case(name)
         M = 16
@@ -492,27 +491,52 @@ class TestStackedSolves:
 
 
 class TestZeroAmplitudeConsistency:
+    """The zero wave's spectrum is the closed form -i*Omega_l(n + mu); the
+    dense solves of ``hill_oracles`` check it."""
     MUS = (-0.4, -0.11, 0.08113883, 0.25, 0.49)
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
     def test_builtin_models_match_closed_form(self, name):
         model = make_model(name)
         c = bifurcation_speed(model, 1, 1)
-        assert hill.zero_amplitude_check(model, c, self.MUS, 16) <= 1e-8
+        assert zero_amplitude_deviation(model, c, self.MUS, 16) <= 1e-8
         # one row and column of R per component and mode, d x d blocks of S
         d = len(model.branches)
         ks = np.arange(-16, 17) + self.MUS[0]
         assert real_matrix(model, ks, c).shape == (d * ks.size,) * 2
         assert hessian(model, self.MUS[0], c).shape == (d, d)
 
-    @pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
-    def test_axis_eigenvalues_have_exactly_zero_real_part(self, name):
+    @pytest.mark.parametrize("name, N", [
+        *(pytest.param(name, 1, id=name) for name in sorted(BUILTIN_MODELS)),
+        pytest.param("kdv", 2, id="kdv-N2")])
+    def test_axis_eigenvalues_have_exactly_zero_real_part(self, name, N,
+                                                          monkeypatch):
         model = make_model(name)
-        c = bifurcation_speed(model, 1, 1)
+        c = bifurcation_speed(model, 1, N)
+        wave = hill.zero_wave(model, c)
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda R: calls.append(R.shape) or eigvals(R))
         for mu in self.MUS:
-            vals = spectrum_at(model, hill.zero_wave(model, c), mu, 16)
+            vals = spectrum_at(model, wave, mu, 16)
             assert np.all(vals.real == 0.0)
             assert not np.any(np.signbit(vals.real))
+        s = hill.full_spectrum(model, wave,
+                               hill.MuGridSpec(count=24, windows=(0.1, 0.37)),
+                               16)
+        assert calls == []
+        # the mu >= 0 rows are the sorted closed form, bit for bit; Omega is
+        # evaluated on the same (slices, modes) array as in full_spectrum
+        n_neg = np.count_nonzero(s.mus < 0.0)
+        ks = np.arange(-16, 17) + s.mus[n_neg:, None]
+        rho = np.sort(np.concatenate([-eval_Omega(model, b.index, ks, c)
+                                      for b in model.branches], axis=-1))
+        assert s.values[n_neg:].real.tobytes() == np.zeros(rho.shape).tobytes()
+        assert s.values[n_neg:].imag.tobytes() == (rho + 0.0).tobytes()
+        # and each mu < 0 row is its partner's exact negation
+        mirror = -s.values[::-1][:n_neg, ::-1] + 0.0
+        assert s.values[:n_neg].tobytes() == mirror.tobytes()
 
     def test_fault_injection_detected(self):
         model = model_from_config(
@@ -521,16 +545,10 @@ class TestZeroAmplitudeConsistency:
         perturbed = model_from_config(
             {"kind": "scalar", "omega1": f"k^3+{delta}*k",
              "params": {"sigma": 1.0}})
-        clean = hill.zero_amplitude_check(model, -1.0, self.MUS, 12)
-        # the same distance, measured against a perturbed closed form
-        wave = hill.zero_wave(model, -1.0)
-        faulty = 0.0
-        for mu in self.MUS:
-            computed = spectrum_at(model, wave, mu, 12)
-            exact = -1j * eval_Omega(perturbed, 1, np.arange(-12, 13) + mu,
-                                     -1.0)
-            d = np.abs(computed[:, None] - exact[None, :])
-            faulty = max(faulty, d.min(axis=1).max(), d.min(axis=0).max())
+        clean = zero_amplitude_deviation(model, -1.0, self.MUS, 12)
+        # the same dense spectra, measured against a perturbed closed form
+        faulty = zero_amplitude_deviation(model, -1.0, self.MUS, 12,
+                                          exact_model=perturbed)
         assert clean <= 1e-12
         assert faulty >= delta / 2.0
 
