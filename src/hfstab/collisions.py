@@ -36,7 +36,7 @@ from .models import (ModelSpec, NumericalError, eval_Omega,
                      bifurcation_speed, make_model)
 
 __all__ = [
-    "CollisionEvent", "NoCollisionFoundError",
+    "CollisionEvent",
     "collision_residual", "find_collisions", "mirror_events",
     "secant_curve_data", "trace_first_collision_vs_depth",
     "VERDICT_NONE", "VERDICT_POTENTIAL", "VERDICT_INDETERMINATE",
@@ -59,10 +59,6 @@ BISECT_TOL = 1e-13      # mu interval width at which bisection stops
 # Grid elements per block of the scan: bounds the size of every array it
 # makes, the blocks of the grid of Omega values included.
 _BLOCK = 8192
-
-
-class NoCollisionFoundError(NumericalError):
-    pass
 
 
 @dataclass
@@ -256,7 +252,7 @@ def trace_first_collision_vs_depth(g: float, h_grid: Sequence[float],
         events = [e for e in find_collisions(model, c, n_max)
                   if not e.at_origin and e.lam.imag > 0]
         if not events:
-            raise NoCollisionFoundError(
+            raise NumericalError(
                 f"no non-origin collision at h = {h:g}; increase n_max")
         rows.append((float(h), min(e.lam.imag for e in events)))
     return rows

@@ -12,14 +12,15 @@ tightest and associating to the right::
     atom   := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
 
 Numbers are ASCII decimal with an optional exponent.  There is no implicit
-multiplication: write ``g*k``, not ``g k``.  ``pi`` is a built-in constant.
+multiplication: write ``g*k``, not ``g k``.  ``pi`` is a built-in constant;
+neither it nor ``k`` can name a parameter.
 Evaluation is real-valued IEEE double arithmetic with numpy, on a float or
 an ndarray of wavenumbers at once; ``sign(0) = 0``.
 
 A ``ParseError`` is a ``models.ModelError`` and an ``EvalError`` a
 ``models.NumericalError``.  ``models.model_from_config``, the package's
 one importer of this module, turns an ``EvalError`` raised while it builds
-a model into a ``models.ModelNotDispersiveError``.
+a model into a ``models.ModelError``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .models import ModelError, NumericalError, Symbol, _symbol
 
 __all__ = [
     "Lit", "Var", "Neg", "Bin", "Call", "Expr",
-    "ParseError", "EvalError", "DomainError", "NonFiniteError",
+    "ParseError", "EvalError",
     "parse", "compile_symbol", "FUNCTION_NAMES",
 ]
 
@@ -104,15 +105,7 @@ class ParseError(ModelError):
 
 
 class EvalError(NumericalError):
-    """Base class for evaluation failures."""
-
-
-class DomainError(EvalError):
-    pass
-
-
-class NonFiniteError(EvalError):
-    pass
+    """An expression that cannot be evaluated at some wavenumber."""
 
 
 # --------------------------------------------------------------------------
@@ -266,13 +259,13 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.truediv, "^": np.power}
 
 
-def _check(bad, env: Mapping, error: type, what: str) -> None:
-    """Raise ``error`` if the mask ``bad`` holds anywhere, naming the first
-    such wavenumber."""
+def _check(bad, env: Mapping, what: str) -> None:
+    """Raise an EvalError if the mask ``bad`` holds anywhere, naming the
+    first such wavenumber."""
     ks = env["k"]
     bad = np.broadcast_to(bad, ks.shape)
     if bad.any():
-        raise error(f"{what} at k={float(ks[bad][0])!r}")
+        raise EvalError(f"{what} at k={float(ks[bad][0])!r}")
 
 
 def _walk(node: Expr, env: Mapping):
@@ -285,21 +278,19 @@ def _walk(node: Expr, env: Mapping):
     if isinstance(node, Call):
         x = _walk(node.arg, env)
         if node.fn == "sqrt":
-            _check(x < 0.0, env, DomainError, "sqrt of a negative value")
+            _check(x < 0.0, env, "sqrt of a negative value")
         r = getattr(np, node.fn)(x)
-        _check(np.isinf(x) & np.isnan(r), env, DomainError,
-               f"{node.fn} domain error")
-        _check(np.isfinite(x) & ~np.isfinite(r), env, NonFiniteError,
-               f"{node.fn} overflowed")
+        _check(np.isinf(x) & np.isnan(r), env, f"{node.fn} domain error")
+        _check(np.isfinite(x) & ~np.isfinite(r), env, f"{node.fn} overflowed")
         return r
     if isinstance(node, Bin):
         a, b = _walk(node.left, env), _walk(node.right, env)
         if node.op == "/":
-            _check(b == 0.0, env, DomainError, "division by zero")
+            _check(b == 0.0, env, "division by zero")
         r = _BINARY[node.op](a, b)
         if node.op == "^":
             _check(np.isfinite(a) & np.isfinite(b) & ~np.isfinite(r), env,
-                   DomainError, "invalid power")
+                   "invalid power")
         return r
     raise TypeError(f"not an expression node: {node!r}")
 
@@ -310,15 +301,22 @@ def compile_symbol(text: str, params: Mapping[str, float] | None = None
     wavenumbers in, the same shape out (a float for a float).
 
     Every name must be ``k``, ``pi`` or a key of ``params``: the first that
-    is not is a ParseError at its offset, so no evaluation meets it.  The
-    symbol walks the tree once, on arrays, and raises DomainError (sqrt of
-    a negative, division by zero, a power that is not a finite real) or
-    NonFiniteError (overflow of a function, or a non-finite result) if any
-    element fails; the message names the first failing wavenumber.
+    is not is a ParseError at its offset, so no evaluation meets it.  A key
+    named ``k`` or ``pi`` would hide the wavenumber or the constant, so it
+    is a ModelError naming the key.  The symbol walks the tree once, on
+    arrays, and raises an EvalError if any element fails: sqrt of a
+    negative, division by zero, a power that is not a finite real, overflow
+    of a function, or a non-finite result.  The message names the first
+    failing wavenumber.
     """
+    frozen = dict(params or {})
+    for name in ("k", "pi"):
+        if name in frozen:
+            raise ModelError(f"parameter {name!r} is reserved: expressions "
+                             f"read k as the wavenumber and pi as the "
+                             f"constant")
     parser = _Parser(text)
     ast = parser.parse()
-    frozen = dict(params or {})
     for name, offset in parser.names:
         if name not in frozen and name not in ("k", "pi"):
             raise ParseError(offset, f"k, pi or a parameter, not {name!r}",
@@ -329,8 +327,7 @@ def compile_symbol(text: str, params: Mapping[str, float] | None = None
         env = {**bindings, "k": ks}
         with np.errstate(all="ignore"):
             out = np.asarray(_walk(ast, env), dtype=float)
-            _check(~np.isfinite(out), env, NonFiniteError,
-                   "expression is not finite")
+            _check(~np.isfinite(out), env, "expression is not finite")
         if out.shape != ks.shape or out is ks:  # a constant, or k itself
             out = np.full(ks.shape, out)
         return out

@@ -42,7 +42,7 @@ backward error.
 
 Bubbles (connected arcs of eigenvalues off the imaginary axis) are
 detected by thresholding Re(lambda) and clustering in Im(lambda), and each
-is linked to the prediction nearest its center.
+is linked to the nearest prediction that can open one.
 """
 
 from __future__ import annotations
@@ -56,10 +56,10 @@ import numpy as np
 
 from .models import (ModelSpec, TravelingWave, NumericalError, eval_Omega,
                      real_matrix, wave_part)
-from .collisions import CollisionEvent
+from .collisions import CollisionEvent, VERDICT_NONE
 
 __all__ = [
-    "EigensolverError", "SpectrumSet", "Bubble", "MuGridSpec",
+    "SpectrumSet", "Bubble", "MuGridSpec",
     "WINDOW_WIDTH", "build_mu_grid", "zero_wave", "assemble",
     "full_spectrum", "detect_bubbles", "spectrum_to_csv_rows",
 ]
@@ -97,10 +97,6 @@ def _worker_count() -> int:
 
 
 _WORKERS = _worker_count()
-
-
-class EigensolverError(NumericalError):
-    pass
 
 
 def zero_wave(model: ModelSpec, c: float) -> TravelingWave:
@@ -261,8 +257,8 @@ def _solve(model: ModelSpec, c: float, W: np.ndarray,
         if not isinstance(failures[lo], np.linalg.LinAlgError):
             raise failures[lo]
         block = mus[lo:lo + step]
-        raise EigensolverError(f"eigensolver failed for mu in "
-                               f"[{block[0]!r}, {block[-1]!r}]") from failures[lo]
+        raise NumericalError(f"eigensolver failed for mu in "
+                             f"[{block[0]!r}, {block[-1]!r}]") from failures[lo]
 
 
 def full_spectrum(model: ModelSpec, wave: TravelingWave,
@@ -316,7 +312,9 @@ def detect_bubbles(spectrum: SpectrumSet,
     """Cluster eigenvalues with Re(lambda) > BUBBLE_THRESHOLD into bubbles.
 
     Single-linkage clustering with gap 1e-2 in Im(lambda); each bubble is
-    linked to the prediction whose collision ordinate is nearest its center.
+    linked to the prediction whose collision ordinate is nearest its center,
+    among those off the origin whose verdict is not ``VERDICT_NONE``: an
+    equal-signature collision cannot open a bubble.
     """
     rows, cols = np.nonzero(spectrum.values.real > BUBBLE_THRESHOLD)
     if not rows.size:
@@ -326,7 +324,8 @@ def detect_bubbles(spectrum: SpectrumSet,
     mus, lams = mus[order], lams[order]
     breaks = np.flatnonzero(np.diff(lams.imag) > IM_CLUSTER_GAP)
     bounds = [0, *(breaks + 1), lams.size]
-    non_origin = [e for e in predictions or () if not e.at_origin]
+    eligible = [e for e in predictions or ()
+                if not e.at_origin and e.verdict != VERDICT_NONE]
     bubbles = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         chunk_mu, chunk = mus[lo:hi], lams[lo:hi]
@@ -336,9 +335,9 @@ def detect_bubbles(spectrum: SpectrumSet,
             max_growth=float(chunk.real.max()),
             mu_support=(float(chunk_mu.min()), float(chunk_mu.max())),
             im_support=(float(chunk.imag.min()), float(chunk.imag.max())))
-        if non_origin:
+        if eligible:
             dist = lambda e: abs(abs(e.lam.imag) - abs(bubble.center.imag))
-            bubble.nearest_event = min(non_origin, key=dist)
+            bubble.nearest_event = min(eligible, key=dist)
             bubble.event_distance = dist(bubble.nearest_event)
         bubbles.append(bubble)
     return bubbles

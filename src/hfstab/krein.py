@@ -26,7 +26,7 @@ from .models import (ModelSpec, SCALAR, NumericalError, bifurcation_speed,
 from .collisions import CollisionEvent, find_collisions, VERDICT_POTENTIAL
 
 __all__ = [
-    "SignatureError", "EigenvectorNotFoundError", "AnalysisReport",
+    "AnalysisReport",
     "eigenmode", "signature", "signature_product", "screen", "run_pipeline",
     "OVERALL_POSSIBLE", "OVERALL_EXCLUDED",
 ]
@@ -36,14 +36,6 @@ OVERALL_EXCLUDED = "HF-instability-excluded"
 
 # a 2x2 block whose null vector is below this (relative) is degenerate
 EIGENVECTOR_TOL = 1e-10
-
-
-class SignatureError(NumericalError):
-    pass
-
-
-class EigenvectorNotFoundError(SignatureError):
-    pass
 
 
 @dataclass
@@ -85,12 +77,12 @@ def eigenmode(model: ModelSpec, l: int, k: float, c: float) -> np.ndarray:
     w = w0 if np.linalg.norm(w0) >= np.linalg.norm(w1) else w1
     scale = max(np.linalg.norm(T), 1.0)
     if np.linalg.norm(w) <= EIGENVECTOR_TOL * scale:
-        raise EigenvectorNotFoundError(
+        raise NumericalError(
             f"no eigenvector within tolerance on branch l={l} at k={k!r} "
             f"(block is {EIGENVECTOR_TOL:g}-degenerate)")
     w = w / np.linalg.norm(w)
     if np.linalg.norm(T @ w) > EIGENVECTOR_TOL * scale:
-        raise EigenvectorNotFoundError(
+        raise NumericalError(
             f"lambda = {-1j * Omega!r} is not an eigenvalue of the block on "
             f"branch l={l} at k={k!r}")
     return w

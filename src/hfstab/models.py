@@ -19,7 +19,7 @@ model, parameter or wave that cannot be used (exit 2), and a
 ``NumericalError`` is a computation that failed on a usable one (exit 3).
 Custom models are the only ones written in the expression language:
 ``model_from_config`` imports ``dsl`` and turns an expression that fails
-while the model is built into a ``ModelNotDispersiveError``.
+while the model is built into a ``ModelError``.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ if TYPE_CHECKING:
     from numpy.typing import ArrayLike
 
 __all__ = [
-    "ModelError", "ModelNotDispersiveError", "UnknownModelError",
-    "NumericalError",
+    "ModelError", "NumericalError",
     "DispersionBranch", "ModelSpec", "TravelingWave",
     "BUILTIN_MODELS", "make_model", "model_from_config",
     "eval_omega", "eval_Omega", "bifurcation_speed",
@@ -55,14 +54,6 @@ _KINDS = (SCALAR, CANONICAL, NONCANONICAL_BW)
 
 class ModelError(Exception):
     """A model, parameter or wave that cannot be used: exit 2."""
-
-
-class ModelNotDispersiveError(ModelError):
-    pass
-
-
-class UnknownModelError(ModelError):
-    pass
 
 
 class NumericalError(Exception):
@@ -232,7 +223,7 @@ def eval_omega(model: ModelSpec, l: int, k: ArrayLike) -> ArrayLike:
     bad = ~np.isfinite(w)
     if bad.any():
         k_bad = float(np.broadcast_to(k, np.shape(w))[bad][0])
-        raise ModelNotDispersiveError(
+        raise ModelError(
             f"model {model.name!r}: omega_{l}({k_bad!r}) is not finite")
     return w
 
@@ -260,7 +251,7 @@ def validate_dispersive(model: ModelSpec) -> dict[int, int]:
     branch set is closed under the reflection k -> -k, which is what makes
     the spectrum at -mu the negated spectrum at mu.  Odd branches mirror
     onto themselves; a pair +-omega_1 with omega_1 even swaps.  Returns
-    {l: l'}; raises ModelNotDispersiveError when a branch returns a
+    {l: l'}; raises ModelError when a branch returns a
     non-finite value or has no mirror.  A scalar model's one branch must
     therefore be odd, and a Boussinesq-Whitham c^2(k) even.  A branch that
     fails to evaluate raises its own error (see ``model_from_config``).
@@ -276,7 +267,7 @@ def validate_dispersive(model: ModelSpec) -> dict[int, int]:
         v = gaps[pair[l]]
         if (v > _DISPERSIVE_TOL).any():
             i = np.argmax(v)
-            raise ModelNotDispersiveError(
+            raise ModelError(
                 f"model {model.name!r}: no branch mirrors branch {l} "
                 f"under k -> -k: |omega_l'(-k) + omega_{l}(k)| = "
                 f"{v[i]:g} at k = {ks[i]:g}")
@@ -600,7 +591,7 @@ def make_model(name: str, params: Mapping[str, float] | None = None) -> ModelSpe
     try:
         factory = BUILTIN_MODELS[name]
     except KeyError:
-        raise UnknownModelError(
+        raise ModelError(
             f"unknown model {name!r}; known: {sorted(BUILTIN_MODELS)}") from None
     return factory(params)
 
@@ -633,8 +624,8 @@ def model_from_config(spec: Mapping) -> ModelSpec:
     only branches are +-omega1.
 
     Only custom models load ``dsl``.  An expression that fails while the
-    model is built (a ``dsl.EvalError``) is a ModelNotDispersiveError
-    naming the model; one that fails later is a numerical failure.
+    model is built (a ``dsl.EvalError``) is a ModelError naming the model;
+    one that fails later is a numerical failure.
     """
     unknown = set(spec) - _CUSTOM_KEYS
     if unknown:
@@ -653,7 +644,7 @@ def model_from_config(spec: Mapping) -> ModelSpec:
     try:
         return _custom_model(spec, kind, name, dsl.compile_symbol)
     except dsl.EvalError as exc:
-        raise ModelNotDispersiveError(f"model {name!r}: {exc}") from exc
+        raise ModelError(f"model {name!r}: {exc}") from exc
 
 
 def _custom_model(spec: Mapping, kind: str, name: str,

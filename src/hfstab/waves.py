@@ -20,75 +20,44 @@ from .models import (ModelSpec, TravelingWave, NONCANONICAL_BW, ModelError,
                      NumericalError, bifurcation_speed, traveling_equation,
                      _cosine_coeffs)
 
-__all__ = [
-    "ResonanceError", "WaveConvergenceError", "ModesInsufficientError",
-    "stokes_wave", "solve_wave_collocation", "wave_residual",
-    "flat_state_cutoff",
-]
+__all__ = ["solve_wave_collocation", "wave_residual", "flat_state_cutoff"]
 
 RESIDUAL_TOL = 1e-11
 MAX_NEWTON_STEPS = 50
 _RESIDUAL_BLOCK = 256   # grid points per block of wave_residual's cosine basis
 
 
-class ResonanceError(NumericalError):
-    """A Stokes denominator Omega(j) vanished; the expansion is singular."""
+def _stokes_seed(eq, c0: float, epsilon: float) -> tuple[list[float], float]:
+    """The Newton seed: the Stokes expansion of ``eq`` about epsilon*cos(x)
+    at the bifurcation speed c0, as (cosine coefficients, speed).
 
-
-class WaveConvergenceError(NumericalError):
-    pass
-
-
-class ModesInsufficientError(NumericalError):
-    pass
-
-
-def stokes_wave(model: ModelSpec, epsilon: float, order: int) -> TravelingWave:
-    """Stokes expansion about the first cosine harmonic, orders 1..3.
-
-    The order-1 wave is epsilon*cos(x) at the bifurcation speed omega(1).
-    Higher orders fill in the cos(2x) and cos(3x) harmonics and the O(eps^2)
-    speed correction, with the mean gauged to zero.
-
-    Raises ResonanceError when a divisor Omega(j), j = 2..order, vanishes.
+    A quadratic N (``eq.q`` set) gives third order: the cos(2x) and cos(3x)
+    harmonics and the O(eps^2) speed correction, with the mean gauged to
+    zero.  Any other N gives the first-order epsilon*cos(x) at c0.  A
+    vanishing divisor K(j) - s(c0), j = 2, 3, is a resonant bifurcation
+    (NumericalError).
     """
-    if order not in (1, 2, 3):
-        raise ValueError(f"order must be 1, 2, or 3, got {order!r}")
-    eq = traveling_equation(model)
-    c0 = bifurcation_speed(model, 1, 1)
-    coeffs = [0.0, float(epsilon), 0.0, 0.0][:order + 1]
-    c = c0
-    const = 0.0
-    if order >= 2:
-        q = eq.q
-        if q is None:
-            raise ModelError(
-                "Stokes hierarchy implemented for quadratic nonlinearity "
-                f"(power 1), model {model.name!r} has power {model.power}")
-        # (K(j) - s(c0)) a_j + q [harmonic j of U^2] = 0
-        d2 = eq.kernel(2.0) - eq.s(c0)
-        _check_divisor(d2, 2)
-        try:
-            a2 = -q / (2.0 * d2) * epsilon ** 2
-        except OverflowError:
-            raise WaveConvergenceError(f"the Stokes expansion overflows at "
-                                       f"amplitude {epsilon:g}") from None
-        coeffs[2] = a2
-        c = c0 + q * a2 / eq.ds(c0)  # harmonic 1: s'(c0) (c - c0) = q a2
-        if order == 3:
-            d3 = eq.kernel(3.0) - eq.s(c0)
-            _check_divisor(d3, 3)
-            coeffs[3] = -q * a2 * epsilon / d3
-        # integration constant: the mean of the zero-mean-gauge equation
-        sq = sum(v * v for v in coeffs) / 2.0
-        const = eq.sign * q * sq
-    return TravelingWave(model=model.name, c=c, coefficients=coeffs,
-                         constant=const)
+    q = eq.q
+    if q is None:
+        return [0.0, float(epsilon)], c0
+    # (K(j) - s(c0)) a_j + q [harmonic j of U^2] = 0
+    d2 = eq.kernel(2.0) - eq.s(c0)
+    _check_divisor(d2, 2)
+    try:
+        a2 = -q / (2.0 * d2) * epsilon ** 2
+    except OverflowError:
+        raise NumericalError(f"the Stokes expansion overflows at "
+                             f"amplitude {epsilon:g}") from None
+    d3 = eq.kernel(3.0) - eq.s(c0)
+    _check_divisor(d3, 3)
+    a3 = -q * a2 * epsilon / d3
+    # harmonic 1: s'(c0) (c - c0) = q a2
+    return [0.0, float(epsilon), a2, a3], c0 + q * a2 / eq.ds(c0)
 
 
 def _check_divisor(d: float, j: int) -> None:
     if abs(d) < 1e-10:
-        raise ResonanceError(
+        raise NumericalError(
             f"Stokes divisor at harmonic {j} is {d:.3e}; resonant bifurcation")
 
 
@@ -109,6 +78,8 @@ def solve_wave_collocation(model: ModelSpec, target_amplitude: float,
     Amplitude 0 gives the zero wave at the bifurcation speed, so a nonzero
     mean there is a ValueError.  A Boussinesq-Whitham mean whose flat state
     has a ``flat_state_cutoff`` is ill-posed and refused unless ``force``.
+    A resonant bifurcation, where a divisor of the Stokes seed vanishes, is
+    refused as a NumericalError before any Newton step.
     """
     if M < 16:
         raise ValueError(f"M must be >= 16, got {M!r}")
@@ -136,13 +107,10 @@ def solve_wave_collocation(model: ModelSpec, target_amplitude: float,
     x = 2.0 * math.pi * np.arange(ngrid) / ngrid
     cosj = np.cos(np.outer(np.arange(M + 1), x))  # (M+1, ngrid) basis rows
 
-    seed_order = 1 if eq.q is None else 3
-    first = target_amplitude / steps
-    seed = stokes_wave(model, first, seed_order)
+    seed, c = _stokes_seed(eq, c0, target_amplitude / steps)
     a = np.zeros(M + 1)
-    a[:len(seed.coefficients)] = seed.coefficients
+    a[:len(seed)] = seed
     a[0] = mean
-    c = seed.c
     r = 0.0
 
     for i in range(1, steps + 1):
@@ -151,7 +119,7 @@ def solve_wave_collocation(model: ModelSpec, target_amplitude: float,
 
     tail = np.max(np.abs(a[-2:]))
     if tail > 1e-12:
-        raise ModesInsufficientError(
+        raise NumericalError(
             f"coefficients do not decay below 1e-12 within M={M} "
             f"(tail {tail:.3e}); increase M")
     return TravelingWave(model=model.name, c=float(c),
@@ -184,12 +152,12 @@ def _newton_solve(eq, sym, cosj, a, c, r, target, mean):
         try:
             delta = np.linalg.solve(J, -res)
         except np.linalg.LinAlgError as exc:
-            raise WaveConvergenceError(
+            raise NumericalError(
                 f"singular Newton system at target {target:g}") from exc
         a = a + delta[:M + 1]
         c = c + delta[M + 1]
         r = r + delta[M + 2]
-    raise WaveConvergenceError(
+    raise NumericalError(
         f"Newton failed to reach residual {RESIDUAL_TOL:g} in "
         f"{MAX_NEWTON_STEPS} steps at target amplitude {target:g}")
 

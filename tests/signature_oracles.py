@@ -8,7 +8,6 @@ Hessians and signs independently.
 
 import numpy as np
 
-from hfstab.krein import SignatureError
 from hfstab.models import eval_omega
 
 # canonical Poisson matrix, and the similarity P = diag(1, i) that takes
@@ -26,7 +25,7 @@ def canonical_hessian(model, c, k):
 def scalar_opposite(model, event):
     """Opposite-signature test (n1+mu)(n2+mu) < 0 for scalar collisions."""
     if event.at_origin:
-        raise SignatureError("origin collisions carry zero signature")
+        raise ValueError("origin collisions carry zero signature")
     return (event.n1 + event.mu) * (event.n2 + event.mu) < 0
 
 

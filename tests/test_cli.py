@@ -267,6 +267,9 @@ class TestConfigErrors:
         ({"model": {"kind": "noncanonical-bw", "omega1": "k*sqrt(c)",
                     "c_squared": "c", "params": {"c": -1.0}}},
          "model 'custom-bw': sqrt of a negative value at k=0.3"),
+        # a parameter pi would silently replace the constant
+        ({"model": {"kind": "scalar", "omega1": "pi*k^3",
+                    "params": {"pi": 3.0}}}, "parameter 'pi' is reserved"),
     ])
     def test_malformed_config_is_a_configuration_error(self, capsys, tmp_path,
                                                        config, message):

@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 from hfstab import collisions
 from hfstab.collisions import (VERDICT_INDETERMINATE, VERDICT_NONE,
                                VERDICT_POTENTIAL, CollisionEvent,
-                               NoCollisionFoundError, collision_residual,
-                               find_collisions, mirror_events,
-                               secant_curve_data,
+                               collision_residual, find_collisions,
+                               mirror_events, secant_curve_data,
                                trace_first_collision_vs_depth)
 from hfstab.models import (BUILTIN_MODELS, bifurcation_speed, eval_Omega,
                            make_model, model_from_config)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hfstab import dsl
-from hfstab.dsl import (Bin, Call, Lit, Neg, Var, DomainError, EvalError,
-                        NonFiniteError, ParseError, compile_symbol, parse)
+from hfstab.dsl import (Bin, Call, Lit, Neg, Var, EvalError, ParseError,
+                        compile_symbol, parse)
+from hfstab.models import ModelError
 
 from dsl_printer import to_source
 
@@ -71,15 +72,15 @@ class TestParsing:
 
 class TestEvaluation:
     def test_sqrt_negative(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(EvalError, match="sqrt of a negative value"):
             ev("sqrt(-1)")
 
     def test_division_by_zero(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(EvalError, match="division by zero"):
             ev("1/k", k=0.0)
 
     def test_fractional_power_of_negative(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(EvalError, match="invalid power"):
             ev("(-2)^0.5")
 
     def test_overflow_is_nonfinite_or_domain(self):
@@ -87,7 +88,7 @@ class TestEvaluation:
             ev("exp(1e9)")
 
     def test_nonfinite_result(self):
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(EvalError, match="expression is not finite"):
             ev("exp(700)*exp(700)")
 
 
@@ -99,6 +100,15 @@ class TestCompileSymbol:
         assert exc.value.offset == 7
         sym = compile_symbol("a*k + pi", {"a": 2.0})
         assert sym(1.0) == 2.0 + math.pi
+
+    @pytest.mark.parametrize("name", ["k", "pi"])
+    def test_a_parameter_cannot_hide_k_or_pi(self, name):
+        # a parameter pi would replace the constant, and a parameter k would
+        # be dropped for the wavenumbers: either is refused, naming the key
+        with pytest.raises(ModelError,
+                           match=f"^parameter '{name}' is reserved") as exc:
+            compile_symbol("pi*k^3", {name: 3.0})
+        assert type(exc.value) is ModelError
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Hill-matrix assembly, spectra, bubbles, and zero-amplitude consistency."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -9,12 +10,15 @@ import numpy as np
 import pytest
 
 from hfstab import hill
-from hfstab.collisions import find_collisions, mirror_events
-from hfstab.models import (BUILTIN_MODELS, ModelError, TravelingWave,
-                           TruncationWarning, bifurcation_speed, eval_Omega,
-                           hessian, make_model, model_from_config,
-                           real_matrix, wave_part)
-from hfstab.waves import solve_wave_collocation, stokes_wave
+from hfstab.collisions import (VERDICT_NONE, VERDICT_POTENTIAL,
+                               find_collisions, mirror_events)
+from hfstab.krein import screen
+from hfstab.models import (BUILTIN_MODELS, ModelError, NumericalError,
+                           TravelingWave, TruncationWarning,
+                           bifurcation_speed, eval_Omega, hessian,
+                           make_model, model_from_config, real_matrix,
+                           wave_part)
+from hfstab.waves import solve_wave_collocation
 
 from elliptic_oracles import kdv_cnoidal
 from hill_oracles import hausdorff, zero_amplitude_deviation
@@ -247,12 +251,13 @@ class TestAssembly:
         # shorter than 2M + 1 coefficients
         model = make_model("kdv")
         short = TravelingWave(model="kdv", c=-1.0, coefficients=[0.0, 0.1])
-        stokes = stokes_wave(model, 0.05, 3)
+        four = TravelingWave(model="kdv", c=-1.0,
+                             coefficients=[0.0, 0.05, 0.01, 0.002])
         full = TravelingWave(model="kdv", c=-1.0, coefficients=[0.1] * 9)
         with warnings.catch_warnings():
             warnings.simplefilter("error", TruncationWarning)
             hill.assemble(model, short, 0.1, 4)
-            hill.assemble(model, stokes, 0.1, 16)
+            hill.assemble(model, four, 0.1, 16)
             hill.assemble(model, full, 0.1, 4)
 
     def test_bad_m(self):
@@ -461,7 +466,8 @@ class TestStackedSolves:
             both.wait()
             return True
         failed, before = self.failing_solves(monkeypatch, fails)
-        with pytest.raises(hill.EigensolverError) as info:
+        with pytest.raises(NumericalError,
+                           match="^eigensolver failed for mu in ") as info:
             hill.full_spectrum(model, wave, mus, 16)
         assert sorted(failed) == [mus[step], mus[2 * step]]
         assert str(info.value) == self.stack_range(mus, mus[step], step)
@@ -484,7 +490,8 @@ class TestStackedSolves:
             worker_failed.set()
             return True
         failed, before = self.failing_solves(monkeypatch, fails)
-        with pytest.raises(hill.EigensolverError) as info:
+        with pytest.raises(NumericalError,
+                           match="^eigensolver failed for mu in ") as info:
             hill.full_spectrum(model, wave, mus, 16)
         assert str(info.value) == self.stack_range(mus, min(failed), step)
         assert set(threading.enumerate()) == before
@@ -580,6 +587,27 @@ class TestBubbles:
         assert abs(abs(top.center.imag) - target.lam.imag) < 5e-3
         assert top.nearest_event is target
         assert top.event_distance < 5e-3
+
+    def test_a_bubble_never_links_to_an_equal_signature_prediction(self):
+        # an equal-signature collision cannot open a bubble, so one placed
+        # at the bubble's own ordinate is passed over for the
+        # opposite-signature prediction that opened it
+        model = make_model("fifth-order-scalar")
+        wave = solve_wave_collocation(model, 0.02, M=32, steps=4)
+        events = screen(model, bifurcation_speed(model, 1, 1), 3)
+        target = next(e for e in events if abs(e.mu - 0.3675445) < 1e-4)
+        assert target.verdict == VERDICT_POTENTIAL
+        mus = np.linspace(target.mu - 1e-2, target.mu + 1e-2, 81)
+        s = hill.full_spectrum(model, wave, mus, 32)
+        growth = lambda b: b.max_growth
+        center = max(hill.detect_bubbles(s, events), key=growth).center
+        closer = dataclasses.replace(target, lam=1j * abs(center.imag),
+                                     signature_product=1.0)
+        assert closer.verdict == VERDICT_NONE
+        top = max(hill.detect_bubbles(s, [closer, *events]), key=growth)
+        assert top.nearest_event is target
+        assert abs(abs(closer.lam.imag) - abs(top.center.imag)) == 0.0
+        assert top.event_distance > 0.0
 
     def test_same_signature_collision_opens_no_bubble(self):
         # the (2, 1) collision pairs equal Krein signatures; the spectrum

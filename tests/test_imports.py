@@ -1,8 +1,9 @@
 """The library depends on numpy alone; scipy and the test tools are extras.
 The CLI loads the Hill layer only in the commands that use it, the
 expression language only for custom models, and numpy.ma and numpy.typing
-never.  Each error's class decides its exit code, and every exported name
-has a user outside the tests."""
+never.  Each error's class decides its exit code and is caught by name or
+carries fields of its own, and every exported name has a user outside the
+tests."""
 
 import ast
 import importlib
@@ -118,21 +119,45 @@ def test_only_a_custom_model_loads_the_dsl(tmp_path):
             f"assert cli.main({argv!r}) == 0; " + LOADED) == loaded
 
 
-def test_every_error_class_has_one_exit_code():
-    # NumericalError exits 3, ModelError and ConfigError exit 2: a class
-    # under neither would end in a traceback, one under both is ambiguous
-    from hfstab.config import ConfigError
-    from hfstab.models import ModelError, NumericalError
+def _error_classes() -> list[type]:
+    """The exception classes defined in src/hfstab, warnings left out (they
+    are warned, not raised)."""
     errors = []
     for path in SRC:
         module = importlib.import_module(
             "hfstab" if path.stem == "__init__" else f"hfstab.{path.stem}")
         errors += [cls for cls in vars(module).values()
                    if isinstance(cls, type) and issubclass(cls, Exception)
-                   and not issubclass(cls, Warning)   # warned, not raised
+                   and not issubclass(cls, Warning)
                    and cls.__module__ == module.__name__]
+    return errors
+
+
+def test_every_error_class_has_one_exit_code():
+    # NumericalError exits 3, ModelError and ConfigError exit 2: a class
+    # under neither would end in a traceback, one under both is ambiguous
+    from hfstab.config import ConfigError
+    from hfstab.models import ModelError, NumericalError
+    errors = _error_classes()
     assert {ModelError, NumericalError, ConfigError} <= set(errors)
     unmapped = [cls.__qualname__ for cls in errors
                 if issubclass(cls, NumericalError)
                 == issubclass(cls, (ModelError, ConfigError))]
     assert unmapped == []
+
+
+def test_every_error_class_is_caught_by_name_or_carries_fields():
+    # a class that no except clause outside the tests names, and that adds
+    # no fields to its base (as ParseError's offset does), only renames
+    # the base
+    caught = set()
+    for folder in ("src", "scripts", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ExceptHandler) and node.type:
+                    types = getattr(node.type, "elts", [node.type])
+                    caught |= {getattr(t, "attr", getattr(t, "id", None))
+                               for t in types}
+    idle = [cls.__qualname__ for cls in _error_classes()
+            if cls.__name__ not in caught and "__init__" not in vars(cls)]
+    assert idle == []

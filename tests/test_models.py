@@ -8,7 +8,6 @@ import pytest
 
 from hfstab import dsl, hill, models
 from hfstab.models import (BUILTIN_MODELS, ModelError,
-                           ModelNotDispersiveError, UnknownModelError,
                            bifurcation_speed, eval_Omega, eval_omega,
                            make_model, model_from_config,
                            validate_dispersive)
@@ -21,7 +20,7 @@ class TestCatalog:
             validate_dispersive(model)
 
     def test_unknown_model(self):
-        with pytest.raises(UnknownModelError):
+        with pytest.raises(ModelError, match="^unknown model 'no-such-model'"):
             make_model("no-such-model")
 
     def test_unknown_parameter_rejected(self):
@@ -77,7 +76,7 @@ class TestDispersion:
     def test_declared_odd_but_even_raises(self):
         # a scalar model's one branch must mirror onto itself: be odd; the
         # model is refused when it is built
-        with pytest.raises(ModelNotDispersiveError,
+        with pytest.raises(ModelError,
                            match=r"no branch mirrors branch 1 .* = 1250 at k = 25"):
             model_from_config({"kind": "scalar", "omega1": "k^2"})
 
@@ -103,12 +102,12 @@ class TestCustomModels:
         # +-omega1 with omega1 not even: omega_2(-k) = -omega_1(k) fails,
         # and so does omega_1(-k) = -omega_1(k); the model is refused when
         # it is built
-        with pytest.raises(ModelNotDispersiveError,
+        with pytest.raises(ModelError,
                            match=r"mirrors branch 1 .* = 5 at k = 25"):
             model_from_config(
                 {"kind": "canonical", "omega1": "sqrt(1+k^2)+0.1*k"})
         # +-k*sqrt(c_squared) with c_squared not even
-        with pytest.raises(ModelNotDispersiveError, match="mirrors branch 1"):
+        with pytest.raises(ModelError, match="mirrors branch 1"):
             model_from_config(
                 {"kind": "noncanonical-bw", "omega1": "k*sqrt(1+0.01*k)",
                  "c_squared": "1+0.01*k"})
@@ -141,7 +140,7 @@ class TestCustomModels:
     def test_at_zero_limit(self):
         # a BW c_squared and the scalar kernel omega1(k)/k divide by k, so
         # each takes the at_zero value at k = 0 without evaluating there
-        with pytest.raises(dsl.DomainError, match="division by zero"):
+        with pytest.raises(dsl.EvalError, match="division by zero"):
             dsl.compile_symbol("g*tanh(k)/k", {"g": 2.0})(0.0)
         bw = model_from_config(
             {"kind": "noncanonical-bw", "omega1": "sign(k)*sqrt(g*k*tanh(k))",
@@ -267,16 +266,17 @@ def test_validate_dispersive_returns_mirror_map(name):
     assert calls == {l: 2 for l in want}
 
 
-@pytest.mark.parametrize("text, bad, error", [
-    ("sqrt(k)", -1.0, dsl.DomainError),
-    ("1/k", 0.0, dsl.DomainError),
-    ("k^0.5", -2.0, dsl.DomainError),
-    ("exp(k)", 1000.0, dsl.NonFiniteError),
+@pytest.mark.parametrize("text, bad, message", [
+    ("sqrt(k)", -1.0, "sqrt of a negative value"),
+    ("1/k", 0.0, "division by zero"),
+    ("k^0.5", -2.0, "invalid power"),
+    ("exp(k)", 1000.0, "exp overflowed"),
 ])
-def test_one_bad_point_fails_an_array_like_the_scalar_call(text, bad, error):
+def test_one_bad_point_fails_an_array_like_the_scalar_call(text, bad,
+                                                           message):
     symbol = dsl.compile_symbol(text)
-    with pytest.raises(error):
+    with pytest.raises(dsl.EvalError, match=message):
         symbol(bad)
-    with pytest.raises(error, match=f"k={bad!r}"):
+    with pytest.raises(dsl.EvalError, match=f"{message} at k={bad!r}"):
         symbol(np.array([0.5, 1.5, bad, 2.0]))
     assert symbol(np.array([0.5, 2.0])).shape == (2,)

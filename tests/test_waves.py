@@ -6,32 +6,46 @@ import numpy as np
 import pytest
 
 from hfstab import waves
-from hfstab.models import (ModelError, bifurcation_speed, make_model,
-                           model_from_config, traveling_equation)
-from hfstab.waves import (ModesInsufficientError, ResonanceError,
-                          flat_state_cutoff, solve_wave_collocation,
-                          stokes_wave, wave_residual)
+from hfstab.models import (ModelError, NumericalError, bifurcation_speed,
+                           make_model, model_from_config, traveling_equation)
+from hfstab.waves import (flat_state_cutoff, solve_wave_collocation,
+                          wave_residual)
 
 from elliptic_oracles import kdv_cnoidal
 import wave_oracles
 
 
+def stokes_seed(model, epsilon):
+    """The library's Newton seed for ``model`` at amplitude epsilon."""
+    return waves._stokes_seed(traveling_equation(model),
+                              bifurcation_speed(model, 1, 1), epsilon)
+
+
 class TestStokes:
+    """The Stokes hierarchy, on the oracle's orders 1-3; the library keeps
+    only the Newton seed (``TestOneEquation`` checks its bits)."""
+
     def test_order_one_is_monochromatic(self):
         for name in ("kdv", "whitham", "boussinesq-whitham"):
             model = make_model(name)
-            w = stokes_wave(model, 1e-3, 1)
+            w = wave_oracles.stokes_wave(model, 1e-3, 1)
             assert w.coefficients[1] == 1e-3
             assert all(v == 0.0 for i, v in enumerate(w.coefficients)
                        if i != 1)
             assert w.c == pytest.approx(bifurcation_speed(model, 1, 1))
+        # the seed of a non-quadratic nonlinearity is first order
+        for name in ("mkdv-focusing", "mkdv-defocusing"):
+            model = make_model(name)
+            coefficients, c = stokes_seed(model, 1e-3)
+            assert coefficients == [0.0, 1e-3]
+            assert c == bifurcation_speed(model, 1, 1)
 
     def test_residual_order_drops(self):
         model = make_model("whitham")
         for eps in (1e-2, 1e-3):
-            r1 = wave_residual(model, stokes_wave(model, eps, 1))
-            r2 = wave_residual(model, stokes_wave(model, eps, 2))
-            r3 = wave_residual(model, stokes_wave(model, eps, 3))
+            r1, r2, r3 = (
+                wave_residual(model, wave_oracles.stokes_wave(model, eps, n))
+                for n in (1, 2, 3))
             # each order gains one power of eps, up to O(1) constants
             assert r2 < 0.1 * r1
             assert r3 < 0.1 * r2
@@ -45,7 +59,7 @@ class TestStokes:
         cn = kdv_cnoidal(0.08)
         model = make_model("kdv")
         eps = cn.amplitude
-        w = stokes_wave(model, eps, 2)
+        w = wave_oracles.stokes_wave(model, eps, 2)
         assert w.coefficients[2] == pytest.approx(cn.coefficients[2],
                                                   abs=5.0 * eps ** 3)
         # cnoidal mean is gauged differently; speeds agree after the
@@ -53,16 +67,14 @@ class TestStokes:
         assert w.c == pytest.approx(cn.c - cn.mean, abs=5.0 * eps ** 3)
 
     def test_resonance_error(self):
-        from hfstab.models import model_from_config
-        # omega = k makes Omega(j) = 0 for every j: second harmonic resonates
+        # omega = k makes Omega(j) = 0 for every j: the seed's second
+        # harmonic resonates, and the solver refuses the model
         model = model_from_config(
             {"kind": "scalar", "omega1": "k", "params": {"sigma": 1.0}})
-        with pytest.raises(ResonanceError):
-            stokes_wave(model, 1e-3, 2)
-
-    def test_bad_order(self):
-        with pytest.raises(ValueError):
-            stokes_wave(make_model("kdv"), 1e-3, 4)
+        with pytest.raises(NumericalError,
+                           match=r"^Stokes divisor at harmonic 2 is "
+                                 r"0\.000e\+00; resonant bifurcation$"):
+            solve_wave_collocation(model, 1e-3, M=16)
 
 
 class TestCollocation:
@@ -110,11 +122,11 @@ class TestCollocation:
     def test_stokes_collocation_agreement(self):
         model = make_model("whitham")
         eps = 1e-3
-        ws = stokes_wave(model, eps, 3)
+        coefficients, c = stokes_seed(model, eps)
         wc = solve_wave_collocation(model, eps, M=32, steps=2)
         for i in range(4):
-            assert abs(ws.coefficients[i] - wc.coefficients[i]) < 100 * eps ** 4
-        assert abs(ws.c - wc.c) < 100 * eps ** 4
+            assert abs(coefficients[i] - wc.coefficients[i]) < 100 * eps ** 4
+        assert abs(c - wc.c) < 100 * eps ** 4
 
     def test_negative_mean_bw_refused(self):
         model = make_model("boussinesq-whitham")
@@ -127,7 +139,9 @@ class TestCollocation:
     def test_insufficient_modes_flagged(self):
         model = make_model("kdv")
         cn = kdv_cnoidal(0.92)
-        with pytest.raises(ModesInsufficientError):
+        with pytest.raises(NumericalError, match="^coefficients do not "
+                                                 "decay below 1e-12 within "
+                                                 "M=16 "):
             solve_wave_collocation(model, cn.amplitude, M=16, steps=20,
                                    mean=cn.mean)
 
@@ -203,14 +217,15 @@ class TestOneEquation:
 
     @pytest.mark.parametrize("name", SCALAR_WAVES + ("boussinesq-whitham",))
     def test_stokes_matches_two_branch_oracle(self, name):
+        # the seed is the oracle's order 3 for a quadratic nonlinearity and
+        # its order 1 otherwise
         model = make_model(name)
-        orders = (1,) if model.power != 1 else (1, 2, 3)
+        order = 3 if model.power == 1 else 1
         for eps in AMPLITUDES:
-            # the order-1 constant is +0.0 for every kind, never sign * 0.0
-            assert stokes_wave(model, eps, 1).constant.hex() == "0x0.0p+0"
-            for order in orders:
-                assert (bits(stokes_wave(model, eps, order))
-                        == bits(wave_oracles.stokes_wave(model, eps, order)))
+            coefficients, c = stokes_seed(model, eps)
+            want = wave_oracles.stokes_wave(model, eps, order)
+            assert ([v.hex() for v in (c, *coefficients)]
+                    == [v.hex() for v in (want.c, *want.coefficients)])
 
 
 class TestFlatState:
