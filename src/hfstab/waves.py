@@ -79,7 +79,9 @@ def solve_wave_collocation(model: ModelSpec, target_amplitude: float,
     mean there is a ValueError.  A Boussinesq-Whitham mean whose flat state
     has a ``flat_state_cutoff`` is ill-posed and refused unless ``force``.
     A resonant bifurcation, where a divisor of the Stokes seed vanishes, is
-    refused as a NumericalError before any Newton step.
+    refused as a NumericalError before any Newton step, and a non-finite
+    residual (an amplitude too large for floats) stops the solve at the
+    step that meets it.
     """
     if M < 16:
         raise ValueError(f"M must be >= 16, got {M!r}")
@@ -126,14 +128,19 @@ def solve_wave_collocation(model: ModelSpec, target_amplitude: float,
                          coefficients=a.tolist(), constant=float(eq.sign * r))
 
 
+@np.errstate(all="ignore")   # a non-finite residual raises instead
 def _newton_solve(eq, sym, cosj, a, c, r, target, mean):
     M = a.size - 1
-    for _ in range(MAX_NEWTON_STEPS):
+    for step in range(1, MAX_NEWTON_STEPS + 1):
         u = cosj.T @ a
         lin = (sym - eq.s(c)) * a
         F = lin + _cosine_coeffs(eq.N(u), M)
         F[0] -= r
         res = np.concatenate([F, [a[1] - target, a[0] - mean]])
+        if not np.isfinite(res).all():
+            raise NumericalError(
+                f"non-finite Newton residual at step {step} of target "
+                f"amplitude {target:g}")
         if np.max(np.abs(res)) <= RESIDUAL_TOL:
             return a, c, r
 

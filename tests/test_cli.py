@@ -6,8 +6,10 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hfstab.cli import build_parser, main
@@ -410,6 +412,25 @@ class TestWave:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
         assert err.startswith("numerical failure: ") and "amplitude" in err
+
+    def test_non_finite_newton_residual_stops_at_once(self, capsys,
+                                                      monkeypatch):
+        # the seed of amplitude 1e149 overflows its cos(3x) harmonic; the
+        # solver once took all 50 Newton steps on NaNs, printing numpy's
+        # RuntimeWarnings, before it gave up
+        solve = np.linalg.solve
+        calls = []
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *a: calls.append(1) or solve(*a))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "wave", "--model", "kdv",
+                                 "--amplitude", "1e150")
+        assert (code, out) == (3, "")
+        assert err == ("numerical failure: non-finite Newton residual at "
+                       "step 1 of target amplitude 1e+149\n")
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        assert len(calls) <= 1
 
     @pytest.mark.parametrize("model", ["kdv", "boussinesq-whitham"])
     def test_zero_amplitude_with_a_mean_is_refused(self, capsys, model):

@@ -9,7 +9,7 @@ import pytest
 from hfstab import hill, report
 from hfstab.collisions import secant_curve_data, trace_first_collision_vs_depth
 from hfstab.models import bifurcation_speed, make_model
-from hfstab.report import csv_lines, format_float
+from hfstab.report import csv_blocks, csv_lines, format_float
 
 EDGE = [-0.0, 5e-324, 1e308, 0.1, -1e308, -5e-324, 1.0, 2.0 ** -1074 * 3]
 
@@ -77,13 +77,18 @@ def test_rows_across_block_boundaries(size):
         header[1:], [tuple(r) for r in table.tolist()])
 
 
-def test_peak_memory_is_bounded_by_the_text():
-    # a 100k-row spectrum table: mu repeats per slice, Re is mostly 0
+def spectrum_table(rows):
+    """A spectrum-like table: mu repeats per slice of 65, Re is mostly 0."""
     rng = np.random.default_rng(7)
     n = 65
-    mus = np.repeat(np.linspace(-0.5, 0.5, 100_000 // n + 1), n)[:100_000]
+    mus = np.repeat(np.linspace(-0.5, 0.5, rows // n + 1), n)[:rows]
     re = np.where(rng.random(mus.size) < 0.01, rng.random(mus.size) * 1e-4, 0.0)
-    table = np.column_stack([mus, re, rng.standard_normal(mus.size) * 30.0])
+    return np.column_stack([mus, re, rng.standard_normal(mus.size) * 30.0])
+
+
+def test_peak_memory_is_bounded_by_the_text():
+    # the text is grown in place, never held beside a second copy of itself
+    table = spectrum_table(100_000)
     tracemalloc.start()
     try:
         text = csv_lines(["mu", "re_lambda", "im_lambda"], table)
@@ -91,7 +96,59 @@ def test_peak_memory_is_bounded_by_the_text():
     finally:
         tracemalloc.stop()
     assert text.count("\n") == 100_001
-    assert peak <= 2.5 * len(text)
+    assert peak <= 1.5 * len(text)
+
+
+@pytest.mark.parametrize("blocks", [3, 30])
+def test_streamed_blocks_hold_a_few_blocks_whatever_the_row_count(blocks):
+    table = spectrum_table(blocks * report._BLOCK)
+    longest = 0
+    tracemalloc.start()
+    try:
+        for block in csv_blocks(["mu", "re_lambda", "im_lambda"], table):
+            longest = max(longest, len(block))
+            del block
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert longest > 100_000
+    assert peak <= 6 * longest
+
+
+def test_a_leading_run_across_a_block_boundary():
+    # one mu on rows _BLOCK - 5 .. _BLOCK + 4, so its run is cut by a block
+    mus = np.repeat([0.1, 0.2, 0.30000000000000004],
+                    [report._BLOCK - 5, 10, 7])
+    table = np.column_stack([mus, np.arange(mus.size) * 0.5])
+    rows = [tuple(r) for r in table.tolist()]
+    assert csv_lines(["mu", "x"], table) == per_cell_csv_lines(["mu", "x"],
+                                                               rows)
+    assert csv_lines(["mu", "x"], rows) == per_cell_csv_lines(["mu", "x"],
+                                                              rows)
+
+
+def test_negative_zero_beside_zero_in_the_leading_column():
+    rows = [(0.0, 1.0), (-0.0, 2.0), (-0.0, 3.0), (0.0, 4.0), (-0.0, 5.0)]
+    text = csv_lines(["mu", "x"], np.array(rows))
+    assert text == per_cell_csv_lines(["mu", "x"], rows)
+    assert [line.split(",")[0] for line in text.splitlines()[1:]] == \
+        ["0", "-0", "-0", "0", "-0"]
+    assert csv_lines(["mu", "x"], rows) == text
+
+
+def test_true_beside_one_in_an_object_leading_column():
+    rows = [(True, 0.5), (1, 0.5), (1, 0.25), (True, 0.1), (False, 0.0),
+            (0, 0.0)]
+    text = csv_lines(["b", "x"], rows)
+    assert text == per_cell_csv_lines(["b", "x"], rows)
+    assert [line.split(",")[0] for line in text.splitlines()[1:]] == \
+        ["True", "1", "1", "True", "False", "0"]
+
+
+def test_percent_in_a_string_leading_cell():
+    rows = [("a%sb", 0.5), ("a%sb", 0.25), ("100%", 1.0), ("%d%%", 2.0),
+            ("%d%%", 3.0)]
+    assert csv_lines(["s", "x"], rows) == per_cell_csv_lines(["s", "x"], rows)
 
 
 def test_curves_rows_keep_integer_cells():
