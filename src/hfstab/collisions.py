@@ -223,28 +223,28 @@ def mirror_events(model: ModelSpec,
 
 
 def secant_curve_data(model: ModelSpec, c: float, n_values: Sequence[int],
-                      k_grid: Sequence[float]) -> list[tuple[int, int, float, float]]:
+                      k_grid: Sequence[float]) -> np.ndarray:
     """Sample the curve families Omega_l(k + n); intersections are collisions.
 
-    Returns rows (l, n, k, Omega_l(k + n)), CSV-ready.
+    Returns a float array of rows (l, n, k, Omega_l(k + n)), CSV-ready.
     """
-    ns = np.asarray(n_values, dtype=int)
+    ns = np.asarray(n_values, dtype=float)
     ks = np.asarray(k_grid, dtype=float)
-    n_col = np.repeat(ns, ks.size).tolist()
-    k_col = np.tile(ks, ns.size).tolist()
-    rows = []
-    for b in model.branches:
-        Om = eval_Omega(model, b.index, ks[None, :] + ns[:, None], c)
-        rows += zip(itertools.repeat(b.index), n_col, k_col, Om.ravel().tolist())
-    return rows
+    rows = np.empty((len(model.branches), ns.size, ks.size, 4))
+    for b, out in zip(model.branches, rows):
+        out[..., 0] = b.index
+        out[..., 1] = ns[:, None]
+        out[..., 2] = ks
+        out[..., 3] = eval_Omega(model, b.index, ks + ns[:, None], c)
+    return rows.reshape(-1, 4)
 
 
 def trace_first_collision_vs_depth(g: float, h_grid: Sequence[float],
-                                   n_max: int = 3) -> list[tuple[float, float]]:
-    """Im(lambda) of the non-origin water-wave collision closest to the origin,
-    per depth h.  Approaches 3/4 as h grows (g = 1)."""
-    rows = []
-    for h in h_grid:
+                                   n_max: int = 3) -> np.ndarray:
+    """Rows (h, Im(lambda)) of the non-origin water-wave collision closest to
+    the origin, per depth h.  Approaches 3/4 as h grows (g = 1)."""
+    rows = np.empty((len(h_grid), 2))
+    for row, h in zip(rows, h_grid):
         if h <= 0:
             raise ValueError(f"depth must be positive, got {h!r}")
         model = make_model("water-waves", {"g": g, "h": h})
@@ -254,5 +254,5 @@ def trace_first_collision_vs_depth(g: float, h_grid: Sequence[float],
         if not events:
             raise NumericalError(
                 f"no non-origin collision at h = {h:g}; increase n_max")
-        rows.append((float(h), min(e.lam.imag for e in events)))
+        row[:] = h, min(e.lam.imag for e in events)
     return rows

@@ -19,14 +19,15 @@ eigenvalues rho of R, and axis eigenvalues have Re exactly 0.  The solves are
 too small to gain from BLAS threads, so ``import hfstab`` asks for one.
 Slices are built and solved in stacks, one ``np.linalg.eigvals`` call and one
 row-wise sort per stack; each slice is bitwise what a solve of its own matrix
-gives.  A stack holds at most ``_BLOCK_BYTES`` of matrices, but never fewer
-than 500 // N + 1 of size N: numpy's eigvals releases the GIL only for a call
-whose matrices times N exceed 500.  So the stacks of one spectrum are solved
-in parallel, by one thread per CPU the process may use (divided by
-OPENBLAS_NUM_THREADS, at most ``_MAX_WORKERS``), the calling thread among
-them.  The threads start and end within each call, and every slice is still
-one single-threaded LAPACK call on the same matrix, so the spectrum does not
-depend on the thread count.
+gives.  A stack holds 500 // N + 1 matrices of size N, the fewest for which
+numpy's eigvals releases the GIL: it does so only for a call whose matrices
+times N exceed 500.  So the stacks of one spectrum are solved in parallel,
+by one thread per CPU the process may use (divided by OPENBLAS_NUM_THREADS,
+at most ``_MAX_WORKERS``), the calling thread among them.  The threads
+start and end within each call, and every slice is still one
+single-threaded LAPACK call on the same matrix, so the spectrum does not
+depend on the thread count.  The CSV rows are read from the spectrum a few
+slices at a time (``spectrum_to_csv_rows``).
 
 The mu grid is uniform plus a fixed-width window around each predicted
 collision mu and its mirror -mu (``MuGridSpec.windows``), sampled
@@ -57,6 +58,7 @@ import numpy as np
 from .models import (ModelSpec, TravelingWave, NumericalError, eval_Omega,
                      real_matrix, wave_part)
 from .collisions import CollisionEvent, VERDICT_NONE
+from . import report
 
 __all__ = [
     "SpectrumSet", "Bubble", "MuGridSpec",
@@ -67,9 +69,6 @@ __all__ = [
 BUBBLE_THRESHOLD = 1e-7
 IM_CLUSTER_GAP = 1e-2
 WINDOW_WIDTH = 5e-3   # half-width of a refinement window in mu
-# Bytes of Hill matrices built and solved in one stacked eigvals call: the
-# stack spreads the per-call cost, and stays small beside a spectrum
-_BLOCK_BYTES = 1 << 20
 # numpy's eigvals releases the GIL only when matrices x N exceeds this
 _GIL_OUTPUTS = 500
 # Most threads one spectrum is solved on: each holds a stack in flight
@@ -77,9 +76,9 @@ _MAX_WORKERS = 4
 
 
 def _stack_size(n: int) -> int:
-    """Slices per stacked solve of n x n matrices: at most ``_BLOCK_BYTES``
-    of matrices, but enough that eigvals releases the GIL."""
-    return max(_BLOCK_BYTES // (8 * n * n), _GIL_OUTPUTS // n + 1)
+    """Slices per stacked solve of n x n matrices: the fewest for which
+    eigvals releases the GIL."""
+    return _GIL_OUTPUTS // n + 1
 
 
 def _worker_count() -> int:
@@ -293,14 +292,20 @@ def full_spectrum(model: ModelSpec, wave: TravelingWave,
     return SpectrumSet(mus, values)
 
 
-def spectrum_to_csv_rows(spectrum: SpectrumSet) -> np.ndarray:
-    """A (rows, 3) array of (mu, re_lambda, im_lambda) in slice order."""
-    values = spectrum.values
-    rows = np.empty(values.shape + (3,))
-    rows[..., 0] = spectrum.mus[:, None]
-    rows[..., 1] = values.real
-    rows[..., 2] = values.imag
-    return rows.reshape(-1, 3)
+def spectrum_to_csv_rows(spectrum: SpectrumSet):
+    """Yield (rows, 3) float blocks of (mu, re_lambda, im_lambda) in slice
+    order, read from ``values``.  A block holds whole slices, as many as fit
+    in a CSV block (``report._BLOCK`` rows) and at least one, so the full
+    table is never built."""
+    mus, values = spectrum.mus, spectrum.values
+    step = max(1, report._BLOCK // (values.shape[1] or 1))
+    for lo in range(0, mus.size, step):
+        vals = values[lo:lo + step]
+        rows = np.empty(vals.shape + (3,))
+        rows[..., 0] = mus[lo:lo + step, None]
+        rows[..., 1] = vals.real
+        rows[..., 2] = vals.imag
+        yield rows.reshape(-1, 3)
 
 
 # --------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 All floating-point values are written with 17 significant digits so that
 serialized artifacts round-trip exactly and reruns are byte-identical.
-CSV text is formatted a block of rows at a time (``csv_blocks``), so that
-a spectrum of hundreds of thousands of rows is written to its file with
-little beyond the rows in memory, and ``csv_lines`` holds the whole text
-only once.  A block formats each run of rows sharing the leading cell (a
-spectrum slice's mu) once.
+CSV tables are 2-D float arrays, or iterables of them such as the slice
+blocks of ``hill.spectrum_to_csv_rows``.  Their text is formatted a block of
+rows at a time (``csv_blocks``), so that a spectrum of hundreds of thousands
+of rows is written to its file with little beyond one array and one block of
+text in memory, and ``csv_lines`` holds the whole text only once.  A block
+formats each run of rows sharing the leading cell (a spectrum slice's mu)
+once.
 """
 
 from __future__ import annotations
@@ -61,55 +63,45 @@ def json_dumps(obj) -> str:
     return _emit(obj, 0) + "\n"
 
 
-def csv_lines(header: list[str], rows) -> str:
-    """CSV text of a 2-D array or equally typed rows: ``csv_blocks``
+def csv_lines(header: list[str], table) -> str:
+    """CSV text of a 2-D float array or an iterable of them: ``csv_blocks``
     appended, one block at a time, to one string."""
     text = ""
-    for block in csv_blocks(header, rows):
+    for block in csv_blocks(header, table):
         # CPython resizes a str that only this name references in place, so
         # the text exists once; "".join would hold every block beside it
         text += block
     return text
 
 
-def csv_blocks(header: list[str], rows):
-    """Yield the CSV text of a 2-D array or equally typed rows, the header
-    line first and then ``_BLOCK`` rows at a time, so that a writer holds
-    one block beside the rows.  The first row's cell types fix one row
-    format (floats 17 significant digits, other cells str), and one ``%``
-    formats each block after refusing its non-finite floats.  A run of
-    rows that share the leading cell (a spectrum's mu) formats it once."""
-    table = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+def csv_blocks(header: list[str], table):
+    """Yield the CSV text of a 2-D float array, or of an iterable of them in
+    order: the header line first, then each array ``_BLOCK`` rows at a time,
+    so that a writer holds one block of text beside one array.  Cells have
+    17 significant digits (an integer-valued float prints as the integer),
+    and one ``%`` formats each block after refusing its non-finite cells.  A
+    run of rows that share the leading cell (a spectrum's mu) formats it
+    once."""
     yield ",".join(header) + "\n"
-    if not len(table):
-        return
-    is_float = [isinstance(v, float) for v in table[0]]
-    lead_fmt = "%.17g" if is_float[0] else "%s"
-    row_fmt = ",".join(["%s"] + ["%.17g" if f else "%s"
-                                 for f in is_float[1:]]) + "\n"
-    for lo in range(0, len(table), _BLOCK):
-        block = table[lo:lo + _BLOCK]
-        floats = block[:, is_float].astype(float)
-        if not np.isfinite(floats).all():
-            format_float(float(floats[~np.isfinite(floats)][0]))   # raises
-        bounds = _run_bounds(block[:, 0], is_float[0])
-        cells = np.empty(block.shape, dtype=object)
-        cells[:, 0] = np.repeat(
-            np.array([lead_fmt % (v,) for v in block[bounds[:-1], 0].tolist()],
-                     dtype=object), np.diff(bounds))
-        cells[:, 1:] = block[:, 1:]
-        yield row_fmt * len(block) % tuple(cells.ravel().tolist())
+    for part in [table] if isinstance(table, np.ndarray) else table:
+        part = np.asarray(part, dtype=float)
+        row_fmt = "%s" + ",%.17g" * (part.shape[1] - 1) + "\n"
+        for lo in range(0, len(part), _BLOCK):
+            block = part[lo:lo + _BLOCK]
+            if not np.isfinite(block).all():
+                format_float(float(block[~np.isfinite(block)][0]))   # raises
+            bounds = _run_bounds(block[:, 0])
+            cells = np.empty(block.shape, dtype=object)
+            cells[:, 0] = np.repeat(
+                np.array(["%.17g" % v for v in block[bounds[:-1], 0].tolist()],
+                         dtype=object), np.diff(bounds))
+            cells[:, 1:] = block[:, 1:]
+            yield row_fmt * len(block) % tuple(cells.ravel().tolist())
 
 
-def _run_bounds(lead: np.ndarray, as_float: bool) -> np.ndarray:
-    """The start of each run of equal cells in ``lead``, then ``len(lead)``.
-    Floats are equal when their bits are, so -0.0 and 0.0 differ; other
-    cells when type and value are, so True and 1 differ."""
-    if as_float:
-        bits = lead.astype(float).view(np.int64)
-        new = bits[1:] != bits[:-1]
-    else:
-        keys = [(type(v), v.hex() if isinstance(v, float) else v)
-                for v in lead.tolist()]
-        new = np.array([a != b for a, b in zip(keys, keys[1:])], dtype=bool)
-    return np.flatnonzero(np.concatenate([[True], new, [True]]))
+def _run_bounds(lead: np.ndarray) -> np.ndarray:
+    """The start of each run of equal floats in ``lead``, then ``len(lead)``.
+    Floats are equal when their bits are, so -0.0 and 0.0 differ."""
+    bits = lead.view(np.int64)
+    return np.flatnonzero(np.concatenate([[True], bits[1:] != bits[:-1],
+                                          [True]]))

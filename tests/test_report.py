@@ -1,5 +1,6 @@
-"""CSV emission: the array path of ``report.csv_lines`` against the per-cell
-formatter it replaced, on the rows of all three CSV writers."""
+"""CSV emission: ``report.csv_lines`` on float arrays, and on iterables of
+them, against the per-cell formatter it replaced, on the rows of all three
+CSV writers."""
 
 import tracemalloc
 
@@ -30,6 +31,19 @@ def per_cell_csv_lines(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def assert_same_csv(got, expected):
+    """Compare two CSV texts line by line and name the first line that
+    differs: pytest's diff of two multi-kilorow texts runs for minutes."""
+    got_lines, expected_lines = got.splitlines(), expected.splitlines()
+    for i, (a, b) in enumerate(zip(got_lines, expected_lines)):
+        if a != b:
+            pytest.fail(f"line {i + 1} differs: {a!r} != {b!r}")
+    if len(got_lines) != len(expected_lines):
+        pytest.fail(f"{len(got_lines)} lines, expected {len(expected_lines)}")
+    if got != expected:
+        pytest.fail("the texts differ in their line ends")
+
+
 def per_point_rows(spectrum):
     """Reference: the former ``spectrum_to_csv_rows``, one tuple per point."""
     return [(mu, lam.real, lam.imag) for mu, vals in spectrum.slices
@@ -46,16 +60,65 @@ def spectrum():
 
 def test_spectrum_rows(spectrum):
     header = ["mu", "re_lambda", "im_lambda"]
-    rows = hill.spectrum_to_csv_rows(spectrum)
-    assert rows.shape == (4 * 13, 3)
-    assert csv_lines(header, rows) == per_cell_csv_lines(
-        header, per_point_rows(spectrum))
+    blocks = list(hill.spectrum_to_csv_rows(spectrum))
+    assert [block.shape for block in blocks] == [(4 * 13, 3)]
+    assert_same_csv(csv_lines(header, blocks),
+                    per_cell_csv_lines(header, per_point_rows(spectrum)))
+
+
+def zero_spectrum(slices, M):
+    model = make_model("fifth-order-scalar")
+    c = bifurcation_speed(model, 1, 1)
+    return hill.full_spectrum(model, hill.zero_wave(model, c),
+                              hill.MuGridSpec(count=slices), M)
+
+
+def test_spectrum_blocks_hold_whole_slices():
+    # 13 rows a slice: 315 slices fill 4095 of a block's 4096 rows
+    s = zero_spectrum(700, 6)
+    header = ["mu", "re_lambda", "im_lambda"]
+    blocks = list(hill.spectrum_to_csv_rows(s))
+    assert [len(block) for block in blocks] == [315 * 13, 315 * 13, 70 * 13]
+    assert_same_csv(csv_lines(header, blocks),
+                    per_cell_csv_lines(header, per_point_rows(s)))
+
+
+def test_a_slice_longer_than_a_block_is_one_block(monkeypatch):
+    # each block is one slice of 13 rows, which csv_blocks formats 5 at a time
+    s = zero_spectrum(6, 6)
+    monkeypatch.setattr(report, "_BLOCK", 5)
+    header = ["mu", "re_lambda", "im_lambda"]
+    blocks = list(hill.spectrum_to_csv_rows(s))
+    assert [len(block) for block in blocks] == [13] * 6
+    assert len(list(csv_blocks(header, blocks))) == 1 + 6 * 3
+    assert_same_csv(csv_lines(header, blocks),
+                    per_cell_csv_lines(header, per_point_rows(s)))
+
+
+@pytest.mark.parametrize("slices", [1000, 10_000])
+def test_streamed_spectrum_holds_a_few_blocks_whatever_the_slice_count(
+        slices):
+    # the rows are read from the spectrum a block at a time: no table of
+    # every slice's rows is built beside ``values``
+    s = zero_spectrum(slices, 6)
+    longest = 0
+    tracemalloc.start()
+    try:
+        for block in csv_blocks(["mu", "re_lambda", "im_lambda"],
+                                hill.spectrum_to_csv_rows(s)):
+            longest = max(longest, len(block))
+            del block
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert longest > 100_000
+    assert peak <= 6 * longest
 
 
 def test_edge_floats_in_an_array():
     rows = np.array(EDGE).reshape(-1, 2)
-    assert csv_lines(["a", "b"], rows) == per_cell_csv_lines(
-        ["a", "b"], [tuple(r) for r in rows.tolist()])
+    assert_same_csv(csv_lines(["a", "b"], rows), per_cell_csv_lines(
+        ["a", "b"], [tuple(r) for r in rows.tolist()]))
     assert "-0,4.9406564584124654e-324" in csv_lines(["a", "b"], rows)
 
 
@@ -71,10 +134,10 @@ def test_rows_across_block_boundaries(size):
     assert not np.signbit(repeated[repeated == 0.0]).all()
     rows = list(zip(range(-3, size - 3), repeated.tolist(), distinct.tolist()))
     header = ["i", "repeated", "distinct"]
-    assert csv_lines(header, rows) == per_cell_csv_lines(header, rows)
-    table = np.column_stack([repeated, distinct])
-    assert csv_lines(header[1:], table) == per_cell_csv_lines(
-        header[1:], [tuple(r) for r in table.tolist()])
+    table = np.column_stack([np.arange(-3, size - 3), repeated, distinct])
+    assert_same_csv(csv_lines(header, table), per_cell_csv_lines(header, rows))
+    assert_same_csv(csv_lines(header[1:], table[:, 1:]), per_cell_csv_lines(
+        header[1:], [tuple(r) for r in table[:, 1:].tolist()]))
 
 
 def spectrum_table(rows):
@@ -121,70 +184,54 @@ def test_a_leading_run_across_a_block_boundary():
                     [report._BLOCK - 5, 10, 7])
     table = np.column_stack([mus, np.arange(mus.size) * 0.5])
     rows = [tuple(r) for r in table.tolist()]
-    assert csv_lines(["mu", "x"], table) == per_cell_csv_lines(["mu", "x"],
-                                                               rows)
-    assert csv_lines(["mu", "x"], rows) == per_cell_csv_lines(["mu", "x"],
-                                                              rows)
+    expected = per_cell_csv_lines(["mu", "x"], rows)
+    assert_same_csv(csv_lines(["mu", "x"], table), expected)
+    # the same run also cut where one array of an iterable ends
+    parts = [table[:report._BLOCK - 2], table[report._BLOCK - 2:]]
+    assert_same_csv(csv_lines(["mu", "x"], parts), expected)
 
 
 def test_negative_zero_beside_zero_in_the_leading_column():
     rows = [(0.0, 1.0), (-0.0, 2.0), (-0.0, 3.0), (0.0, 4.0), (-0.0, 5.0)]
     text = csv_lines(["mu", "x"], np.array(rows))
-    assert text == per_cell_csv_lines(["mu", "x"], rows)
+    assert_same_csv(text, per_cell_csv_lines(["mu", "x"], rows))
     assert [line.split(",")[0] for line in text.splitlines()[1:]] == \
         ["0", "-0", "-0", "0", "-0"]
-    assert csv_lines(["mu", "x"], rows) == text
-
-
-def test_true_beside_one_in_an_object_leading_column():
-    rows = [(True, 0.5), (1, 0.5), (1, 0.25), (True, 0.1), (False, 0.0),
-            (0, 0.0)]
-    text = csv_lines(["b", "x"], rows)
-    assert text == per_cell_csv_lines(["b", "x"], rows)
-    assert [line.split(",")[0] for line in text.splitlines()[1:]] == \
-        ["True", "1", "1", "True", "False", "0"]
-
-
-def test_percent_in_a_string_leading_cell():
-    rows = [("a%sb", 0.5), ("a%sb", 0.25), ("100%", 1.0), ("%d%%", 2.0),
-            ("%d%%", 3.0)]
-    assert csv_lines(["s", "x"], rows) == per_cell_csv_lines(["s", "x"], rows)
+    assert_same_csv(csv_lines(["mu", "x"], [np.array(rows[:2]),
+                                            np.array(rows[2:])]), text)
 
 
 def test_curves_rows_keep_integer_cells():
     model = make_model("gkdv")
     c = bifurcation_speed(model, 1, 1)
     header = ["l", "n", "k", "Omega"]
-    rows = secant_curve_data(model, c, range(-3, 4), np.linspace(-0.5, 0.5, 9))
-    rows += [(1, -2, x, y) for x, y in zip(EDGE[::2], EDGE[1::2])]
-    text = csv_lines(header, rows)
-    assert text == per_cell_csv_lines(header, rows)
+    table = secant_curve_data(model, c, range(-3, 4),
+                              np.linspace(-0.5, 0.5, 9))
+    edge = [(1, -2, x, y) for x, y in zip(EDGE[::2], EDGE[1::2])]
+    table = np.vstack([table, edge])
+    # the oracle sees l and n as the integers the float cells must print as
+    rows = [(int(l), int(n), k, om) for l, n, k, om in table.tolist()]
+    text = csv_lines(header, table)
+    assert_same_csv(text, per_cell_csv_lines(header, rows))
     assert text.splitlines()[1].startswith("1,-3,-0.5,")
 
 
 def test_depth_rows():
     header = ["h", "im_lambda"]
-    rows = trace_first_collision_vs_depth(1.0, [0.5, 1.0, 4.0])
-    rows += list(zip(EDGE[::2], EDGE[1::2]))
-    assert csv_lines(header, rows) == per_cell_csv_lines(header, rows)
-
-
-def test_bool_and_string_cells_use_str():
-    rows = [(True, "x", 0.1, 3), (False, "y z", -0.0, -4)]
-    text = csv_lines(["b", "s", "f", "i"], rows)
-    assert text == per_cell_csv_lines(["b", "s", "f", "i"], rows)
-    assert text.splitlines()[1] == "True,x,0.10000000000000001,3"
+    table = np.vstack([trace_first_collision_vs_depth(1.0, [0.5, 1.0, 4.0]),
+                       np.reshape(EDGE, (-1, 2))])
+    assert_same_csv(csv_lines(header, table), per_cell_csv_lines(
+        header, [tuple(r) for r in table.tolist()]))
 
 
 @pytest.mark.parametrize("rows", [[], np.empty((0, 3))])
 def test_empty_rows_give_the_header_only(rows):
-    assert csv_lines(["mu", "re_lambda", "im_lambda"], rows) == \
-        "mu,re_lambda,im_lambda\n"
+    assert_same_csv(csv_lines(["mu", "re_lambda", "im_lambda"], rows),
+                    "mu,re_lambda,im_lambda\n")
 
 
 def test_empty_spectrum_has_no_rows():
-    empty = hill.SpectrumSet()
-    assert hill.spectrum_to_csv_rows(empty).shape == (0, 3)
+    assert list(hill.spectrum_to_csv_rows(hill.SpectrumSet())) == []
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -194,7 +241,8 @@ def test_non_finite_float_raises(bad, column):
     rows[1][column] = bad
     with pytest.raises(ValueError) as expected:
         per_cell_csv_lines(["a", "b", "c"], rows)
-    for table in (rows, np.array(rows)):
+    table = np.array(rows)
+    for table in (table, [table[:1], table[1:]]):
         with pytest.raises(ValueError) as got:
             csv_lines(["a", "b", "c"], table)
         assert str(got.value) == str(expected.value)
@@ -202,6 +250,6 @@ def test_non_finite_float_raises(bad, column):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_float_raises_beside_integer_cells(bad):
-    rows = [(1, 2, 0.5, 0.25), (1, 3, 0.5, bad)]
+    table = np.array([(1, 2, 0.5, 0.25), (1, 3, 0.5, bad)])
     with pytest.raises(ValueError, match="non-finite"):
-        csv_lines(["l", "n", "k", "Omega"], rows)
+        csv_lines(["l", "n", "k", "Omega"], table)

@@ -49,18 +49,22 @@ def test_numpy_loads_after_the_setting():
 
 def test_spectrum_bytes_do_not_depend_on_thread_count(tmp_path):
     # BLAS threads, and the Hill solve's workers: hill._WORKERS is 1 with
-    # two BLAS threads on a 2-CPU host, and is forced to 1 in the last run
-    args = ["spectrum", "--model", "fifth-order-scalar", "--amplitude", "0.02",
-            "--M", "64", "--mu-count", "20"]
+    # two BLAS threads on a 2-CPU host, and is forced to 1 in the last run.
+    # Fifth-order solves matrices of 129, BW two-component ones of 130, both
+    # in stacks of 4
     one_worker = ("import sys; from hfstab import cli, hill; "
                   "hill._WORKERS = 1; sys.exit(cli.main(sys.argv[1:]))")
-    texts = {}
-    for run, threads, entry in (("blas1", "1", ["-m", "hfstab.cli"]),
-                                ("blas2", "2", ["-m", "hfstab.cli"]),
-                                ("worker1", "1", ["-c", one_worker])):
-        out = tmp_path / f"spectrum-{run}.csv"
-        python(*entry, *args, "--out", str(out), threads=threads)
-        texts[run] = (out.read_bytes(),
-                      Path(f"{out}.bubbles.json").read_bytes())
-    assert texts["blas1"][0].count(b"\n") > 20 * 129
-    assert texts["blas1"] == texts["blas2"] == texts["worker1"]
+    for model, amplitude, M, n in (("fifth-order-scalar", "0.02", "64", 129),
+                                   ("boussinesq-whitham", "0.01", "32", 130)):
+        args = ["spectrum", "--model", model, "--amplitude", amplitude,
+                "--M", M, "--mu-count", "20"]
+        texts = {}
+        for run, threads, entry in (("blas1", "1", ["-m", "hfstab.cli"]),
+                                    ("blas2", "2", ["-m", "hfstab.cli"]),
+                                    ("worker1", "1", ["-c", one_worker])):
+            out = tmp_path / f"{model}-{run}.csv"
+            python(*entry, *args, "--out", str(out), threads=threads)
+            texts[run] = (out.read_bytes(),
+                          Path(f"{out}.bubbles.json").read_bytes())
+        assert texts["blas1"][0].count(b"\n") > 20 * n
+        assert texts["blas1"] == texts["blas2"] == texts["worker1"]
