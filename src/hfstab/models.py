@@ -13,6 +13,9 @@ solves that equation, and a wave's Hill-matrix term is its N'(U).
 Built-in model identifiers: ``gkdv``, ``kdv``, ``mkdv-focusing``,
 ``mkdv-defocusing``, ``whitham``, ``sine-gordon``, ``water-waves``,
 ``water-waves-deep``, ``boussinesq-whitham``, ``fifth-order-scalar``.
+Built-in and custom models alike are built by one constructor per
+Hamiltonian structure, ``_scalar_model``, ``_canonical`` or
+``_boussinesq_whitham``, from numbers that ``_finite`` has checked.
 
 Errors carry the CLI's exit code in their class: a ``ModelError`` is a
 model, parameter or wave that cannot be used (exit 2), and a
@@ -166,10 +169,6 @@ class TravelingWave:
         return float(self.coefficients[1]) if len(self.coefficients) > 1 else 0.0
 
     @property
-    def mean(self) -> float:
-        return float(self.coefficients[0])
-
-    @property
     def is_zero(self) -> bool:
         """True when every cosine coefficient vanishes (the trivial wave)."""
         return not any(self.coefficients)
@@ -183,13 +182,9 @@ class TravelingWave:
         return u
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "c": self.c,
-            "coefficients": [float(a) for a in self.coefficients],
-            "amplitude": self.amplitude,
-            "constant": self.constant,
-        }
+        return {"model": self.model, "c": self.c,
+                "coefficients": [float(a) for a in self.coefficients],
+                "amplitude": self.amplitude, "constant": self.constant}
 
     @staticmethod
     def from_dict(data: Mapping) -> "TravelingWave":
@@ -200,18 +195,26 @@ class TravelingWave:
             raise ModelError(f"wave coefficients must be a list of numbers, "
                              f"got {coefficients!r}")
         return TravelingWave(
-            model=data["model"], c=_finite("c", data["c"]),
-            coefficients=[_finite("coefficients", a) for a in coefficients],
-            constant=_finite("constant", data.get("constant", 0.0)))
+            model=data["model"], c=_finite("wave c", data["c"]),
+            coefficients=[_finite("wave coefficients", a)
+                          for a in coefficients],
+            constant=_finite("wave constant", data.get("constant", 0.0)))
 
 
-def _finite(name: str, v) -> float:
-    """``v`` as a float, or a ModelError naming the wave field ``name``."""
+def _finite(label: str, v) -> float:
+    """``v`` as a float, or a ModelError naming it by ``label`` (such as
+    ``parameter 'sigma'``): every number a model or wave is built from."""
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        raise ModelError(f"wave {name} must be a number, got {v!r}")
+        raise ModelError(f"{label} must be a number, got {v!r}")
     if not math.isfinite(v):
-        raise ModelError(f"wave {name} must be finite, got {v!r}")
+        raise ModelError(f"{label} must be finite, got {v!r}")
     return float(v)
+
+
+def _params(params: Mapping) -> dict:
+    """``params`` with each value checked by ``_finite``."""
+    return {name: _finite(f"parameter {name!r}", v)
+            for name, v in dict(params).items()}
 
 
 # --------------------------------------------------------------------------
@@ -452,27 +455,7 @@ def _toeplitz(col_row: np.ndarray, M: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Built-in models
-
-def _require_positive(params: Mapping[str, float], *names: str) -> None:
-    for name in names:
-        v = params[name]
-        if not (math.isfinite(v) and v > 0):
-            raise ModelError(f"parameter {name!r} must be finite and > 0, got {v!r}")
-
-
-def _merged(defaults: dict, params: Mapping[str, float] | None) -> dict:
-    out = dict(defaults)
-    if params:
-        unknown = set(params) - set(defaults)
-        if unknown:
-            raise ModelError(f"unknown parameter(s): {sorted(unknown)}")
-        out.update(params)
-    for name, v in out.items():
-        if not math.isfinite(v):
-            raise ModelError(f"parameter {name!r} must be finite, got {v!r}")
-    return out
-
+# The constructors, one per Hamiltonian structure
 
 def _scalar_model(name, params, omega, kernel, sigma, power=1):
     return ModelSpec(
@@ -481,11 +464,44 @@ def _scalar_model(name, params, omega, kernel, sigma, power=1):
         params=params, kernel_symbol=kernel, sigma=sigma, power=power)
 
 
+def _pair(omega1: Symbol) -> tuple[DispersionBranch, DispersionBranch]:
+    """The branches +-omega1 of a two-component model."""
+    return (DispersionBranch(1, omega1),
+            DispersionBranch(2, lambda k: -omega1(k)))
+
+
+def _canonical(name, params, omega1, b_symbol, c_symbol):
+    return ModelSpec(name=name, kind=CANONICAL, branches=_pair(omega1),
+                     params=params, b_symbol=b_symbol, c_symbol=c_symbol)
+
+
+def _boussinesq_whitham(name, params, omega1, c2, alpha):
+    return ModelSpec(name=name, kind=NONCANONICAL_BW, branches=_pair(omega1),
+                     params=params, kernel_symbol=c2, alpha=alpha)
+
+
+# --------------------------------------------------------------------------
+# Built-in models
+
+def _merged(defaults: dict, params: Mapping[str, float] | None,
+            positive: tuple[str, ...] = ()) -> dict:
+    """``defaults`` updated by the checked ``params``, the ``positive`` ones
+    > 0; a default of None is derived from the others by the model."""
+    unknown = set(params or {}) - set(defaults)
+    if unknown:
+        raise ModelError(f"unknown parameter(s): {sorted(unknown)}")
+    out = {**defaults, **_params(params or {})}
+    for name in positive:
+        if not out[name] > 0:
+            raise ModelError(f"parameter {name!r} must be finite and > 0, "
+                             f"got {out[name]!r}")
+    return out
+
+
 def _make_gkdv(params=None, *, name="gkdv", sigma_default=1.0, power=1):
     p = _merged({"sigma": sigma_default}, params)
-    omega = _symbol(lambda k: -k ** 3)
-    kernel = _symbol(lambda k: -k ** 2)
-    return _scalar_model(name, p, omega, kernel, p["sigma"], power)
+    return _scalar_model(name, p, _symbol(lambda k: -k ** 3),
+                         _symbol(lambda k: -k ** 2), p["sigma"], power)
 
 
 def _ww_omega1(g: float, h: float) -> Symbol:
@@ -499,13 +515,10 @@ def _ww_c2(g: float, h: float) -> Symbol:
 
 
 def _make_whitham(params=None):
-    params = dict(params or {})
-    sigma = params.pop("sigma", None)
-    p = _merged({"g": 1.0, "h": 1.0}, params)
-    _require_positive(p, "g", "h")
-    # default matches the shallow-water quadratic term scaling
-    p["sigma"] = 1.5 * math.sqrt(p["g"] / p["h"]) if sigma is None else float(sigma)
+    p = _merged({"g": 1.0, "h": 1.0, "sigma": None}, params, ("g", "h"))
     g, h = p["g"], p["h"]
+    if p["sigma"] is None:   # the shallow-water quadratic term's scaling
+        p["sigma"] = 1.5 * math.sqrt(g / h)
     c2 = _ww_c2(g, h)
     kernel = _symbol(lambda k: np.sqrt(c2(k)))
     return _scalar_model("whitham", p, _ww_omega1(g, h), kernel, p["sigma"])
@@ -523,14 +536,6 @@ def _constant(value: float) -> Symbol:
     return _symbol(lambda k: np.full(k.shape, value))
 
 
-def _canonical(name, params, omega1, b_symbol, c_symbol):
-    omega2 = lambda k: -omega1(k)
-    return ModelSpec(
-        name=name, kind=CANONICAL,
-        branches=(DispersionBranch(1, omega1), DispersionBranch(2, omega2)),
-        params=params, b_symbol=b_symbol, c_symbol=c_symbol)
-
-
 def _make_sine_gordon(params=None):
     p = _merged({}, params)
     omega1 = _symbol(lambda k: np.sqrt(1.0 + k * k))
@@ -540,8 +545,7 @@ def _make_sine_gordon(params=None):
 
 
 def _make_water_waves(params=None):
-    p = _merged({"g": 1.0, "h": 1.0}, params)
-    _require_positive(p, "g", "h")
+    p = _merged({"g": 1.0, "h": 1.0}, params, ("g", "h"))
     g, h = p["g"], p["h"]
     return _canonical("water-waves", p, _ww_omega1(g, h),
                       b_symbol=_symbol(lambda k: k * np.tanh(k * h)),
@@ -549,8 +553,7 @@ def _make_water_waves(params=None):
 
 
 def _make_water_waves_deep(params=None):
-    p = _merged({"g": 1.0}, params)
-    _require_positive(p, "g")
+    p = _merged({"g": 1.0}, params, ("g",))
     g = p["g"]
     omega1 = _symbol(lambda k: np.sign(k) * np.sqrt(g * np.abs(k)))
     return _canonical("water-waves-deep", p, omega1,
@@ -559,15 +562,10 @@ def _make_water_waves_deep(params=None):
 
 
 def _make_boussinesq_whitham(params=None):
-    p = _merged({"g": 1.0, "h": 1.0, "alpha": 1.0}, params)
-    _require_positive(p, "g", "h")
+    p = _merged({"g": 1.0, "h": 1.0, "alpha": 1.0}, params, ("g", "h"))
     g, h = p["g"], p["h"]
-    omega1 = _ww_omega1(g, h)
-    return ModelSpec(
-        name="boussinesq-whitham", kind=NONCANONICAL_BW,
-        branches=(DispersionBranch(1, omega1),
-                  DispersionBranch(2, lambda k: -omega1(k))),
-        params=p, kernel_symbol=_ww_c2(g, h), alpha=p["alpha"])
+    return _boussinesq_whitham("boussinesq-whitham", p, _ww_omega1(g, h),
+                               _ww_c2(g, h), p["alpha"])
 
 
 BUILTIN_MODELS: dict[str, Callable] = {
@@ -621,7 +619,8 @@ def model_from_config(spec: Mapping) -> ModelSpec:
     ``at_zero``, the k = 0 value of a scalar kernel omega1(k)/k (default 0)
     or of a BW c_squared (canonical models refuse it).  Canonical models
     built this way have the Hamiltonian B(k) = 1, C(k) = omega1(k)^2, whose
-    only branches are +-omega1.
+    only branches are +-omega1.  Each parameter and ``at_zero`` must be a
+    finite number.
 
     Only custom models load ``dsl``.  An expression that fails while the
     model is built (a ``dsl.EvalError``) is a ModelError naming the model;
@@ -639,62 +638,52 @@ def model_from_config(spec: Mapping) -> ModelSpec:
         raise ModelError(f"custom model kind must be one of {_KINDS}, got {kind!r}")
     if "omega1" not in spec:
         raise ModelError("custom model requires 'omega1'")
+    params = _params(spec.get("params", {}))
+    at_zero = spec.get("at_zero")
+    if at_zero is not None:
+        at_zero = _finite("custom model 'at_zero'", at_zero)
     from . import dsl
     name = _CUSTOM_NAMES[kind]
     try:
-        return _custom_model(spec, kind, name, dsl.compile_symbol)
+        omega1 = dsl.compile_symbol(spec["omega1"], params)
+        if kind == SCALAR:
+            kernel = _at_zero(lambda k: omega1(k) / k,
+                              0.0 if at_zero is None else at_zero)
+            return _scalar_model(name, params, omega1, kernel,
+                                 params.get("sigma", 1.0))
+        if kind == CANONICAL:
+            if "at_zero" in spec:
+                raise ModelError("custom canonical symbols are regular at "
+                                 "k = 0: drop 'at_zero'")
+            if "omega2" in spec:
+                _require_match(
+                    dsl.compile_symbol(spec["omega2"], params)(_PROBES),
+                    -omega1(_PROBES),
+                    "custom canonical models have B(k) = 1 and C(k) = "
+                    "omega1(k)^2, whose branches are +-omega1: 'omega2' "
+                    "must equal -omega1")
+            return _canonical(name, params, omega1,
+                              b_symbol=_constant(1.0),
+                              c_symbol=_symbol(lambda k: omega1(k) ** 2))
+        if "c_squared" not in spec:
+            raise ModelError("noncanonical-bw custom model requires "
+                             "'c_squared'")
+        c2 = dsl.compile_symbol(spec["c_squared"], params)
+        if at_zero is not None:
+            c2 = _at_zero(c2, at_zero)
+        w1, c2_probes = omega1(_PROBES), c2(_PROBES)
+        negative = c2_probes < 0.0
+        if negative.any():
+            raise ModelError(
+                f"custom noncanonical-bw 'c_squared' is negative at "
+                f"k={float(_PROBES[negative][0])!r}, so its branches "
+                f"+-k*sqrt(c_squared(k)) are not real")
+        _require_match(w1, _PROBES * np.sqrt(c2_probes),
+                       "custom noncanonical-bw models have the branches "
+                       "+-k*sqrt(c_squared(k)): 'omega1' must equal "
+                       "k*sqrt(c_squared)")
+        return _boussinesq_whitham(
+            name, params, _symbol(lambda k: k * np.sqrt(c2(k))), c2,
+            params.get("alpha", 1.0))
     except dsl.EvalError as exc:
         raise ModelError(f"model {name!r}: {exc}") from exc
-
-
-def _custom_model(spec: Mapping, kind: str, name: str,
-                  compile_symbol: Callable) -> ModelSpec:
-    params = dict(spec.get("params", {}))
-    at_zero = spec.get("at_zero")
-    omega1 = compile_symbol(spec["omega1"], params)
-
-    if kind == SCALAR:
-        kernel = _at_zero(lambda k: omega1(k) / k,
-                          0.0 if at_zero is None else at_zero)
-        return ModelSpec(
-            name=name, kind=SCALAR,
-            branches=(DispersionBranch(1, omega1),),
-            params=params, kernel_symbol=kernel,
-            sigma=params.get("sigma", 1.0))
-
-    if kind == CANONICAL:
-        if "at_zero" in spec:
-            raise ModelError("custom canonical symbols are regular at k = 0: "
-                             "drop 'at_zero'")
-        if "omega2" in spec:
-            _require_match(compile_symbol(spec["omega2"], params)(_PROBES),
-                           -omega1(_PROBES),
-                           "custom canonical models have B(k) = 1 and C(k) = "
-                           "omega1(k)^2, whose branches are +-omega1: "
-                           "'omega2' must equal -omega1")
-        return _canonical(name, params, omega1,
-                          b_symbol=_constant(1.0),
-                          c_symbol=_symbol(lambda k: omega1(k) ** 2))
-
-    # noncanonical-bw
-    if "c_squared" not in spec:
-        raise ModelError("noncanonical-bw custom model requires 'c_squared'")
-    c2 = compile_symbol(spec["c_squared"], params)
-    if at_zero is not None:
-        c2 = _at_zero(c2, at_zero)
-    w1, c2_probes = omega1(_PROBES), c2(_PROBES)
-    negative = c2_probes < 0.0
-    if negative.any():
-        raise ModelError(f"custom noncanonical-bw 'c_squared' is negative at "
-                         f"k={float(_PROBES[negative][0])!r}, so its branches "
-                         f"+-k*sqrt(c_squared(k)) are not real")
-    _require_match(w1, _PROBES * np.sqrt(c2_probes),
-                   "custom noncanonical-bw models have the branches "
-                   "+-k*sqrt(c_squared(k)): 'omega1' must equal "
-                   "k*sqrt(c_squared)")
-    omega_bw = _symbol(lambda k: k * np.sqrt(c2(k)))
-    return ModelSpec(
-        name=name, kind=NONCANONICAL_BW,
-        branches=(DispersionBranch(1, omega_bw),
-                  DispersionBranch(2, lambda k: -omega_bw(k))),
-        params=params, kernel_symbol=c2, alpha=params.get("alpha", 1.0))

@@ -320,9 +320,27 @@ class TestConfigErrors:
         (["wave", "--model", "kdv", "--amplitude", "inf"], "wave.amplitude"),
         (["wave", "--model", "kdv", "--amplitude", "0.01", "--mean=-inf"],
          "wave.mean"),
+        (["wave", "--model", "whitham", "--sigma", "nan", "--amplitude",
+          "0.01"], "parameter 'sigma' must be finite, got nan"),
+        (["analyze", "--model", "whitham", "--sigma", "inf"],
+         "parameter 'sigma' must be finite, got inf"),
+        (["analyze", "--config", {"kind": "scalar", "omega1": "-k^3",
+                                  "params": {"sigma": math.nan}}],
+         "parameter 'sigma' must be finite, got nan"),
+        (["analyze", "--config", {"kind": "scalar", "omega1": "-k^3",
+                                  "at_zero": math.nan}],
+         "'at_zero' must be finite, got nan"),
     ])
-    def test_non_finite_flag_is_a_configuration_error(self, capsys, argv,
-                                                      message):
+    def test_non_finite_flag_is_a_configuration_error(self, capsys, tmp_path,
+                                                      argv, message):
+        # a dict is an inline model, written as a config file: json writes
+        # nan as the literal NaN, which json.load reads back
+        argv = list(argv)
+        for i, a in enumerate(argv):
+            if isinstance(a, dict):
+                path = tmp_path / "run.json"
+                path.write_text(json.dumps({"model": a}))
+                argv[i] = str(path)
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "configuration error" in err and message in err

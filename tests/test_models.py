@@ -1,7 +1,9 @@
 """Model catalog and zero-amplitude spectrum tests."""
 
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,25 @@ class TestCatalog:
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ModelError):
             make_model("kdv", {"depth": 2.0})
+
+    @pytest.mark.parametrize("name, value", [
+        ("kdv", "1"), ("kdv", None), ("kdv", True), ("kdv", math.nan),
+        ("whitham", math.nan), ("whitham", -math.inf)])
+    def test_non_numeric_or_non_finite_parameter_rejected(self, name, value):
+        # whitham derives its default sigma from g and h; a given one is
+        # checked like every other parameter
+        with pytest.raises(ModelError, match="^parameter 'sigma' must be "
+                                             "(a number|finite), got "):
+            make_model(name, {"sigma": value})
+
+    @pytest.mark.parametrize("spec, label", [
+        ({"params": {"sigma": "1"}}, "parameter 'sigma'"),
+        ({"params": {"a": math.inf}}, "parameter 'a'"),
+        ({"at_zero": math.nan}, "custom model 'at_zero'"),
+        ({"at_zero": "0"}, "custom model 'at_zero'")])
+    def test_custom_parameters_and_at_zero_are_checked(self, spec, label):
+        with pytest.raises(ModelError, match=f"^{label} must be "):
+            model_from_config({"kind": "scalar", "omega1": "-k^3", **spec})
 
     def test_nonpositive_depth_rejected(self):
         with pytest.raises(ModelError):
@@ -280,3 +301,24 @@ def test_one_bad_point_fails_an_array_like_the_scalar_call(text, bad,
     with pytest.raises(dsl.EvalError, match=f"{message} at k={bad!r}"):
         symbol(np.array([0.5, 1.5, bad, 2.0]))
     assert symbol(np.array([0.5, 2.0])).shape == (2,)
+
+
+CONSTRUCTORS = {"_scalar_model", "_canonical", "_boussinesq_whitham"}
+
+
+def test_only_the_three_constructors_build_a_model():
+    # one constructor per Hamiltonian structure builds every ModelSpec in
+    # src/, the built-in and the custom models alike
+    def callers(node, where):
+        for child in ast.iter_child_nodes(node):
+            func = getattr(child, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) == "ModelSpec":
+                yield where
+            scope = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            yield from callers(child, child.name if scope else where)
+
+    found = set()
+    for path in sorted(Path(models.__file__).parent.glob("*.py")):
+        found |= {(path.name, where) for where in
+                  callers(ast.parse(path.read_text()), "<module>")}
+    assert found == {("models.py", name) for name in CONSTRUCTORS}
