@@ -26,8 +26,7 @@ by one thread per CPU the process may use (divided by OPENBLAS_NUM_THREADS,
 at most ``_MAX_WORKERS``), the calling thread among them.  The threads
 start and end within each call, and every slice is still one
 single-threaded LAPACK call on the same matrix, so the spectrum does not
-depend on the thread count.  The CSV rows are read from the spectrum a few
-slices at a time (``spectrum_to_csv_rows``).
+depend on the thread count.
 
 The mu grid is uniform plus a fixed-width window around each predicted
 collision mu and its mirror -mu (``MuGridSpec.windows``), sampled
@@ -37,9 +36,11 @@ k -> -k, which ``models.validate_dispersive`` checks when the model is
 built) and every wave is an even cosine series, so the spectrum at -mu is
 the negated spectrum at mu: R(-mu) = -Q R(mu) Q^-1 for the flip Q that
 reverses the modes within each component block (and negates the second
-block of a canonical model).  A grid's mu >= 0 half is computed and each
-mu < 0 slice is derived from its partner, exact to the eigensolver's own
-backward error.
+block of a canonical model).  A grid's mu >= 0 half is computed and held,
+and each mu < 0 slice is derived from its partner when it is read, exact to
+the eigensolver's own backward error.  The readers (the CSV rows, bubble
+detection, ``SpectrumSet.max_real_part`` and ``SpectrumSet.slices``) take
+every slice a block at a time from one generator (``_blocks``).
 
 Bubbles (connected arcs of eigenvalues off the imaginary axis) are
 detected by thresholding Re(lambda) and clustering in Im(lambda), and each
@@ -105,19 +106,23 @@ def zero_wave(model: ModelSpec, c: float) -> TravelingWave:
 
 @dataclass
 class SpectrumSet:
-    """Point spectra: row i of ``values`` holds the eigenvalues at ``mus[i]``
-    sorted by (Im, Re), and ``mus`` increases."""
+    """Point spectra over increasing ``mus``, each slice's eigenvalues
+    sorted by (Im, Re).  ``values`` holds the solved slices, one row for each
+    of the last ``len(values)`` mus; each earlier mu is the mirror of a
+    solved one, and its slice is derived when read (``_blocks``)."""
     mus: np.ndarray = field(default_factory=lambda: np.empty(0))
     values: np.ndarray = field(
         default_factory=lambda: np.empty((0, 0), dtype=complex))
 
     @property
     def slices(self) -> list[tuple[float, np.ndarray]]:
-        """(mu, eigenvalues) per slice; each array is a row of ``values``."""
-        return list(zip(self.mus.tolist(), self.values))
+        """(mu, eigenvalues) per slice, mirrored slices included."""
+        return [(mu, row) for mus, rows in _blocks(self)
+                for mu, row in zip(mus.tolist(), rows)]
 
     def max_real_part(self) -> float:
-        return float(self.values.real.max()) if self.values.size else 0.0
+        peaks = [rows.real.max() for _, rows in _blocks(self)]
+        return float(np.max(peaks)) if peaks else 0.0
 
 
 @dataclass
@@ -267,42 +272,53 @@ def full_spectrum(model: ModelSpec, wave: TravelingWave,
     A finite wave's slices are solved in stacks (``_solve``); the zero
     wave's are the closed form -i*Omega_l(n + mu), with no eigensolve.  An
     explicit array of mu is computed whole.  A ``MuGridSpec`` grid is
-    symmetric, so only its mu >= 0 slices are computed; each mu < 0 slice
-    is its partner's negated (see the module docstring); every ``ModelSpec``
-    was checked for that reflection when it was built.
+    symmetric, so only its mu >= 0 slices are computed and held in
+    ``values``; each mu < 0 slice is its partner's negated, derived when it
+    is read (see the module docstring); every ``ModelSpec`` was checked for
+    that reflection when it was built.
     """
     W = wave_part(model, wave, M)
     if isinstance(grid, MuGridSpec):
         mus = build_mu_grid(grid)
-        n_neg = np.count_nonzero(mus < 0.0)
+        solved = mus[np.count_nonzero(mus < 0.0):]
     else:
-        mus = np.array(sorted(float(m) for m in grid))
-        n_neg = 0
-    values = np.empty((mus.size, len(model.branches) * (2 * M + 1)),
-                      dtype=complex)
-    # + 0.0 turns -0 into +0
-    if W is None:
-        ks = _wavenumbers(mus[n_neg:], M)
-        values[n_neg:] = _sorted(np.concatenate(
+        mus = solved = np.array(sorted(float(m) for m in grid))
+    if W is None:   # + 0.0 turns -0 into +0
+        ks = _wavenumbers(solved, M)
+        values = _sorted(np.concatenate(
             [-1j * eval_Omega(model, b.index, ks, wave.c)
              for b in model.branches], axis=-1) + 0.0)
     else:
-        _solve(model, wave.c, W, mus[n_neg:], M, values[n_neg:])
-    values[:n_neg] = _sorted(-values[::-1][:n_neg] + 0.0)
+        values = np.empty((solved.size, len(model.branches) * (2 * M + 1)),
+                          dtype=complex)
+        _solve(model, wave.c, W, solved, M, values)
     return SpectrumSet(mus, values)
+
+
+def _blocks(spectrum: SpectrumSet):
+    """Yield (mus, rows) blocks of every slice in mu order, as many whole
+    slices as fit in a CSV block (``report._BLOCK`` rows) and at least one.
+    A mirrored slice is its solved partner negated: row i < n_neg is
+    derived from the row of mu[-1 - i] = -mu[i]."""
+    mus, values = spectrum.mus, spectrum.values
+    size = len(values)
+    n_neg = mus.size - size
+    step = max(1, report._BLOCK // (values.shape[1] or 1))
+    for lo in range(0, mus.size, step):
+        hi = min(lo + step, mus.size)
+        rows = values[max(lo - n_neg, 0):max(hi - n_neg, 0)]
+        if lo < n_neg:   # + 0.0 turns -0 into +0
+            partners = values[size - min(hi, n_neg):size - lo][::-1]
+            rows = np.concatenate([_sorted(-partners + 0.0), rows])
+        yield mus[lo:hi], rows
 
 
 def spectrum_to_csv_rows(spectrum: SpectrumSet):
     """Yield (rows, 3) float blocks of (mu, re_lambda, im_lambda) in slice
-    order, read from ``values``.  A block holds whole slices, as many as fit
-    in a CSV block (``report._BLOCK`` rows) and at least one, so the full
-    table is never built."""
-    mus, values = spectrum.mus, spectrum.values
-    step = max(1, report._BLOCK // (values.shape[1] or 1))
-    for lo in range(0, mus.size, step):
-        vals = values[lo:lo + step]
+    order, one per block of ``_blocks``, so the full table is never built."""
+    for mus, vals in _blocks(spectrum):
         rows = np.empty(vals.shape + (3,))
-        rows[..., 0] = mus[lo:lo + step, None]
+        rows[..., 0] = mus[:, None]
         rows[..., 1] = vals.real
         rows[..., 2] = vals.imag
         yield rows.reshape(-1, 3)
@@ -321,10 +337,14 @@ def detect_bubbles(spectrum: SpectrumSet,
     among those off the origin whose verdict is not ``VERDICT_NONE``: an
     equal-signature collision cannot open a bubble.
     """
-    rows, cols = np.nonzero(spectrum.values.real > BUBBLE_THRESHOLD)
-    if not rows.size:
+    mus, lams = [np.empty(0)], [np.empty(0, dtype=complex)]
+    for block_mus, vals in _blocks(spectrum):   # in row-major order
+        rows, cols = np.nonzero(vals.real > BUBBLE_THRESHOLD)
+        mus.append(block_mus[rows])
+        lams.append(vals[rows, cols])
+    mus, lams = np.concatenate(mus), np.concatenate(lams)
+    if not lams.size:
         return []
-    mus, lams = spectrum.mus[rows], spectrum.values[rows, cols]
     order = np.argsort(lams.imag)
     mus, lams = mus[order], lams[order]
     breaks = np.flatnonzero(np.diff(lams.imag) > IM_CLUSTER_GAP)

@@ -4,12 +4,13 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from hfstab import hill
+from hfstab import hill, report
 from hfstab.collisions import (VERDICT_NONE, VERDICT_POTENTIAL,
                                find_collisions, mirror_events)
 from hfstab.krein import screen
@@ -367,6 +368,54 @@ class TestDerivedSlices:
             assert hausdorff(vals, direct) <= 1e-12 * scale
             assert not np.signbit(vals.real[vals.real == 0.0]).any()
 
+    @pytest.mark.parametrize("count", [24, 25])
+    def test_values_hold_only_the_solved_slices(self, count):
+        # an odd count puts mu = +0.0 in the grid, which has no mirror
+        model, wave = derived_slice_case("kdv")
+        s = hill.full_spectrum(model, wave, hill.MuGridSpec(count=count), 8)
+        assert s.mus.size == count
+        assert len(s.values) == np.count_nonzero(s.mus >= 0.0)
+        assert len(s.values) == (count + 1) // 2
+        assert len(s.slices) == count
+        mus = np.array([-0.3, 0.2, -0.1, 0.4])
+        s = hill.full_spectrum(model, wave, mus, 8)
+        assert s.mus.tolist() == sorted(mus) and len(s.values) == mus.size
+
+    @pytest.mark.parametrize("name", ["fifth-order-scalar",
+                                      "boussinesq-whitham", "sine-gordon"])
+    def test_zero_amplitude_max_real_part_is_positive_zero(self, name):
+        # the derived rows' real parts are +0.0 too, so the report prints 0
+        model = make_model(name)
+        wave = hill.zero_wave(model, bifurcation_speed(model, 1, 1))
+        s = hill.full_spectrum(model, wave, hill.MuGridSpec(count=40), 8)
+        top = s.max_real_part()
+        assert top == 0.0 and not np.signbit(top)
+        assert report.json_dumps({"max_re_lambda": top}) == \
+            '{\n  "max_re_lambda": 0\n}\n'
+
+    @pytest.mark.parametrize("count", [1200, 24_000])
+    def test_reading_a_spectrum_holds_a_few_blocks_whatever_the_grid(self,
+                                                                    count):
+        # the mirrored slices and the bubble candidates are taken a block
+        # at a time: nothing of the size of the grid is built beside values
+        model = make_model("fifth-order-scalar")
+        wave = hill.zero_wave(model, bifurcation_speed(model, 1, 1))
+        s = hill.full_spectrum(model, wave, hill.MuGridSpec(count=count), 16)
+        block = report._BLOCK * s.values.itemsize
+        rows = 0
+        tracemalloc.start()
+        try:
+            assert hill.detect_bubbles(s) == []
+            assert s.max_real_part() == 0.0
+            for part in hill.spectrum_to_csv_rows(s):
+                rows += len(part)
+                del part
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == count * 33
+        assert peak <= 8 * block
+
 
 class TestStackedSolves:
     """full_spectrum builds and solves its slices in stacks of
@@ -422,7 +471,8 @@ class TestStackedSolves:
             for workers in (1, 2, 3, 8):
                 monkeypatch.setattr(hill, "_WORKERS", workers)
                 s = hill.full_spectrum(model, wave, grid, 16)
-                spectra.add((s.mus.tobytes(), s.values.tobytes()))
+                spectra.add((s.mus.tobytes(),
+                             *(vals.tobytes() for _, vals in s.slices)))
         finally:
             sys.setswitchinterval(interval)
         assert len(spectra) == 1
@@ -533,17 +583,21 @@ class TestZeroAmplitudeConsistency:
                                hill.MuGridSpec(count=24, windows=(0.1, 0.37)),
                                16)
         assert calls == []
-        # the mu >= 0 rows are the sorted closed form, bit for bit; Omega is
-        # evaluated on the same (slices, modes) array as in full_spectrum
+        # the solved mu >= 0 rows are the sorted closed form, bit for bit;
+        # Omega is evaluated on the same (slices, modes) array as in
+        # full_spectrum
         n_neg = np.count_nonzero(s.mus < 0.0)
         ks = np.arange(-16, 17) + s.mus[n_neg:, None]
         rho = np.sort(np.concatenate([-eval_Omega(model, b.index, ks, c)
                                       for b in model.branches], axis=-1))
-        assert s.values[n_neg:].real.tobytes() == np.zeros(rho.shape).tobytes()
-        assert s.values[n_neg:].imag.tobytes() == (rho + 0.0).tobytes()
-        # and each mu < 0 row is its partner's exact negation
-        mirror = -s.values[::-1][:n_neg, ::-1] + 0.0
-        assert s.values[:n_neg].tobytes() == mirror.tobytes()
+        assert s.values.real.tobytes() == np.zeros(rho.shape).tobytes()
+        assert s.values.imag.tobytes() == (rho + 0.0).tobytes()
+        # every slice read: the solved rows as they are, and each derived
+        # mu < 0 row its partner's exact negation
+        rows = np.array([vals for _, vals in s.slices])
+        assert rows[n_neg:].tobytes() == s.values.tobytes()
+        mirror = -rows[::-1][:n_neg, ::-1] + 0.0
+        assert rows[:n_neg].tobytes() == mirror.tobytes()
 
     def test_fault_injection_detected(self):
         model = model_from_config(
