@@ -5,7 +5,7 @@ Commands
 analyze   run the full necessary-condition pipeline, emit a JSON report
 wave      construct a traveling wave by Newton continuation, emit JSON
 spectrum  Hill spectrum over a Floquet grid refined around every predicted
-          collision, emit CSV plus a bubble report
+          collision off the origin, emit CSV plus a bubble report
 curves    secant-curve data tables (and a depth trace for water waves)
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  An
@@ -26,7 +26,8 @@ from collections.abc import Iterable
 import numpy as np
 
 from . import krein
-from .collisions import secant_curve_data, trace_first_collision_vs_depth
+from .collisions import find_collisions, secant_curve_data, \
+    trace_first_collision_vs_depth
 from .config import ConfigError, RunConfig, apply_flags, build_model, \
     load_config, _SECTIONS
 from .models import ModelError, NumericalError, TravelingWave, \
@@ -183,9 +184,20 @@ def cmd_spectrum(args) -> int:
     else:
         wave = _solve_wave(cfg, model, force=False)
 
-    predictions = krein.screen(model, wave.c, cfg.n_max)
+    # The theory predicts bubbles only at the collisions off the origin at
+    # the bifurcation speed c0.  The wave's speed c0 + O(eps^2) splits the
+    # origin collision into near-origin events, so an event gets a window
+    # and bubble links only when its modes collide off the origin at c0.  It
+    # keeps its mu at the wave's speed: a window at the c0 mu can miss a
+    # narrow bubble.
+    modes = lambda e: (e.n1, e.l1, e.n2, e.l2)
+    c0 = bifurcation_speed(model, 1, cfg.N)
+    genuine = {modes(e) for e in find_collisions(model, c0, cfg.n_max)
+               if not e.at_origin}
+    predictions = [e for e in krein.screen(model, wave.c, cfg.n_max)
+                   if modes(e) in genuine]
     # build_mu_grid adds each window's mirror
-    windows = tuple(e.mu for e in predictions if not e.at_origin)
+    windows = tuple(e.mu for e in predictions)
     grid = hill.MuGridSpec(count=cfg.mu_count, windows=windows)
     spectrum = hill.full_spectrum(model, wave, grid, cfg.M)
     bubbles = hill.detect_bubbles(spectrum, predictions=predictions)

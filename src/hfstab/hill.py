@@ -31,6 +31,9 @@ depend on the thread count.
 The mu grid is uniform plus a fixed-width window around each predicted
 collision mu and its mirror -mu (``MuGridSpec.windows``), sampled
 ``refine_factor`` times more densely; it is exactly symmetric about 0.
+``hfstab spectrum`` predicts only the collisions off the origin at the
+bifurcation speed, each at its mu for the wave's own speed; the split
+near-origin events of the origin collision get no window.
 Every model hfstab accepts is reversible (its branch set is closed under
 k -> -k, which ``models.validate_dispersive`` checks when the model is
 built) and every wave is an even cosine series, so the spectrum at -mu is
@@ -39,8 +42,9 @@ reverses the modes within each component block (and negates the second
 block of a canonical model).  A grid's mu >= 0 half is computed and held,
 and each mu < 0 slice is derived from its partner when it is read, exact to
 the eigensolver's own backward error.  The readers (the CSV rows, bubble
-detection, ``SpectrumSet.max_real_part`` and ``SpectrumSet.slices``) take
-every slice a block at a time from one generator (``_blocks``).
+detection and ``SpectrumSet.slices``) take every slice a block at a time
+from one generator (``_blocks``); ``SpectrumSet.max_real_part`` needs only
+the real parts, which a mirrored slice negates, so it reads ``values``.
 
 Bubbles (connected arcs of eigenvalues off the imaginary axis) are
 detected by thresholding Re(lambda) and clustering in Im(lambda), and each
@@ -121,8 +125,17 @@ class SpectrumSet:
                 for mu, row in zip(mus.tolist(), rows)]
 
     def max_real_part(self) -> float:
-        peaks = [rows.real.max() for _, rows in _blocks(self)]
-        return float(np.max(peaks)) if peaks else 0.0
+        """Largest Re(lambda) over every slice, 0.0 for none.  A mirrored
+        slice's real parts are its solved partner's negated, and the
+        partners are the last len(mus) - len(values) rows."""
+        re = self.values.real
+        if not re.size:
+            return 0.0
+        n_neg = self.mus.size - len(re)
+        peak = re.max()
+        if n_neg:   # + 0.0 turns -0 into +0
+            peak = max(peak, -re[len(re) - n_neg:].min() + 0.0)
+        return float(peak)
 
 
 @dataclass

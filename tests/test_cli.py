@@ -12,9 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hfstab import hill
 from hfstab.cli import build_parser, main
+from hfstab.collisions import LAMBDA_TOL
 from hfstab.config import apply_flags, load_config
-from hfstab.models import make_model
+from hfstab.krein import run_pipeline, screen
+from hfstab.models import TravelingWave, bifurcation_speed, eval_Omega, \
+    make_model
+from hfstab.report import csv_lines
 from hfstab.waves import solve_wave_collocation
 
 
@@ -655,6 +660,79 @@ class TestSpectrum:
         assert low["mu_support"] == [-mu for mu in high["mu_support"][::-1]]
         assert low["im_support"] == [-im for im in high["im_support"][::-1]]
         assert low["center_im"] == -high["center_im"]
+
+    @pytest.mark.parametrize("model, amplitude", [
+        ("kdv", 0.02), ("gkdv", 0.02), ("mkdv-focusing", 0.02),
+        ("mkdv-defocusing", 0.02), ("whitham", 0.02),
+        ("fifth-order-scalar", 0.02), ("boussinesq-whitham", 0.01)])
+    def test_windows_only_around_collisions_off_the_origin(
+            self, capsys, tmp_path, model, amplitude):
+        # the wave's speed c0 + O(eps^2) splits the origin collision into
+        # near-origin events; only the non-origin collisions at c0 (none for
+        # the KdV family) get a window and its mirror, of 3 points at 20 mu
+        out_path = tmp_path / "spec.csv"
+        code, _, _ = run(capsys, "spectrum", "--model", model,
+                         "--amplitude", str(amplitude), "--modes", "16",
+                         "--M", "8", "--mu-count", "20",
+                         "--out", str(out_path))
+        assert code == 0
+        mus = {row.split(",")[0]
+               for row in out_path.read_text().splitlines()[1:]}
+        genuine = run_pipeline(make_model(model)).counts["non_origin"]
+        assert len(mus) == 20 + 3 * 2 * genuine
+
+    def test_fifth_order_windows_are_the_kept_wave_speed_collisions(
+            self, capsys, tmp_path):
+        # the CSV is the spectrum on the windows of the events at the wave's
+        # speed whose modes do not both sit at the origin at c0
+        wave_path, out_path = tmp_path / "w.json", tmp_path / "spec.csv"
+        assert run(capsys, "wave", "--model", "fifth-order-scalar",
+                   "--amplitude", "0.02", "--modes", "16",
+                   "--out", str(wave_path))[0] == 0
+        assert run(capsys, "spectrum", "--model", "fifth-order-scalar",
+                   "--wave", str(wave_path), "--M", "8", "--mu-count", "20",
+                   "--out", str(out_path))[0] == 0
+        model = make_model("fifth-order-scalar")
+        wave = TravelingWave.from_dict(json.loads(wave_path.read_text()))
+        c0 = bifurcation_speed(model, 1, 1)
+        at_origin = lambda n, l: abs(eval_Omega(model, l, n, c0)) < LAMBDA_TOL
+        events = screen(model, wave.c, 10)
+        kept = [e.mu for e in events
+                if not (at_origin(e.n1, e.l1) and at_origin(e.n2, e.l2))]
+        assert len(kept) < len(events)
+        spectrum = hill.full_spectrum(
+            model, wave, hill.MuGridSpec(count=20, windows=tuple(kept)), 8)
+        assert out_path.read_text() == csv_lines(
+            ["mu", "re_lambda", "im_lambda"],
+            hill.spectrum_to_csv_rows(spectrum))
+
+    def test_modulational_bubbles_link_to_no_event(self, capsys, tmp_path):
+        # focusing mKdV has no collision off the origin at c0: its three
+        # near-origin bubbles are modulational, and no prediction names them
+        out_path = tmp_path / "spec.csv"
+        code, _, _ = run(capsys, "spectrum", "--model", "mkdv-focusing",
+                         "--amplitude", "0.02", "--M", "32",
+                         "--out", str(out_path))
+        assert code == 0
+        report = json.loads((tmp_path / "spec.csv.bubbles.json").read_text())
+        assert len(report["bubbles"]) == 3
+        for b in report["bubbles"]:
+            assert b["nearest_event"] is None and b["event_distance"] is None
+
+    def test_boussinesq_whitham_window_still_samples_its_narrow_bubble(
+            self, capsys, tmp_path):
+        # the 1e-4 wide bubble at |Im lambda| 0.4855 is seen at one sample of
+        # the window centred on the wave-speed collision; a window centred
+        # on the c0 collision would miss it
+        out_path = tmp_path / "spec.csv"
+        code, _, _ = run(capsys, "spectrum", "--model", "boussinesq-whitham",
+                         "--amplitude", "0.01", "--M", "32",
+                         "--out", str(out_path))
+        assert code == 0
+        report = json.loads((tmp_path / "spec.csv.bubbles.json").read_text())
+        top = max(report["bubbles"], key=lambda b: b["center_im"])
+        assert top["center_im"] == pytest.approx(0.4855, abs=1e-4)
+        assert top["mu_support"] == [0.2607998962090069, 0.2607998962090069]
 
     def test_odd_mu_count_writes_mu_zero_as_0(self, capsys, tmp_path):
         # mu = 0 is its own mirror: one slice, written 0, never -0
