@@ -39,12 +39,12 @@ k -> -k, which ``models.validate_dispersive`` checks when the model is
 built) and every wave is an even cosine series, so the spectrum at -mu is
 the negated spectrum at mu: R(-mu) = -Q R(mu) Q^-1 for the flip Q that
 reverses the modes within each component block (and negates the second
-block of a canonical model).  A grid's mu >= 0 half is computed and held,
-and each mu < 0 slice is derived from its partner when it is read, exact to
-the eigensolver's own backward error.  The readers (the CSV rows, bubble
-detection and ``SpectrumSet.slices``) take every slice a block at a time
-from one generator (``_blocks``); ``SpectrumSet.max_real_part`` needs only
-the real parts, which a mirrored slice negates, so it reads ``values``.
+block of a canonical model).  A grid's mu >= 0 half is computed and held;
+each mu < 0 slice is its partner negated and reversed, so still sorted, when
+read, exact to the eigensolver's own backward error.  The readers (the CSV
+rows, bubble detection and ``SpectrumSet.slices``) take every slice a block
+at a time from one generator (``_blocks``); ``SpectrumSet.max_real_part``
+needs only the real parts, which a mirrored slice negates: it reads ``values``.
 
 Bubbles (connected arcs of eigenvalues off the imaginary axis) are
 detected by thresholding Re(lambda) and clustering in Im(lambda), and each
@@ -311,8 +311,8 @@ def full_spectrum(model: ModelSpec, wave: TravelingWave,
 def _blocks(spectrum: SpectrumSet):
     """Yield (mus, rows) blocks of every slice in mu order, as many whole
     slices as fit in a CSV block (``report._BLOCK`` rows) and at least one.
-    A mirrored slice is its solved partner negated: row i < n_neg is
-    derived from the row of mu[-1 - i] = -mu[i]."""
+    A mirrored slice is its solved partner negated and reversed, so sorted
+    by (Im, Re): row i < n_neg is derived from the row of -mu[i]."""
     mus, values = spectrum.mus, spectrum.values
     size = len(values)
     n_neg = mus.size - size
@@ -321,8 +321,8 @@ def _blocks(spectrum: SpectrumSet):
         hi = min(lo + step, mus.size)
         rows = values[max(lo - n_neg, 0):max(hi - n_neg, 0)]
         if lo < n_neg:   # + 0.0 turns -0 into +0
-            partners = values[size - min(hi, n_neg):size - lo][::-1]
-            rows = np.concatenate([_sorted(-partners + 0.0), rows])
+            partners = values[size - min(hi, n_neg):size - lo]
+            rows = np.concatenate([-partners[::-1, ::-1] + 0.0, rows])
         yield mus[lo:hi], rows
 
 
@@ -353,8 +353,9 @@ def detect_bubbles(spectrum: SpectrumSet,
     mus, lams = [np.empty(0)], [np.empty(0, dtype=complex)]
     for block_mus, vals in _blocks(spectrum):   # in row-major order
         rows, cols = np.nonzero(vals.real > BUBBLE_THRESHOLD)
-        mus.append(block_mus[rows])
-        lams.append(vals[rows, cols])
+        if rows.size:   # a block without candidates adds nothing held
+            mus.append(block_mus[rows])
+            lams.append(vals[rows, cols])
     mus, lams = np.concatenate(mus), np.concatenate(lams)
     if not lams.size:
         return []

@@ -403,12 +403,18 @@ def real_matrix(model: ModelSpec, ks: np.ndarray, c: float,
     ks = np.asarray(ks, dtype=float)
     n = ks.shape[-1]
     i = np.arange(n)
+    if model.kind == SCALAR and W is not None:
+        # built in k*W: the diagonal -Omega + k*W_ii takes k*W_ii before the
+        # + 0.0 that keeps the zeros off it +0, as eigvals needs
+        R = ks[..., :, None] * W
+        diag = -eval_Omega(model, 1, ks, c) + R[..., i, i]
+        R += 0.0
+        R[..., i, i] = diag
+        return R
     R = np.zeros(ks.shape[:-1] + (len(model.branches) * n,) * 2)
     if model.kind == SCALAR:
         # k*(-Omega/k) = -Omega: the k cancels exactly, also at k = 0
         R[..., i, i] = -eval_Omega(model, 1, ks, c)
-        if W is not None:
-            R += ks[..., :, None] * W
         return R
     S = hessian(model, ks, c)
     j = ks if model.kind == NONCANONICAL_BW else np.ones_like(ks)

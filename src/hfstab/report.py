@@ -6,9 +6,9 @@ CSV tables are 2-D float arrays, or iterables of them such as the slice
 blocks of ``hill.spectrum_to_csv_rows``.  Their text is formatted a block of
 rows at a time (``csv_blocks``), so that a spectrum of hundreds of thousands
 of rows is written to its file with little beyond one array and one block of
-text in memory, and ``csv_lines`` holds the whole text only once.  A block
-formats each run of rows sharing the leading cell (a spectrum slice's mu)
-once.
+text in memory, and ``csv_lines`` holds the whole text only once.  A block's
+format string holds the leading cell of each run of rows sharing it (a
+spectrum slice's mu); the other cells are formatted from the float rows.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 __all__ = ["format_float", "json_dumps", "csv_lines", "csv_blocks"]
 
-_BLOCK = 4096   # CSV rows formatted at a time
+_BLOCK = 1024   # CSV rows formatted at a time
 
 
 def format_float(x: float) -> str:
@@ -81,22 +81,20 @@ def csv_blocks(header: list[str], table):
     17 significant digits (an integer-valued float prints as the integer),
     and one ``%`` formats each block after refusing its non-finite cells.  A
     run of rows that share the leading cell (a spectrum's mu) formats it
-    once."""
+    once, into that ``%`` format."""
     yield ",".join(header) + "\n"
     for part in [table] if isinstance(table, np.ndarray) else table:
         part = np.asarray(part, dtype=float)
-        row_fmt = "%s" + ",%.17g" * (part.shape[1] - 1) + "\n"
+        tail = ",%.17g" * (part.shape[1] - 1) + "\n"
         for lo in range(0, len(part), _BLOCK):
             block = part[lo:lo + _BLOCK]
             if not np.isfinite(block).all():
                 format_float(float(block[~np.isfinite(block)][0]))   # raises
             bounds = _run_bounds(block[:, 0])
-            cells = np.empty(block.shape, dtype=object)
-            cells[:, 0] = np.repeat(
-                np.array(["%.17g" % v for v in block[bounds[:-1], 0].tolist()],
-                         dtype=object), np.diff(bounds))
-            cells[:, 1:] = block[:, 1:]
-            yield row_fmt * len(block) % tuple(cells.ravel().tolist())
+            # each run's leading cell is text in the format: it has no "%"
+            fmt = "".join(("%.17g" % lead + tail) * run for lead, run in zip(
+                block[bounds[:-1], 0].tolist(), np.diff(bounds).tolist()))
+            yield fmt % tuple(block[:, 1:].ravel().tolist())
 
 
 def _run_bounds(lead: np.ndarray) -> np.ndarray:

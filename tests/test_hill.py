@@ -18,11 +18,12 @@ from hfstab.models import (BUILTIN_MODELS, ModelError, NumericalError,
                            TravelingWave, TruncationWarning,
                            bifurcation_speed, eval_Omega, hessian,
                            make_model, model_from_config, real_matrix,
-                           wave_part)
+                           wave_part, SCALAR, CANONICAL)
 from hfstab.waves import solve_wave_collocation
 
 from elliptic_oracles import kdv_cnoidal
-from hill_oracles import hausdorff, zero_amplitude_deviation
+from hill_oracles import (former_mirror, former_scalar_real_matrix,
+                          hausdorff, zero_amplitude_deviation)
 from signature_oracles import J_CANONICAL, canonical_hessian
 import wave_oracles
 
@@ -415,6 +416,55 @@ class TestDerivedSlices:
             tracemalloc.stop()
         assert rows == count * 33
         assert peak <= 8 * block
+
+
+NON_CANONICAL = sorted(name for name in BUILTIN_MODELS
+                       if make_model(name).kind != CANONICAL)
+
+
+def finite_wave(name, mean):
+    """A small finite-amplitude wave of a built-in model with a pinned
+    mean; a nonzero mean makes the wave matrix's W[0, 0] nonzero."""
+    model = make_model(name)
+    return model, solve_wave_collocation(model, 0.01, M=16, steps=2,
+                                         mean=mean)
+
+
+class TestFormerForms:
+    """The scalar real Hill matrix, built in its output array, and the
+    mirrored slices, read off their partners in reverse, are bitwise the
+    former forms that ``hill_oracles`` keeps."""
+    # an odd count puts mu = +0.0, and with it the mode k = 0, in the grid
+    GRID = hill.MuGridSpec(count=25, windows=(0.1, 0.37))
+
+    @pytest.mark.parametrize("mean", [0.0, 0.1])
+    @pytest.mark.parametrize("name", [n for n in NON_CANONICAL
+                                      if make_model(n).kind == SCALAR])
+    def test_scalar_real_matrix_equals_the_former_form(self, name, mean):
+        model, wave = finite_wave(name, mean)
+        M = 8
+        W = wave_part(model, wave, M)
+        mus = hill.build_mu_grid(self.GRID)
+        assert 0.0 in mus.tolist()
+        if mean:
+            assert W[M, M] != 0.0
+        # a stack of every slice at once, and one slice at k = n + 0
+        for ks in (hill._wavenumbers(mus, M), hill._wavenumbers(0.0, M)):
+            R = real_matrix(model, ks, wave.c, W)
+            former = former_scalar_real_matrix(model, ks, wave.c, W)
+            assert R.tobytes() == former.tobytes()
+
+    @pytest.mark.parametrize("mean", [0.0, 0.1])
+    @pytest.mark.parametrize("name", NON_CANONICAL)
+    def test_mirrored_slices_equal_the_former_sorted_negation(self, name,
+                                                              mean):
+        model, wave = finite_wave(name, mean)
+        s = hill.full_spectrum(model, wave, self.GRID, 8)
+        rows = [vals for _, vals in s.slices]
+        n_neg = np.count_nonzero(s.mus < 0.0)
+        assert s.mus[n_neg] == 0.0 and len(rows) == 2 * n_neg + 1
+        for i in range(n_neg):
+            assert rows[i].tobytes() == former_mirror(rows[-1 - i]).tobytes()
 
 
 class TestStackedSolves:

@@ -74,11 +74,15 @@ def zero_spectrum(slices, M):
 
 
 def test_spectrum_blocks_hold_whole_slices():
-    # 13 rows a slice: 315 slices fill 4095 of a block's 4096 rows
+    # 13 rows a slice: a block holds as many whole slices as fit in
+    # _BLOCK rows, and the last block the rest
     s = zero_spectrum(700, 6)
+    per = report._BLOCK // 13
+    full, rest = divmod(700, per)
+    assert rest
     header = ["mu", "re_lambda", "im_lambda"]
     blocks = list(hill.spectrum_to_csv_rows(s))
-    assert [len(block) for block in blocks] == [315 * 13, 315 * 13, 70 * 13]
+    assert [len(block) for block in blocks] == [per * 13] * full + [rest * 13]
     assert_same_csv(csv_lines(header, blocks),
                     per_cell_csv_lines(header, per_point_rows(s)))
 
@@ -111,8 +115,30 @@ def test_streamed_spectrum_holds_a_few_blocks_whatever_the_slice_count(
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert longest > 100_000
+    assert longest > 24 * report._BLOCK
     assert peak <= 6 * longest
+
+
+@pytest.mark.parametrize("name, M", [("fifth-order-scalar", 64),
+                                     ("boussinesq-whitham", 32)])
+def test_emitting_a_spectrum_holds_less_than_one_hill_stack(name, M):
+    # the benchmark's matrix sizes: emission must not raise a run's peak
+    # memory above what each solving thread's stack of Hill matrices sets
+    model = make_model(name)
+    c = bifurcation_speed(model, 1, 1)
+    s = hill.full_spectrum(model, hill.zero_wave(model, c),
+                           hill.MuGridSpec(count=400), M)
+    n = s.values.shape[1]
+    assert n in (129, 130)
+    tracemalloc.start()
+    try:
+        for block in csv_blocks(["mu", "re_lambda", "im_lambda"],
+                                hill.spectrum_to_csv_rows(s)):
+            del block
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < hill._stack_size(n) * n ** 2 * 8
 
 
 def test_edge_floats_in_an_array():
@@ -174,7 +200,7 @@ def test_streamed_blocks_hold_a_few_blocks_whatever_the_row_count(blocks):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert longest > 100_000
+    assert longest > 24 * report._BLOCK
     assert peak <= 6 * longest
 
 

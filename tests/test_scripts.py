@@ -1,6 +1,7 @@
 """Smoke test: each demo script in ``scripts/`` runs to exit 0 and prints its
 summary, so a library API change cannot break one silently."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -39,6 +40,33 @@ def test_fifth_order_bubbles(tmp_path):
     assert centers == [pytest.approx(-0.2278, abs=1e-4),
                        pytest.approx(0.2278, abs=1e-4)]
     assert (tmp_path / "spec.csv.bubbles.json").exists()
+
+
+def test_reference_outputs(tmp_path, monkeypatch):
+    # the command list only: running it runs every benchmark workload
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = ROOT / "scripts" / "reference_outputs.py"
+    spec = importlib.util.spec_from_file_location("reference_outputs", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    files, cmds = script.commands(tmp_path, 101)
+    outs = [Path(cmd[cmd.index("--out") + 1]) for cmd in cmds]
+    assert {out.parent for out in outs} == {tmp_path}
+    assert len(set(outs)) == len(outs) == 5 + 3 + 2 + 1 + 2
+    assert sorted(p.name for p in files) == [
+        f"dsl-{m}.config.json" for m in ("boussinesq-whitham",
+                                         "fifth-order-scalar", "water-waves")]
+    assert all(Path(p).parent == tmp_path for p in files)
+    cli = [sys.executable, "-m", "hfstab.cli"]
+    assert [cmd[3] for cmd in cmds if cmd[:3] == cli] == \
+        ["analyze"] * 8 + ["spectrum"] * 3 + ["curves"]
+    scan = [cmd for cmd in cmds if cmd[:3] != cli]
+    assert [Path(cmd[1]).name for cmd in scan] == ["bubble_scan.py"]
+    assert cmds[-2:] == [
+        [*cli, "spectrum", "--model", "sine-gordon",
+         "--out", str(tmp_path / "sine-gordon.csv")],
+        [*cli, "curves", "--model", "water-waves",
+         "--out", str(tmp_path / "curves-water-waves.csv")]]
 
 
 def test_every_script_has_a_smoke_case():
