@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Mapping
 
@@ -15,6 +15,9 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "apply_flags",
 # section -> the RunConfig fields it sets (wave: in cmd_spectrum's order)
 _SECTIONS = {"wave": ("amplitude", "mean", "modes", "steps"),
              "hill": ("mu_count", "M")}
+# each field of a section -> its config key, such as "wave.modes"
+_KEYS = {key: f"{name}.{key}" for name, keys in _SECTIONS.items()
+         for key in keys}
 # model parameters that may be set by a top-level config key or a CLI flag
 _FLAG_PARAMS = ("g", "h", "alpha", "beta", "sigma")
 
@@ -90,8 +93,7 @@ def load_config(path: str | None) -> RunConfig:
         ) from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    in_sections = {key for keys in _SECTIONS.values() for key in keys}
-    _check_keys(data, {f.name for f in fields(cfg)} - in_sections
+    _check_keys(data, {f.name for f in fields(cfg)} - set(_KEYS)
                 | set(_FLAG_PARAMS) | set(_SECTIONS), "config")
 
     if "model" in data:
@@ -126,18 +128,21 @@ def load_config(path: str | None) -> RunConfig:
 
 
 def apply_flags(cfg: RunConfig, args) -> RunConfig:
-    """CLI flags take precedence over config-file values."""
+    """CLI flags take precedence over config-file values.  Every number
+    must be finite as a double: an int compares with the largest double
+    exactly, so one too large to convert is refused too."""
     for f in fields(cfg):
         v = getattr(args, f.name, None)
         if v is not None:
             setattr(cfg, f.name, v)
+        v = getattr(cfg, f.name)
+        if isinstance(v, (int, float)) and not abs(v) <= sys.float_info.max:
+            raise ConfigError(f"{_KEYS.get(f.name, f.name)} must be finite, "
+                              f"got {v!r}")
     for name in _FLAG_PARAMS:
         v = getattr(args, name, None)
         if v is not None:
             cfg.params[name] = v
-    for key in ("amplitude", "mean"):
-        if not math.isfinite(v := getattr(cfg, key)):
-            raise ConfigError(f"wave.{key} must be finite, got {v!r}")
     if cfg.N < 1:
         raise ConfigError(f"N must be >= 1, got {cfg.N}")
     if cfg.n_max < 1:

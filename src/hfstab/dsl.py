@@ -13,7 +13,11 @@ tightest and associating to the right::
 
 Numbers are ASCII decimal with an optional exponent.  There is no implicit
 multiplication: write ``g*k``, not ``g k``.  ``pi`` is a built-in constant;
-neither it nor ``k`` can name a parameter.
+neither it nor ``k`` can name a parameter.  The lexer matches one token
+pattern, ``_TOKEN``, and the parser climbs one table of binding powers,
+``_BINDING``: ``+ -`` bind at 1, ``* /`` at 2, unary minus at 3 and ``^`` at
+4.  An expression nested deeper than Python's recursion limit allows is a
+``ParseError``, or an ``EvalError`` if only its evaluation reaches it.
 Evaluation is real-valued IEEE double arithmetic with numpy, on a float or
 an ndarray of wavenumbers at once; ``sign(0) = 0``.
 
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -109,57 +114,42 @@ class EvalError(NumericalError):
 
 
 # --------------------------------------------------------------------------
-# Lexer
+# Lexer: after any whitespace (``\s`` is ``str.isspace``), a number of ASCII
+# digits (``\d`` would take "٣"), a word run, an operator or the end.  A word
+# run is a name only if it starts with a letter or ``_``: ``\w`` takes "²".
 
-_OPS = set("+-*/^()")
-_DIGITS = set("0123456789")   # str.isdigit also accepts "²", float() not
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<num>(?=\.?[0-9])[0-9.]+(?:[eE][+-]?[0-9]+)?)
+  | (?P<name>\w+)
+  | (?P<op>[-+*/^()])
+  | (?P<end>\Z)
+  | (?P<bad>.))""", re.VERBOSE | re.DOTALL)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Return (kind, text, offset) triples. Kinds: num, name, op, end."""
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPS:
-            toks.append(("op", ch, i))
-            i += 1
-            continue
-        if ch in _DIGITS or (ch == "." and text[i + 1:i + 2] in _DIGITS):
-            j = i
-            while j < n and (text[j] in _DIGITS or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k] in _DIGITS:
-                    j = k
-                    while j < n and text[j] in _DIGITS:
-                        j += 1
-            lexeme = text[i:j]
-            if lexeme.count(".") > 1:
-                raise ParseError(i, "a well-formed number", text)
-            toks.append(("num", lexeme, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(i, "a token", text)
-    toks.append(("end", "", n))
-    return toks
+    for m in _TOKEN.finditer(text):   # each match starts where the last ended
+        kind = m.lastgroup
+        lexeme, offset = m[kind], m.start(kind)
+        if kind == "bad" or kind == "name" and not (lexeme[0].isalpha()
+                                                    or lexeme[0] == "_"):
+            raise ParseError(offset, "a token", text)
+        if lexeme.count(".") > 1:
+            raise ParseError(offset, "a well-formed number", text)
+        toks.append((kind, lexeme, offset))
+        if kind == "end":
+            return toks
 
 
 # --------------------------------------------------------------------------
-# Parser (recursive descent)
+# Parser (precedence climbing).  A binary operator's right operand is parsed
+# at its own binding, so ``+ - * /`` associate to the left; ``^``'s is parsed
+# at unary minus's, so ``^`` associates to the right and takes ``2^-k``.
+
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_NEG = 3   # unary minus: -k^2 is -(k^2), and -k*2 is (-k)*2
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -168,83 +158,53 @@ class _Parser:
         self.pos = 0
         self.names = []   # (name, offset) of each variable, in source order
 
-    def peek(self):
-        return self.toks[self.pos]
-
-    def advance(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, lexeme, off = self.peek()
-        if kind != "op" or lexeme != op:
-            raise ParseError(off, f"'{op}'", self.text)
-        return self.advance()
-
     def parse(self) -> Expr:
-        node = self.expr()
-        kind, _, off = self.peek()
+        try:
+            node = self.expr()
+        except RecursionError:   # each level of nesting read a token
+            raise ParseError(self.toks[self.pos - 1][2],
+                             "an expression nested less deeply",
+                             self.text) from None
+        kind, _, off = self.toks[self.pos]
         if kind != "end":
             raise ParseError(off, "end of input", self.text)
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            kind, lexeme, _ = self.peek()
-            if kind == "op" and lexeme in "+-":
-                self.advance()
-                node = Bin(lexeme, node, self.term())
-            else:
-                return node
-
-    def term(self) -> Expr:
-        node = self.unary()
-        while True:
-            kind, lexeme, _ = self.peek()
-            if kind == "op" and lexeme in "*/":
-                self.advance()
-                node = Bin(lexeme, node, self.unary())
-            else:
-                return node
-
-    def unary(self) -> Expr:
-        kind, lexeme, _ = self.peek()
-        if kind == "op" and lexeme == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        kind, lexeme, _ = self.peek()
-        if kind == "op" and lexeme == "^":
-            self.advance()
-            return Bin("^", base, self.unary())
-        return base
+    def expr(self, level: int = 0) -> Expr:
+        """The operand at the current token, extended by every binary
+        operator that binds tighter than ``level``."""
+        if self.toks[self.pos][1] == "-":
+            self.pos += 1
+            node = Neg(self.expr(_NEG))
+        else:
+            node = self.atom()
+        while _BINDING.get(op := self.toks[self.pos][1], 0) > level:
+            self.pos += 1
+            right = self.expr(_NEG if op == "^" else _BINDING[op])
+            node = Bin(op, node, right)
+        return node
 
     def atom(self) -> Expr:
-        kind, lexeme, off = self.advance()
+        kind, lexeme, off = self.toks[self.pos]
+        self.pos += 1
         if kind == "num":
             return Lit(float(lexeme))
-        if kind == "name":
-            nxt_kind, nxt_lex, _ = self.peek()
-            if nxt_kind == "op" and nxt_lex == "(":
-                if lexeme not in FUNCTION_NAMES:
-                    raise ParseError(off, f"a function name (got {lexeme!r})",
-                                     self.text)
-                self.advance()
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(lexeme, arg)
+        if kind == "name" and self.toks[self.pos][1] != "(":
             self.names.append((lexeme, off))
             return Var(lexeme)
-        if kind == "op" and lexeme == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ParseError(off, "a number, name, or '('", self.text)
+        if kind == "name":
+            if lexeme not in FUNCTION_NAMES:
+                raise ParseError(off, f"a function name (got {lexeme!r})",
+                                 self.text)
+            self.pos += 1
+        elif lexeme != "(":
+            raise ParseError(off, "a number, name, or '('", self.text)
+        node = self.expr()
+        _, close, off = self.toks[self.pos]
+        if close != ")":
+            raise ParseError(off, "')'", self.text)
+        self.pos += 1
+        return Call(lexeme, node) if kind == "name" else node
 
 
 def parse(text: str) -> Expr:
@@ -326,7 +286,11 @@ def compile_symbol(text: str, params: Mapping[str, float] | None = None
     def evaluate(ks: np.ndarray) -> np.ndarray:
         env = {**bindings, "k": ks}
         with np.errstate(all="ignore"):
-            out = np.asarray(_walk(ast, env), dtype=float)
+            try:
+                out = np.asarray(_walk(ast, env), dtype=float)
+            except RecursionError:
+                raise EvalError("expression nested too deeply to evaluate"
+                                ) from None
             _check(~np.isfinite(out), env, "expression is not finite")
         if out.shape != ks.shape or out is ks:  # a constant, or k itself
             out = np.full(ks.shape, out)

@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
@@ -206,7 +207,7 @@ def _finite(label: str, v) -> float:
     ``parameter 'sigma'``): every number a model or wave is built from."""
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise ModelError(f"{label} must be a number, got {v!r}")
-    if not math.isfinite(v):
+    if not abs(v) <= sys.float_info.max:   # an int compares without overflow
         raise ModelError(f"{label} must be finite, got {v!r}")
     return float(v)
 

@@ -277,6 +277,12 @@ class TestConfigErrors:
         # a parameter pi would silently replace the constant
         ({"model": {"kind": "scalar", "omega1": "pi*k^3",
                     "params": {"pi": 3.0}}}, "parameter 'pi' is reserved"),
+        # nesting deeper than the parser's recursion reaches
+        ({"model": {"kind": "scalar",
+                    "omega1": "(" * 2000 + "k^3" + ")" * 2000}},
+         "expected an expression nested less deeply"),
+        ({"model": {"kind": "scalar", "omega1": "-" * 3000 + "k^3"}},
+         "expected an expression nested less deeply"),
     ])
     def test_malformed_config_is_a_configuration_error(self, capsys, tmp_path,
                                                        config, message):
@@ -285,6 +291,19 @@ class TestConfigErrors:
         code, _, err = run(capsys, "analyze", "--config", str(cfg))
         assert code == 2
         assert "configuration error" in err and message in err
+
+    @pytest.mark.parametrize("depth", [150, 300])
+    def test_nested_parentheses_give_the_unnested_report(self, capsys,
+                                                         tmp_path, depth):
+        reports = []
+        for omega1 in ("k^3", "(" * depth + "k^3" + ")" * depth):
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({
+                "model": {"kind": "scalar", "omega1": omega1}, "n_max": 5}))
+            code, out, _ = run(capsys, "analyze", "--config", str(cfg))
+            assert code == 0
+            reports.append(out)
+        assert reports[0] == reports[1]
 
     @staticmethod
     def _analyze_in_fresh_interpreter(tmp_path, model):
@@ -349,6 +368,28 @@ class TestConfigErrors:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "configuration error" in err and message in err
+
+    @pytest.mark.parametrize("argv, config, key", [
+        (["analyze", "--N", str(10**400)], {}, "N"),
+        (["analyze", "--n-max", str(10**400)], {}, "n_max"),
+        (["wave", "--modes", str(10**400)], {}, "wave.modes"),
+        (["wave", "--steps", str(10**400)], {}, "wave.steps"),
+        (["spectrum", "--mu-count", str(10**400)], {}, "hill.mu_count"),
+        (["spectrum", "--M", str(10**400)], {}, "hill.M"),
+        (["analyze"], {"N": 10**400}, "N"),
+        (["wave"], {"wave": {"modes": 10**400}}, "wave.modes"),
+        (["wave"], {"wave": {"steps": 10**400}}, "wave.steps"),
+    ])
+    def test_int_too_large_for_a_double_is_a_configuration_error(
+            self, capsys, tmp_path, argv, config, key):
+        # 10**400 is an int no double holds; argparse and json read it exactly
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"model": "kdv", "wave": {
+            "amplitude": 0.01}, **config}))
+        code, _, err = run(capsys, *argv, "--config", str(path))
+        assert code == 2
+        assert err.startswith(f"configuration error: {key} must be finite, "
+                              f"got 1000")
 
     @pytest.mark.parametrize("field, section, in_config, flag, in_flag", [
         ("N", None, 2, "--N", 3),
@@ -604,7 +645,11 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("key, value", [
         ("c", math.nan), ("constant", math.inf),
-        ("coefficients", [0.0, math.nan]), ("c", None), ("coefficients", 5)])
+        ("coefficients", [0.0, math.nan]), ("c", None), ("coefficients", 5),
+        pytest.param("c", 10**400, id="c-huge-int"),
+        pytest.param("constant", 10**400, id="constant-huge-int"),
+        pytest.param("coefficients", [0.0, 10**400],
+                     id="coefficients-huge-int")])
     def test_non_finite_wave_file_is_a_configuration_error(self, capsys,
                                                            tmp_path, key,
                                                            value):

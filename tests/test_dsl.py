@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from hfstab.dsl import (Bin, Call, Lit, Neg, Var, EvalError, ParseError,
                         compile_symbol, parse)
 from hfstab.models import ModelError
 
+from dsl_oracles import former_parse
 from dsl_printer import to_source
 
 
@@ -69,6 +71,14 @@ class TestParsing:
             parse(text)
         assert exc.value.offset == offset
 
+    @pytest.mark.parametrize("text", [
+        "(" * 2000 + "k" + ")" * 2000, "-" * 3000 + "k", "k" + "^k" * 3000],
+        ids=["parentheses", "minus-signs", "powers"])
+    def test_nesting_too_deep_to_parse_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="expected an expression nested "
+                                             "less deeply"):
+            parse(text)
+
 
 class TestEvaluation:
     def test_sqrt_negative(self):
@@ -93,6 +103,17 @@ class TestEvaluation:
 
 
 class TestCompileSymbol:
+    def test_nesting_too_deep_to_evaluate_is_an_eval_error(self):
+        # parsed near the top of the stack, evaluated far below it
+        depth = sys.getrecursionlimit() // 2
+        symbol = compile_symbol("-" * depth + "k")
+        assert symbol(1.0) == (-1.0) ** depth
+
+        def at_depth(n):
+            return symbol(1.0) if n == 0 else at_depth(n - 1)
+        with pytest.raises(EvalError, match="^expression nested too deeply"):
+            at_depth(depth)
+
     def test_unknown_name_is_refused_when_compiled(self):
         # before any evaluation, at the offset of the first unknown name
         with pytest.raises(ParseError, match="not 'q'") as exc:
@@ -168,3 +189,38 @@ def expr_trees(draw, depth=4):
 @given(expr_trees())
 def test_round_trip_property(tree):
     assert parse(to_source(tree)) == tree
+
+
+# --------------------------------------------------------------------------
+# Equivalence with the former lexer and parser
+
+# ASCII digits, operators and exponents; runs that lex into one token or
+# into none; characters that str.isdigit, str.isalnum, str.isalpha or
+# str.isspace accept, though they are not ASCII; names and a non-function
+_PIECES = (*"0123456789+-*/^().eE ", "**", "..", "1e", "²", "٣", "Ⅻ", "ﬁ",
+           "λ", "\xa0", "\x1c", "\t", "k", "g", "x1", "_", "pi", "sin", "foo")
+_CHARS = "".join(_PIECES)
+
+
+def _outcome(parse_text, text):
+    """The tree, or the four fields of the ParseError, of ``text``."""
+    try:
+        return parse_text(text)
+    except ParseError as exc:
+        return exc.offset, exc.expected, exc.excerpt, str(exc)
+
+
+def test_parses_as_the_former_parser():
+    # random runs of pieces, and printed random trees, half of them with
+    # one character inserted
+    rng = random.Random(34)
+    for i in range(20_000):
+        if i % 2:
+            text = "".join(rng.choice(_PIECES)
+                           for _ in range(rng.randint(0, 12)))
+        else:
+            text = to_source(random_tree(rng, rng.randint(1, 5)))
+            if i % 4:
+                at = rng.randint(0, len(text))
+                text = text[:at] + rng.choice(_CHARS) + text[at:]
+        assert _outcome(parse, text) == _outcome(former_parse, text), text

@@ -31,7 +31,9 @@ class TestCatalog:
 
     @pytest.mark.parametrize("name, value", [
         ("kdv", "1"), ("kdv", None), ("kdv", True), ("kdv", math.nan),
-        ("whitham", math.nan), ("whitham", -math.inf)])
+        ("whitham", math.nan), ("whitham", -math.inf),
+        pytest.param("kdv", 10**400, id="kdv-huge-int"),
+        pytest.param("kdv", -10**400, id="kdv-huge-negative-int")])
     def test_non_numeric_or_non_finite_parameter_rejected(self, name, value):
         # whitham derives its default sigma from g and h; a given one is
         # checked like every other parameter
@@ -42,6 +44,7 @@ class TestCatalog:
     @pytest.mark.parametrize("spec, label", [
         ({"params": {"sigma": "1"}}, "parameter 'sigma'"),
         ({"params": {"a": math.inf}}, "parameter 'a'"),
+        ({"params": {"a": 10**400}}, "parameter 'a'"),
         ({"at_zero": math.nan}, "custom model 'at_zero'"),
         ({"at_zero": "0"}, "custom model 'at_zero'")])
     def test_custom_parameters_and_at_zero_are_checked(self, spec, label):
