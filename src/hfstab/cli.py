@@ -9,9 +9,9 @@ spectrum  Hill spectrum over a Floquet grid refined around every predicted
 curves    secant-curve data tables (and a depth trace for water waves)
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  An
-error's class decides its code: ``models.NumericalError`` and numpy's
-``LinAlgError`` exit 3; ``config.ConfigError``, ``models.ModelError`` and
-``ValueError`` exit 2.
+error's class decides its code: ``models.NumericalError``, numpy's
+``LinAlgError`` and ``MemoryError`` (an array too large to allocate) exit
+3; ``config.ConfigError``, ``models.ModelError`` and ``ValueError`` exit 2.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from . import krein
 from .collisions import find_collisions, secant_curve_data, \
     trace_first_collision_vs_depth
 from .config import ConfigError, RunConfig, apply_flags, build_model, \
-    load_config, _SECTIONS
+    load_config, _FLAG_PARAMS, _SECTIONS
 from .models import ModelError, NumericalError, TravelingWave, \
     bifurcation_speed
 from .report import csv_blocks, csv_lines, json_dumps
@@ -41,16 +41,18 @@ EXIT_NUMERICAL = 3
 WAVE_FILE_TOL = 1e-8   # largest traveling-equation residual of a --wave file
 
 
+def _flag(p: argparse.ArgumentParser, name: str, help: str) -> None:
+    """``--name``, ``_`` written ``-``, of the type of its RunConfig field."""
+    p.add_argument("--" + name.replace("_", "-"), dest=name, help=help,
+                   type=type(getattr(RunConfig, name)))
+
+
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", help="built-in model id")
-    p.add_argument("--g", type=float, help="gravity parameter")
-    p.add_argument("--h", type=float, help="depth parameter")
-    p.add_argument("--alpha", type=float, help="model parameter alpha")
-    p.add_argument("--beta", type=float, help="model parameter beta")
-    p.add_argument("--sigma", type=float, help="nonlinearity coefficient")
-    p.add_argument("--N", type=int, help="bifurcation harmonic")
-    p.add_argument("--n-max", dest="n_max", type=int,
-                   help="mode index bound for the collision search")
+    for name in _FLAG_PARAMS:
+        p.add_argument(f"--{name}", type=float, help=f"model parameter {name}")
+    _flag(p, "N", "bifurcation harmonic")
+    _flag(p, "n_max", "mode index bound for the collision search")
     p.add_argument("--out", dest="output", metavar="OUT",
                    help="output path (default stdout)")
     p.add_argument("--config", help="JSON config file")
@@ -62,32 +64,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="High-frequency instability screening for periodic "
                     "traveling waves of dispersive Hamiltonian models.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="full necessary-condition pipeline")
-    _common_flags(p)
-
-    p = sub.add_parser("wave", help="traveling-wave construction")
-    _common_flags(p)
-    p.add_argument("--amplitude", type=float, help="target first coefficient")
-    p.add_argument("--modes", type=int, help="cosine modes M")
-    p.add_argument("--steps", type=int, help="continuation increments")
-    p.add_argument("--mean", type=float, help="pinned mean value")
-    p.add_argument("--force", action="store_true",
-                   help="continue from an ill-posed BW mean")
-
-    p = sub.add_parser("spectrum", help="Hill spectrum and bubble report")
-    _common_flags(p)
-    p.add_argument("--wave", dest="wave_file", help="wave JSON artifact")
-    p.add_argument("--amplitude", type=float, help="wave amplitude if no file")
-    p.add_argument("--modes", type=int, help="cosine modes for the wave solve")
-    p.add_argument("--steps", type=int, help="continuation increments")
-    p.add_argument("--mean", type=float, help="pinned mean value")
-    p.add_argument("--mu-count", dest="mu_count", type=int,
-                   help="Floquet grid size")
-    p.add_argument("--M", type=int, help="Hill truncation")
-
-    p = sub.add_parser("curves", help="secant-curve data tables")
-    _common_flags(p)
+    p = {}
+    for name, what in (("analyze", "full necessary-condition pipeline"),
+                       ("wave", "traveling-wave construction"),
+                       ("spectrum", "Hill spectrum and bubble report"),
+                       ("curves", "secant-curve data tables")):
+        p[name] = sub.add_parser(name, help=what)
+        _common_flags(p[name])
+    for name in ("wave", "spectrum"):
+        _flag(p[name], "amplitude", "wave amplitude, its first coefficient")
+        _flag(p[name], "modes", "cosine modes of the wave solve")
+        _flag(p[name], "steps", "continuation increments")
+        _flag(p[name], "mean", "pinned mean value")
+    p["wave"].add_argument("--force", action="store_true",
+                           help="continue from an ill-posed BW mean")
+    p["spectrum"].add_argument("--wave", dest="wave_file",
+                               help="wave JSON artifact")
+    _flag(p["spectrum"], "mu_count", "Floquet grid size")
+    _flag(p["spectrum"], "M", "Hill truncation")
     return parser
 
 
@@ -246,7 +240,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, ModelError, ValueError) as exc:

@@ -26,7 +26,6 @@ unsigned event or |p| <= BORDERLINE_TOL decides nothing.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -128,42 +127,41 @@ def find_collisions(model: ModelSpec, c: float,
     ls = np.array([b.index for b in model.branches])
     ns = np.arange(-n_max, n_max + 1)
     rows = max(1, _BLOCK // (G + 1))
-    # Omega_l(n + mu) per branch, kept as the blocks of ``rows`` n it is
-    # evaluated in: small arrays reuse freed heap, where one grid of them
-    # all would be a fresh mapping
-    Om = [[eval_Omega(model, int(l), ns[lo:lo + rows, None] + mus, c)
-           for lo in range(0, ns.size, rows)] for l in ls]
-    row = lambda p, i: Om[p][i // rows][i % rows]
+    # Omega_l(n + mu) per branch, evaluated in blocks of ``rows`` n (small
+    # arrays reuse freed heap, where one grid of them all would be a fresh
+    # mapping) and kept as one list of row views: row r is branch position
+    # and mode index divmod(r, ns.size)
+    blocks = [eval_Omega(model, int(l), ns[lo:lo + rows, None] + mus, c)
+              for l in ls for lo in range(0, ns.size, rows)]
+    Om = [r for b in blocks for r in b]
+    p, i = np.divmod(np.arange(len(Om)), ns.size)
 
-    # Mode tuples (n1, l1, n2, l2): n1 > n2 for every branch pair, n1 == n2
-    # for the pair (1st, 2nd).  A tuple whose rows have disjoint ranges is
-    # skipped: its residual has one strict sign on the whole grid.  A grid
-    # zero (kind 0) or sign change (kind 1) is kept as (n1, n2, p1, p2,
-    # kind, grid index), p the branch position.
-    lo = [np.concatenate([b.min(axis=1) for b in blocks]) for blocks in Om]
-    hi = [np.concatenate([b.max(axis=1) for b in blocks]) for blocks in Om]
-    pairs = []
-    for p1, p2 in itertools.product(range(ls.size), repeat=2):
-        meet = ~((hi[p1][:, None] < lo[p2]) | (hi[p2] < lo[p1][:, None]))
-        i1, i2 = np.nonzero(np.tril(meet, (p1 < p2) - 1))
-        pairs += [(a, b, p1, p2) for a, b in zip(i1.tolist(), i2.tolist())]
-    hits = []
-    for start in range(0, len(pairs), rows):
-        block = pairs[start:start + rows]
-        f = (np.array([row(p1, i1) for i1, _, p1, _ in block])
-             - np.array([row(p2, i2) for _, i2, _, p2 in block]))
+    # Mode tuples, rows (a, b): i_a > i_b for every branch pair, i_a == i_b
+    # for p_a < p_b.  A tuple whose rows have disjoint ranges is skipped:
+    # its residual has one strict sign on the whole grid.  A grid zero
+    # (kind 0) or sign change (kind 1) is kept as (a, b, kind, grid index).
+    lo = np.concatenate([b.min(axis=1) for b in blocks])
+    hi = np.concatenate([b.max(axis=1) for b in blocks])
+    ra, rb = np.nonzero(~((hi[:, None] < lo) | (hi < lo[:, None]))
+                        & ((i[:, None] > i) | (i[:, None] == i)
+                           & (p[:, None] < p)))
+    hits = [np.empty((4, 0), dtype=int)]
+    for s in range(0, ra.size, rows):
+        a, b = ra[s:s + rows], rb[s:s + rows]
+        f = (np.array([Om[r] for r in a.tolist()])
+             - np.array([Om[r] for r in b.tolist()]))
         for kind, mask in enumerate((f == 0.0, f[:, :-1] * f[:, 1:] < 0.0)):
-            w = mask.shape[1]
-            hits += [block[j // w] + (kind, j % w)
-                     for j in np.flatnonzero(mask).tolist()]
-    # scan order: by tuple, exact zeros first, then by grid index; an exact
-    # zero is a bracket of width 0
-    hits.sort()
-    i1, i2, p1, p2, kind, i = np.array(hits, dtype=int).reshape(-1, 6).T
-    n1, n2, l1, l2 = ns[i1], ns[i2], ls[p1], ls[p2]
-    fa = np.array([row(a, b)[g] - row(d, e)[g] for b, e, a, d, _, g in hits],
+            t, g = np.divmod(np.flatnonzero(mask), mask.shape[1])
+            hits.append(np.array([a[t], b[t], np.full(t.size, kind), g]))
+    # scan order: by tuple (i_a, i_b, p_a, p_b), exact zeros first, then by
+    # grid index; an exact zero is a bracket of width 0
+    a, b, kind, g = hits = np.concatenate(hits, axis=1)
+    a, b, kind, g = hits[:, np.lexsort((g, kind, p[b], p[a], i[b], i[a]))]
+    n1, n2, l1, l2 = ns[i[a]], ns[i[b]], ls[p[a]], ls[p[b]]
+    fa = np.array([Om[x][y] - Om[z][y]
+                   for x, z, y in zip(a.tolist(), b.tolist(), g.tolist())],
                   dtype=float)
-    roots = _bisect(model, c, n1, l1, n2, l2, mus[i], mus[i + kind], fa)
+    roots = _bisect(model, c, n1, l1, n2, l2, mus[g], mus[g + kind], fa)
     events = _events(model, c, n1, l1, n2, l2, roots)
     return sorted(events, key=lambda e: (e.lam.imag, e.mu, e.n1))
 

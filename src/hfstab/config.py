@@ -30,7 +30,8 @@ class ConfigError(Exception):
 class RunConfig:
     """A run's settings.  A field's name is its config key, in its
     ``_SECTIONS`` section if any, and its CLI flag's ``dest``; a config
-    value must have the type of the field's default."""
+    value must have the type of the field's default.  ``model`` and the
+    values of ``params`` are kept as given, for ``models`` to check."""
     model: str | dict = "gkdv"
     params: dict = field(default_factory=dict)
     N: int = 1
@@ -57,11 +58,6 @@ def _object(sec, where: str, allowed: set | None = None) -> dict:
     if allowed is not None:
         _check_keys(sec, allowed, where)
     return sec
-
-
-def _floats(sec, where: str) -> dict:
-    return {k: _coerce(v, float, f"{where}.{k}")
-            for k, v in _object(sec, where).items()}
 
 
 def _coerce(value, kind, where: str):
@@ -96,22 +92,14 @@ def load_config(path: str | None) -> RunConfig:
     _check_keys(data, {f.name for f in fields(cfg)} - set(_KEYS)
                 | set(_FLAG_PARAMS) | set(_SECTIONS), "config")
 
+    # parameter values, and an inline model's keys, are checked by models
     if "model" in data:
-        m = data["model"]
-        if not isinstance(m, (str, dict)):
+        if not isinstance(data["model"], (str, dict)):
             raise ConfigError("'model' must be a model id or an inline object")
-        if isinstance(m, dict):  # keys and expressions are checked by models
-            m = dict(m)
-            if "params" in m:
-                m["params"] = _floats(m["params"], "model.params")
-            if m.get("at_zero") is not None:
-                m["at_zero"] = _coerce(m["at_zero"], float, "model.at_zero")
-        cfg.model = m
+        cfg.model = data["model"]
     if "params" in data:
-        cfg.params.update(_floats(data["params"], "params"))
-    for name in _FLAG_PARAMS:
-        if name in data:
-            cfg.params[name] = _coerce(data[name], float, name)
+        cfg.params.update(_object(data["params"], "params"))
+    cfg.params.update((k, data[k]) for k in _FLAG_PARAMS if k in data)
     for key in ("N", "n_max"):
         if key in data:
             setattr(cfg, key, _coerce(data[key], int, key))
@@ -151,11 +139,7 @@ def apply_flags(cfg: RunConfig, args) -> RunConfig:
 
 
 def build_model(cfg: RunConfig) -> ModelSpec:
+    """The run's model, its ``params`` over an inline model's own."""
     if isinstance(cfg.model, dict):
-        spec = dict(cfg.model)
-        if cfg.params:
-            merged = dict(spec.get("params", {}))
-            merged.update(cfg.params)
-            spec["params"] = merged
-        return model_from_config(spec)
+        return model_from_config(cfg.model, cfg.params)
     return make_model(cfg.model, cfg.params or None)

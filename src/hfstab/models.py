@@ -212,10 +212,13 @@ def _finite(label: str, v) -> float:
     return float(v)
 
 
-def _params(params: Mapping) -> dict:
-    """``params`` with each value checked by ``_finite``."""
+def _params(params) -> dict:
+    """``params``, which must be a mapping (a JSON object), with each value
+    checked by ``_finite``."""
+    if not isinstance(params, Mapping):
+        raise ModelError(f"model parameters must be an object, got {params!r}")
     return {name: _finite(f"parameter {name!r}", v)
-            for name, v in dict(params).items()}
+            for name, v in params.items()}
 
 
 # --------------------------------------------------------------------------
@@ -494,10 +497,11 @@ def _merged(defaults: dict, params: Mapping[str, float] | None,
             positive: tuple[str, ...] = ()) -> dict:
     """``defaults`` updated by the checked ``params``, the ``positive`` ones
     > 0; a default of None is derived from the others by the model."""
-    unknown = set(params or {}) - set(defaults)
+    out = _params(params or {})
+    unknown = set(out) - set(defaults)
     if unknown:
         raise ModelError(f"unknown parameter(s): {sorted(unknown)}")
-    out = {**defaults, **_params(params or {})}
+    out = {**defaults, **out}
     for name in positive:
         if not out[name] > 0:
             raise ModelError(f"parameter {name!r} must be finite and > 0, "
@@ -617,7 +621,8 @@ def _require_match(a: np.ndarray, b: np.ndarray, requirement: str) -> None:
         raise ModelError(f"{requirement} (largest gap {gap.max():g})")
 
 
-def model_from_config(spec: Mapping) -> ModelSpec:
+def model_from_config(spec: Mapping,
+                      params: Mapping[str, float] | None = None) -> ModelSpec:
     """Build a ModelSpec from an inline custom model description.
 
     Keys: ``kind`` (scalar | canonical | noncanonical-bw), ``omega1``,
@@ -626,7 +631,8 @@ def model_from_config(spec: Mapping) -> ModelSpec:
     ``at_zero``, the k = 0 value of a scalar kernel omega1(k)/k (default 0)
     or of a BW c_squared (canonical models refuse it).  Canonical models
     built this way have the Hamiltonian B(k) = 1, C(k) = omega1(k)^2, whose
-    only branches are +-omega1.  Each parameter and ``at_zero`` must be a
+    only branches are +-omega1.  ``params``, if given, update the spec's
+    own.  Parameters must be a mapping, and each of them and ``at_zero`` a
     finite number.
 
     Only custom models load ``dsl``.  An expression that fails while the
@@ -645,7 +651,7 @@ def model_from_config(spec: Mapping) -> ModelSpec:
         raise ModelError(f"custom model kind must be one of {_KINDS}, got {kind!r}")
     if "omega1" not in spec:
         raise ModelError("custom model requires 'omega1'")
-    params = _params(spec.get("params", {}))
+    params = {**_params(spec.get("params", {})), **_params(params or {})}
     at_zero = spec.get("at_zero")
     if at_zero is not None:
         at_zero = _finite("custom model 'at_zero'", at_zero)

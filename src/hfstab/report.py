@@ -30,32 +30,20 @@ def format_float(x: float) -> str:
 
 
 def _emit(obj, level: int) -> str:
-    pad = "  " * (level + 1)
-    close = "  " * level
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return str(obj)
+    """``obj`` as JSON at indent ``level``: a float by ``format_float``, a
+    non-empty list, tuple or dict one item a line, and every other value,
+    and each dict key as a string, by ``json.dumps``."""
     if isinstance(obj, float):
         return format_float(obj)
-    if isinstance(obj, str):
+    if not (isinstance(obj, (list, tuple, dict)) and obj):
         return json.dumps(obj, ensure_ascii=False)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [pad + _emit(v, level + 1) for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + close + "]"
+    pad = "\n" + "  " * (level + 1)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [pad + _emit(str(k), level) + ": " + _emit(v, level + 1)
+        items = [_emit(str(k), 0) + ": " + _emit(v, level + 1)
                  for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + close + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        return "{" + pad + ("," + pad).join(items) + "\n" + "  " * level + "}"
+    items = [_emit(v, level + 1) for v in obj]
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
 
 
 def json_dumps(obj) -> str:

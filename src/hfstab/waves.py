@@ -24,6 +24,7 @@ __all__ = ["solve_wave_collocation", "wave_residual", "flat_state_cutoff"]
 
 RESIDUAL_TOL = 1e-11
 MAX_NEWTON_STEPS = 50
+MAX_STEPS = 10_000      # continuation increments a solve may take
 _RESIDUAL_BLOCK = 256   # grid points per block of wave_residual's cosine basis
 
 
@@ -73,8 +74,10 @@ def solve_wave_collocation(model: ModelSpec, target_amplitude: float,
     Unknowns are the cosine coefficients a_0..a_M, the speed c, and the
     integration constant r.  The rows pinning a_1 to the continuation
     target and a_0 to ``mean`` close the system; phase is fixed by evenness.
-    Converged when the max cosine-space residual is <= 1e-11, which keeps
-    the pointwise traveling-equation residual comfortably below 1e-10.
+    The target rises to ``target_amplitude`` in ``steps`` equal increments,
+    at most ``MAX_STEPS``.  Converged when the max cosine-space residual is
+    <= 1e-11, which keeps the pointwise traveling-equation residual
+    comfortably below 1e-10.
     Amplitude 0 gives the zero wave at the bifurcation speed, so a nonzero
     mean there is a ValueError.  A Boussinesq-Whitham mean whose flat state
     has a ``flat_state_cutoff`` is ill-posed and refused unless ``force``.
@@ -85,8 +88,8 @@ def solve_wave_collocation(model: ModelSpec, target_amplitude: float,
     """
     if M < 16:
         raise ValueError(f"M must be >= 16, got {M!r}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps!r}")
+    if not 1 <= steps <= MAX_STEPS:
+        raise ValueError(f"steps must be in [1, {MAX_STEPS}], got {steps!r}")
     eq = traveling_equation(model)
     if model.kind == NONCANONICAL_BW and not force:
         cutoff = flat_state_cutoff(model, mean)

@@ -15,10 +15,10 @@ import pytest
 from hfstab import hill
 from hfstab.cli import build_parser, main
 from hfstab.collisions import LAMBDA_TOL
-from hfstab.config import apply_flags, load_config
+from hfstab.config import apply_flags, build_model, load_config
 from hfstab.krein import run_pipeline, screen
-from hfstab.models import TravelingWave, bifurcation_speed, eval_Omega, \
-    make_model
+from hfstab.models import ModelError, TravelingWave, bifurcation_speed, \
+    eval_Omega, make_model
 from hfstab.report import csv_lines
 from hfstab.waves import solve_wave_collocation
 
@@ -211,26 +211,42 @@ class TestConfigErrors:
         # constants of hfstab.collisions
         ({"model": "water-waves", "collision": {"grid_points": 512}},
          "unknown config key(s): ['collision']"),
-        # numbers must be JSON numbers, not strings or booleans
-        ({"model": "water-waves", "h": "2", "n_max": 3}, "h must be float"),
+        # numbers must be JSON numbers, not strings or booleans; a model
+        # parameter is checked by models, in its words
+        ({"model": "water-waves", "h": "2", "n_max": 3},
+         "parameter 'h' must be a number, got '2'"),
         ({"model": "water-waves", "wave": {"amplitude": True}, "n_max": 3},
          "wave.amplitude must be float"),
-        ({"model": "water-waves", "params": {"h": "2"}}, "params.h"),
+        ({"model": "water-waves", "params": {"h": "2"}},
+         "parameter 'h' must be a number, got '2'"),
         ({"model": "kdv", "wave": {"mean": False}}, "wave.mean"),
         ({"model": {"kind": "scalar", "omega1": "a*k^3",
-                    "params": {"a": True}}}, "model.params.a"),
+                    "params": {"a": True}}},
+         "parameter 'a' must be a number, got True"),
         ({"model": {"kind": "noncanonical-bw", "omega1": "k",
                     "c_squared": "tanh(k)/k", "at_zero": "1"}},
-         "model.at_zero"),
+         "custom model 'at_zero' must be a number, got '1'"),
         ({"model": "kdv", "N": math.inf}, "N must be int"),
         ({"model": "kdv", "wave": [1, 2]}, "'wave' must be"),
         ({"model": {"kind": "scalar", "omega1": "a*k^3", "params": 5}},
-         "'model.params' must be"),
+         "model parameters must be an object, got 5"),
+        # a list of pairs is no object, though dict() would read it
         ({"model": {"kind": "scalar", "omega1": "a*k^3",
-                    "params": {"a": "x"}}}, "model.params.a"),
+                    "params": [["a", 1.0]]}},
+         "model parameters must be an object, got [['a', 1.0]]"),
+        ({"model": {"kind": "scalar", "omega1": "a*k^3",
+                    "params": [["a", 1.0]]}, "h": 2.0},
+         "model parameters must be an object, got [['a', 1.0]]"),
+        ({"model": {"kind": "scalar", "omega1": "a*k^3",
+                    "params": {"a": "x"}}},
+         "parameter 'a' must be a number, got 'x'"),
         ({"model": {"kind": "noncanonical-bw", "omega1": "k",
                     "c_squared": "tanh(k)/k", "at_zero": "zz"}},
-         "model.at_zero"),
+         "custom model 'at_zero' must be a number, got 'zz'"),
+        # settings are read before the model is built, so a bad setting is
+        # reported before a bad parameter
+        ({"model": "water-waves", "h": "2", "N": 1.5},
+         "N must be int, got 1.5"),
         # a custom canonical Hamiltonian (B = 1, C = omega1^2) has only the
         # branches +-omega1
         ({"model": {"kind": "canonical", "omega1": "sqrt(1+k^2)",
@@ -416,6 +432,17 @@ class TestConfigErrors:
             assert getattr(cfg, field) == expected
             assert type(getattr(cfg, field)) is type(expected)
 
+    def test_parameter_values_reach_the_model_as_given(self, tmp_path):
+        # the config reader checks settings only; models checks parameters
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"model": "water-waves",
+                                    "params": {"h": "2"}}))
+        cfg = load_config(str(path))
+        assert cfg.params == {"h": "2"}
+        with pytest.raises(ModelError, match="^parameter 'h' must be a "
+                                             "number, got '2'$"):
+            build_model(cfg)
+
     def test_explicit_omega2_equal_to_minus_omega1_runs(self, capsys,
                                                         tmp_path):
         cfg = tmp_path / "run.json"
@@ -476,6 +503,29 @@ class TestWave:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
         assert err.startswith("numerical failure: ") and "amplitude" in err
+
+    def test_allocation_too_large_is_a_numerical_failure(self, capsys):
+        # 29 TiB of collocation matrix: a request every host refuses at once
+        code, out, err = run(capsys, "wave", "--model", "kdv", "--amplitude",
+                             "0.01", "--modes", "1000000")
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical failure: Unable to allocate ")
+        assert err.count("\n") == 1
+
+    def test_steps_beyond_the_bound_exit_at_once(self):
+        # a fresh interpreter with a timeout: an unbounded continuation would
+        # run until it is killed
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH", "")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hfstab.cli", "wave", "--model", "kdv",
+             "--amplitude", "0.01", "--modes", "16", "--steps",
+             str(10**12)], env=env, capture_output=True, text=True,
+            timeout=30)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("configuration error: steps must be in "
+                               "[1, 10000], got 1000000000000\n")
 
     def test_non_finite_newton_residual_stops_at_once(self, capsys,
                                                       monkeypatch):

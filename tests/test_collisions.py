@@ -222,6 +222,35 @@ class TestSkippedTuples:
     def test_depths_match_all_pairs_scan(self, name, h):
         assert_scan_matches_all_pairs(make_model(name, {"h": h}), 30)
 
+    @pytest.mark.parametrize("spec, grid_points", [
+        *((name, collisions.GRID_POINTS) for name in sorted(BUILTIN_MODELS)),
+        # tuples of one mode pair on both branch orders, with exact grid
+        # zeros before and after sign changes
+        ({"kind": "canonical", "omega1": "k^3 - 2.5*k"},
+         collisions.GRID_POINTS),
+        ({"kind": "canonical", "omega1": "k^3 - 2.5*k"}, 7),
+        ({"kind": "canonical", "omega1": "k^3-0.25*k^5"},
+         collisions.GRID_POINTS)])
+    def test_brackets_are_bisected_in_the_all_pairs_order(
+            self, spec, grid_points, monkeypatch):
+        # the first root of a (lambda, mu) class in scan order is kept, so
+        # the scan must hand bisection the same brackets in the same order
+        calls = []
+        bisect = collisions._bisect
+
+        def record(model, c, *arrays):
+            calls.append([(x.dtype, x.tobytes()) for x in arrays])
+            return bisect(model, c, *arrays)
+
+        monkeypatch.setattr(collisions, "_bisect", record)
+        monkeypatch.setattr(collisions, "GRID_POINTS", grid_points)
+        model = (make_model(spec) if isinstance(spec, str)
+                 else model_from_config(spec))
+        c = bifurcation_speed(model, 1, 1)
+        find_collisions(model, c, 3 if isinstance(spec, dict) else 10)
+        all_pairs_scan(model, c, 3 if isinstance(spec, dict) else 10)
+        assert calls[0] == calls[1]
+
     def test_tuple_of_one_mode_number_is_scanned(self):
         # the branches +-omega meet where omega = 0, at k = -sqrt(2.5), an
         # event only the tuple (-2, 1, -2, 2) finds

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,17 @@ class TestCatalog:
     def test_custom_parameters_and_at_zero_are_checked(self, spec, label):
         with pytest.raises(ModelError, match=f"^{label} must be "):
             model_from_config({"kind": "scalar", "omega1": "-k^3", **spec})
+
+    @pytest.mark.parametrize("params", [[["a", 2.0]], 5, "a"])
+    def test_parameters_must_be_a_mapping(self, params):
+        # dict() would read a list of pairs; a JSON array is no object
+        match = re.escape(f"model parameters must be an object, got "
+                          f"{params!r}")
+        with pytest.raises(ModelError, match=f"^{match}$"):
+            model_from_config({"kind": "scalar", "omega1": "a*k^3",
+                               "params": params})
+        with pytest.raises(ModelError, match=f"^{match}$"):
+            make_model("kdv", params)
 
     def test_nonpositive_depth_rejected(self):
         with pytest.raises(ModelError):

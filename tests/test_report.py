@@ -1,7 +1,9 @@
 """CSV emission: ``report.csv_lines`` on float arrays, and on iterables of
 them, against the per-cell formatter it replaced, on the rows of all three
-CSV writers."""
+CSV writers.  JSON emission: ``report.json_dumps`` against the writer it
+replaced, on random nested values."""
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -10,7 +12,8 @@ import pytest
 from hfstab import hill, report
 from hfstab.collisions import secant_curve_data, trace_first_collision_vs_depth
 from hfstab.models import bifurcation_speed, make_model
-from hfstab.report import csv_blocks, csv_lines, format_float
+from hfstab.report import csv_blocks, csv_lines, format_float, json_dumps
+from report_oracles import former_json_dumps
 
 EDGE = [-0.0, 5e-324, 1e308, 0.1, -1e308, -5e-324, 1.0, 2.0 ** -1074 * 3]
 
@@ -279,3 +282,38 @@ def test_non_finite_float_raises_beside_integer_cells(bad):
     table = np.array([(1, 2, 0.5, 0.25), (1, 3, 0.5, bad)])
     with pytest.raises(ValueError, match="non-finite"):
         csv_lines(["l", "n", "k", "Omega"], table)
+
+
+_SCALARS = [None, True, False, 0, -7, 2 ** 70, -2 ** 70, 0.0, -0.0, 1e-300,
+            5e-324, -1.5e308, 0.1, 1 / 3, "", "mu", 'a "quoted" \\ word',
+            "\u00e9\u03bb\u4e2d \U0001f600", "tab\tand\nnewline", "\x00\x1f"]
+
+
+def _random_value(rng: random.Random, depth: int):
+    """A scalar, or a list, tuple or dict of up to four random values."""
+    kind = rng.randrange(5 if depth else 2)
+    if kind == 0:
+        return rng.choice(_SCALARS)
+    if kind == 1:
+        return rng.uniform(-1e6, 1e6) * 10.0 ** rng.randint(-300, 300)
+    items = [_random_value(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    if kind == 2:
+        return items
+    if kind == 3:
+        return tuple(items)
+    keys = [rng.choice(["n1", "mu", "λ", 'k"', 3, 2.5, None, True])
+            for _ in items]
+    return dict(zip(keys, items))
+
+
+def test_json_is_written_as_by_the_former_writer():
+    rng = random.Random(35)
+    for _ in range(20_000):
+        obj = _random_value(rng, rng.randint(0, 4))
+        assert json_dumps(obj) == former_json_dumps(obj), repr(obj)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_json_value_raises(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        json_dumps({"a": [1, bad]})

@@ -91,6 +91,13 @@ class TestCollocation:
         with pytest.raises(ValueError, match="mean"):
             solve_wave_collocation(make_model(name), 0.0, M=16, mean=0.1)
 
+    @pytest.mark.parametrize("steps", [0, waves.MAX_STEPS + 1, 10**12])
+    def test_steps_outside_the_bound_are_refused(self, steps):
+        with pytest.raises(ValueError, match=rf"^steps must be in \[1, "
+                                             rf"{waves.MAX_STEPS}\], got "):
+            solve_wave_collocation(make_model("kdv"), 0.01, M=16,
+                                   steps=steps)
+
     def test_kdv_matches_cnoidal(self):
         cn = kdv_cnoidal(0.3)
         model = make_model("kdv")
