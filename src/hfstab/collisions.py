@@ -94,19 +94,28 @@ class CollisionEvent:
 
 def collision_residual(model: ModelSpec, n1, l1, n2, l2, mu, c: float):
     """Omega_{l1}(n1 + mu) - Omega_{l2}(n2 + mu); a root in mu is a collision.
-    Modes and mu may also be arrays of one shape, one tuple per element."""
+    Modes and mu may also be arrays, one tuple per element of their
+    broadcast shape: then both sides are evaluated together, in one call
+    per branch."""
     if np.any((np.asarray(n1) == n2) & (np.asarray(l1) == l2)):
         raise ValueError("collision requires two distinct modes")
-    return _Omega(model, c, l1, n1 + mu) - _Omega(model, c, l2, n2 + mu)
+    if np.ndim(l1) == np.ndim(l2) == 0:
+        return _Omega(model, c, l1, n1 + mu) - _Omega(model, c, l2, n2 + mu)
+    k1, k2, l1, l2 = np.broadcast_arrays(n1 + mu, n2 + mu, l1, l2)
+    w = _Omega(model, c, np.stack([l1, l2]), np.stack([k1, k2]))
+    return w[0] - w[1]
 
 
 def _Omega(model: ModelSpec, c: float, l, k):
     """Omega_l(k) for a branch l per element: one array call per branch."""
     if np.ndim(l) == 0:
         return eval_Omega(model, int(l), k, c)
+    on = [l == b.index for b in model.branches]
+    if sum(map(np.count_nonzero, on)) < np.size(l):
+        model.branch(int(l[~np.logical_or.reduce(on)][0]))   # raises
     out = np.empty(np.shape(k))
-    for b in model.branches:
-        out[l == b.index] = eval_Omega(model, b.index, k[l == b.index], c)
+    for b, m in zip(model.branches, on):
+        out[m] = eval_Omega(model, b.index, k[m], c)
     return out
 
 

@@ -17,9 +17,12 @@ neither it nor ``k`` can name a parameter.  The lexer matches one token
 pattern, ``_TOKEN``, and the parser climbs one table of binding powers,
 ``_BINDING``: ``+ -`` bind at 1, ``* /`` at 2, unary minus at 3 and ``^`` at
 4.  An expression nested deeper than Python's recursion limit allows is a
-``ParseError``, or an ``EvalError`` if only its evaluation reaches it.
-Evaluation is real-valued IEEE double arithmetic with numpy, on a float or
-an ndarray of wavenumbers at once; ``sign(0) = 0``.
+``ParseError``, or an ``EvalError`` if only its compilation or evaluation
+reaches it.  ``compile_symbol`` compiles the tree once, into one numpy
+closure per node with the parameters bound.  Evaluation is real-valued IEEE
+double arithmetic with numpy, on a float or an ndarray of wavenumbers at
+once; ``sign(0) = 0``.  A node checks its domain only where its value is
+not finite.
 
 A ``ParseError`` is a ``models.ModelError`` and an ``EvalError`` a
 ``models.NumericalError``.  ``models.model_from_config``, the package's
@@ -213,46 +216,81 @@ def parse(text: str) -> Expr:
 
 
 # --------------------------------------------------------------------------
-# Evaluation
+# Compilation: one closure per node, taking the array of wavenumbers ``k``,
+# with every constant and parameter bound.  A node returns its value at once
+# if the value is finite everywhere: each of its checks can fire only where
+# the value is not (sqrt of a negative and a domain error give NaN, an
+# overflow or an invalid power a non-finite value).  Otherwise the checks
+# run in their order.  A division checks its divisor first, since Python's
+# ``1.0 / 0.0`` raises.
 
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": operator.truediv, "^": np.power}
-
-
-def _check(bad, env: Mapping, what: str) -> None:
-    """Raise an EvalError if the mask ``bad`` holds anywhere, naming the
-    first such wavenumber."""
-    ks = env["k"]
-    bad = np.broadcast_to(bad, ks.shape)
-    if bad.any():
-        raise EvalError(f"{what} at k={float(ks[bad][0])!r}")
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_TOO_DEEP = "expression nested too deeply to evaluate"
 
 
-def _walk(node: Expr, env: Mapping):
-    if isinstance(node, Lit):
-        return node.value
-    if isinstance(node, Var):
-        return env[node.name]
+def _check(bad, ks: np.ndarray, what: str) -> None:
+    """Raise an EvalError if the mask ``bad`` holds at any of the
+    wavenumbers ``ks``, naming the first such wavenumber."""
+    if np.any(bad) and ks.size:
+        raise EvalError(
+            f"{what} at k={float(ks[np.broadcast_to(bad, ks.shape)][0])!r}")
+
+
+def _compile(node: Expr, bindings: Mapping):
+    if isinstance(node, Var) and node.name == "k":
+        return lambda k: k
+    if isinstance(node, (Lit, Var)):
+        value = node.value if isinstance(node, Lit) else bindings[node.name]
+        return lambda k: value
     if isinstance(node, Neg):
-        return -_walk(node.arg, env)
+        arg = _compile(node.arg, bindings)
+        return lambda k: -arg(k)
     if isinstance(node, Call):
-        x = _walk(node.arg, env)
-        if node.fn == "sqrt":
-            _check(x < 0.0, env, "sqrt of a negative value")
-        r = getattr(np, node.fn)(x)
-        _check(np.isinf(x) & np.isnan(r), env, f"{node.fn} domain error")
-        _check(np.isfinite(x) & ~np.isfinite(r), env, f"{node.fn} overflowed")
-        return r
+        return _call(node.fn, _compile(node.arg, bindings))
     if isinstance(node, Bin):
-        a, b = _walk(node.left, env), _walk(node.right, env)
+        left = _compile(node.left, bindings)
+        right = _compile(node.right, bindings)
         if node.op == "/":
-            _check(b == 0.0, env, "division by zero")
-        r = _BINARY[node.op](a, b)
+            return _divide(left, right)
         if node.op == "^":
-            _check(np.isfinite(a) & np.isfinite(b) & ~np.isfinite(r), env,
+            return _power(left, right)
+        op = _BINARY[node.op]
+        return lambda k: op(left(k), right(k))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _call(fn: str, arg):
+    f = getattr(np, fn)
+
+    def call(k):
+        x = arg(k)
+        r = f(x)
+        if not np.isfinite(r).all():
+            if fn == "sqrt":
+                _check(x < 0.0, k, "sqrt of a negative value")
+            _check(np.isinf(x) & np.isnan(r), k, f"{fn} domain error")
+            _check(np.isfinite(x) & ~np.isfinite(r), k, f"{fn} overflowed")
+        return r
+    return call
+
+
+def _divide(left, right):
+    def divide(k):
+        a, b = left(k), right(k)
+        _check(b == 0.0, k, "division by zero")
+        return a / b
+    return divide
+
+
+def _power(left, right):
+    def power(k):
+        a, b = left(k), right(k)
+        r = np.power(a, b)
+        if not np.isfinite(r).all():
+            _check(np.isfinite(a) & np.isfinite(b) & ~np.isfinite(r), k,
                    "invalid power")
         return r
-    raise TypeError(f"not an expression node: {node!r}")
+    return power
 
 
 def compile_symbol(text: str, params: Mapping[str, float] | None = None
@@ -263,11 +301,11 @@ def compile_symbol(text: str, params: Mapping[str, float] | None = None
     Every name must be ``k``, ``pi`` or a key of ``params``: the first that
     is not is a ParseError at its offset, so no evaluation meets it.  A key
     named ``k`` or ``pi`` would hide the wavenumber or the constant, so it
-    is a ModelError naming the key.  The symbol walks the tree once, on
-    arrays, and raises an EvalError if any element fails: sqrt of a
-    negative, division by zero, a power that is not a finite real, overflow
-    of a function, or a non-finite result.  The message names the first
-    failing wavenumber.
+    is a ModelError naming the key.  The tree is compiled once, into nested
+    closures.  A call runs them on the whole array and raises an EvalError
+    if any element fails: sqrt of a negative, division by zero, a power
+    that is not a finite real, overflow of a function, or a non-finite
+    result.  The message names the first failing wavenumber.
     """
     frozen = dict(params or {})
     for name in ("k", "pi"):
@@ -282,16 +320,19 @@ def compile_symbol(text: str, params: Mapping[str, float] | None = None
             raise ParseError(offset, f"k, pi or a parameter, not {name!r}",
                              text)
     bindings = {"pi": math.pi, **{n: float(v) for n, v in frozen.items()}}
+    try:
+        root = _compile(ast, bindings)
+    except RecursionError:
+        raise EvalError(_TOO_DEEP) from None
 
     def evaluate(ks: np.ndarray) -> np.ndarray:
-        env = {**bindings, "k": ks}
         with np.errstate(all="ignore"):
             try:
-                out = np.asarray(_walk(ast, env), dtype=float)
+                out = np.asarray(root(ks), dtype=float)
             except RecursionError:
-                raise EvalError("expression nested too deeply to evaluate"
-                                ) from None
-            _check(~np.isfinite(out), env, "expression is not finite")
+                raise EvalError(_TOO_DEEP) from None
+            if not np.isfinite(out).all():
+                _check(~np.isfinite(out), ks, "expression is not finite")
         if out.shape != ks.shape or out is ks:  # a constant, or k itself
             out = np.full(ks.shape, out)
         return out

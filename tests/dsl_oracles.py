@@ -1,12 +1,22 @@
-"""The former lexer and parser of ``hfstab.dsl``, kept as the oracle that
-the current ones are held to: ``former_parse`` must give the same syntax
-tree, or a ParseError with the same offset, expectation, excerpt and
-message, on every input.  The lexer is a loop over characters, and the
-parser has one recursive-descent method per precedence level.
+"""The former lexer, parser and evaluator of ``hfstab.dsl``, kept as the
+oracles that the current ones are held to.  ``former_parse`` must give the
+same syntax tree, or a ParseError with the same offset, expectation,
+excerpt and message, on every input.  The lexer is a loop over characters,
+and the parser has one recursive-descent method per precedence level.
+``former_symbol`` must give the same bits, or the same exception with the
+same message: it walks the tree on every call and runs every domain check
+of every node.
 """
 
-from hfstab.dsl import Bin, Call, Expr, Lit, Neg, ParseError, Var, \
-    FUNCTION_NAMES
+import math
+import operator
+from typing import Mapping
+
+import numpy as np
+
+from hfstab.dsl import Bin, Call, EvalError, Expr, Lit, Neg, ParseError, \
+    Var, FUNCTION_NAMES
+from hfstab.models import Symbol, _symbol
 
 
 _OPS = set("+-*/^()")
@@ -148,3 +158,66 @@ class _Parser:
 def former_parse(text: str) -> Expr:
     """Parse ``text`` as the former ``dsl.parse`` did."""
     return _Parser(text).parse()
+
+
+# --------------------------------------------------------------------------
+# Evaluation (tree walk)
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": np.power}
+
+
+def _check(bad, env: Mapping, what: str) -> None:
+    """Raise an EvalError if the mask ``bad`` holds anywhere, naming the
+    first such wavenumber."""
+    ks = env["k"]
+    bad = np.broadcast_to(bad, ks.shape)
+    if bad.any():
+        raise EvalError(f"{what} at k={float(ks[bad][0])!r}")
+
+
+def _walk(node: Expr, env: Mapping):
+    if isinstance(node, Lit):
+        return node.value
+    if isinstance(node, Var):
+        return env[node.name]
+    if isinstance(node, Neg):
+        return -_walk(node.arg, env)
+    if isinstance(node, Call):
+        x = _walk(node.arg, env)
+        if node.fn == "sqrt":
+            _check(x < 0.0, env, "sqrt of a negative value")
+        r = getattr(np, node.fn)(x)
+        _check(np.isinf(x) & np.isnan(r), env, f"{node.fn} domain error")
+        _check(np.isfinite(x) & ~np.isfinite(r), env, f"{node.fn} overflowed")
+        return r
+    if isinstance(node, Bin):
+        a, b = _walk(node.left, env), _walk(node.right, env)
+        if node.op == "/":
+            _check(b == 0.0, env, "division by zero")
+        r = _BINARY[node.op](a, b)
+        if node.op == "^":
+            _check(np.isfinite(a) & np.isfinite(b) & ~np.isfinite(r), env,
+                   "invalid power")
+        return r
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def former_symbol(ast: Expr, params: Mapping[str, float]) -> Symbol:
+    """The symbol the former ``dsl.compile_symbol`` made of a parsed tree
+    whose every name is ``k``, ``pi`` or a key of ``params``."""
+    bindings = {"pi": math.pi, **{n: float(v) for n, v in params.items()}}
+
+    def evaluate(ks: np.ndarray) -> np.ndarray:
+        env = {**bindings, "k": ks}
+        with np.errstate(all="ignore"):
+            try:
+                out = np.asarray(_walk(ast, env), dtype=float)
+            except RecursionError:
+                raise EvalError("expression nested too deeply to evaluate"
+                                ) from None
+            _check(~np.isfinite(out), env, "expression is not finite")
+        if out.shape != ks.shape or out is ks:  # a constant, or k itself
+            out = np.full(ks.shape, out)
+        return out
+    return _symbol(evaluate)

@@ -1,6 +1,8 @@
 """Collision-detection tests against analytic anchors."""
 
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,14 +14,20 @@ from hfstab.collisions import (VERDICT_INDETERMINATE, VERDICT_NONE,
                                collision_residual, find_collisions,
                                mirror_events, secant_curve_data,
                                trace_first_collision_vs_depth)
-from hfstab.models import (BUILTIN_MODELS, bifurcation_speed, eval_Omega,
-                           make_model, model_from_config)
+from hfstab.models import (BUILTIN_MODELS, ModelError, bifurcation_speed,
+                           eval_Omega, make_model, model_from_config)
 
 from collision_oracles import all_pairs_scan, per_tuple_scan
 
 
 def non_origin(events):
     return [e for e in events if not e.at_origin]
+
+
+def build(spec):
+    """A built-in model by name, or a custom model from its config."""
+    return (make_model(spec) if isinstance(spec, str)
+            else model_from_config(spec))
 
 
 def find_for(name, n_max, params=None, N=1):
@@ -170,8 +178,7 @@ class TestMechanics:
 def test_array_scan_matches_per_tuple_scan(spec, n_max, grid_points,
                                            monkeypatch):
     # the same events in the same order, with the same values
-    model = (make_model(spec) if isinstance(spec, str)
-             else model_from_config(spec))
+    model = build(spec)
     c = bifurcation_speed(model, 1, 1)
     monkeypatch.setattr(collisions, "GRID_POINTS", grid_points)
     got = [(e.n1, e.l1, e.n2, e.l2, e.mu, e.lam)
@@ -244,8 +251,7 @@ class TestSkippedTuples:
 
         monkeypatch.setattr(collisions, "_bisect", record)
         monkeypatch.setattr(collisions, "GRID_POINTS", grid_points)
-        model = (make_model(spec) if isinstance(spec, str)
-                 else model_from_config(spec))
+        model = build(spec)
         c = bifurcation_speed(model, 1, 1)
         find_collisions(model, c, 3 if isinstance(spec, dict) else 10)
         all_pairs_scan(model, c, 3 if isinstance(spec, dict) else 10)
@@ -270,6 +276,94 @@ class TestSkippedTuples:
             "kind": "scalar", "omega1": "a1*k + a3*k^3 + a5*k^5",
             "params": dict(zip(("a1", "a3", "a5"), coeffs))})
         assert_scan_matches_all_pairs(model, n_max)
+
+
+MODELS = [*sorted(BUILTIN_MODELS), *DSL_TWINS]
+MODEL_IDS = [*sorted(BUILTIN_MODELS),
+             *(f"dsl-{spec['kind']}" for spec in DSL_TWINS)]
+
+
+class TestMergedResidual:
+    """The array residual evaluates both sides of its tuples together, in
+    one call per branch."""
+
+    @pytest.mark.parametrize("spec", MODELS, ids=MODEL_IDS)
+    def test_equals_the_difference_of_the_two_sides(self, spec):
+        model = build(spec)
+        c = bifurcation_speed(model, 1, 1)
+        rng = np.random.default_rng(36)
+        n1, n2 = rng.integers(-30, 31, (2, 600))
+        l1, l2 = rng.choice([b.index for b in model.branches], (2, 600))
+        keep = (n1 != n2) | (l1 != l2)
+        n1, n2, l1, l2 = (x[keep][:500].reshape(2, 250)
+                          for x in (n1, n2, l1, l2))
+        mu = rng.uniform(-0.5, 0.5, n1.shape)
+        for sl in (np.s_[0], np.s_[:]):   # one row, and a 2-D block
+            r = collision_residual(model, n1[sl], l1[sl], n2[sl], l2[sl],
+                                   mu[sl], c)
+            sides = (collisions._Omega(model, c, l1[sl], n1[sl] + mu[sl])
+                     - collisions._Omega(model, c, l2[sl], n2[sl] + mu[sl]))
+            assert r.shape == sides.shape
+            assert r.tobytes() == sides.tobytes()
+
+    @pytest.mark.parametrize("spec", MODELS, ids=MODEL_IDS)
+    def test_one_call_per_branch_per_bisection_step(self, spec,
+                                                    monkeypatch):
+        calls = Counter()
+
+        def counted(branch):
+            def evaluator(k):
+                calls[branch.index] += 1
+                return branch.evaluator(k)
+            return replace(branch, evaluator=evaluator)
+
+        model = build(spec)
+        model = replace(model, branches=tuple(map(counted, model.branches)))
+        c = bifurcation_speed(model, 1, 1)
+        per_call, widths = [], []
+        residual, bisect = collisions.collision_residual, collisions._bisect
+
+        def recorded(*args):
+            before = calls.copy()
+            out = residual(*args)
+            per_call.append(calls - before)
+            return out
+
+        def bisect_recorded(model, c, n1, l1, n2, l2, a, b, fa):
+            widths.append(b - a)
+            return bisect(model, c, n1, l1, n2, l2, a, b, fa)
+
+        # find_collisions reaches the residual through the module, once per
+        # bisection step and once for its events: a timer on the name sees
+        # every step
+        monkeypatch.setattr(collisions, "collision_residual", recorded)
+        monkeypatch.setattr(collisions, "_bisect", bisect_recorded)
+        find_collisions(model, c, 30)
+        # a sign-change bracket starts 1/GRID_POINTS wide and halves per
+        # step; an exact grid zero is a bracket of width 0
+        live = (widths[0] > collisions.BISECT_TOL).any()
+        steps = math.ceil(math.log2(1 / collisions.GRID_POINTS
+                                    / collisions.BISECT_TOL)) if live else 0
+        one_each = Counter({b.index: 1 for b in model.branches})
+        assert per_call == [one_each] * (steps + 1)
+
+    @pytest.mark.parametrize("name, branches", [("water-waves", (1, 2)),
+                                                ("kdv", (1,))])
+    def test_a_branch_the_model_lacks_is_refused(self, name, branches):
+        model = make_model(name)
+        c = bifurcation_speed(model, 1, 1)
+        lacking = max(branches) + 1
+        message = f"^model '{name}' has no branch {lacking}$"
+        with pytest.raises(ModelError, match=message):
+            collision_residual(model, 1, lacking, 0, 1, 0.1, c)
+        with pytest.raises(ModelError, match=message):
+            collision_residual(model, np.array([1, 2]), np.array([lacking] * 2),
+                               np.array([0, 0]), np.array([1, 1]),
+                               np.array([0.1, 0.2]), c)
+        with pytest.raises(ModelError, match=message):
+            collision_residual(model, np.array([1, 2]), np.array([1, 1]),
+                               np.array([0, 0]), np.array([1, lacking]),
+                               np.array([0.1, 0.2]), c)
 
 
 class TestCurves:

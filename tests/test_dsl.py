@@ -4,6 +4,7 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +13,7 @@ from hfstab.dsl import (Bin, Call, Lit, Neg, Var, EvalError, ParseError,
                         compile_symbol, parse)
 from hfstab.models import ModelError
 
-from dsl_oracles import former_parse
+from dsl_oracles import former_parse, former_symbol
 from dsl_printer import to_source
 
 
@@ -210,17 +211,87 @@ def _outcome(parse_text, text):
         return exc.offset, exc.expected, exc.excerpt, str(exc)
 
 
-def test_parses_as_the_former_parser():
-    # random runs of pieces, and printed random trees, half of them with
-    # one character inserted
+def _random_texts():
+    """20,000 seeded strings: random runs of pieces, and printed random
+    trees, half of them with one character inserted."""
     rng = random.Random(34)
     for i in range(20_000):
         if i % 2:
-            text = "".join(rng.choice(_PIECES)
-                           for _ in range(rng.randint(0, 12)))
+            yield "".join(rng.choice(_PIECES)
+                          for _ in range(rng.randint(0, 12)))
         else:
             text = to_source(random_tree(rng, rng.randint(1, 5)))
             if i % 4:
                 at = rng.randint(0, len(text))
                 text = text[:at] + rng.choice(_CHARS) + text[at:]
+            yield text
+
+
+def test_parses_as_the_former_parser():
+    for text in _random_texts():
         assert _outcome(parse, text) == _outcome(former_parse, text), text
+
+
+# --------------------------------------------------------------------------
+# Equivalence with the former evaluator
+
+# zero, subnormal-adjacent, small, moderate and large wavenumbers of both
+# signs: domain errors fall next to finite elements of the same call
+_KS = np.array([0.0, 1e-300, -1e-300, 0.3, -0.3, 5.0, -5.0, 1e6, -1e6])
+_PARAM_VALUES = (-2.5, 0.0, 0.7, 3.0, 1e200)
+
+
+def _names(tree):
+    if isinstance(tree, Var):
+        return {tree.name}
+    if isinstance(tree, Lit):
+        return set()
+    if isinstance(tree, Bin):
+        return _names(tree.left) | _names(tree.right)
+    return _names(tree.arg)
+
+
+def _evaluated(make_symbol, ks):
+    """The bits and shape of the symbol's values at ``ks``, or the class
+    and message of what it raised."""
+    try:
+        out = make_symbol()(ks)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return np.asarray(out).tobytes(), np.shape(out)
+
+
+def _agree(text, params, ks=_KS):
+    new = _evaluated(lambda: compile_symbol(text, params), ks)
+    old = _evaluated(lambda: former_symbol(parse(text), params), ks)
+    assert new == old, text
+    return new
+
+
+@pytest.mark.parametrize("text", [
+    "1/0", "k^3 + 1/0", "1/k", "1/(1/k)", "k/k", "sqrt(-1)", "sqrt(k)",
+    "(-2)^0.5", "k^0.5", "(-k)^-1", "0^-1", "exp(1e9)", "exp(700)*exp(700)",
+    "exp(k)", "tanh(1/k)", "sin(k^400)", "-k", "k", "pi", "2", "a*k^3/h",
+    # infinite arguments: negative, a domain error, or neither
+    "sqrt(-k*1e300*1e300)", "sqrt(k*1e300*1e300)", "cos(k*1e300*1e300)",
+    "exp(k*1e300*1e300)"])
+def test_evaluates_as_the_former_evaluator(text):
+    params = {"a": 2.0, "h": 0.0}
+    _agree(text, params)
+    _agree(text, params, np.empty(0))
+    _agree(text, params, 0.3)
+
+
+def test_random_expressions_evaluate_as_the_former_evaluator():
+    # every random string that parses, with seeded values for its names
+    rng = random.Random(36)
+    outcomes = {True: 0, False: 0}
+    for text in _random_texts():
+        try:
+            names = _names(parse(text)) - {"k", "pi"}
+        except ParseError:
+            continue
+        params = {name: rng.choice(_PARAM_VALUES) for name in sorted(names)}
+        new = _agree(text, params)
+        outcomes[isinstance(new[0], bytes)] += 1
+    assert min(outcomes.values()) > 1000, outcomes
