@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import (ModelSpec, NumericalError, eval_Omega,
-                     bifurcation_speed, make_model)
+                     bifurcation_speed, make_model, validate_dispersive)
 
 __all__ = [
     "CollisionEvent",
@@ -94,22 +94,19 @@ class CollisionEvent:
 
 def collision_residual(model: ModelSpec, n1, l1, n2, l2, mu, c: float):
     """Omega_{l1}(n1 + mu) - Omega_{l2}(n2 + mu); a root in mu is a collision.
-    Modes and mu may also be arrays, one tuple per element of their
-    broadcast shape: then both sides are evaluated together, in one call
-    per branch."""
+    Modes and mu are numbers or arrays, one tuple per element of their
+    broadcast shape (an np.float64 for numbers): both sides are evaluated
+    together, in one call per branch, and a missing or non-finite branch is
+    named in model order."""
     if np.any((np.asarray(n1) == n2) & (np.asarray(l1) == l2)):
         raise ValueError("collision requires two distinct modes")
-    if np.ndim(l1) == np.ndim(l2) == 0:
-        return _Omega(model, c, l1, n1 + mu) - _Omega(model, c, l2, n2 + mu)
     k1, k2, l1, l2 = np.broadcast_arrays(n1 + mu, n2 + mu, l1, l2)
     w = _Omega(model, c, np.stack([l1, l2]), np.stack([k1, k2]))
     return w[0] - w[1]
 
 
-def _Omega(model: ModelSpec, c: float, l, k):
+def _Omega(model: ModelSpec, c: float, l: np.ndarray, k: np.ndarray):
     """Omega_l(k) for a branch l per element: one array call per branch."""
-    if np.ndim(l) == 0:
-        return eval_Omega(model, int(l), k, c)
     on = [l == b.index for b in model.branches]
     if sum(map(np.count_nonzero, on)) < np.size(l):
         model.branch(int(l[~np.logical_or.reduce(on)][0]))   # raises
@@ -199,8 +196,9 @@ def _events(model, c, n1, l1, n2, l2, mu) -> list[CollisionEvent]:
     shift = mu <= -0.5 + 1e-15  # -1/2 is excluded; use the +1/2 representative
     mu = np.where(shift, mu + 1.0, mu)
     n1, n2 = n1 - shift, n2 - shift
-    r = collision_residual(model, n1, l1, n2, l2, mu, c)
-    lams = -1j * _Omega(model, c, l1, n1 + mu)
+    # both sides in one call per branch: the residual and lambda = -i*Omega_l1
+    w = _Omega(model, c, np.stack([l1, l2]), np.stack([n1 + mu, n2 + mu]))
+    r, lams = w[0] - w[1], -1j * w[0]
     # an Im < 0 root is skipped: its mirror is found from the mirrored tuple
     keep = (np.abs(r) <= RESIDUAL_TOL) & (lams.imag >= -LAMBDA_TOL)
     found: dict[tuple, CollisionEvent] = {}
@@ -216,7 +214,7 @@ def _events(model, c, n1, l1, n2, l2, mu) -> list[CollisionEvent]:
 def mirror_events(model: ModelSpec,
                   events: Sequence[CollisionEvent]) -> list[CollisionEvent]:
     """Re-expand deduplicated events with their lambda -> -lambda mirrors."""
-    pair = model.mirror
+    pair = validate_dispersive(model)
     out = list(events)
     for e in events:
         if e.at_origin:

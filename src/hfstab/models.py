@@ -106,7 +106,8 @@ class DispersionBranch:
 @dataclass(frozen=True)
 class ModelSpec:
     """A model prepared for the six-step analysis, checked once, when it is
-    built: ``validate_dispersive`` runs here and ``mirror`` keeps its map.
+    built: ``validate_dispersive`` runs here, for its check only; its branch
+    map is read by calling it again (``collisions.mirror_events``).
 
     ``kernel_symbol`` is K of ``traveling_equation``: the
     nonlocal kernel omega(k)/k of a scalar model, or the squared phase speed
@@ -132,7 +133,6 @@ class ModelSpec:
     sigma: float = 0.0   # scalar nonlinearity sigma * u^power * u_x
     power: int = 1
     alpha: float = 0.0   # BW quadratic term alpha * q^2
-    mirror: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -142,7 +142,7 @@ class ModelSpec:
             raise ModelError(
                 f"{self.kind} model must have {want} branch(es), "
                 f"got {len(self.branches)}")
-        object.__setattr__(self, "mirror", validate_dispersive(self))
+        validate_dispersive(self)
 
     def branch(self, l: int) -> DispersionBranch:
         for b in self.branches:
@@ -407,19 +407,19 @@ def real_matrix(model: ModelSpec, ks: np.ndarray, c: float,
     ks = np.asarray(ks, dtype=float)
     n = ks.shape[-1]
     i = np.arange(n)
-    if model.kind == SCALAR and W is not None:
-        # built in k*W: the diagonal -Omega + k*W_ii takes k*W_ii before the
-        # + 0.0 that keeps the zeros off it +0, as eigvals needs
-        R = ks[..., :, None] * W
+    if model.kind == SCALAR:
+        # k*(-Omega/k) = -Omega: the k cancels exactly, also at k = 0.  R is
+        # built in k*W, or in -0 for the zero wave: -Omega + -0 is -Omega bit
+        # for bit, where a +0 fill would turn a -0 diagonal +0.  The diagonal
+        # is taken before the + 0.0 that keeps the zeros off it +0, as
+        # eigvals needs
+        R = (np.full(ks.shape + (n,), -0.0) if W is None
+             else ks[..., :, None] * W)
         diag = -eval_Omega(model, 1, ks, c) + R[..., i, i]
         R += 0.0
         R[..., i, i] = diag
         return R
     R = np.zeros(ks.shape[:-1] + (len(model.branches) * n,) * 2)
-    if model.kind == SCALAR:
-        # k*(-Omega/k) = -Omega: the k cancels exactly, also at k = 0
-        R[..., i, i] = -eval_Omega(model, 1, ks, c)
-        return R
     S = hessian(model, ks, c)
     j = ks if model.kind == NONCANONICAL_BW else np.ones_like(ks)
     # R = j·swap_rows(S_R + W e00), j applied to the diagonals and the

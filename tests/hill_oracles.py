@@ -1,7 +1,8 @@
 """Dense zero-amplitude Hill spectra: the check on the closed form that
 ``hill.full_spectrum`` returns for the zero wave.  And the former forms of
-two bitwise-exact steps, which the tests hold the current ones to: the
-scalar real Hill matrix and the derivation of a mirrored slice.
+bitwise-exact steps, which the tests hold the current ones to: the scalar
+real Hill matrix, with and without a wave, and the derivation of a
+mirrored slice.
 
 The dense spectra come from the assembled real Hill matrices
 (``models.real_matrix``) and ``np.linalg.eigvals``, never from
@@ -45,6 +46,16 @@ def former_scalar_real_matrix(model, ks: np.ndarray, c: float,
     R = np.zeros(ks.shape[:-1] + (n, n))
     R[..., np.arange(n), np.arange(n)] = -eval_Omega(model, 1, ks, c)
     R += ks[..., :, None] * W
+    return R
+
+
+def former_zero_wave_real_matrix(model, ks: np.ndarray,
+                                 c: float) -> np.ndarray:
+    """Reference: a scalar model's real Hill matrix R for the zero wave as
+    it was built, the diagonal -Omega(k) written into zeros."""
+    n = ks.shape[-1]
+    R = np.zeros(ks.shape[:-1] + (n, n))
+    R[..., np.arange(n), np.arange(n)] = -eval_Omega(model, 1, ks, c)
     return R
 
 

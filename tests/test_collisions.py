@@ -283,9 +283,20 @@ MODEL_IDS = [*sorted(BUILTIN_MODELS),
              *(f"dsl-{spec['kind']}" for spec in DSL_TWINS)]
 
 
+def random_tuples(model, size, seed):
+    """``size`` random distinct mode tuples (n1, l1, n2, l2) with |n| <= 30,
+    and a mu in [-1/2, 1/2) for each."""
+    rng = np.random.default_rng(seed)
+    n1, n2 = rng.integers(-30, 31, (2, 2 * size))
+    l1, l2 = rng.choice([b.index for b in model.branches], (2, 2 * size))
+    keep = (n1 != n2) | (l1 != l2)
+    tuples = tuple(x[keep][:size] for x in (n1, l1, n2, l2))
+    return tuples, rng.uniform(-0.5, 0.5, size)
+
+
 class TestMergedResidual:
-    """The array residual evaluates both sides of its tuples together, in
-    one call per branch."""
+    """The residual evaluates both sides of its tuples together, in one call
+    per branch, for numbers and arrays alike."""
 
     @pytest.mark.parametrize("spec", MODELS, ids=MODEL_IDS)
     def test_equals_the_difference_of_the_two_sides(self, spec):
@@ -320,7 +331,7 @@ class TestMergedResidual:
         model = build(spec)
         model = replace(model, branches=tuple(map(counted, model.branches)))
         c = bifurcation_speed(model, 1, 1)
-        per_call, widths = [], []
+        per_call, widths, bisected = [], [], []
         residual, bisect = collisions.collision_residual, collisions._bisect
 
         def recorded(*args):
@@ -331,11 +342,12 @@ class TestMergedResidual:
 
         def bisect_recorded(model, c, n1, l1, n2, l2, a, b, fa):
             widths.append(b - a)
-            return bisect(model, c, n1, l1, n2, l2, a, b, fa)
+            out = bisect(model, c, n1, l1, n2, l2, a, b, fa)
+            bisected.append(calls.copy())
+            return out
 
         # find_collisions reaches the residual through the module, once per
-        # bisection step and once for its events: a timer on the name sees
-        # every step
+        # bisection step: a timer on the name sees every step
         monkeypatch.setattr(collisions, "collision_residual", recorded)
         monkeypatch.setattr(collisions, "_bisect", bisect_recorded)
         find_collisions(model, c, 30)
@@ -345,7 +357,52 @@ class TestMergedResidual:
         steps = math.ceil(math.log2(1 / collisions.GRID_POINTS
                                     / collisions.BISECT_TOL)) if live else 0
         one_each = Counter({b.index: 1 for b in model.branches})
-        assert per_call == [one_each] * (steps + 1)
+        assert per_call == [one_each] * steps
+        # the event step takes the residual and lambda from one call per
+        # branch
+        assert calls - bisected[0] == one_each
+
+    @pytest.mark.parametrize("spec", MODELS, ids=MODEL_IDS)
+    def test_a_number_call_is_its_element_of_the_array_call(self, spec):
+        model = build(spec)
+        c = bifurcation_speed(model, 1, 1)
+        (n1, l1, n2, l2), mu = random_tuples(model, 64, 37)
+        r = collision_residual(model, n1, l1, n2, l2, mu, c)
+        for i in range(mu.size):
+            one = collision_residual(model, int(n1[i]), int(l1[i]),
+                                     int(n2[i]), int(l2[i]), float(mu[i]), c)
+            assert type(one) is np.float64
+            assert one.tobytes() == r[i].tobytes()
+
+    @pytest.mark.parametrize("spec", MODELS, ids=MODEL_IDS)
+    def test_a_number_call_fails_as_the_array_call(self, spec):
+        model = build(spec)
+        c = bifurcation_speed(model, 1, 1)
+        (n1, l1, n2, l2), mu = random_tuples(model, 8, 38)
+        lacking = max(b.index for b in model.branches) + 1
+        for bad, error in (((n1[0], l1[0], n1[0], l1[0]), ValueError),
+                           ((n1[0], l1[0], n2[0], lacking), ModelError)):
+            arrays = [x.copy() for x in (n1, l1, n2, l2)]
+            for x, v in zip(arrays, bad):
+                x[3] = v
+            with pytest.raises(error) as many:
+                collision_residual(model, *arrays, mu, c)
+            with pytest.raises(error) as one:
+                collision_residual(model, *map(int, bad), float(mu[3]), c)
+            assert str(one.value) == str(many.value)
+
+    def test_two_non_finite_sides_name_the_first_branch(self):
+        def nan_at(b, k0):
+            return replace(b, evaluator=lambda k: np.where(
+                np.asarray(k) == k0, np.nan, b.evaluator(k)))
+
+        model = make_model("sine-gordon")
+        model = replace(model, branches=tuple(nan_at(b, 0.3)
+                                              for b in model.branches))
+        message = r"^model 'sine-gordon': omega_1\(0\.3\) is not finite$"
+        for l1, l2 in ((1, 2), (2, 1)):
+            with pytest.raises(ModelError, match=message):
+                collision_residual(model, 0, l1, 0, l2, 0.3, 1.0)
 
     @pytest.mark.parametrize("name, branches", [("water-waves", (1, 2)),
                                                 ("kdv", (1,))])

@@ -23,7 +23,8 @@ from hfstab.waves import solve_wave_collocation
 
 from elliptic_oracles import kdv_cnoidal
 from hill_oracles import (former_mirror, former_scalar_real_matrix,
-                          hausdorff, zero_amplitude_deviation)
+                          former_zero_wave_real_matrix, hausdorff,
+                          zero_amplitude_deviation)
 from signature_oracles import J_CANONICAL, canonical_hessian
 import wave_oracles
 
@@ -431,9 +432,9 @@ def finite_wave(name, mean):
 
 
 class TestFormerForms:
-    """The scalar real Hill matrix, built in its output array, and the
-    mirrored slices, read off their partners in reverse, are bitwise the
-    former forms that ``hill_oracles`` keeps."""
+    """The scalar real Hill matrix, built in its output array with or
+    without a wave, and the mirrored slices, read off their partners in
+    reverse, are bitwise the former forms that ``hill_oracles`` keeps."""
     # an odd count puts mu = +0.0, and with it the mode k = 0, in the grid
     GRID = hill.MuGridSpec(count=25, windows=(0.1, 0.37))
 
@@ -452,6 +453,20 @@ class TestFormerForms:
         for ks in (hill._wavenumbers(mus, M), hill._wavenumbers(0.0, M)):
             R = real_matrix(model, ks, wave.c, W)
             former = former_scalar_real_matrix(model, ks, wave.c, W)
+            assert R.tobytes() == former.tobytes()
+
+    @pytest.mark.parametrize("name", [n for n in sorted(BUILTIN_MODELS)
+                                      if make_model(n).kind == SCALAR])
+    def test_zero_wave_scalar_real_matrix_equals_the_former_form(self, name):
+        # tobytes() tells -0 from +0: the k = 0 diagonal at mu = 0 is -0
+        model = make_model(name)
+        c = bifurcation_speed(model, 1, 1)
+        mus = [0.0, 0.25, -0.25, 0.5]
+        stack = hill._wavenumbers(np.array(mus), 8)
+        for ks in (*(hill._wavenumbers(mu, 8) for mu in mus), stack):
+            R = real_matrix(model, ks, c)
+            former = former_zero_wave_real_matrix(model, ks, c)
+            assert R.shape == former.shape
             assert R.tobytes() == former.tobytes()
 
     @pytest.mark.parametrize("mean", [0.0, 0.1])
