@@ -32,7 +32,7 @@ from .config import ConfigError, RunConfig, apply_flags, build_model, \
     load_config, _FLAG_PARAMS, _SECTIONS
 from .models import ModelError, NumericalError, TravelingWave, \
     bifurcation_speed
-from .report import csv_blocks, csv_lines, json_dumps
+from .report import csv_blocks, json_dumps
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -214,12 +214,12 @@ def cmd_curves(args) -> int:
     c = bifurcation_speed(model, 1, cfg.N)
     k_grid = np.linspace(-0.5, 0.5, 201)
     rows = secant_curve_data(model, c, range(-3, 4), k_grid)
-    texts = {"": [csv_lines(["l", "n", "k", "Omega"], rows)]}
+    texts = {"": csv_blocks(["l", "n", "k", "Omega"], rows)}
     if model.name == "water-waves":
         h_grid = np.logspace(np.log10(0.5), 2.0, 25)
         trace = trace_first_collision_vs_depth(
             model.params["g"], h_grid, n_max=max(cfg.n_max, 3))
-        texts[".depth.csv"] = [csv_lines(["h", "im_lambda"], trace)]
+        texts[".depth.csv"] = csv_blocks(["h", "im_lambda"], trace)
     _write(texts, cfg.output)
     return EXIT_OK
 

@@ -43,8 +43,9 @@ block of a canonical model).  A grid's mu >= 0 half is computed and held;
 each mu < 0 slice is its partner negated and reversed, so still sorted, when
 read, exact to the eigensolver's own backward error.  The readers (the CSV
 rows, bubble detection and ``SpectrumSet.slices``) take every slice a block
-at a time from one generator (``_blocks``); ``SpectrumSet.max_real_part``
-needs only the real parts, which a mirrored slice negates: it reads ``values``.
+at a time from one generator (``_blocks``).  ``SpectrumSet.max_real_part``
+needs no mirrored row: R is real, so each slice's real parts are symmetric
+about 0, and a mirrored slice's peak is its solved partner's.
 
 Bubbles (connected arcs of eigenvalues off the imaginary axis) are
 detected by thresholding Re(lambda) and clustering in Im(lambda), and each
@@ -125,17 +126,11 @@ class SpectrumSet:
                 for mu, row in zip(mus.tolist(), rows)]
 
     def max_real_part(self) -> float:
-        """Largest Re(lambda) over every slice, 0.0 for none.  A mirrored
-        slice's real parts are its solved partner's negated, and the
-        partners are the last len(mus) - len(values) rows."""
-        re = self.values.real
-        if not re.size:
-            return 0.0
-        n_neg = self.mus.size - len(re)
-        peak = re.max()
-        if n_neg:   # + 0.0 turns -0 into +0
-            peak = max(peak, -re[len(re) - n_neg:].min() + 0.0)
-        return float(peak)
+        """Largest Re(lambda) over every slice, 0.0 for none.  Each slice's
+        real parts are +-Im rho over the conjugate pairs of a real R (+0 for
+        a real rho), so a mirrored slice, its partner negated, has its
+        partner's peak: the solved rows hold it."""
+        return float(self.values.real.max(initial=0.0))
 
 
 @dataclass
@@ -229,15 +224,17 @@ def _sorted(vals: np.ndarray) -> np.ndarray:
 
 
 def _solve(model: ModelSpec, c: float, W: np.ndarray,
-           mus: np.ndarray, M: int, out: np.ndarray) -> None:
-    """Fill row i of ``out`` with the eigenvalues i*rho of the real form R
-    at mus[i], sorted by (Im, Re).
+           mus: np.ndarray, M: int) -> np.ndarray:
+    """The eigenvalues i*rho of the real form R at each of ``mus``, one
+    sorted row by (Im, Re) per mu.
 
     The matrices are built and solved a stack of ``_stack_size`` slices at a
     time, by up to ``_WORKERS`` threads (the caller's among them), each taking
     the next stack in mu order.  A failure stops the hand-out; once every
     thread has stopped, the first failing stack in mu order is raised."""
-    step = _stack_size(out.shape[1])
+    values = np.empty((mus.size, len(model.branches) * (2 * M + 1)),
+                      dtype=complex)
+    step = _stack_size(values.shape[1])
     stacks = deque(range(0, mus.size, step))
     failures: dict[int, Exception] = {}
 
@@ -257,7 +254,7 @@ def _solve(model: ModelSpec, c: float, W: np.ndarray,
                 failures[lo] = exc
                 return
             vals = (-rho.imag + 0.0) + 1j * rho.real   # + 0.0 turns -0 into +0
-            out[lo:lo + step] = _sorted(vals)
+            values[lo:lo + step] = _sorted(vals)
 
     threads = [threading.Thread(target=work)
                for _ in range(min(_WORKERS, len(stacks)) - 1)]
@@ -276,6 +273,7 @@ def _solve(model: ModelSpec, c: float, W: np.ndarray,
         block = mus[lo:lo + step]
         raise NumericalError(f"eigensolver failed for mu in "
                              f"[{block[0]!r}, {block[-1]!r}]") from failures[lo]
+    return values
 
 
 def full_spectrum(model: ModelSpec, wave: TravelingWave,
@@ -302,9 +300,7 @@ def full_spectrum(model: ModelSpec, wave: TravelingWave,
             [-1j * eval_Omega(model, b.index, ks, wave.c)
              for b in model.branches], axis=-1) + 0.0)
     else:
-        values = np.empty((solved.size, len(model.branches) * (2 * M + 1)),
-                          dtype=complex)
-        _solve(model, wave.c, W, solved, M, values)
+        values = _solve(model, wave.c, W, solved, M)
     return SpectrumSet(mus, values)
 
 
@@ -368,15 +364,14 @@ def detect_bubbles(spectrum: SpectrumSet,
     bubbles = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         chunk_mu, chunk = mus[lo:hi], lams[lo:hi]
-        top = int(np.argmax(chunk.real))
-        bubble = Bubble(
-            center=complex(chunk[top]),
+        center = complex(chunk[int(np.argmax(chunk.real))])
+        dist = lambda e: abs(abs(e.lam.imag) - abs(center.imag))
+        nearest = min(eligible, key=dist, default=None)
+        bubbles.append(Bubble(
+            center=center,
             max_growth=float(chunk.real.max()),
             mu_support=(float(chunk_mu.min()), float(chunk_mu.max())),
-            im_support=(float(chunk.imag.min()), float(chunk.imag.max())))
-        if eligible:
-            dist = lambda e: abs(abs(e.lam.imag) - abs(bubble.center.imag))
-            bubble.nearest_event = min(eligible, key=dist)
-            bubble.event_distance = dist(bubble.nearest_event)
-        bubbles.append(bubble)
+            im_support=(float(chunk.imag.min()), float(chunk.imag.max())),
+            nearest_event=nearest,
+            event_distance=None if nearest is None else dist(nearest)))
     return bubbles

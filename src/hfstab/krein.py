@@ -116,12 +116,14 @@ def run_pipeline(model: ModelSpec, N: int = 1,
                  n_max: int = 10) -> AnalysisReport:
     """Run the six-step necessary-condition test and return the report.
 
-    Speed comes from the branch-1 bifurcation at harmonic N; the overall
-    verdict is 'HF-instability-possible' iff at least one event is
-    'potential-instability'.
+    Speed comes from the branch-1 bifurcation at harmonic N.  That wave has
+    period 2*pi/N, so it couples modes n1 and n2 only when N divides
+    n1 - n2: the report keeps only those events, as no other collision can
+    leave the axis.  The overall verdict is 'HF-instability-possible' iff
+    at least one event is 'potential-instability'.
     """
     c = bifurcation_speed(model, 1, N)
-    events = screen(model, c, n_max)
+    events = [e for e in screen(model, c, n_max) if (e.n1 - e.n2) % N == 0]
 
     n_potential = sum(e.verdict == VERDICT_POTENTIAL for e in events)
     counts = {

@@ -1,8 +1,8 @@
 """Dense zero-amplitude Hill spectra: the check on the closed form that
 ``hill.full_spectrum`` returns for the zero wave.  And the former forms of
 bitwise-exact steps, which the tests hold the current ones to: the scalar
-real Hill matrix, with and without a wave, and the derivation of a
-mirrored slice.
+real Hill matrix, with and without a wave, the derivation of a mirrored
+slice, and the spectrum's peak read with its mirrored slices.
 
 The dense spectra come from the assembled real Hill matrices
 (``models.real_matrix``) and ``np.linalg.eigvals``, never from
@@ -64,3 +64,16 @@ def former_mirror(partner: np.ndarray) -> np.ndarray:
     at mu, negated (+ 0.0 turns -0 into +0) and sorted again by (Im, Re)."""
     vals = -partner + 0.0
     return vals[np.lexsort((vals.real, vals.imag))]
+
+
+def former_max_real_part(spectrum) -> float:
+    """Reference: ``SpectrumSet.max_real_part`` as it was, taking each
+    mirrored slice's peak from its partner's negated real parts."""
+    re = spectrum.values.real
+    if not re.size:
+        return 0.0
+    n_neg = spectrum.mus.size - len(re)
+    peak = re.max()
+    if n_neg:   # + 0.0 turns -0 into +0
+        peak = max(peak, -re[len(re) - n_neg:].min() + 0.0)
+    return float(peak)

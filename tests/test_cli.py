@@ -47,6 +47,15 @@ class TestAnalyze:
         data = json.loads(out_path.read_text())
         assert data["overall"] == "HF-instability-excluded"
 
+    def test_kdv_at_harmonic_two_is_excluded(self, capsys):
+        # the period-pi wave couples only modes of even difference, and no
+        # such pair of kdv collides off the origin
+        code, out, _ = run(capsys, "analyze", "--model", "kdv", "--N", "2")
+        assert code == 0
+        data = json.loads(out)
+        assert data["overall"] == "HF-instability-excluded"
+        assert all((e["n1"] - e["n2"]) % 2 == 0 for e in data["events"])
+
     def test_unknown_model(self, capsys):
         code, _, err = run(capsys, "analyze", "--model", "nope")
         assert code == 2

@@ -1,6 +1,7 @@
 """Hill-matrix assembly, spectra, bubbles, and zero-amplitude consistency."""
 
 import dataclasses
+import functools
 import math
 import sys
 import threading
@@ -22,7 +23,8 @@ from hfstab.models import (BUILTIN_MODELS, ModelError, NumericalError,
 from hfstab.waves import solve_wave_collocation
 
 from elliptic_oracles import kdv_cnoidal
-from hill_oracles import (former_mirror, former_scalar_real_matrix,
+from hill_oracles import (former_max_real_part, former_mirror,
+                          former_scalar_real_matrix,
                           former_zero_wave_real_matrix, hausdorff,
                           zero_amplitude_deviation)
 from signature_oracles import J_CANONICAL, canonical_hessian
@@ -48,6 +50,15 @@ def real_form(L, canonical=False):
         p = np.concatenate([np.ones(n), np.full(n, 1j)])
         L = L * p[None, :] / p[:, None]
     return -1j * L
+
+
+def assert_hamiltonian_symmetry(s):
+    """Eigenvalues i*rho of a real R: a real rho sits on the axis with
+    Re = +0.0, the others come in exact pairs lambda, -conj(lambda)."""
+    for _, vals in s.slices:
+        image = -np.conj(vals) + 0.0   # + 0.0 maps -0.0 back to +0.0
+        image = image[np.lexsort((image.real, image.imag))]
+        assert image.tobytes() == vals.tobytes()
 
 
 def parent_mu_grid(spec):
@@ -297,10 +308,7 @@ class TestSpectra:
         else:
             wave = solve_wave_collocation(model, 0.01, M=32, steps=4)
         s = hill.full_spectrum(model, wave, [-0.4, 0.1, mu], 16)
-        for _, vals in s.slices:
-            image = -np.conj(vals) + 0.0   # + 0.0 maps -0.0 back to +0.0
-            image = image[np.lexsort((image.real, image.imag))]
-            assert image.tobytes() == vals.tobytes()
+        assert_hamiltonian_symmetry(s)
         assert (s.max_real_part() > 1e-6) == (name != "kdv")
 
     def test_kdv_cnoidal_spectrally_stable_slice(self):
@@ -417,6 +425,54 @@ class TestDerivedSlices:
             tracemalloc.stop()
         assert rows == count * 33
         assert peak <= 8 * block
+
+
+# a wave amplitude (0 for the zero wave, which has no bubble) and a mu
+# inside the wave's bubble
+PEAK_CASES = {"fifth-order-scalar": (0.02, 0.3675),
+              "boussinesq-whitham": (0.01, 0.2608),
+              "mkdv-focusing": (0.05, 0.02),
+              "sine-gordon": (0.0, 0.3), "kdv": (0.0, 0.3),
+              "water-waves": (0.0, 0.3)}
+
+
+@functools.cache
+def peak_case_wave(name):
+    model = make_model(name)
+    amplitude, _ = PEAK_CASES[name]
+    if not amplitude:
+        return model, hill.zero_wave(model, bifurcation_speed(model, 1, 1))
+    return model, solve_wave_collocation(model, amplitude, M=32, steps=4)
+
+
+class TestPeak:
+    """``max_real_part`` reads the solved rows only: each slice's real parts
+    are symmetric about 0, so a mirrored slice's peak is its partner's.  It
+    is bitwise the former form, which also read every mirrored slice's."""
+
+    @pytest.mark.parametrize("grid", ["mirrored", "explicit", "signed"])
+    @pytest.mark.parametrize("name", sorted(PEAK_CASES))
+    def test_peak_equals_the_former_form(self, name, grid):
+        model, wave = peak_case_wave(name)
+        amplitude, mu = PEAK_CASES[name]
+        # a window of 21 points about the bubble's mu, its mirror's about
+        # -mu, or mu given
+        grid = {"mirrored": hill.MuGridSpec(count=42, windows=(mu,),
+                                            refine_factor=50),
+                "explicit": [-0.4, 0.1, mu],
+                "signed": [-mu, -0.2, 0.0, mu]}[grid]
+        s = hill.full_spectrum(model, wave, grid, 16)
+        assert_hamiltonian_symmetry(s)
+        top = s.max_real_part()
+        assert top.hex() == former_max_real_part(s).hex()
+        assert top.hex() == max(vals.real.max()
+                                for _, vals in s.slices).hex()
+        assert (top > 1e-9) == bool(amplitude)
+
+    def test_empty_spectrum_has_peak_zero(self):
+        s = hill.SpectrumSet()
+        assert s.max_real_part().hex() == former_max_real_part(s).hex()
+        assert s.max_real_part().hex() == (0.0).hex()
 
 
 NON_CANONICAL = sorted(name for name in BUILTIN_MODELS

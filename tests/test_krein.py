@@ -8,9 +8,9 @@ import pytest
 from hfstab.collisions import find_collisions
 from hfstab.krein import (OVERALL_EXCLUDED, OVERALL_POSSIBLE, eigenmode,
                           run_pipeline, screen, signature, signature_product)
-from hfstab.models import (ModelError, NumericalError, bifurcation_speed,
-                           eval_Omega, eval_omega, make_model,
-                           model_from_config, real_matrix)
+from hfstab.models import (BUILTIN_MODELS, ModelError, NumericalError,
+                           bifurcation_speed, eval_Omega, eval_omega,
+                           make_model, model_from_config, real_matrix)
 from hfstab.collisions import VERDICT_NONE, VERDICT_POTENTIAL
 
 from signature_oracles import (J_CANONICAL, P_CANONICAL, bw_signature,
@@ -209,3 +209,64 @@ class TestPipeline:
         assert d["overall"] == OVERALL_POSSIBLE
         assert isinstance(d["events"], list)
         assert d["speed"] == pytest.approx(math.sqrt(2.0))
+
+
+def rescaled_config(name, N):
+    """The custom model omega(N*k) of a built-in: in y = N*x the harmonic-N
+    wave of ``name`` bifurcates from harmonic 1 of this model, with the same
+    lambda, and y-mode m + mu is x-mode N*(m + mu).  A custom canonical
+    model has B = 1 and C = omega1^2, and a custom scalar kernel is
+    omega1(k)/k: the signs of the signatures are those of the rescaled
+    built-in."""
+    return {
+        "sine-gordon": {"kind": "canonical",
+                        "omega1": f"sqrt(1 + ({N}*k)^2)"},
+        "water-waves": {"kind": "canonical",
+                        "omega1": f"sign(k)*sqrt({N}*k*tanh({N}*k))"},
+        "fifth-order-scalar": {"kind": "scalar",
+                               "omega1": f"({N}*k)^3 - 0.25*({N}*k)^5"},
+    }[name]
+
+
+class TestHarmonicCoupling:
+    """A wave of harmonic N has period 2*pi/N, so it couples modes n1 and
+    n2 only when N divides n1 - n2; the pipeline keeps only those events."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+    def test_every_event_is_coupled_by_the_wave(self, name, N):
+        # the scan at the same speed finds uncoupled collisions too, except
+        # at the first harmonic, which couples every pair of modes
+        model = make_model(name)
+        report = run_pipeline(model, N=N, n_max=10)
+        assert report.events
+        assert all((e.n1 - e.n2) % N == 0 for e in report.events)
+        modes = lambda es: [(e.n1, e.l1, e.n2, e.l2, e.mu) for e in es]
+        everything = modes(screen(model, report.speed, 10))
+        assert (modes(report.events) == everything) == (N == 1)
+
+    @pytest.mark.parametrize("name", ["kdv", "whitham", "fifth-order-scalar"])
+    def test_scalar_models_are_excluded_at_harmonic_two(self, name):
+        report = run_pipeline(make_model(name), N=2, n_max=20)
+        assert report.overall == OVERALL_EXCLUDED
+        assert report.counts["non_origin"] == 0
+
+    @pytest.mark.parametrize("N, m", [(2, 14), (3, 9)])
+    @pytest.mark.parametrize("name", ["sine-gordon", "water-waves",
+                                      "fifth-order-scalar"])
+    def test_rescaled_model_is_an_oracle(self, name, N, m):
+        # the y scan at n_max m and the x scan at n_max N*m cover the same
+        # couplable collisions here; each shares |Im lambda| and verdict
+        direct = run_pipeline(make_model(name), N=N, n_max=N * m)
+        oracle = run_pipeline(model_from_config(rescaled_config(name, N)),
+                              N=1, n_max=m)
+        key = lambda report: sorted((abs(e.lam.imag), e.verdict)
+                                    for e in report.events
+                                    if not e.at_origin)
+        got, want = key(direct), key(oracle)
+        assert len(got) == len(want)
+        for (im, verdict), (im_want, verdict_want) in zip(got, want):
+            assert im == pytest.approx(im_want, abs=1e-7)
+            assert verdict == verdict_want
+        assert direct.overall == oracle.overall
+        assert direct.counts == oracle.counts
