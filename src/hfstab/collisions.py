@@ -116,16 +116,17 @@ def _Omega(model: ModelSpec, c: float, l: np.ndarray, k: np.ndarray):
     return out
 
 
-def find_collisions(model: ModelSpec, c: float,
-                    n_max: int) -> list[CollisionEvent]:
-    """Locate all two-mode collisions for |n| <= n_max.
+def find_collisions(model: ModelSpec, c: float, n_max: int,
+                    N: int = 1) -> list[CollisionEvent]:
+    """Locate all two-mode collisions for |n| <= n_max of modes that a wave
+    of harmonic N couples: N divides n1 - n2.
 
     Output is deduplicated by (lambda, mu) rounded to 1e-9, keeps only
     Im(lambda) >= 0 representatives (mirror events are reconstructible via
     :func:`mirror_events`), and is sorted by (Im lambda, mu, n1).
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    if n_max < 1 or N < 1:
+        raise ValueError(f"n_max and N must be >= 1, got {n_max!r}, {N!r}")
     G = GRID_POINTS
     # grid over [-1/2, 1/2]; the -1/2 endpoint is equivalent to +1/2 and
     # roots found exactly there are renormalized below
@@ -143,14 +144,17 @@ def find_collisions(model: ModelSpec, c: float,
     p, i = np.divmod(np.arange(len(Om)), ns.size)
 
     # Mode tuples, rows (a, b): i_a > i_b for every branch pair, i_a == i_b
-    # for p_a < p_b.  A tuple whose rows have disjoint ranges is skipped:
-    # its residual has one strict sign on the whole grid.  A grid zero
-    # (kind 0) or sign change (kind 1) is kept as (a, b, kind, grid index).
+    # for p_a < p_b, N | i_a - i_b.  A tuple whose rows have disjoint ranges
+    # is skipped: its residual has one strict sign on the whole grid.  A
+    # grid zero (kind 0) or sign change (kind 1) is kept as (a, b, kind, g).
     lo = np.concatenate([b.min(axis=1) for b in blocks])
     hi = np.concatenate([b.max(axis=1) for b in blocks])
     ra, rb = np.nonzero(~((hi[:, None] < lo) | (hi < lo[:, None]))
                         & ((i[:, None] > i) | (i[:, None] == i)
                            & (p[:, None] < p)))
+    if N > 1:
+        coupled = (i[ra] - i[rb]) % N == 0
+        ra, rb = ra[coupled], rb[coupled]
     hits = [np.empty((4, 0), dtype=int)]
     for s in range(0, ra.size, rows):
         a, b = ra[s:s + rows], rb[s:s + rows]

@@ -45,7 +45,7 @@ from .models import ModelError, NumericalError, Symbol, _symbol
 __all__ = [
     "Lit", "Var", "Neg", "Bin", "Call", "Expr",
     "ParseError", "EvalError",
-    "parse", "compile_symbol", "FUNCTION_NAMES",
+    "compile_symbol", "FUNCTION_NAMES",
 ]
 
 
@@ -208,11 +208,6 @@ class _Parser:
             raise ParseError(off, "')'", self.text)
         self.pos += 1
         return Call(lexeme, node) if kind == "name" else node
-
-
-def parse(text: str) -> Expr:
-    """Parse expression text into an AST; raises ParseError on bad input."""
-    return _Parser(text).parse()
 
 
 # --------------------------------------------------------------------------

@@ -181,7 +181,7 @@ def build_mu_grid(spec: MuGridSpec) -> np.ndarray:
     mu = 0, when present, is +0.0.
     """
     if spec.count < 1:
-        raise ValueError("mu grid count must be >= 1")
+        raise ValueError(f"mu grid count must be >= 1, got {spec.count!r}")
     base = -0.5 + (np.arange(spec.count) + 0.5) / spec.count
     parts = [base]
     n_local = max(3, int(round(2 * WINDOW_WIDTH

@@ -102,10 +102,11 @@ def signature_product(model: ModelSpec, event: CollisionEvent, c: float) -> floa
             * signature(model, event.l2, event.n2 + event.mu, c))
 
 
-def screen(model: ModelSpec, c: float, n_max: int) -> list[CollisionEvent]:
-    """Find the collisions at speed c for |n| <= n_max and sign each one;
-    an origin event gets product 0."""
-    events = find_collisions(model, c, n_max)
+def screen(model: ModelSpec, c: float, n_max: int,
+           N: int = 1) -> list[CollisionEvent]:
+    """Find the collisions at speed c for |n| <= n_max of modes a harmonic-N
+    wave couples, and sign each one; an origin event gets product 0."""
+    events = find_collisions(model, c, n_max, N)
     for e in events:
         e.signature_product = (0.0 if e.at_origin
                                else signature_product(model, e, c))
@@ -118,12 +119,12 @@ def run_pipeline(model: ModelSpec, N: int = 1,
 
     Speed comes from the branch-1 bifurcation at harmonic N.  That wave has
     period 2*pi/N, so it couples modes n1 and n2 only when N divides
-    n1 - n2: the report keeps only those events, as no other collision can
+    n1 - n2: the scan looks only for those collisions, as no other can
     leave the axis.  The overall verdict is 'HF-instability-possible' iff
     at least one event is 'potential-instability'.
     """
     c = bifurcation_speed(model, 1, N)
-    events = [e for e in screen(model, c, n_max) if (e.n1 - e.n2) % N == 0]
+    events = screen(model, c, n_max, N)
 
     n_potential = sum(e.verdict == VERDICT_POTENTIAL for e in events)
     counts = {

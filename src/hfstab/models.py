@@ -8,7 +8,7 @@ and a scalar Poisson factor j(k) per model kind, from which both the Krein
 signatures (wᵀS_R w) and the real Hill matrices R, with L = i·P R P^-1, are
 computed; ``wave_part`` adds a wave's term.
 The nonlinearity is stated once, in ``traveling_equation``: ``waves``
-solves that equation, and a wave's Hill-matrix term is its N'(U).
+solves that equation, and a wave's Hill-matrix term is its N'(U) = kappa U^p.
 
 Built-in model identifiers: ``gkdv``, ``kdv``, ``mkdv-focusing``,
 ``mkdv-defocusing``, ``whitham``, ``sine-gordon``, ``water-waves``,
@@ -174,14 +174,6 @@ class TravelingWave:
         """True when every cosine coefficient vanishes (the trivial wave)."""
         return not any(self.coefficients)
 
-    def profile(self, x) -> object:
-        """Evaluate the wave at x (scalar or numpy array)."""
-        x = np.asarray(x, dtype=float)
-        u = np.full_like(x, float(self.coefficients[0]))
-        for m in range(1, len(self.coefficients)):
-            u += self.coefficients[m] * np.cos(m * x)
-        return u
-
     def to_dict(self) -> dict:
         return {"model": self.model, "c": self.c,
                 "coefficients": [float(a) for a in self.coefficients],
@@ -286,15 +278,17 @@ def validate_dispersive(model: ModelSpec) -> dict[int, int]:
 
 class _Equation(NamedTuple):
     """K*U - s(c) U + N(U) = r, with ``TravelingWave.constant`` = sign * r;
-    ds and dN are the derivatives of s and N, and q is the U^2 coefficient
-    of N (None when N is not quadratic)."""
+    ds is the derivative of s, and N'(U) = kappa U^p (``dN``)."""
     kernel: Callable
     s: Callable
     ds: Callable
     N: Callable
-    dN: Callable
-    q: float | None
+    kappa: float
+    p: int
     sign: float
+
+    def dN(self, u):
+        return self.kappa * u ** self.p
 
 
 def traveling_equation(model: ModelSpec) -> _Equation:
@@ -310,13 +304,12 @@ def traveling_equation(model: ModelSpec) -> _Equation:
         return _Equation(kernel=model.kernel_symbol, s=lambda c: c,
                          ds=lambda c: 1.0,
                          N=lambda u: sigma * u ** (p + 1) / (p + 1),
-                         dN=lambda u: sigma * u ** p,
-                         q=sigma / 2.0 if p == 1 else None, sign=1.0)
+                         kappa=sigma, p=p, sign=1.0)
     if model.kind == NONCANONICAL_BW:
         alpha = model.alpha
         return _Equation(kernel=model.kernel_symbol, s=lambda c: c * c,
                          ds=lambda c: 2.0 * c, N=lambda u: alpha * u * u,
-                         dN=lambda u: 2.0 * alpha * u, q=alpha, sign=-1.0)
+                         kappa=2.0 * alpha, p=1, sign=-1.0)
     raise ModelError(
         f"traveling-wave construction needs the kernel symbol of a scalar "
         f"or noncanonical-bw model; {model.name!r} ({model.kind}) has none")
@@ -351,10 +344,12 @@ def wave_part(model: ModelSpec, wave: TravelingWave,
 
     The term is multiplication by f = -sign * N'(U), from the model's
     traveling equation; its matrix W[n, m] = f_hat(n - m) does not
-    depend on the Floquet exponent.  None for the zero wave.
+    depend on the Floquet exponent.  N'(U) = kappa U^p: f_hat is kappa times
+    the exact p-fold convolution of the wave's exponential coefficients.
+    None for the zero wave.
     """
     if M < 1:
-        raise ValueError("M must be >= 1")
+        raise ValueError(f"Hill truncation M must be >= 1, got {M!r}")
     a = np.asarray(wave.coefficients, dtype=float)
     tail = a[2 * M + 1:]
     if tail.size and np.max(np.abs(tail)) > 1e-12:
@@ -365,14 +360,10 @@ def wave_part(model: ModelSpec, wave: TravelingWave,
     if wave.is_zero:
         return None
     eq = traveling_equation(model)
-    if eq.q is not None:   # N'(U) = 2q U
-        dN = 2.0 * eq.q * _exp_coeffs(a, 2 * M)
-    else:   # N'(U) sampled on a grid that resolves shifts up to 2M
-        ngrid = max(8 * M, 4 * (a.size - 1), 64)
-        x = 2.0 * math.pi * np.arange(ngrid) / ngrid
-        dN = _exp_coeffs(_cosine_coeffs(eq.dN(wave.profile(x)), 2 * M),
-                         2 * M)
-    return -eq.sign * _toeplitz(dN, M)
+    power = u_hat = _exp_coeffs(a, max(2 * M, eq.p * (a.size - 1)))
+    for _ in range(eq.p - 1):
+        power = np.convolve(power, u_hat, mode="same")
+    return -eq.sign * _toeplitz(eq.kappa * power, M)
 
 
 def real_matrix(model: ModelSpec, ks: np.ndarray, c: float,
@@ -433,17 +424,6 @@ def real_matrix(model: ModelSpec, ks: np.ndarray, c: float,
     R[..., i, n + i] = j * S[..., 1, 1]
     R[..., n + i, n + i] = j * S[..., 0, 1]
     return R
-
-
-def _cosine_coeffs(values: np.ndarray, M: int) -> np.ndarray:
-    """First M+1 cosine coefficients of even grid samples along the last
-    axis (length >= 2M+2)."""
-    n = values.shape[-1]
-    spec = np.fft.rfft(values)
-    out = np.empty(values.shape[:-1] + (M + 1,))
-    out[..., 0] = spec[..., 0].real / n
-    out[..., 1:] = 2.0 * spec[..., 1:M + 1].real / n
-    return out
 
 
 def _exp_coeffs(a: np.ndarray, length: int) -> np.ndarray:

@@ -7,7 +7,8 @@ the wave's term N'(U).  Waves are even, 2*pi-periodic cosine
 series.  A Stokes expansion seeds a Newton/cosine-collocation continuation
 in the first cosine coefficient; the speed (and integration constant) are
 solved for while u_1 is pinned, which removes the fold at the bifurcation
-point.
+point.  ``_cosine_coeffs`` and its inverse ``_cosine_values`` map grid
+values to cosine coefficients and back by real FFTs.
 """
 
 from __future__ import annotations
@@ -17,30 +18,28 @@ import math
 import numpy as np
 
 from .models import (ModelSpec, TravelingWave, NONCANONICAL_BW, ModelError,
-                     NumericalError, bifurcation_speed, traveling_equation,
-                     _cosine_coeffs)
+                     NumericalError, bifurcation_speed, traveling_equation)
 
 __all__ = ["solve_wave_collocation", "wave_residual", "flat_state_cutoff"]
 
 RESIDUAL_TOL = 1e-11
 MAX_NEWTON_STEPS = 50
 MAX_STEPS = 10_000      # continuation increments a solve may take
-_RESIDUAL_BLOCK = 256   # grid points per block of wave_residual's cosine basis
 
 
 def _stokes_seed(eq, c0: float, epsilon: float) -> tuple[list[float], float]:
     """The Newton seed: the Stokes expansion of ``eq`` about epsilon*cos(x)
     at the bifurcation speed c0, as (cosine coefficients, speed).
 
-    A quadratic N (``eq.q`` set) gives third order: the cos(2x) and cos(3x)
-    harmonics and the O(eps^2) speed correction, with the mean gauged to
-    zero.  Any other N gives the first-order epsilon*cos(x) at c0.  A
-    vanishing divisor K(j) - s(c0), j = 2, 3, is a resonant bifurcation
-    (NumericalError).
+    A quadratic N = q U^2 (p = 1, q = kappa/2) gives third order: the
+    cos(2x) and cos(3x) harmonics and the O(eps^2) speed correction, with
+    the mean gauged to zero.  Any other N gives the first-order
+    epsilon*cos(x) at c0.  A vanishing divisor K(j) - s(c0), j = 2, 3, is a
+    resonant bifurcation (NumericalError).
     """
-    q = eq.q
-    if q is None:
+    if eq.p != 1:
         return [0.0, float(epsilon)], c0
+    q = eq.kappa / 2.0
     # (K(j) - s(c0)) a_j + q [harmonic j of U^2] = 0
     d2 = eq.kernel(2.0) - eq.s(c0)
     _check_divisor(d2, 2)
@@ -87,7 +86,7 @@ def solve_wave_collocation(model: ModelSpec, target_amplitude: float,
     step that meets it.
     """
     if M < 16:
-        raise ValueError(f"M must be >= 16, got {M!r}")
+        raise ValueError(f"wave cosine modes M must be >= 16, got {M!r}")
     if not 1 <= steps <= MAX_STEPS:
         raise ValueError(f"steps must be in [1, {MAX_STEPS}], got {steps!r}")
     eq = traveling_equation(model)
@@ -129,6 +128,26 @@ def solve_wave_collocation(model: ModelSpec, target_amplitude: float,
             f"(tail {tail:.3e}); increase M")
     return TravelingWave(model=model.name, c=float(c),
                          coefficients=a.tolist(), constant=float(eq.sign * r))
+
+
+def _cosine_coeffs(values: np.ndarray, M: int) -> np.ndarray:
+    """First M+1 cosine coefficients of even grid samples along the last
+    axis (length >= 2M+2)."""
+    n = values.shape[-1]
+    spec = np.fft.rfft(values)
+    out = np.empty(values.shape[:-1] + (M + 1,))
+    out[..., 0] = spec[..., 0].real / n
+    out[..., 1:] = 2.0 * spec[..., 1:M + 1].real / n
+    return out
+
+
+def _cosine_values(a: np.ndarray, n: int) -> np.ndarray:
+    """The cosine series with coefficients a at x_j = 2*pi*j/n, j < n, for
+    n > 2(a.size - 1): the inverse of ``_cosine_coeffs``."""
+    spec = np.zeros(n // 2 + 1)
+    spec[:a.size] = a
+    spec[1:] /= 2.0
+    return np.fft.irfft(spec, n, norm="forward")
 
 
 @np.errstate(all="ignore")   # a non-finite residual raises instead
@@ -174,22 +193,14 @@ def _newton_solve(eq, sym, cosj, a, c, r, target, mean):
 
 def wave_residual(model: ModelSpec, wave: TravelingWave) -> float:
     """Max traveling-equation residual over max(4M, 64) collocation points,
-    with the cosine basis built ``_RESIDUAL_BLOCK`` points at a time."""
+    U and K*U each from one inverse real FFT."""
     eq = traveling_equation(model)
     a = np.asarray(wave.coefficients, dtype=float)
-    M = a.size - 1
-    ngrid = max(4 * M, 64)
-    x = 2.0 * math.pi * np.arange(ngrid) / ngrid
-    sym_a = eq.kernel(np.arange(M + 1.0)) * a
-    worst = 0.0
-    for start in range(0, ngrid, _RESIDUAL_BLOCK):
-        block = x[start:start + _RESIDUAL_BLOCK]
-        cosj = np.cos(np.outer(np.arange(M + 1), block))
-        u = cosj.T @ a
-        res = (cosj.T @ sym_a - eq.s(wave.c) * u + eq.N(u)
-               - eq.sign * wave.constant)
-        worst = max(worst, float(np.max(np.abs(res))))
-    return worst
+    ngrid = max(4 * (a.size - 1), 64)
+    u = _cosine_values(a, ngrid)
+    res = (_cosine_values(eq.kernel(np.arange(float(a.size))) * a, ngrid)
+           - eq.s(wave.c) * u + eq.N(u) - eq.sign * wave.constant)
+    return float(np.max(np.abs(res)))
 
 
 # --------------------------------------------------------------------------

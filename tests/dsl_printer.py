@@ -1,8 +1,13 @@
 """The canonical printer of the expression language: ``to_source`` prints a
-syntax tree of ``hfstab.dsl`` back to text, so that the parser tests can
-check ``parse(to_source(t)) == t``."""
+syntax tree of ``hfstab.dsl`` back to text, and ``parse`` reads text into
+one, so that the parser tests can check ``parse(to_source(t)) == t``."""
 
-from hfstab.dsl import Bin, Call, Expr, Lit, Neg, Var
+from hfstab.dsl import Bin, Call, Expr, Lit, Neg, Var, _Parser
+
+
+def parse(text: str) -> Expr:
+    """Parse expression text into an AST; raises ParseError on bad input."""
+    return _Parser(text).parse()
 
 
 def _prec(node: Expr) -> int:

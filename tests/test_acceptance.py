@@ -9,7 +9,6 @@ import pytest
 
 from hfstab import hill
 from hfstab.collisions import find_collisions
-from hfstab.dsl import parse
 from hfstab.krein import signature, signature_product
 from hfstab.models import (BUILTIN_MODELS, ModelError, bifurcation_speed,
                            eval_Omega, eval_omega, make_model,
@@ -17,7 +16,7 @@ from hfstab.models import (BUILTIN_MODELS, ModelError, bifurcation_speed,
 from hfstab.waves import (flat_state_cutoff, solve_wave_collocation,
                           wave_residual)
 
-from dsl_printer import to_source
+from dsl_printer import parse, to_source
 from elliptic_oracles import (elliptic_K, jacobi_cn, jacobi_dn, jacobi_sn,
                               kdv_cnoidal, mkdv_cn_wave, mkdv_sn_wave)
 from hill_oracles import zero_amplitude_deviation

@@ -416,6 +416,18 @@ class TestConfigErrors:
         assert err.startswith(f"configuration error: {key} must be finite, "
                               f"got 1000")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["wave", "--modes", "15"],
+         "wave cosine modes M must be >= 16, got 15"),
+        (["spectrum", "--M", "0"], "Hill truncation M must be >= 1, got 0"),
+        (["spectrum", "--mu-count", "0"], "mu grid count must be >= 1, got 0"),
+    ])
+    def test_refusal_names_the_setting_and_its_value(self, capsys, argv,
+                                                     message):
+        code, out, err = run(capsys, *argv, "--model", "kdv")
+        assert code == 2 and out == ""
+        assert err == f"configuration error: {message}\n"
+
     @pytest.mark.parametrize("field, section, in_config, flag, in_flag", [
         ("N", None, 2, "--N", 3),
         ("n_max", None, 4, "--n-max", 7),

@@ -268,6 +268,31 @@ class TestSkippedTuples:
                    for e in find_collisions(model, c, 5))
         assert_scan_matches_all_pairs(model, 5)
 
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+    def test_only_coupled_tuples_are_bisected(self, name, N, monkeypatch):
+        # a wave of harmonic N couples modes n1, n2 only when N divides
+        # n1 - n2: no other tuple reaches bisection
+        pairs = []
+        bisect = collisions._bisect
+
+        def record(model, c, n1, l1, n2, l2, *brackets):
+            pairs.append((n1.copy(), n2.copy()))
+            return bisect(model, c, n1, l1, n2, l2, *brackets)
+
+        monkeypatch.setattr(collisions, "_bisect", record)
+        model = make_model(name)
+        find_collisions(model, bifurcation_speed(model, 1, N), 10, N)
+        (n1, n2), = pairs
+        assert n1.size and ((n1 - n2) % N == 0).all()
+
+    @pytest.mark.parametrize("n_max, N", [(0, 1), (3, 0), (3, -2)])
+    def test_bounds_below_one_are_refused(self, n_max, N):
+        model = make_model("kdv")
+        with pytest.raises(ValueError, match=rf"^n_max and N must be >= 1, "
+                                             rf"got {n_max}, {N}$"):
+            find_collisions(model, -1.0, n_max, N)
+
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
            st.integers(1, 12))

@@ -10,11 +10,11 @@ from hypothesis import given, strategies as st
 
 from hfstab import dsl
 from hfstab.dsl import (Bin, Call, Lit, Neg, Var, EvalError, ParseError,
-                        compile_symbol, parse)
+                        compile_symbol)
 from hfstab.models import ModelError
 
 from dsl_oracles import former_parse, former_symbol
-from dsl_printer import to_source
+from dsl_printer import parse, to_source
 
 
 def ev(text, k=0.0, **params):

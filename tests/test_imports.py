@@ -44,37 +44,46 @@ def test_every_exported_name_exists(path):
     assert not missing, f"{path.name} exports missing names {missing}"
 
 
-def _lines_outside_all(path: Path) -> list[str]:
-    """The file's lines, with those of a module-level ``__all__`` blanked."""
-    text = path.read_text()
-    lines = text.splitlines()
-    for node in ast.parse(text).body:
-        if (isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "__all__"
-                        for t in node.targets)):
-            lines[node.lineno - 1:node.end_lineno] = [""] * (
-                node.end_lineno - node.lineno + 1)
-    return lines
+PROBE = re.compile(r"hfstab\.(\w+):(\w+)")
+
+
+def _references(path: Path) -> set[str]:
+    """What ``path`` references by name, as ``module.name``: an import
+    from the module (``from hfstab.m import name`` or ``from .m
+    import name``), an attribute ``m.name``, a probe string such as
+    ``"hfstab.hill:assemble"``, and, in the module's own file, a load of
+    ``name``."""
+    refs = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.split(".")[-1]
+            refs.update(f"{module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Attribute):   # m.name or hfstab.m.name
+            owner = node.value
+            module = getattr(owner, "attr", getattr(owner, "id", None))
+            refs.add(f"{module}.{node.attr}")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.update(".".join(m) for m in PROBE.findall(node.value))
+        elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+              and path.parent.name == "hfstab"):
+            refs.add(f"{path.stem}.{node.id}")
+    return refs
 
 
 def test_every_exported_name_has_a_user_outside_the_tests():
     # code kept only for the tests belongs in tests/: each name in an
-    # __all__ must appear as a word in src/, scripts/ or perfbench/ beyond
-    # its own definition line (a probe string such as "hfstab.hill:assemble"
-    # counts as a use)
-    lines = [line for folder in ("src", "scripts", "perfbench")
-             for path in sorted((ROOT / folder).rglob("*.py"))
-             for line in _lines_outside_all(path)]
+    # __all__ must be referenced from src/, scripts/ or perfbench/ by an
+    # import, an attribute, a probe string or a load in its own module
+    refs = set().union(*(_references(path)
+                         for folder in ("src", "scripts", "perfbench")
+                         for path in sorted((ROOT / folder).rglob("*.py"))))
     unused = []
     for path in SRC:
         module = importlib.import_module(
             "hfstab" if path.stem == "__init__" else f"hfstab.{path.stem}")
-        for name in getattr(module, "__all__", ()):
-            word = re.compile(rf"\b{name}\b")
-            own = re.compile(rf"^(\s*(def|class)\s+{name}\b|{name}\s*[:=])")
-            if not any(word.search(line) and not own.match(line)
-                       for line in lines):
-                unused.append(f"{path.stem}.{name}")
+        unused += [f"{path.stem}.{name}"
+                   for name in getattr(module, "__all__", ())
+                   if f"{path.stem}.{name}" not in refs]
     assert unused == []
 
 

@@ -230,7 +230,7 @@ def rescaled_config(name, N):
 
 class TestHarmonicCoupling:
     """A wave of harmonic N has period 2*pi/N, so it couples modes n1 and
-    n2 only when N divides n1 - n2; the pipeline keeps only those events."""
+    n2 only when N divides n1 - n2; the pipeline scans only those tuples."""
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
@@ -244,6 +244,17 @@ class TestHarmonicCoupling:
         modes = lambda es: [(e.n1, e.l1, e.n2, e.l2, e.mu) for e in es]
         everything = modes(screen(model, report.speed, 10))
         assert (modes(report.events) == everything) == (N == 1)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+    def test_coupled_scan_is_the_filtered_full_scan(self, name, N):
+        # the scan of coupled tuples finds exactly the coupled events of
+        # the scan of every tuple, in the same order and with the same bits
+        model = make_model(name)
+        c = bifurcation_speed(model, 1, N)
+        want = [e.to_dict() for e in screen(model, c, 20)
+                if (e.n1 - e.n2) % N == 0]
+        assert [e.to_dict() for e in screen(model, c, 20, N)] == want
 
     @pytest.mark.parametrize("name", ["kdv", "whitham", "fifth-order-scalar"])
     def test_scalar_models_are_excluded_at_harmonic_two(self, name):

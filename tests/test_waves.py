@@ -1,13 +1,15 @@
 """Stokes expansion, Newton collocation, and the flat-state cutoff."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hfstab import waves
-from hfstab.models import (ModelError, NumericalError, bifurcation_speed,
-                           make_model, model_from_config, traveling_equation)
+from hfstab.models import (ModelError, NumericalError, TravelingWave,
+                           bifurcation_speed, make_model, model_from_config,
+                           traveling_equation)
 from hfstab.waves import (flat_state_cutoff, solve_wave_collocation,
                           wave_residual)
 
@@ -167,16 +169,42 @@ class TestCollocation:
     @pytest.mark.parametrize("name, M", [
         ("kdv", 200), ("whitham", 64), ("mkdv-focusing", 100),
         ("fifth-order-scalar", 16), ("boussinesq-whitham", 150)])
-    def test_blocked_residual_equals_the_dense_one(self, monkeypatch, name,
-                                                   M):
-        # the residual's cosine basis is built a block of points at a time;
-        # every block size gives the bits of the one dense basis
+    def test_fft_residual_matches_the_dense_one(self, name, M):
+        # U and K*U come from inverse FFTs, not from a dense cosine basis:
+        # the two residuals differ by rounding only
         model = make_model(name)
         wave = solve_wave_collocation(model, 0.01, M=M, steps=2)
-        want = dense_residual(model, wave)
-        for block in (64, 256, 1000):
-            monkeypatch.setattr(waves, "_RESIDUAL_BLOCK", block)
-            assert wave_residual(model, wave).hex() == want.hex()
+        assert abs(wave_residual(model, wave)
+                   - dense_residual(model, wave)) <= 1e-15
+
+    def test_residual_memory_is_linear_in_the_modes(self):
+        # a 1,001-coefficient wave on its 4,000-point grid: a few arrays of
+        # 4,000 doubles, where a dense cosine basis would hold 4 million
+        model = make_model("kdv")
+        wave = TravelingWave(model="kdv", c=-1.0,
+                             coefficients=0.01 * 0.9 ** np.arange(1001.0))
+        tracemalloc.start()
+        try:
+            wave_residual(model, wave)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("size", [1, 2, 17])
+    def test_cosine_values_invert_cosine_coeffs(self, size):
+        # the transform pair round-trips on every grid of n > 2(size - 1)
+        # points, and the synthesis is the cosine series
+        a = np.random.default_rng(size).standard_normal(size)
+        wave = TravelingWave(model="kdv", c=0.0, coefficients=a.tolist())
+        M = size - 1
+        for n in {2 * M + 1, 2 * M + 2, max(4 * M, 64)}:
+            values = waves._cosine_values(a, n)
+            x = 2.0 * math.pi * np.arange(n) / n
+            assert np.max(np.abs(values - wave_oracles.profile(wave, x))) \
+                <= 1e-14 * np.sum(np.abs(a))
+            assert np.max(np.abs(waves._cosine_coeffs(values, M) - a)) \
+                <= 1e-15
 
 
 def dense_residual(model, wave):

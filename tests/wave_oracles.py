@@ -8,7 +8,8 @@ seed formulas, residual rows and Jacobian.  The library's Boussinesq-Whitham
 system is this one with its equation rows and its r = -A column negated,
 which LU with partial pivoting solves to the same bits, so the two must agree
 bit for bit on every wave.  The Hill wave term -sign * N'(U) is likewise
-written out per kind here, as -sigma U^p and 2 alpha Q.
+written out per kind here, as -sigma U^p and 2 alpha Q, with a non-quadratic
+U^p sampled on a grid (``profile``) and expanded by the cosine transform.
 """
 
 import math
@@ -16,9 +17,18 @@ import math
 import numpy as np
 
 from hfstab.models import (SCALAR, NONCANONICAL_BW, TravelingWave,
-                           bifurcation_speed, _cosine_coeffs, _exp_coeffs,
-                           _toeplitz)
-from hfstab.waves import MAX_NEWTON_STEPS, RESIDUAL_TOL
+                           bifurcation_speed, _exp_coeffs, _toeplitz)
+from hfstab.waves import MAX_NEWTON_STEPS, RESIDUAL_TOL, _cosine_coeffs
+
+
+def profile(wave, x):
+    """The wave's cosine series evaluated at x (a number or an array), one
+    mode at a time."""
+    x = np.asarray(x, dtype=float)
+    u = np.full_like(x, float(wave.coefficients[0]))
+    for m in range(1, len(wave.coefficients)):
+        u += wave.coefficients[m] * np.cos(m * x)
+    return u
 
 
 def stokes_wave(model, epsilon, order):
@@ -133,7 +143,7 @@ def _scalar_nonlinearity(model, wave, M):
             np.asarray(wave.coefficients, dtype=float), 2 * M)
     ngrid = max(8 * M, 4 * (len(wave.coefficients) - 1), 64)
     x = 2.0 * math.pi * np.arange(ngrid) / ngrid
-    w = model.sigma * wave.profile(x) ** model.power
+    w = model.sigma * profile(wave, x) ** model.power
     spec = np.fft.rfft(w) / ngrid
     out = np.zeros(4 * M + 1, dtype=float)
     top = min(2 * M, spec.size - 1)
